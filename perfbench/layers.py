@@ -1,10 +1,13 @@
 """Per-layer metrics from the spans a traced run wrote.
 
-A layer is an ``nlkpp`` module.  ``<module>.self_s`` is the time spent in the
-module's own code: span durations minus the part covered by child spans, so
-the layers' self times plus ``trace.unattributed_s`` add up to the traced
-process's wall time.  ``<module>.<function>.s`` is the inclusive time of the
-calls into that function, counted once where it recurses.
+A layer is an ``nlkpp`` module, plus three that are not: ``setup`` (the
+import of ``nlkpp.cli``), ``interpreter`` (start-up before the traced script
+runs and exit after it has written its spans) and ``trace`` (wrapping the
+functions and writing the spans).  ``<layer>.self_s`` is the time spent in the
+layer's own code: span durations minus the part covered by child spans.
+``trace.unattributed_s`` is what the spans leave of the traced process's wall
+time.  ``<module>.<function>.s`` is the inclusive time of the calls into that
+function, counted once where it recurses.
 """
 from __future__ import annotations
 
@@ -13,18 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-LAYERS = ("setup", "config", "grids", "kernels", "assumptions", "dispersion",
-          "evolution", "waves", "fronts", "cli")
+LAYERS = ("interpreter", "setup", "trace", "config", "grids", "kernels", "assumptions",
+          "dispersion", "evolution", "waves", "fronts", "cli")
 
 
 class Spans:
     """Spans of one or more traced processes, merged under one label table."""
 
     def __init__(self, labels: list[str], counters: dict[str, float], meta: dict,
-                 label_id: np.ndarray, parent: np.ndarray, duration: np.ndarray,
-                 span_cost_s: float = 0.0):
+                 label_id: np.ndarray, parent: np.ndarray, duration: np.ndarray):
         self.labels = labels
-        self.span_cost_s = span_cost_s  # estimated time the wrappers added
         self.counters = counters
         self.meta = meta
         self.label_id = label_id
@@ -39,29 +40,41 @@ class Spans:
         self.entry = parent_label != self.label_id
 
     @classmethod
-    def load(cls, stems: list[str]) -> "Spans":
+    def load(cls, runs: list[tuple[str, float, float]]) -> "Spans":
+        """Merge traced processes, each given as (stem, launched, reaped).
+
+        ``launched`` and ``reaped`` are the parent's ``perf_counter`` readings
+        around the child; with the child's own ``entered`` and ``write``
+        readings they become top-level spans for interpreter start-up, span
+        writing and interpreter exit.
+        """
         labels: list[str] = []
         counters: dict[str, float] = {}
         label_ids, parents, durations = [], [], []
         meta: dict = {}
         offset = 0
-        cost = 0.0
-        for stem in stems:
+        for stem, launched, reaped in runs:
             data = np.load(stem + ".npz")
             meta = json.loads(Path(stem + ".json").read_text())
-            for name in meta["labels"]:
+            began, written = meta["write"]
+            outer = {"interpreter.start": meta["entered"] - launched,
+                     "trace.write": written - began,
+                     "interpreter.exit": reaped - written}
+            for name in [*meta["labels"], *outer]:
                 if name not in labels:
                     labels.append(name)
             remap = np.array([labels.index(name) for name in meta["labels"]], dtype=np.int32)
             label_ids.append(remap[data["label_id"]] if len(remap) else data["label_id"])
+            label_ids.append(np.array([labels.index(name) for name in outer], dtype=np.int32))
             parents.append(np.where(data["parent"] >= 0, data["parent"] + offset, -1))
+            parents.append(np.full(len(outer), -1, dtype=np.int32))
             durations.append(data["end"] - data["start"])
-            offset += len(data["start"])
-            cost += len(data["start"]) * meta.get("span_cost_s", 0.0)
+            durations.append(np.array(list(outer.values())))
+            offset += len(data["start"]) + len(outer)
             for key, value in meta["counters"].items():
                 counters[key] = counters.get(key, 0) + value
         return cls(labels, counters, meta, np.concatenate(label_ids),
-                   np.concatenate(parents), np.concatenate(durations), cost)
+                   np.concatenate(parents), np.concatenate(durations))
 
     def _mask(self, label: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
         if label not in self.labels:
@@ -164,8 +177,23 @@ def workload_metrics(spans: Spans, traced_wall: float, untraced_wall: float) -> 
     m["trace.overhead_s"] = (traced_wall - untraced_wall, "s")
     m["trace.unattributed_s"] = (traced_wall - attributed, "s")
     m["trace.spans"] = (len(s.duration), "count")
-    m["trace.span_cost_s"] = (s.span_cost_s, "s")
     return m
+
+
+def accounting(m: dict) -> str:
+    """Whether the program's layers account for the traced wall time.
+
+    What the program's layers leave of ``trace.wall_s`` is the trace layer's
+    own time plus the unattributed rest.  Both are tracing cost, so together
+    they should stay within ``trace.overhead_s``, which host noise can also
+    push below zero.
+    """
+    left = m["trace.self_s"][0] + m["trace.unattributed_s"][0]
+    overhead = m["trace.overhead_s"][0]
+    verdict = "within" if left <= max(overhead, 0.0) else "FLAG: exceeds"
+    return (f"trace accounting: wall_s {m['trace.wall_s'][0]:.4f} s, program layers leave "
+            f"{left:.4f} s (trace.self_s {m['trace.self_s'][0]:.4f} + unattributed_s "
+            f"{m['trace.unattributed_s'][0]:.4f}), {verdict} trace.overhead_s {overhead:.4f} s")
 
 
 def probe_metrics(spans: Spans, case_names: list[str]) -> dict:
@@ -180,4 +208,5 @@ def probe_metrics(spans: Spans, case_names: list[str]) -> dict:
     m["dispersion.probe.cases"] = (len(outcomes), "count")
     m["dispersion.probe.typed_failures"] = (outcomes.count("typed"), "count")
     m["dispersion.probe.untyped_failures"] = (outcomes.count("untyped"), "count")
+    m["dispersion.probe.rejected"] = (outcomes.count("rejected"), "count")
     return m

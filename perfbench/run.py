@@ -52,6 +52,8 @@ class Child:
     wall_s: float
     peak_rss_mb: float
     status: int
+    launched: float  # time.perf_counter() just before the child was started
+    reaped: float  # time.perf_counter() just after it was reaped
 
 
 @dataclass
@@ -62,7 +64,7 @@ class Op:
     accuracy: dict[str, float]
     invocations: int
     failed_invocations: int
-    stems: list[str] = field(default_factory=list)
+    traces: list[tuple[str, float, float]] = field(default_factory=list)  # stem, launched, reaped
 
 
 class Runner:
@@ -85,15 +87,15 @@ class Runner:
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 signal.signal(signal.SIGALRM, previous)
-            wall = time.perf_counter() - start
+            end = time.perf_counter()
         proc.returncode = os.waitstatus_to_exitcode(status)
-        return Child(wall, usage.ru_maxrss / 1024.0, proc.returncode)
+        return Child(end - start, usage.ru_maxrss / 1024.0, proc.returncode, start, end)
 
 
 def run_op(runner: Runner, workload: Workload, invocations: list[Invocation], op_dir: Path,
            traced: bool = False) -> Op:
     op_dir.mkdir(parents=True)
-    walls, rss, outs, stems, checks = [], [], [], [], []
+    walls, rss, outs, traces, checks = [], [], [], [], []
     failed = 0
     for k, inv in enumerate(invocations):
         out = op_dir / f"out{k}"
@@ -101,10 +103,11 @@ def run_op(runner: Runner, workload: Workload, invocations: list[Invocation], op
         if traced:
             stem = str(op_dir / f"spans{k}")
             argv = [sys.executable, str(BENCH_DIR / "traced.py"), "cli", stem, *cli_args]
-            stems.append(stem)
         else:
             argv = [sys.executable, "-m", "nlkpp.cli", *cli_args]
         child = runner.run(argv, op_dir / f"log{k}.txt")
+        if traced:
+            traces.append((stem, child.launched, child.reaped))
         walls.append(child.wall_s)
         rss.append(child.peak_rss_mb)
         outs.append(out)
@@ -119,7 +122,7 @@ def run_op(runner: Runner, workload: Workload, invocations: list[Invocation], op
             checks.extend(found)
         except (OSError, KeyError, ValueError, IndexError) as exc:
             checks.append(Check("artifacts", False, f"{type(exc).__name__}: {exc}"))
-    return Op(sum(walls), max(rss), checks, accuracy, len(invocations), failed, stems)
+    return Op(sum(walls), max(rss), checks, accuracy, len(invocations), failed, traces)
 
 
 def time_setup(runner: Runner, inv: Invocation, log: Path) -> Child:
@@ -265,15 +268,24 @@ def traced(runner: Runner, workload: Workload, invocations: list[Invocation],
                         str(manifest)], probe_dir / "log.txt")
     if child.status != 0:
         raise RuntimeError(f"probe process failed: {(probe_dir / 'log.txt').read_text()[-2000:]}")
-    probe = layers.Spans.load([stem])
+    probe = layers.Spans.load([(stem, child.launched, child.reaped)])
     for case in probe.meta["probe"]:
-        if case["outcome"] != "ok":
-            result.notes.append(f"probe {case['case']}: {case['outcome']} {case['error_type'] or ''}")
+        if case["outcome"] == "ok":
+            continue
+        note = f"probe {case['case']}: {case['outcome']} (exit {case['status']}) {case['error'] or ''}"
+        # untyped and typed outcomes are findings about the program; a
+        # rejected config means the probe case itself is broken
+        if case["outcome"] == "rejected":
+            result.attempted += 1
+            result.failed += 1
+            note = "FAIL " + note
+        result.notes.append(note)
 
     metrics = {}
     if not spanned.failed_invocations:
-        spans = layers.Spans.load(spanned.stems)
+        spans = layers.Spans.load(spanned.traces)
         metrics.update(layers.workload_metrics(spans, spanned.wall_s, untraced_wall))
+        result.notes.append(layers.accounting(metrics))
     metrics.update(layers.probe_metrics(probe, PROBE_CASES))
     metrics["setup.interpreter_s"] = (imports.pop("interpreter"), "s")
     for name, value in imports.items():
@@ -318,9 +330,12 @@ def report(workload: Workload, seed: int, seconds: float, trace: bool, env: dict
         value, unit = result.metrics[entry["name"]]
         if unit != entry["unit"]:
             raise RuntimeError(f"metric {entry['name']} measured in {unit}, declared {entry['unit']}")
-        value = float(value) if math.isfinite(value) else -1.0
-        metrics[entry["name"]] = {"value": value, "unit": unit}
-        print(f"{workload.name} {entry['name']} = {value:.6g} {unit}")
+        if math.isfinite(value):
+            metrics[entry["name"]] = {"value": float(value), "unit": unit}
+            print(f"{workload.name} {entry['name']} = {value:.6g} {unit}")
+        else:
+            metrics[entry["name"]] = {"value": None, "unit": unit}
+            print(f"{workload.name} {entry['name']} = not measured")
     for note in result.notes:
         print(f"# {workload.name}: {note}")
     record = {"workload": workload.name, "seed": seed, "seconds": seconds, "trace": int(trace),

@@ -78,16 +78,23 @@ class Tracer:
         self.counters[key] = self.counters.get(key, 0) + amount
 
     def write(self, stem: str, extra: dict) -> None:
-        """Write spans to ``<stem>.npz`` and labels, counters, extra to ``<stem>.json``."""
+        """Write spans to ``<stem>.npz`` and labels, counters, extra to ``<stem>.json``.
+
+        The span arrays cannot hold the span of their own writing, so its start
+        and end go to the JSON as ``write``.
+        """
         import numpy as np
 
+        began = time.perf_counter()
         np.savez(stem + ".npz",
                  label_id=np.frombuffer(self.label_id, dtype=np.int32),
                  parent=np.frombuffer(self.parent, dtype=np.int32),
                  start=np.frombuffer(self.start, dtype=np.float64),
                  end=np.frombuffer(self.end, dtype=np.float64))
+        written = time.perf_counter()
         with open(stem + ".json", "w") as fh:
-            json.dump({"labels": self.labels, "counters": self.counters, **extra}, fh)
+            json.dump({"labels": self.labels, "counters": self.counters,
+                       "write": [began, written], **extra}, fh)
 
 
 def wrap(tracer: Tracer, fn, label: str, before=None, after=None):
@@ -214,18 +221,3 @@ def instrument(tracer: Tracer, package) -> None:
                 if method in vars(cls):
                     setattr(cls, method, wrap(tracer, vars(cls)[method], "kernels.transform"))
 
-
-def span_cost(calls: int = 20000) -> float:
-    """Seconds one traced call adds over a plain call, measured on a no-op."""
-    def noop():
-        return None
-
-    traced = wrap(Tracer(), noop, "noop")
-    start = time.perf_counter()
-    for _ in range(calls):
-        noop()
-    plain = time.perf_counter() - start
-    start = time.perf_counter()
-    for _ in range(calls):
-        traced()
-    return (time.perf_counter() - start - plain) / calls

@@ -81,8 +81,8 @@ class Workload:
 
 class Invasion1D(Workload):
     name = "invasion-1d"
-    why = ("simulate, 1-D N=8192 with a+ = a-: large periodic FFTs and CSV writing; "
-           "FFT sharing and identical-convolution reuse show here")
+    why = ("simulate, 1-D N=8192 with a+ = a-: periodic FFT convolution is ~70% of the "
+           "traced time and CSV writing 4-5%; FFT sharing and identical-kernel reuse show here")
     horizon = 8.0
     speed_tol = 0.05
 
@@ -125,8 +125,8 @@ class Invasion1D(Workload):
 
 class WaveProfile(Workload):
     name = "wave-profile"
-    why = ("wave at 1.3 c* and c*: line convolutions and residual checks only; the "
-           "periodic evolution path is bypassed, so changes there should not show")
+    why = ("wave at 1.3 c* and c*: line convolution is ~77% of the traced time and the "
+           "periodic evolution path is never run, so changes there should not show")
     residual_tol = 1e-6
 
     def invocations(self, seed, cfg_dir):
@@ -160,8 +160,8 @@ class WaveProfile(Workload):
 
 class Front2D(Workload):
     name = "front-2d"
-    why = ("front, 2-D 256^2 with a+ != a-: identical-kernel reuse is bypassed; front_set "
-           "quadrature makes kernels and dispersion cost matter")
+    why = ("front, 2-D 256^2 with a+ != a-: identical-kernel reuse is bypassed; periodic "
+           "convolution and front_set quadrature are each about a third of the traced time")
     radius = 2.0
     # an outward front from compact data never outruns c*; the lower bound
     # guards against a stalled front at this short horizon
@@ -180,6 +180,9 @@ class Front2D(Workload):
             "initial": {"kind": "bump", "center": center,
                         "width": round(rng.uniform(1.5, 2.5), 6),
                         "height": round(THETA * rng.uniform(0.3, 0.7), 6)},
+            # 8 of the default 32 directions: the front_set quadrature is still
+            # about a third of the time, and an operation stays near 6 s, so one
+            # 20-s run holds three or four and reports their median
             "front": {"n_directions": 8},
         }
         return [Invocation("front", self._write(cfg_dir, "front", sections))]
