@@ -31,7 +31,6 @@ class AssumptionReport:
     A3_mollison: float | None
     A4_gap_positive_near_origin: tuple[float, float] | None
     radial_exp_moment: float | None
-    A2_worst_margin: float = math.inf
     A2_worst_point: tuple[float, ...] | None = None
 
     def as_dict(self) -> dict[str, object]:
@@ -132,6 +131,5 @@ def check_assumptions(
         A3_mollison=a3,
         A4_gap_positive_near_origin=a4,
         radial_exp_moment=mu_d,
-        A2_worst_margin=float(margin[worst]),
         A2_worst_point=worst_point,
     )

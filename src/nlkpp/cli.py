@@ -23,7 +23,7 @@ from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
 from .errors import MollisonFailure, NlkppError
 from .evolution import EvolutionProblem, StepConfig, simulate
 from .grids import Field, Grid, bump_field, constant_field, step_field
-from .kernels import discretize, make_kernel
+from .kernels import KernelSpec, discretize, make_kernel
 
 
 def _fmt(x) -> str:
@@ -295,8 +295,6 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
 
 def _necessity_counterexample(cfg: ScenarioConfig, step_cfg: StepConfig) -> float:
     """Local domination failure: a competition spike makes u overshoot theta."""
-    from .kernels import KernelSpec
-
     params = cfg.params
     theta = params.require_carrying_capacity()
     grid = cfg.grid
@@ -332,8 +330,10 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     status = 0
     try:
         entries.update(_RUNNERS[cfg.command](cfg, out))
-    except NlkppError as exc:
+    except (NlkppError, ValueError, RuntimeError) as exc:
+        # numerical code raises ValueError/RuntimeError for rejected inputs too
         entries["error"] = str(exc)
+        entries["error.type"] = type(exc).__name__
         status = 1
     entries.update(_assumption_entries(cfg))
     if entries.get("verify.violations", 0):

@@ -7,7 +7,8 @@ error message carries the offending line number.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -88,6 +89,22 @@ def _as_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.replace(",", " ").split())
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError("must be positive and finite")
+    return value
+
+
+def _int_at_least(low: int):
+    def conv(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return conv
+
+
 @dataclass
 class InitialSpec:
     kind: str
@@ -131,7 +148,6 @@ class ScenarioConfig:
     verify_suite: str = "comparison"
     verify_pairs: int = 50
     verify_necessity: bool = False
-    extra: dict = dc_field(default_factory=dict)
 
 
 def _kernel_spec(sections, section: str, default_dimension: int) -> KernelSpec:
@@ -215,10 +231,10 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         kernel_plus=kplus,
         kernel_minus=kminus,
         grid=grid,
-        dt=_take(sections, "time", "dt", float, default=1e-3),
-        horizon=_take(sections, "time", "horizon", float, default=1.0),
+        dt=_take(sections, "time", "dt", _positive, default=1e-3),
+        horizon=_take(sections, "time", "horizon", _positive, default=1.0),
         method=_take(sections, "time", "method", str, default="rk4"),
-        snapshot_stride=_take(sections, "time", "snapshot_stride", int, default=100),
+        snapshot_stride=_take(sections, "time", "snapshot_stride", _int_at_least(1), default=100),
         floor=_take(sections, "time", "floor", float, default=0.0),
         initial=initial,
         out_dir=_take(sections, "output", "directory", str, default="out"),
@@ -232,7 +248,7 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         cfg.lambda_grid = (
             _take(sections, "dispersion", "lambda_min", float, default=1e-3),
             _take(sections, "dispersion", "lambda_max", float, default=3.0),
-            _take(sections, "dispersion", "lambda_count", int, default=200),
+            _take(sections, "dispersion", "lambda_count", _int_at_least(2), default=200),
         )
     if "wave" in sections:
         cfg.wave_speed = _take(sections, "wave", "speed", float)
@@ -249,7 +265,7 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         cfg.front_n_directions = _take(sections, "front", "n_directions", int, default=32)
     if "verify" in sections:
         cfg.verify_suite = _take(sections, "verify", "suite", str, default="comparison")
-        cfg.verify_pairs = _take(sections, "verify", "pairs", int, default=50)
+        cfg.verify_pairs = _take(sections, "verify", "pairs", _int_at_least(1), default=50)
         cfg.verify_necessity = _take(sections, "verify", "necessity", _as_bool, default=False)
 
     if cfg.method not in ("rk4", "exp_euler"):

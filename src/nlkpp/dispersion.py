@@ -49,8 +49,6 @@ class DispersionReport:
     kernel_class: str
     t_xi_at_lambda0: float | None
     m_xi: float
-    interval_sup: float
-    interval_closed: bool
 
     @property
     def is_v_class(self) -> bool:
@@ -212,11 +210,9 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
 
     if math.isinf(lam0):
         t_at_lam0 = None
-        closed = False
     else:
         value0 = k.transform(lam0)
         t_at_lam0 = t_xi(params, k, lam0) if math.isfinite(value0) else None
-        closed = math.isfinite(value0)
 
     return DispersionReport(
         lambda_star=float(lam_star),
@@ -224,8 +220,6 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
         kernel_class=kernel_class,
         t_xi_at_lambda0=t_at_lam0,
         m_xi=float(m_xi),
-        interval_sup=lam0,
-        interval_closed=closed,
     )
 
 

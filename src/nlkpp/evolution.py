@@ -20,8 +20,8 @@ from .params import ModelParams
 
 
 def _conv_fft(w: SampledWeights, values: np.ndarray) -> np.ndarray:
-    axes = tuple(range(values.ndim))
-    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * w.fft(), s=values.shape, axes=axes)
+    axes = tuple(range(values.ndim - w.weights.ndim, values.ndim))
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * w.fft(), s=w.shape, axes=axes)
 
 
 def _conv_direct(w: SampledWeights, values: np.ndarray) -> np.ndarray:
@@ -34,11 +34,11 @@ def _conv_direct(w: SampledWeights, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     flat = w.weights.reshape(-1)
     nz = np.flatnonzero(flat != 0.0)
-    shape = w.weights.shape
+    lead = values.ndim - w.weights.ndim
     for j in nz:
-        idx = np.unravel_index(j, shape)
+        idx = np.unravel_index(j, w.shape)
         shifted = values
-        for axis, k in enumerate(idx):
+        for axis, k in enumerate(idx, start=lead):
             if k:
                 shifted = np.roll(shifted, k, axis=axis)
         out += flat[j] * shifted
@@ -46,6 +46,11 @@ def _conv_direct(w: SampledWeights, values: np.ndarray) -> np.ndarray:
 
 
 def convolve(w: SampledWeights, values: np.ndarray, backend: str = "fft") -> np.ndarray:
+    """Circular convolution over the trailing axes of ``values`` that ``w`` spans.
+
+    Leading axes are a batch: each slice is convolved independently, with the
+    same bits as a separate call on that slice.
+    """
     if backend == "fft":
         return _conv_fft(w, values)
     if backend == "direct":
@@ -86,7 +91,6 @@ class StepConfig:
 
     dt: float
     method: str = "rk4"
-    clip_negative: bool = False
     conv_backend: str = "fft"
     floor: float = 0.0
 
@@ -123,12 +127,27 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray,
+              conv_m: np.ndarray) -> np.ndarray:
+    """kappa_plus*conv_p - m*u - kappa_minus*u*conv_m; shared by periodic and line solvers."""
+    return (params.kappa_plus * conv_p - params.mortality * u
+            - params.kappa_minus * u * conv_m)
+
+
+def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of du/dt = f(u)."""
+    k1 = f(values)
+    k2 = f(values + 0.5 * dt * k1)
+    k3 = f(values + 0.5 * dt * k2)
+    k4 = f(values + dt * k3)
+    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
                values: np.ndarray, backend: str = "fft") -> np.ndarray:
     conv_p = convolve(wplus, values, backend)
     conv_m = convolve(wminus, values, backend)
-    return (params.kappa_plus * conv_p - params.mortality * values
-            - params.kappa_minus * values * conv_m)
+    return _reaction(params, values, conv_p, conv_m)
 
 
 def rhs(problem: EvolutionProblem, backend: str = "fft") -> Field:
@@ -140,14 +159,11 @@ def rhs(problem: EvolutionProblem, backend: str = "fft") -> Field:
 
 def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
              values: np.ndarray, cfg: StepConfig) -> np.ndarray:
+    """One step of ``values``; leading axes beyond the grid are independent states."""
     dt = cfg.dt
     backend = cfg.conv_backend
     if cfg.method == "rk4":
-        k1 = rhs_values(params, wplus, wminus, values, backend)
-        k2 = rhs_values(params, wplus, wminus, values + 0.5 * dt * k1, backend)
-        k3 = rhs_values(params, wplus, wminus, values + 0.5 * dt * k2, backend)
-        k4 = rhs_values(params, wplus, wminus, values + dt * k3, backend)
-        out = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = _rk4(lambda v: rhs_values(params, wplus, wminus, v, backend), values, dt)
     else:
         # integrating-factor step: freeze the loss rate over [t, t+dt]
         conv_m = convolve(wminus, values, backend)
@@ -155,8 +171,6 @@ def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
         loss = params.mortality + params.kappa_minus * conv_m
         decay = np.exp(-loss * dt)
         out = decay * values + (1.0 - decay) / loss * params.kappa_plus * conv_p
-    if cfg.clip_negative:
-        np.maximum(out, 0.0, out=out)
     if cfg.floor > 0.0:
         out[np.abs(out) < cfg.floor] = 0.0
     return out
@@ -247,8 +261,8 @@ def _picard_interval(params: ModelParams, wplus: SampledWeights, wminus: Sampled
     prev_change = math.inf
     growth_streak = 0
     for sweep in range(200):
-        conv_m = np.stack([convolve(wminus, v[j]) for j in range(n_nodes)])
-        conv_p = np.stack([convolve(wplus, v[j]) for j in range(n_nodes)])
+        conv_m = convolve(wminus, v)
+        conv_p = convolve(wplus, v)
         loss = m + km * conv_m
         cumint = np.tensordot(Q, loss, axes=(1, 0))  # int_tau^{t_i} loss
         gain = kp * conv_p * np.exp(cumint)

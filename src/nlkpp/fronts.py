@@ -15,10 +15,11 @@ import numpy as np
 
 from .dispersion import FrontSet
 from .errors import CertificationFailed
-from .evolution import EvolutionProblem, StepConfig, Trajectory, simulate
+from .evolution import EvolutionProblem, StepConfig, Trajectory, _advance, simulate
 from .grids import Field
 from .kernels import SampledWeights
 from .params import ModelParams
+from .waves import half_level_crossing
 
 
 @dataclass
@@ -69,14 +70,12 @@ def track_level(traj: Trajectory, level: float, xi) -> LevelTrace:
         above = u >= level
         if not above.any():
             continue
-        idx = int(np.max(np.nonzero(above)))
-        if idx + 1 >= len(s):
+        if above[-1]:
             # level held up to the boundary: record the edge sentinel and stop
             times.append(f.time)
             positions.append(half)
             break
-        frac = (u[idx] - level) / (u[idx] - u[idx + 1])
-        pos = s[idx] + frac * (s[idx + 1] - s[idx])
+        pos = half_level_crossing(s, u, level)
         if pos > edge:
             break
         times.append(f.time)
@@ -273,16 +272,15 @@ def comparison_harness(params: ModelParams, wplus: SampledWeights, wminus: Sampl
     beta = u0.min
 
     n_steps = int(round(horizon / cfg.dt))
-    uu, vv = u0.values, v0.values
-    from .evolution import _advance  # local import to share the stepping core
+    pair = np.stack([u0.values, v0.values])
 
     max_violation = 0.0
     strip_violation = 0.0
     envelope_ok = True
     times = cfg.dt * np.arange(1, n_steps + 1)
     for k in range(n_steps):
-        uu = _advance(params, wplus, wminus, uu, cfg)
-        vv = _advance(params, wplus, wminus, vv, cfg)
+        pair = _advance(params, wplus, wminus, pair, cfg)
+        uu, vv = pair
         max_violation = max(max_violation, float(np.max(uu - vv)))
         strip_violation = max(
             strip_violation, float(max(-vv.min(), -uu.min(), uu.max() - theta,

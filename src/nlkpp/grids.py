@@ -80,11 +80,6 @@ class Field:
         """Whole-cell periodic translation."""
         return self.with_values(np.roll(self.values, cells, axis=axis))
 
-    def in_strip(self, theta: float, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(self.values >= -tol) and np.all(self.values <= theta + tol)
-        )
-
     @property
     def min(self) -> float:
         return float(self.values.min())

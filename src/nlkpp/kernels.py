@@ -262,29 +262,9 @@ class Kernel1D:
             return self.source[0].effective_scale()
         return 1.0
 
-    # transform status helpers -------------------------------------------------
-
-    def transform_finite_at(self, lam: float) -> bool:
-        return math.isfinite(self.transform(lam))
-
 
 class _QuadratureLine(Kernel1D):
-    """Transforms by adaptive quadrature of the explicit line density."""
-
-    def _weighted(self, lam: float, power: int) -> float:
-        if lam > self.lambda0:
-            return math.inf
-        if lam == self.lambda0 and not self._moment_finite_at_abscissa(power):
-            return math.inf
-        def pos(s):
-            return (s**power) * float(self.eval(s)) * math.exp(lam * s)
-        def neg(s):
-            return ((-s) ** power) * float(self.eval(-s)) * math.exp(-lam * s)
-        sign = (-1.0) ** power
-        return _quad(pos, 0.0, np.inf) + sign * _quad(neg, 0.0, np.inf)
-
-    def _moment_finite_at_abscissa(self, power: int) -> bool:
-        return False
+    """Transforms through the subclass's ``_weighted(lam, power)`` quadrature."""
 
     def transform(self, lam: float) -> float:
         return self._weighted(lam, 0)
@@ -596,16 +576,26 @@ class AbelLine(_QuadratureLine):
             return math.pi * _quad(lambda r: self._g(r) * r**3, 0.0, np.inf)
         # i0e/i1e are exponentially scaled; reinsert exp(lam r) in the integrand.
         if power == 0:
-            f = lambda r: 2 * math.pi * self._g(r) * r * special.i0e(lam * r) * math.exp(lam * r)
+            f = lambda r: 2 * math.pi * self._g_exp(r, lam) * r * special.i0e(lam * r)
         elif power == 1:
-            f = lambda r: 2 * math.pi * self._g(r) * r * r * special.i1e(lam * r) * math.exp(lam * r)
+            f = lambda r: 2 * math.pi * self._g_exp(r, lam) * r * r * special.i1e(lam * r)
         else:
             f = lambda r: (
-                2 * math.pi * self._g(r) * r**3
+                2 * math.pi * self._g_exp(r, lam) * r**3
                 * (special.i0e(lam * r) - special.i1e(lam * r) / (lam * r))
-                * math.exp(lam * r)
             )
         return _quad(f, 0.0, np.inf)
+
+    def _g_exp(self, r: float, lam: float) -> float:
+        """g(r) e^{lam r}; for exppoly with the exponents fused, as in ``ExpPolyLine``.
+
+        Taken alone, e^{lam r} overflows where the product is still finite.
+        """
+        spec = self.kernel.spec
+        if spec.family != "exppoly":
+            return self._g(r) * math.exp(lam * r)
+        alpha = self.kernel.normalizer_alpha
+        return alpha * math.exp(min(lam * r - spec.mu * r**spec.p, 700.0)) / (1.0 + r**spec.q)
 
     def _weighted(self, lam, power):
         spec = self.kernel.spec

@@ -16,6 +16,7 @@ from scipy.signal import fftconvolve
 
 from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
+from .evolution import _reaction, _rk4
 from .kernels import Kernel1D
 from .params import ModelParams
 
@@ -50,29 +51,22 @@ def sample_line_kernel(k: Kernel1D, h: float, coverage: float = 1e-10) -> LineKe
     return LineKernel(weights=w, spacing=h)
 
 
-def line_convolve(psi: np.ndarray, lk: LineKernel, theta: float) -> np.ndarray:
-    """(a * psi)(s_i) assuming psi = theta left of the grid and 0 right of it."""
+def line_convolve(psi: np.ndarray, lk: LineKernel, left: float, right: float) -> np.ndarray:
+    """(a * psi)(s_i) assuming psi = left before the grid and right after it."""
     half = lk.halfwidth
-    padded = np.concatenate([np.full(half, theta), psi, np.zeros(half)])
+    padded = np.concatenate([np.full(half, left), psi, np.full(half, right)])
     return fftconvolve(padded, lk.weights, mode="valid")
-
-
-def _line_rhs(psi, params: ModelParams, wp: LineKernel, wm: LineKernel, theta: float):
-    conv_p = line_convolve(psi, wp, theta)
-    conv_m = line_convolve(psi, wm, theta)
-    return (params.kappa_plus * conv_p - params.mortality * psi
-            - params.kappa_minus * psi * conv_m)
 
 
 def evolve_line(psi: np.ndarray, params: ModelParams, wp: LineKernel, wm: LineKernel,
                 theta: float, dt: float, n_steps: int) -> np.ndarray:
-    """RK4 advance of the line equation with fixed far-field extension."""
+    """RK4 advance of the line equation with the theta/0 far-field extension."""
+    def f(values: np.ndarray) -> np.ndarray:
+        return _reaction(params, values, line_convolve(values, wp, theta, 0.0),
+                         line_convolve(values, wm, theta, 0.0))
+
     for _ in range(n_steps):
-        k1 = _line_rhs(psi, params, wp, wm, theta)
-        k2 = _line_rhs(psi + 0.5 * dt * k1, params, wp, wm, theta)
-        k3 = _line_rhs(psi + 0.5 * dt * k2, params, wp, wm, theta)
-        k4 = _line_rhs(psi + dt * k3, params, wp, wm, theta)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = _rk4(f, psi, dt)
     return psi
 
 
@@ -158,9 +152,9 @@ def initial_supersolution(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel
     wp = sample_line_kernel(k_plus, h)
     wm = sample_line_kernel(k_minus, h)
     dphi = np.where(s > 0, -mu * phi, 0.0)
-    j_c = (c * dphi + params.kappa_plus * line_convolve(phi, wp, theta)
+    j_c = (c * dphi + params.kappa_plus * line_convolve(phi, wp, theta, 0.0)
            - params.mortality * phi
-           - params.kappa_minus * phi * line_convolve(phi, wm, theta))
+           - params.kappa_minus * phi * line_convolve(phi, wm, theta, 0.0))
     worst = int(np.argmax(j_c))
     if j_c[worst] > tol:
         raise CertificationFailed(
@@ -185,15 +179,9 @@ def stationary_frame_residual(s: np.ndarray, psi: np.ndarray, c: float, theta: f
     left, right = float(psi[0]), float(psi[-1])
     padded = np.concatenate([[left, left], psi, [right, right]])
     dpsi = (-padded[4:] + 8.0 * padded[3:-1] - 8.0 * padded[1:-3] + padded[:-4]) / (12.0 * h)
-
-    def conv(lk: LineKernel) -> np.ndarray:
-        half = lk.halfwidth
-        ext = np.concatenate([np.full(half, left), psi, np.full(half, right)])
-        return fftconvolve(ext, lk.weights, mode="valid")
-
-    res = (c * dpsi + params.kappa_plus * conv(wp)
+    res = (c * dpsi + params.kappa_plus * line_convolve(psi, wp, left, right)
            - params.mortality * psi
-           - params.kappa_minus * psi * conv(wm))
+           - params.kappa_minus * psi * line_convolve(psi, wm, left, right))
     buf = max(2, int(0.05 * len(s)))
     return float(np.max(np.abs(res[buf:-buf])))
 

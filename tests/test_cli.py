@@ -89,6 +89,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown initial kind"):
             parse_config(BASE.replace("kind = constant", "kind = blob"))
 
+    @pytest.mark.parametrize("old, new", [
+        ("snapshot_stride = 125", "snapshot_stride = 0"),
+        ("dt = 2e-3", "dt = 0"),
+        ("dt = 2e-3", "dt = -1e-3"),
+        ("horizon = 0.5", "horizon = 0"),
+        ("horizon = 0.5", "horizon = inf"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_count = 1"),
+        ("value = 0.5", "value = 0.5\n\n[verify]\npairs = 0"),
+    ])
+    def test_rejects_out_of_range_values_with_line(self, old, new):
+        text = BASE.replace(old, new)
+        lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}:") as info:
+            parse_config(text)
+        assert info.value.line == lineno
+
 
 class TestScenarios:
     def test_simulate_writes_artifacts(self, tmp_path):
@@ -134,6 +150,29 @@ class TestScenarios:
         assert rc == 1
         entries = summary_dict(tmp_path / "out")
         assert "minimal speed" in entries["error"]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("front", ""),
+        ("wave", "\n[wave]\nspeed_factor = 1.5\n"),
+    ])
+    def test_no_carrying_capacity_writes_error(self, tmp_path, command, extra):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(BASE.replace("kappa_plus = 2.0", "kappa_plus = 0.5") + extra)
+        rc = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        entries = summary_dict(tmp_path / "out")
+        assert "carrying capacity" in entries["error"]
+        assert entries["error.type"] == "ValueError"
+
+    def test_wave_domain_too_small_writes_error(self, tmp_path):
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text(BASE + "\n[wave]\nspacing = 0.1\n"
+                            "domain_left = -5\ndomain_right = 5\n")
+        rc = main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        entries = summary_dict(tmp_path / "out")
+        assert "domain too small" in entries["error"]
+        assert entries["error.type"] == "ValueError"
 
     def test_wave_scenario(self, tmp_path):
         cfg_file = tmp_path / "w.cfg"

@@ -92,6 +92,19 @@ class TestMinimizeG:
         with pytest.raises(MollisonFailure):
             minimize_G(canon, line("power_tail", q=4.0))
 
+    def test_two_dimensional_exppoly_matches_gaussian(self, canon):
+        # exp(-|x|^2) is the gaussian with sigma = 1/sqrt(2)
+        exppoly = make_kernel(KernelSpec("exppoly", 2, p=2.0, q=0.0, mu=1.0))
+        gauss = make_kernel(KernelSpec("gaussian", 2, sigma=1.0 / math.sqrt(2.0)))
+        rep = minimize_G(canon, reduce_to_direction(exppoly, [1.0, 0.0]))
+        oracle = minimize_G(canon, reduce_to_direction(gauss, [1.0, 0.0]))
+        assert rep.c_star == pytest.approx(oracle.c_star, abs=1e-9)
+
+    def test_two_dimensional_exppoly_exponential_tail(self, canon):
+        kernel = make_kernel(KernelSpec("exppoly", 2, p=1.0, q=4.0, mu=1.0))
+        rep = minimize_G(canon, reduce_to_direction(kernel, [1.0, 0.0]))
+        assert math.isfinite(rep.c_star) and rep.c_star > 0
+
     def test_mean_shift_keeps_strict_bound(self, canon):
         kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(0.5,)))
         kline = reduce_to_direction(kernel, [1.0])

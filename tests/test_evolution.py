@@ -45,6 +45,17 @@ class TestRhs:
             assert np.max(np.abs(fft - brute)) <= 1e-10 * scale
             assert np.max(np.abs(direct - brute)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("backend", ["fft", "direct"])
+    @pytest.mark.parametrize("shape", [(12, 128), (2, 64, 64)], ids=["1d", "2d"])
+    def test_batched_convolve_equals_per_slice_bitwise(self, shape, backend):
+        grid = Grid(dimension=len(shape) - 1, half_length=10.0, points_per_axis=shape[-1])
+        kernel = make_kernel(KernelSpec("gaussian", dimension=grid.dimension, sigma=1.5))
+        w = discretize(kernel, grid)
+        values = np.random.default_rng(8).random(shape)
+        batched = convolve(w, values, backend=backend)
+        per_slice = np.stack([convolve(w, v, backend=backend) for v in values])
+        assert np.array_equal(batched, per_slice)
+
 
 class TestStep:
     def test_equilibrium_stationary(self, canon, grid256, gauss_weights):

@@ -23,22 +23,23 @@ def profile_13(canon, gauss_line, report):
 
 
 class TestLineMachinery:
-    def test_line_convolve_matches_brute_force(self):
+    @pytest.mark.parametrize("left, right", [(0.7, 0.0), (0.3, 0.9)],
+                             ids=["theta-zero", "two-sided"])
+    def test_line_convolve_matches_brute_force(self, left, right):
         rng = np.random.default_rng(2)
         h = 0.5
         w = rng.random(7)  # deliberately asymmetric weights
         w /= w.sum()
         lk = LineKernel(weights=w, spacing=h)
         psi = rng.random(20)
-        theta = 0.7
-        out = line_convolve(psi, lk, theta)
+        out = line_convolve(psi, lk, left, right)
         half = lk.halfwidth
 
         def extended(i):
             if i < 0:
-                return theta
+                return left
             if i >= len(psi):
-                return 0.0
+                return right
             return psi[i]
 
         for i in range(len(psi)):
