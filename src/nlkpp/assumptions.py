@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .kernels import Kernel
 from .params import ModelParams
@@ -43,10 +42,26 @@ class AssumptionReport:
         }
 
 
+def _radical_inverse(count: int, base: int) -> np.ndarray:
+    """Van der Corput points 0, 1/b, 2/b, ... : the base-b digits of 0..count-1 mirrored."""
+    q = np.arange(count)
+    out = np.zeros(count)
+    scale = 1.0 / base
+    while q.any():
+        out += (q % base) * scale
+        scale /= base
+        q //= base
+    return out
+
+
+def _halton(dimension: int, count: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence in bases 2, 3."""
+    return np.stack([_radical_inverse(count, base) for base in (2, 3)[:dimension]], axis=-1)
+
+
 def _sample_points(dimension: int, radius: float, count: int) -> np.ndarray:
     """Deterministic quasi-random points in the ball plus a dense origin patch."""
-    halton = qmc.Halton(d=dimension, scramble=False)
-    cube = halton.random(count)  # in [0, 1)^d
+    cube = _halton(dimension, count)  # in [0, 1)^d
     pts = (2.0 * cube - 1.0) * radius
     if dimension == 1:
         pts = pts.reshape(-1)

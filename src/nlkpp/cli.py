@@ -20,7 +20,7 @@ from .assumptions import check_assumptions
 from .config import ScenarioConfig, load_config
 from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
                          reduce_to_direction, speed_to_abscissa)
-from .errors import MollisonFailure, NlkppError
+from .errors import ConfigError, MollisonFailure, NlkppError
 from .evolution import EvolutionProblem, StepConfig, simulate
 from .grids import Field, Grid, bump_field, constant_field, step_field
 from .kernels import KernelSpec, discretize, make_kernel
@@ -81,7 +81,12 @@ def build_initial(cfg: ScenarioConfig, grid: Grid) -> Field:
     if spec.kind == "step":
         return step_field(grid, max(theta, 0.0), direction=spec.direction)
     # profile-file / shifted-profile
-    data = np.loadtxt(spec.path, delimiter=",", skiprows=1)
+    data = np.loadtxt(spec.path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 1 or data.shape[1] < 2:
+        raise ConfigError(
+            f"initial profile file {spec.path!r} needs rows of two columns (s, psi) "
+            f"below its header; got {data.shape[0]} rows of {data.shape[1]}"
+        )
     s, psi = data[:, 0], data[:, 1]
     x = grid.axis_coords() - (spec.shift if spec.kind == "shifted-profile" else 0.0)
     line = np.interp(x, s, psi, left=psi[0], right=psi[-1])
@@ -97,6 +102,8 @@ def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
     km = make_kernel(cfg.kernel_minus)
     wp = discretize(kp, cfg.grid)
     wm = discretize(km, cfg.grid)
+    if np.array_equal(wp.weights, wm.weights):
+        wm = wp  # one convolution per right-hand side
     u0 = build_initial(cfg, cfg.grid)
     return EvolutionProblem(cfg.params, wp, wm, u0)
 

@@ -58,6 +58,17 @@ def convolve(w: SampledWeights, values: np.ndarray, backend: str = "fft") -> np.
     raise ValueError(f"unknown convolution backend {backend!r}")
 
 
+def _convolve_pair(conv, wplus, wminus) -> tuple[np.ndarray, np.ndarray]:
+    """(conv(wplus), conv(wminus)), calling ``conv`` once when ``wminus is wplus``.
+
+    Periodic and line solvers both use it.  Callers pass one object for a+
+    and a- when their samples are equal; the shared result must not be
+    modified in place.
+    """
+    conv_p = conv(wplus)
+    return conv_p, conv_p if wminus is wplus else conv(wminus)
+
+
 @dataclass(frozen=True)
 class EvolutionProblem:
     """Model parameters, sampled kernels and the current state on one grid."""
@@ -145,9 +156,8 @@ def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
 
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
                values: np.ndarray, backend: str = "fft") -> np.ndarray:
-    conv_p = convolve(wplus, values, backend)
-    conv_m = convolve(wminus, values, backend)
-    return _reaction(params, values, conv_p, conv_m)
+    return _reaction(params, values, *_convolve_pair(
+        lambda w: convolve(w, values, backend), wplus, wminus))
 
 
 def rhs(problem: EvolutionProblem, backend: str = "fft") -> Field:
@@ -166,8 +176,8 @@ def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
         out = _rk4(lambda v: rhs_values(params, wplus, wminus, v, backend), values, dt)
     else:
         # integrating-factor step: freeze the loss rate over [t, t+dt]
-        conv_m = convolve(wminus, values, backend)
-        conv_p = convolve(wplus, values, backend)
+        conv_p, conv_m = _convolve_pair(
+            lambda w: convolve(w, values, backend), wplus, wminus)
         loss = params.mortality + params.kappa_minus * conv_m
         decay = np.exp(-loss * dt)
         out = decay * values + (1.0 - decay) / loss * params.kappa_plus * conv_p
@@ -261,8 +271,7 @@ def _picard_interval(params: ModelParams, wplus: SampledWeights, wminus: Sampled
     prev_change = math.inf
     growth_streak = 0
     for sweep in range(200):
-        conv_m = convolve(wminus, v)
-        conv_p = convolve(wplus, v)
+        conv_p, conv_m = _convolve_pair(lambda w: convolve(w, v), wplus, wminus)
         loss = m + km * conv_m
         cumint = np.tensordot(Q, loss, axes=(1, 0))  # int_tau^{t_i} loss
         gain = kp * conv_p * np.exp(cumint)
@@ -447,8 +456,7 @@ def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: Sam
     w = q * np.exp(-sq / (alpha * t))
     dw_dt = w * (2.0 * drift_term / (alpha * t) + sq / (alpha * t * t))
 
-    conv_p = convolve(wplus, w)
-    conv_m = convolve(wminus, w)
+    conv_p, conv_m = _convolve_pair(lambda k: convolve(k, w), wplus, wminus)
     operator = (dw_dt - params.kappa_plus * conv_p + params.mortality * w
                 + params.kappa_minus * w * conv_m)
     worst = int(np.argmax(operator))

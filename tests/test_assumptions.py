@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import qmc
 
 from nlkpp import KernelSpec, check_assumptions, competition_gap, make_kernel
 from nlkpp import reduce_to_direction
+from nlkpp.assumptions import _halton
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_halton_matches_scipy_unscrambled(dimension):
+    expected = qmc.Halton(d=dimension, scramble=False).random(10000)
+    assert np.array_equal(_halton(dimension, 10000), expected)
 
 
 def test_equal_kernels_satisfy_everything(canon, gauss1):

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlkpp
 from nlkpp import ConfigError
-from nlkpp.cli import main
+from nlkpp.cli import _problem, main
 from nlkpp.config import parse_config
 
 BASE = """
@@ -207,6 +211,23 @@ class TestScenarios:
         assert trace.shape[0] > 1
         assert np.all(np.diff(trace[:, 1]) > -0.5)  # front advances overall
 
+    def test_equal_kernels_share_one_weights_object(self):
+        problem = _problem(parse_config(BASE))
+        assert problem.a_minus_w is problem.a_plus_w
+        problem = _problem(parse_config(BASE.replace("sigma = 1.0", "sigma = 1.5", 1)))
+        assert problem.a_minus_w is not problem.a_plus_w
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    src = str(Path(nlkpp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, nlkpp.cli\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
 
 class TestMoreScenarios:
     def test_dimension_three_rejected(self):
@@ -253,3 +274,24 @@ class TestProfileFileWorkflow:
                      "--out", str(tmp_path / "sim")]) == 0
         entries = summary_dict(tmp_path / "sim")
         assert entries["simulate.strip_ok"] == "true"
+
+    def test_one_column_profile_file_writes_error(self, tmp_path):
+        profile_csv = tmp_path / "one_column.csv"
+        profile_csv.write_text("psi\n1.0\n0.0\n")
+        sim_cfg = tmp_path / "s.cfg"
+        sim_cfg.write_text(BASE.replace("kind = constant\nvalue = 0.5",
+                                        f"kind = profile-file\npath = {profile_csv}"))
+        assert main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "sim")]) == 1
+        entries = summary_dict(tmp_path / "sim")
+        assert entries["error.type"] == "ConfigError"
+        assert "two columns" in entries["error"]
+
+    def test_one_row_profile_file_gives_constant_start(self, tmp_path):
+        profile_csv = tmp_path / "one_row.csv"
+        profile_csv.write_text("s,psi\n0.0,0.25\n")
+        sim_cfg = tmp_path / "s.cfg"
+        sim_cfg.write_text(BASE.replace("kind = constant\nvalue = 0.5",
+                                        f"kind = profile-file\npath = {profile_csv}"))
+        assert main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "sim")]) == 0
+        data = np.loadtxt(tmp_path / "sim" / "snapshots.csv", delimiter=",", skiprows=1)
+        assert np.all(data[data[:, 0] == 0.0, 2] == 0.25)

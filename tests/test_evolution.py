@@ -10,7 +10,9 @@ from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpe
                    find_subsolution_params, gaussian_subsolution, logistic_exact,
                    make_kernel, picard_solve, rhs, simulate, step,
                    truncated_problem, uniform_bound)
-from nlkpp.evolution import convolve
+from nlkpp import evolution
+from nlkpp.evolution import _advance, _picard_interval, convolve, rhs_values
+from nlkpp.kernels import SampledWeights
 
 from conftest import brute_circular_convolution
 
@@ -55,6 +57,54 @@ class TestRhs:
         batched = convolve(w, values, backend=backend)
         per_slice = np.stack([convolve(w, v, backend=backend) for v in values])
         assert np.array_equal(batched, per_slice)
+
+
+class TestSharedKernel:
+    """Passing one object for a+ and a- convolves once, with the bits of two equal copies."""
+
+    @pytest.fixture
+    def twin(self, gauss_weights):
+        w = gauss_weights
+        return SampledWeights(w.weights.copy(), w.spacing, w.mass, w.renormalized)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(w, values, backend="fft"):
+            seen.append(w)
+            return convolve(w, values, backend)
+
+        monkeypatch.setattr(evolution, "convolve", counted)
+        return seen
+
+    @pytest.mark.parametrize("backend", ["fft", "direct"])
+    def test_rhs_values(self, canon, gauss_weights, twin, calls, backend):
+        u = np.random.default_rng(3).random(gauss_weights.shape)
+        shared = rhs_values(canon, gauss_weights, gauss_weights, u, backend)
+        assert len(calls) == 1
+        separate = rhs_values(canon, gauss_weights, twin, u, backend)
+        assert len(calls) == 3
+        assert np.array_equal(shared, separate)
+
+    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("exp_euler", 1)])
+    def test_advance(self, canon, gauss_weights, twin, calls, method, per_step):
+        u = np.random.default_rng(4).random(gauss_weights.shape)
+        cfg = StepConfig(dt=0.01, method=method)
+        shared = _advance(canon, gauss_weights, gauss_weights, u, cfg)
+        assert len(calls) == per_step
+        separate = _advance(canon, gauss_weights, twin, u, cfg)
+        assert len(calls) == 3 * per_step
+        assert np.array_equal(shared, separate)
+
+    def test_picard_interval(self, canon, gauss_weights, twin, calls):
+        u = np.random.default_rng(6).random(gauss_weights.shape)
+        _, shared = _picard_interval(canon, gauss_weights, gauss_weights, u,
+                                     0.0, 0.1, 12, 1e-10)
+        sweeps = len(calls)
+        _, separate = _picard_interval(canon, gauss_weights, twin, u, 0.0, 0.1, 12, 1e-10)
+        assert len(calls) == 3 * sweeps
+        assert np.array_equal(shared, separate)
 
 
 class TestStep:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from nlkpp import (KernelSpec, fit_decay, initial_supersolution,
                    make_kernel, measure_profile_speed, minimize_G, profile_residual,
                    reduce_to_direction, solve_profile, speed_to_abscissa,
                    stationary_frame_residual)
-from nlkpp.waves import (WaveProfile, LineKernel, half_level_crossing, line_convolve,
-                         sample_line_kernel, shift_samples)
+from nlkpp import waves
+from nlkpp.waves import (WaveProfile, LineKernel, evolve_line, half_level_crossing,
+                         line_convolve, sample_line_kernel, sample_line_kernels,
+                         shift_samples)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,55 @@ class TestLineMachinery:
         for i in range(len(psi)):
             brute = sum(w[j] * extended(i - (j - half)) for j in range(len(w)))
             assert out[i] == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("h", [0.05, 0.1])
+    @pytest.mark.parametrize("left, right", [(1.0, 0.0), (0.3, 0.9)],
+                             ids=["theta-zero", "two-sided"])
+    def test_line_convolve_equals_fftconvolve_bitwise(self, family, h, left, right):
+        params = {"sigma": 1.0} if family == "gaussian" else {"mu": 1.0}
+        line = reduce_to_direction(make_kernel(KernelSpec(family, 1, **params)), [1.0])
+        lk = sample_line_kernel(line, h)
+        half = lk.halfwidth
+        rng = np.random.default_rng(int(100 * h) + len(family))
+        for n in rng.integers(50, 3000, size=6):
+            psi = rng.random(n)
+            padded = np.concatenate([np.full(half, left), psi, np.full(half, right)])
+            expected = fftconvolve(padded, lk.weights, mode="valid")
+            assert np.array_equal(line_convolve(psi, lk, left, right), expected)
+
+    def test_line_kernel_spectrum_is_cached_per_length(self, gauss_line):
+        lk = sample_line_kernel(gauss_line, 0.1)
+        assert lk.spectrum(1024) is lk.spectrum(1024)
+        assert len(lk.spectrum(1000)) == 501
+
+    def test_sample_line_kernels_shares_only_equal_samples(self, gauss_line):
+        twin = reduce_to_direction(make_kernel(KernelSpec("gaussian", 1, sigma=1.0)), [1.0])
+        wp, wm = sample_line_kernels(gauss_line, twin, 0.1)
+        assert wm is wp
+        lap = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
+        wp, wm = sample_line_kernels(gauss_line, lap, 0.1)
+        assert wm is not wp
+        assert not np.array_equal(wp.weights, wm.weights)
+        assert np.array_equal(wm.weights, sample_line_kernel(lap, 0.1).weights)
+
+    def test_evolve_line_shared_kernel_convolves_once(self, canon, gauss_line, monkeypatch):
+        wp = sample_line_kernel(gauss_line, 0.1)
+        copy = LineKernel(weights=wp.weights.copy(), spacing=wp.spacing)
+        s = 0.1 * (np.arange(600) - 200)
+        psi = 1.0 / (1.0 + np.exp(s))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return line_convolve(*args)
+
+        monkeypatch.setattr(waves, "line_convolve", counted)
+        shared = evolve_line(psi, canon, wp, wp, 1.0, 0.02, 3)
+        assert len(calls) == 3 * 4
+        separate = evolve_line(psi, canon, wp, copy, 1.0, 0.02, 3)
+        assert len(calls) == 3 * 4 + 3 * 8
+        assert np.array_equal(shared, separate)
 
     def test_shift_samples_on_smooth_profile(self):
         s = np.linspace(-30, 30, 1200, endpoint=False)
