@@ -327,6 +327,9 @@ class FrontSet:
 def front_set(params: ModelParams, kernel: Kernel, n_directions: int = 32) -> FrontSet:
     """Minimal speeds over a uniform direction sample and the resulting set.
 
+    A kernel without an offset is isotropic: its minimal speed is solved once
+    and shared by every direction.
+
     Raises MollisonFailure when any direction lacks an exponential moment
     (the front is unbounded; propagation accelerates).
     """
@@ -338,13 +341,13 @@ def front_set(params: ModelParams, kernel: Kernel, n_directions: int = 32) -> Fr
     else:
         angles = 2.0 * math.pi * np.arange(n_directions) / n_directions
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    speeds = np.empty(len(dirs))
-    lams = np.empty(len(dirs))
-    for i, xi in enumerate(dirs):
-        line = reduce_to_direction(kernel, xi if d > 1 else xi[:1])
-        rep = minimize_G(params, line)
-        speeds[i] = rep.c_star
-        lams[i] = rep.lambda_star
+    if kernel.spec.offset is None:
+        # every family is radial, so each direction reduces to the same line density
+        reports = [minimize_G(params, reduce_to_direction(kernel, dirs[0]))] * len(dirs)
+    else:
+        reports = [minimize_G(params, reduce_to_direction(kernel, xi)) for xi in dirs]
+    speeds = np.array([rep.c_star for rep in reports])
+    lams = np.array([rep.lambda_star for rep in reports])
     mean = global_mean(kernel)
     interior = params.kappa_plus * mean
     proj = dirs @ interior

@@ -19,11 +19,6 @@ from .kernels import Kernel, SampledWeights, _displacement_coords
 from .params import ModelParams
 
 
-def _conv_fft(w: SampledWeights, values: np.ndarray) -> np.ndarray:
-    axes = tuple(range(values.ndim - w.weights.ndim, values.ndim))
-    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * w.fft(), s=w.shape, axes=axes)
-
-
 def _conv_direct(w: SampledWeights, values: np.ndarray) -> np.ndarray:
     """Circular convolution with a fixed summation order over displacements.
 
@@ -51,20 +46,29 @@ def convolve(w: SampledWeights, values: np.ndarray, backend: str = "fft") -> np.
     Leading axes are a batch: each slice is convolved independently, with the
     same bits as a separate call on that slice.
     """
-    if backend == "fft":
-        return _conv_fft(w, values)
-    if backend == "direct":
-        return _conv_direct(w, values)
-    raise ValueError(f"unknown convolution backend {backend!r}")
+    return convolve_pair(w, w, values, backend)[0]
 
 
-def _convolve_pair(conv, wplus, wminus) -> tuple[np.ndarray, np.ndarray]:
-    """(conv(wplus), conv(wminus)), calling ``conv`` once when ``wminus is wplus``.
+def convolve_pair(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
+                  backend: str = "fft") -> tuple[np.ndarray, np.ndarray]:
+    """(a+ * values, a- * values) over the kernels' trailing axes.
 
-    Periodic and line solvers both use it.  Callers pass one object for a+
-    and a- when their samples are equal; the shared result must not be
-    modified in place.
+    The fft backend transforms ``values`` forward once and inverts once per
+    distinct kernel; each result has the bits of a separate ``convolve``.
+    Callers pass one object for a+ and a- when their samples are equal; the
+    shared result must not be modified in place.
     """
+    if backend == "fft":
+        axes = tuple(range(values.ndim - wplus.weights.ndim, values.ndim))
+        spectrum = np.fft.rfftn(values, axes=axes)
+
+        def conv(w: SampledWeights) -> np.ndarray:
+            return np.fft.irfftn(spectrum * w.fft(), s=w.shape, axes=axes)
+    elif backend == "direct":
+        def conv(w: SampledWeights) -> np.ndarray:
+            return _conv_direct(w, values)
+    else:
+        raise ValueError(f"unknown convolution backend {backend!r}")
     conv_p = conv(wplus)
     return conv_p, conv_p if wminus is wplus else conv(wminus)
 
@@ -156,8 +160,7 @@ def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
 
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
                values: np.ndarray, backend: str = "fft") -> np.ndarray:
-    return _reaction(params, values, *_convolve_pair(
-        lambda w: convolve(w, values, backend), wplus, wminus))
+    return _reaction(params, values, *convolve_pair(wplus, wminus, values, backend))
 
 
 def rhs(problem: EvolutionProblem, backend: str = "fft") -> Field:
@@ -176,8 +179,7 @@ def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
         out = _rk4(lambda v: rhs_values(params, wplus, wminus, v, backend), values, dt)
     else:
         # integrating-factor step: freeze the loss rate over [t, t+dt]
-        conv_p, conv_m = _convolve_pair(
-            lambda w: convolve(w, values, backend), wplus, wminus)
+        conv_p, conv_m = convolve_pair(wplus, wminus, values, backend)
         loss = params.mortality + params.kappa_minus * conv_m
         decay = np.exp(-loss * dt)
         out = decay * values + (1.0 - decay) / loss * params.kappa_plus * conv_p
@@ -271,7 +273,7 @@ def _picard_interval(params: ModelParams, wplus: SampledWeights, wminus: Sampled
     prev_change = math.inf
     growth_streak = 0
     for sweep in range(200):
-        conv_p, conv_m = _convolve_pair(lambda w: convolve(w, v), wplus, wminus)
+        conv_p, conv_m = convolve_pair(wplus, wminus, v)
         loss = m + km * conv_m
         cumint = np.tensordot(Q, loss, axes=(1, 0))  # int_tau^{t_i} loss
         gain = kp * conv_p * np.exp(cumint)
@@ -456,7 +458,7 @@ def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: Sam
     w = q * np.exp(-sq / (alpha * t))
     dw_dt = w * (2.0 * drift_term / (alpha * t) + sq / (alpha * t * t))
 
-    conv_p, conv_m = _convolve_pair(lambda k: convolve(k, w), wplus, wminus)
+    conv_p, conv_m = convolve_pair(wplus, wminus, w)
     operator = (dw_dt - params.kappa_plus * conv_p + params.mortality * w
                 + params.kappa_minus * w * conv_m)
     worst = int(np.argmax(operator))

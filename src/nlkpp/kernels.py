@@ -488,8 +488,12 @@ class ChordLine(_QuadratureLine):
     def _weighted(self, lam, power):
         if power == 0:
             return self.transform(lam)
-        f = lambda s: (s**power) * math.exp(lam * s) * float(self.eval(s))
-        return _quad(f, -self.radius, self.radius)
+        r = self.radius
+        # eval's arithmetic on scalars, so every quad result keeps its bits;
+        # quad samples only the open interval, where |s| < r
+        f = lambda s: (s**power) * math.exp(lam * s) * (
+            2.0 * math.sqrt(r**2 - s * s) / (math.pi * r**2))
+        return _quad(f, -r, r)
 
     def mass_outside(self, radius):
         if radius >= self.radius:

@@ -16,7 +16,7 @@ from scipy import fft as sp_fft
 
 from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
-from .evolution import _convolve_pair, _reaction, _rk4
+from .evolution import _reaction, _rk4
 from .kernels import Kernel1D
 from .params import ModelParams
 
@@ -67,6 +67,15 @@ def sample_line_kernels(k_plus: Kernel1D, k_minus: Kernel1D,
     wp = sample_line_kernel(k_plus, h)
     wm = sample_line_kernel(k_minus, h)
     return (wp, wp) if np.array_equal(wp.weights, wm.weights) else (wp, wm)
+
+
+def _convolve_pair(conv, wp: LineKernel, wm: LineKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(conv(wp), conv(wm)), calling ``conv`` once when ``wm is wp``.
+
+    The shared result must not be modified in place.
+    """
+    conv_p = conv(wp)
+    return conv_p, conv_p if wm is wp else conv(wm)
 
 
 def line_convolve(psi: np.ndarray, lk: LineKernel, left: float, right: float) -> np.ndarray:
@@ -180,24 +189,24 @@ def initial_supersolution(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel
            - params.kappa_minus * phi * conv_m)
     worst = int(np.argmax(j_c))
     if j_c[worst] > tol:
+        if s[worst] <= 0:
+            # phi = theta here, so j_c is the kernel pair's own defect at theta
+            remedy = ("s <= 0 is the theta plateau, where this kernel pair fails "
+                      "at any domain or grid; check kernel domination (A2)")
+        else:
+            remedy = "enlarge the domain or refine the grid"
         raise CertificationFailed(
             f"supersolution certificate failed at s = {s[worst]:.4g}: "
-            f"{j_c[worst]:.3g} > {tol:g}; enlarge the domain or refine the grid",
+            f"{j_c[worst]:.3g} > {tol:g}; {remedy}",
             location=(worst,), value=float(j_c[worst]),
         )
     return phi, c
 
 
-def stationary_frame_residual(s: np.ndarray, psi: np.ndarray, c: float, theta: float,
-                              params: ModelParams, k_plus: Kernel1D,
-                              k_minus: Kernel1D) -> float:
-    """Sup norm of c psi' + kp (a+ * psi) - m psi - km psi (a- * psi).
-
-    psi' uses 4th-order central differences with the theta/0 far-field
-    extension; a buffer of 5% of the domain is excluded at each end.
-    """
+def _frame_residual(s: np.ndarray, psi: np.ndarray, c: float, params: ModelParams,
+                    wp: LineKernel, wm: LineKernel) -> float:
+    """``stationary_frame_residual`` with a+ and a- sampled at the spacing of ``s``."""
     h = float(s[1] - s[0])
-    wp, wm = sample_line_kernels(k_plus, k_minus, h)
     left, right = float(psi[0]), float(psi[-1])
     padded = np.concatenate([[left, left], psi, [right, right]])
     dpsi = (-padded[4:] + 8.0 * padded[3:-1] - 8.0 * padded[1:-3] + padded[:-4]) / (12.0 * h)
@@ -208,11 +217,29 @@ def stationary_frame_residual(s: np.ndarray, psi: np.ndarray, c: float, theta: f
     return float(np.max(np.abs(res[buf:-buf])))
 
 
+def stationary_frame_residual(s: np.ndarray, psi: np.ndarray, c: float, theta: float,
+                              params: ModelParams, k_plus: Kernel1D,
+                              k_minus: Kernel1D) -> float:
+    """Sup norm of c psi' + kp (a+ * psi) - m psi - km psi (a- * psi).
+
+    psi' uses 4th-order central differences with the theta/0 far-field
+    extension; a buffer of 5% of the domain is excluded at each end.
+    """
+    lines = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
+    return _frame_residual(s, psi, c, params, *lines)
+
+
 def profile_residual(profile: WaveProfile, params: ModelParams,
-                     k_plus: Kernel1D, k_minus: Kernel1D) -> float:
-    """Stationary-frame equation residual of a converged profile."""
-    return stationary_frame_residual(profile.s, profile.psi, profile.speed_c,
-                                     profile.theta, params, k_plus, k_minus)
+                     k_plus: Kernel1D, k_minus: Kernel1D,
+                     lines: tuple[LineKernel, LineKernel] | None = None) -> float:
+    """Stationary-frame equation residual of a converged profile.
+
+    ``lines`` is the (a+, a-) pair already sampled at ``profile.spacing``;
+    without it both kernels are sampled here.
+    """
+    if lines is None:
+        lines = sample_line_kernels(k_plus, k_minus, profile.spacing)
+    return _frame_residual(profile.s, profile.psi, profile.speed_c, params, *lines)
 
 
 def fit_decay(profile: WaveProfile, expected_j: int) -> tuple[float, float, float]:
@@ -380,6 +407,8 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
     psi = extend(psi)
     psi = pin_cells(psi)
     residual_every = 50
+    # the residual differentiates on s, whose spacing can differ from h in the last bits
+    residual_lines = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
     for sweep in range(1, max_sweeps + 1):
         prev = psi
         work = psi.copy()
@@ -395,7 +424,7 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
         if sweep % residual_every == 0:
             candidate = _as_profile(s, psi, c, theta)
             if candidate is not None and profile_residual(
-                candidate, params, k_plus, k_minus
+                candidate, params, k_plus, k_minus, lines=residual_lines
             ) <= residual_target:
                 break
     else:

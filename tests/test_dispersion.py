@@ -9,6 +9,7 @@ from nlkpp import (KernelSpec, ModelParams, MollisonFailure, UnsupportedCritical
                    dispersion_G, front_set, global_mean, laplace_transform,
                    make_kernel, minimize_G, reduce_to_direction, speed_to_abscissa,
                    t_xi)
+from nlkpp import dispersion
 
 
 def line(family, **kw):
@@ -283,6 +284,32 @@ class TestFrontSet:
         assert np.all(np.isfinite(outer))
         inner = fs.inner_vertices()
         assert np.all(np.linalg.norm(inner, axis=1) <= np.linalg.norm(outer, axis=1) + 1e-9)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        reports = []
+
+        def counted(params, k):
+            reports.append(minimize_G(params, k))
+            return reports[-1]
+
+        monkeypatch.setattr(dispersion, "minimize_G", counted)
+        return reports
+
+    def test_isotropic_kernel_solved_once(self, canon, solves):
+        kernel = make_kernel(KernelSpec("compact_uniform", 2, radius=1.0))
+        fs = front_set(canon, kernel, n_directions=16)
+        assert len(solves) == 1
+        per_direction = [minimize_G(canon, reduce_to_direction(kernel, xi))
+                         for xi in fs.directions]
+        assert np.array_equal(fs.speeds, [rep.c_star for rep in per_direction])
+        assert np.array_equal(fs.lambda_stars, [rep.lambda_star for rep in per_direction])
+
+    def test_offset_kernel_solved_per_direction(self, canon, solves):
+        kernel = make_kernel(KernelSpec("gaussian", 2, sigma=1.0, offset=(0.4, 0.1)))
+        fs = front_set(canon, kernel, n_directions=16)
+        assert len(solves) == 16
+        assert len(set(fs.speeds.tolist())) == 16
 
     def test_asymmetric_speeds_sum_positive(self, canon):
         kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(0.4,)))

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpe
                    make_kernel, picard_solve, rhs, simulate, step,
                    truncated_problem, uniform_bound)
 from nlkpp import evolution
-from nlkpp.evolution import _advance, _picard_interval, convolve, rhs_values
+from nlkpp.evolution import _advance, _picard_interval, convolve, convolve_pair, rhs_values
 from nlkpp.kernels import SampledWeights
 
 from conftest import brute_circular_convolution
@@ -59,6 +60,69 @@ class TestRhs:
         assert np.array_equal(batched, per_slice)
 
 
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counts of the forward FFTs, inverse FFTs and direct sums made from here on."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.fft, "rfftn", counting("rfftn", np.fft.rfftn))
+    monkeypatch.setattr(np.fft, "irfftn", counting("irfftn", np.fft.irfftn))
+    monkeypatch.setattr(evolution, "_conv_direct", counting("direct", evolution._conv_direct))
+    return counts
+
+
+def reference_convolve(w, values, backend):
+    """One kernel, one forward transform: the convolution before pairs shared it."""
+    if backend == "direct":
+        return evolution._conv_direct(w, values)
+    axes = tuple(range(values.ndim - w.weights.ndim, values.ndim))
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * w.fft(), s=w.shape, axes=axes)
+
+
+class TestConvolvePair:
+    @staticmethod
+    def kernels(dimension, n):
+        grid = Grid(dimension=dimension, half_length=10.0, points_per_axis=n)
+        wp = discretize(make_kernel(KernelSpec("gaussian", dimension=dimension, sigma=1.5)), grid)
+        wm = discretize(make_kernel(KernelSpec("gaussian", dimension=dimension, sigma=2.0)), grid)
+        return wp, wm
+
+    @pytest.mark.parametrize("backend", ["fft", "direct"])
+    @pytest.mark.parametrize("shape", [(256,), (64, 64), (12, 128)], ids=["1d", "2d", "batch"])
+    def test_equals_two_convolutions(self, shape, backend):
+        dimension = 2 if shape == (64, 64) else 1
+        wp, wm = self.kernels(dimension, shape[-1])
+        values = np.random.default_rng(9).random(shape)
+        conv_p, conv_m = convolve_pair(wp, wm, values, backend)
+        for w, pair_result in ((wp, conv_p), (wm, conv_m)):
+            assert np.array_equal(pair_result, convolve(w, values, backend))
+            assert np.array_equal(pair_result, reference_convolve(w, values, backend))
+
+    @pytest.mark.parametrize("shape", [(256,), (64, 64), (12, 128)], ids=["1d", "2d", "batch"])
+    def test_one_forward_one_inverse_per_kernel(self, shape, transforms):
+        dimension = 2 if shape == (64, 64) else 1
+        wp, wm = self.kernels(dimension, shape[-1])
+        wp.fft(), wm.fft()  # the kernel spectra are cached before counting
+        values = np.random.default_rng(10).random(shape)
+        transforms.clear()
+        convolve_pair(wp, wm, values)
+        assert transforms == {"rfftn": 1, "irfftn": 2}
+        transforms.clear()
+        conv_p, conv_m = convolve_pair(wp, wp, values)
+        assert transforms == {"rfftn": 1, "irfftn": 1}
+        assert conv_m is conv_p
+
+    def test_unknown_backend(self, gauss_weights):
+        with pytest.raises(ValueError, match="unknown convolution backend"):
+            convolve_pair(gauss_weights, gauss_weights, np.zeros(gauss_weights.shape), "fast")
+
+
 class TestSharedKernel:
     """Passing one object for a+ and a- convolves once, with the bits of two equal copies."""
 
@@ -68,23 +132,17 @@ class TestSharedKernel:
         return SampledWeights(w.weights.copy(), w.spacing, w.mass, w.renormalized)
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-
-        def counted(w, values, backend="fft"):
-            seen.append(w)
-            return convolve(w, values, backend)
-
-        monkeypatch.setattr(evolution, "convolve", counted)
-        return seen
+    def calls(self, transforms):
+        """Kernels applied at the pair boundary: one inverse FFT or direct sum each."""
+        return lambda: transforms["irfftn"] + transforms["direct"]
 
     @pytest.mark.parametrize("backend", ["fft", "direct"])
     def test_rhs_values(self, canon, gauss_weights, twin, calls, backend):
         u = np.random.default_rng(3).random(gauss_weights.shape)
         shared = rhs_values(canon, gauss_weights, gauss_weights, u, backend)
-        assert len(calls) == 1
+        assert calls() == 1
         separate = rhs_values(canon, gauss_weights, twin, u, backend)
-        assert len(calls) == 3
+        assert calls() == 3
         assert np.array_equal(shared, separate)
 
     @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("exp_euler", 1)])
@@ -92,18 +150,18 @@ class TestSharedKernel:
         u = np.random.default_rng(4).random(gauss_weights.shape)
         cfg = StepConfig(dt=0.01, method=method)
         shared = _advance(canon, gauss_weights, gauss_weights, u, cfg)
-        assert len(calls) == per_step
+        assert calls() == per_step
         separate = _advance(canon, gauss_weights, twin, u, cfg)
-        assert len(calls) == 3 * per_step
+        assert calls() == 3 * per_step
         assert np.array_equal(shared, separate)
 
     def test_picard_interval(self, canon, gauss_weights, twin, calls):
         u = np.random.default_rng(6).random(gauss_weights.shape)
         _, shared = _picard_interval(canon, gauss_weights, gauss_weights, u,
                                      0.0, 0.1, 12, 1e-10)
-        sweeps = len(calls)
+        sweeps = calls()
         _, separate = _picard_interval(canon, gauss_weights, twin, u, 0.0, 0.1, 12, 1e-10)
-        assert len(calls) == 3 * sweeps
+        assert calls() == 3 * sweeps
         assert np.array_equal(shared, separate)
 
 

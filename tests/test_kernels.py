@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
-from nlkpp.kernels import EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL
+from nlkpp.kernels import EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, _quad
 
 
 def quad_mass_1d(kernel):
@@ -135,6 +135,21 @@ def test_uniform_disk_chord_reduction():
             limit=400, points=[-chord, chord],
         )
         assert val == pytest.approx(float(line.eval(np.array([si]))[0]), abs=1e-10)
+
+
+def chord_moment_reference(line, lam, power):
+    """Chord moment with the density from the array ``eval``, one point at a time."""
+    f = lambda s: (s**power) * math.exp(lam * s) * float(line.eval(s))
+    return _quad(f, -line.radius, line.radius)
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.0, 3.7])
+def test_chord_moments_bitwise_equal_to_array_eval(radius):
+    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", 2, radius=radius)),
+                               [1.0, 0.0])
+    for lam in np.linspace(0.0, 6.0, 13):
+        assert line.weighted_moment1(lam) == chord_moment_reference(line, lam, 1)
+        assert line.weighted_moment2(lam) == chord_moment_reference(line, lam, 2)
 
 
 def test_gaussian_offset_shifts_reduction():

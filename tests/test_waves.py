@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from nlkpp import (KernelSpec, fit_decay, initial_supersolution,
+from nlkpp import (CertificationFailed, KernelSpec, fit_decay, initial_supersolution,
                    make_kernel, measure_profile_speed, minimize_G, profile_residual,
                    reduce_to_direction, solve_profile, speed_to_abscissa,
                    stationary_frame_residual)
@@ -136,6 +136,30 @@ class TestSupersolution:
                                      mu=report.lambda_star)
         assert c == pytest.approx(report.c_star, rel=1e-10)
 
+    def test_plateau_failure_points_to_kernel_domination(self, canon, gauss_line, report):
+        lap = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
+        s = -40.0 + 0.1 * np.arange(1200)
+        mu = speed_to_abscissa(canon, gauss_line, 1.3 * report.c_star, report=report)
+        with pytest.raises(CertificationFailed) as err:
+            initial_supersolution(canon, gauss_line, lap, s, mu=mu, tol=1e-3)
+        (worst,) = err.value.location
+        assert s[worst] == pytest.approx(-1.8)
+        assert err.value.value > 1e-3
+        assert "kernel domination (A2)" in str(err.value)
+        assert "enlarge the domain" not in str(err.value)
+
+    def test_ramp_failure_asks_for_a_finer_grid(self, canon):
+        uniform = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", 1, radius=1.0)),
+                                      [1.0])
+        mu = minimize_G(canon, uniform).lambda_star
+        s = np.arange(-30.0, 50.0, 0.3)
+        with pytest.raises(CertificationFailed, match="enlarge the domain or refine the grid"
+                           ) as err:
+            initial_supersolution(canon, uniform, uniform, s, mu=mu, tol=1e-8)
+        assert s[err.value.location[0]] > 0
+        initial_supersolution(canon, uniform, uniform, np.arange(-30.0, 50.0, 0.1), mu=mu,
+                              tol=1e-8)
+
 
 class TestResidual:
     def test_constant_states_have_zero_residual(self, canon, gauss_line):
@@ -153,6 +177,32 @@ class TestResidual:
 
     def test_converged_profile_residual(self, canon, gauss_line, profile_13):
         assert profile_residual(profile_13, canon, gauss_line, gauss_line) <= 1e-6
+
+    def test_presampled_lines_give_the_same_bits(self, canon, gauss_line, profile_13):
+        lap = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
+        for k_minus in (gauss_line, lap):
+            lines = sample_line_kernels(gauss_line, k_minus, profile_13.spacing)
+            assert profile_residual(profile_13, canon, gauss_line, k_minus, lines=lines) == (
+                profile_residual(profile_13, canon, gauss_line, k_minus))
+
+    def test_solve_profile_samples_the_residual_kernels_once(self, canon, gauss_line, report,
+                                                             monkeypatch):
+        samplings, checks = [], []
+
+        def counting(log, fn):
+            def counted(*args, **kwargs):
+                log.append(args)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(waves, "sample_line_kernel",
+                            counting(samplings, waves.sample_line_kernel))
+        monkeypatch.setattr(waves, "profile_residual", counting(checks, waves.profile_residual))
+        solve_profile(canon, gauss_line, gauss_line, 1.3 * report.c_star, h=0.2, tol=1e-13,
+                      report=report)
+        assert len(checks) >= 2
+        # the supersolution seed, the evolution pair and the residual pair
+        assert len(samplings) == 6
 
 
 class TestSolveProfile:
