@@ -173,10 +173,12 @@ def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
 
 def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
     kp = make_kernel(cfg.kernel_plus)
-    km = make_kernel(cfg.kernel_minus)
     xi = np.array([1.0]) if kp.dimension == 1 else np.array([1.0, 0.0])
     line_p = reduce_to_direction(kp, xi)
-    line_m = reduce_to_direction(km, xi)
+    if cfg.kernel_minus == cfg.kernel_plus:
+        line_m = line_p  # sampled once for both
+    else:
+        line_m = reduce_to_direction(make_kernel(cfg.kernel_minus), xi)
     report = minimize_G(cfg.params, line_p)
     if cfg.wave_speed is not None:
         c = cfg.wave_speed

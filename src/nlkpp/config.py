@@ -28,7 +28,7 @@ _SECTION_KEYS = {
     "output": {"directory", "split_snapshots"},
     "dispersion": {"direction", "lambda_min", "lambda_max", "lambda_count"},
     "wave": {"speed", "speed_factor", "domain_left", "domain_right", "spacing"},
-    "front": {"level", "shrink", "inflate", "n_directions"},
+    "front": {"level", "shrink", "n_directions"},
     "verify": {"suite", "pairs", "necessity"},
 }
 
@@ -143,7 +143,6 @@ class ScenarioConfig:
     wave_spacing: float = 0.05
     front_level: float | None = None
     front_shrink: float = 0.5
-    front_inflate: float = 1.2
     front_n_directions: int = 32
     verify_suite: str = "comparison"
     verify_pairs: int = 50
@@ -261,7 +260,6 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     if "front" in sections:
         cfg.front_level = _take(sections, "front", "level", float)
         cfg.front_shrink = _take(sections, "front", "shrink", float, default=0.5)
-        cfg.front_inflate = _take(sections, "front", "inflate", float, default=1.2)
         cfg.front_n_directions = _take(sections, "front", "n_directions", int, default=32)
     if "verify" in sections:
         cfg.verify_suite = _take(sections, "verify", "suite", str, default="comparison")

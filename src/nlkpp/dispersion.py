@@ -50,10 +50,6 @@ class DispersionReport:
     t_xi_at_lambda0: float | None
     m_xi: float
 
-    @property
-    def is_v_class(self) -> bool:
-        return self.kernel_class == V_CLASS
-
 
 def laplace_transform(k: Kernel1D, lam: float) -> float:
     """Bilateral transform of the line density; +inf on divergence."""
@@ -124,10 +120,10 @@ def classify(params: ModelParams, k: Kernel1D) -> str:
 
 def directional_mean(kernel: Kernel, xi) -> float:
     """First directional moment int (x . xi) a(x) dx."""
-    line = reduce_to_direction(kernel, xi)
-    if not line.mean_is_finite():
+    mean = reduce_to_direction(kernel, xi).mean()
+    if math.isinf(mean):
         raise ValueError("first moment of the kernel diverges in this direction")
-    return line.mean()
+    return mean
 
 
 def global_mean(kernel: Kernel) -> np.ndarray:

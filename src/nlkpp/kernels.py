@@ -206,7 +206,8 @@ class Kernel:
         if spec.family == "laplace":
             return 1.0 / spec.mu
         if spec.family == "exppoly":
-            return min(1.0, 1.0 / spec.mu)
+            # with p = 0, mu is only a constant factor and sets no length
+            return min(1.0, 1.0 / spec.mu) if spec.p > 0 else 1.0
         if spec.family == "compact_uniform":
             return spec.radius
         return 1.0
@@ -229,30 +230,60 @@ class Kernel1D:
 
     ``transform(lam)`` is the bilateral Laplace transform int a(s) e^{lam s} ds,
     ``weighted_moment1/2`` the companions with factors s and s^2.  All three
-    return ``math.inf`` on analytic divergence instead of failing.
+    go through ``_moment`` and return ``math.inf`` on analytic divergence
+    instead of failing.
+
+    A line without a closed form describes its density as
+    a(s) = exp(-decay(|s|)) * factor(s) on [-support, support] through the
+    ``_decay``, ``_factor`` and ``_support`` attributes (a planar
+    ``RadialLine`` describes its radial density that way instead).
     """
 
     lambda0: float
     tail_class: str
+    # algebraic decay rate of a(s) e^{lambda0 s}: the moment of power k at the
+    # abscissa is finite exactly when tail_power > k + 1
+    tail_power: float = math.inf
     source: tuple[Kernel, tuple[float, ...]] | None = None
 
     def eval(self, s) -> np.ndarray:
         raise NotImplementedError
 
     def transform(self, lam: float) -> float:
-        raise NotImplementedError
+        return self._moment(lam, 0)
 
     def weighted_moment1(self, lam: float) -> float:
-        raise NotImplementedError
+        return self._moment(lam, 1)
 
     def weighted_moment2(self, lam: float) -> float:
-        raise NotImplementedError
+        return self._moment(lam, 2)
 
     def mean(self) -> float:
         return self.weighted_moment1(0.0)
 
-    def mean_is_finite(self) -> bool:
-        return True
+    def _moment(self, lam: float, power: int) -> float:
+        """int s^power a(s) e^{lam s} ds; inf where it diverges.
+
+        Every line density is symmetric about its center, so the integral
+        converges for |lam| < lambda0 and diverges beyond; at the abscissa the
+        tail power decides.
+        """
+        if abs(lam) > self.lambda0 or (abs(lam) == self.lambda0
+                                       and self.tail_power <= power + 1):
+            return math.inf
+        value = self._closed_form(lam, power)
+        return self._quadrature(lam, power) if value is None else value
+
+    def _closed_form(self, lam: float, power: int) -> float | None:
+        return None
+
+    def _quadrature(self, lam: float, power: int) -> float:
+        """The fused quadrature; an unbounded support is folded onto (0, inf)."""
+        decay, factor, support = self._decay, self._factor, self._support
+        if math.isinf(support):
+            return (_fused_quad(lam, power, decay, factor, 0.0, np.inf)
+                    + (-1.0) ** power * _fused_quad(-lam, power, decay, factor, 0.0, np.inf))
+        return _fused_quad(lam, power, decay, factor, -support, support)
 
     def mass_outside(self, radius: float) -> float:
         return _quad(self.eval, radius, np.inf) + _quad(self.eval, -np.inf, -radius)
@@ -263,17 +294,21 @@ class Kernel1D:
         return 1.0
 
 
-class _QuadratureLine(Kernel1D):
-    """Transforms through the subclass's ``_weighted(lam, power)`` quadrature."""
+def _fused_quad(lam: float, power: int, decay, factor, lo: float, hi: float) -> float:
+    """int_lo^hi s^power exp(min(lam s - decay(s), 700)) factor(s) ds.
 
-    def transform(self, lam: float) -> float:
-        return self._weighted(lam, 0)
+    e^{lam s} alone overflows where its product with the density is still
+    finite, so the exponents are combined before exponentiating.
+    """
+    def f(s):
+        x = lam * s - decay(s)
+        return s**power * math.exp(x if x < 700.0 else 700.0) * factor(s)
 
-    def weighted_moment1(self, lam: float) -> float:
-        return self._weighted(lam, 1)
+    return _quad(f, lo, hi)
 
-    def weighted_moment2(self, lam: float) -> float:
-        return self._weighted(lam, 2)
+
+def _no_decay(s: float) -> float:
+    return 0.0
 
 
 class GaussianLine(Kernel1D):
@@ -290,30 +325,24 @@ class GaussianLine(Kernel1D):
         z = (np.asarray(s, dtype=float) - self.drift) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
-    def transform(self, lam):
+    def _closed_form(self, lam, power):
         arg = lam * self.drift + 0.5 * lam * lam * self.sigma**2
-        return math.exp(arg) if arg < 700 else math.inf
-
-    def weighted_moment1(self, lam):
-        t = self.transform(lam)
-        return (self.drift + lam * self.sigma**2) * t if math.isfinite(t) else math.inf
-
-    def weighted_moment2(self, lam):
-        t = self.transform(lam)
-        if not math.isfinite(t):
+        if not arg < 700:
             return math.inf
+        t = math.exp(arg)
+        if power == 0:
+            return t
         m = self.drift + lam * self.sigma**2
-        return (m * m + self.sigma**2) * t
+        return m * t if power == 1 else (m * m + self.sigma**2) * t
 
     def mass_outside(self, radius):
         return float(special.erfc(radius / (self.sigma * math.sqrt(2.0))))
 
-    def effective_scale(self):
-        return self.sigma
-
 
 class LaplaceLine1(Kernel1D):
     """a(s) = (mu/2) exp(-mu|s|); transform mu^2 / (mu^2 - lam^2)."""
+
+    tail_power = 0.0
 
     def __init__(self, mu: float, source=None):
         self.mu = mu
@@ -324,31 +353,22 @@ class LaplaceLine1(Kernel1D):
     def eval(self, s):
         return 0.5 * self.mu * np.exp(-self.mu * np.abs(np.asarray(s, dtype=float)))
 
-    def transform(self, lam):
-        if lam >= self.mu:
-            return math.inf
-        return self.mu**2 / (self.mu**2 - lam**2)
-
-    def weighted_moment1(self, lam):
-        if lam >= self.mu:
-            return math.inf
-        return 2.0 * lam * self.mu**2 / (self.mu**2 - lam**2) ** 2
-
-    def weighted_moment2(self, lam):
-        if lam >= self.mu:
-            return math.inf
+    def _closed_form(self, lam, power):
         m2 = self.mu**2
+        if power == 0:
+            return m2 / (m2 - lam**2)
+        if power == 1:
+            return 2.0 * lam * m2 / (m2 - lam**2) ** 2
         return 2.0 * m2 * (m2 + 3.0 * lam**2) / (m2 - lam**2) ** 3
 
     def mass_outside(self, radius):
         return math.exp(-self.mu * radius)
 
-    def effective_scale(self):
-        return 1.0 / self.mu
-
 
 class LaplaceLine2(Kernel1D):
     """Marginal of the 2-D exponential kernel: (mu^2/pi) |s| K1(mu|s|)."""
+
+    tail_power = -0.5
 
     def __init__(self, mu: float, source=None):
         self.mu = mu
@@ -363,75 +383,16 @@ class LaplaceLine2(Kernel1D):
         out[nz] = (self.mu**2 / math.pi) * s[nz] * special.k1(self.mu * s[nz])
         return out
 
-    def transform(self, lam):
-        if lam >= self.mu:
-            return math.inf
-        return self.mu**3 / (self.mu**2 - lam**2) ** 1.5
-
-    def weighted_moment1(self, lam):
-        if lam >= self.mu:
-            return math.inf
-        return 3.0 * self.mu**3 * lam / (self.mu**2 - lam**2) ** 2.5
-
-    def weighted_moment2(self, lam):
-        if lam >= self.mu:
-            return math.inf
+    def _closed_form(self, lam, power):
         m2 = self.mu**2
+        if power == 0:
+            return self.mu**3 / (m2 - lam**2) ** 1.5
+        if power == 1:
+            return 3.0 * self.mu**3 * lam / (m2 - lam**2) ** 2.5
         return 3.0 * self.mu**3 * (m2 + 4.0 * lam**2) / (m2 - lam**2) ** 3.5
 
-    def effective_scale(self):
-        return 1.0 / self.mu
 
-
-class ExpPolyLine(_QuadratureLine):
-    """a(s) = alpha exp(-mu|s|^p) / (1 + |s|^q) on the line."""
-
-    def __init__(self, p: float, q: float, mu: float, source=None):
-        self.p, self.q, self.mu = p, q, mu
-        if p > 1:
-            self.lambda0 = math.inf
-            self.tail_class = EXP_DECAY_INFINITE
-        elif p == 1:
-            self.lambda0 = mu
-            self.tail_class = EXP_DECAY_FINITE
-        else:
-            self.lambda0 = 0.0
-            self.tail_class = HEAVY_TAIL
-        self.source = source
-        shape = lambda r: np.exp(-mu * np.abs(r) ** p) / (1.0 + np.abs(r) ** q)
-        self._shape = shape
-        self.alpha = 1.0 / (2.0 * _quad(shape, 0.0, np.inf))
-
-    def eval(self, s):
-        return self.alpha * self._shape(np.asarray(s, dtype=float))
-
-    def _moment_finite_at_abscissa(self, power: int) -> bool:
-        # p = 1 at lam = mu: the positive side behaves like s^power / s^q.
-        return self.p == 1 and self.q > power + 1
-
-    def _weighted(self, lam: float, power: int) -> float:
-        # fuse the exponentials: eval(s) * e^{lam s} overflows pointwise even
-        # when the product is tame, so integrate with the combined exponent
-        if lam > self.lambda0:
-            return math.inf
-        if lam == self.lambda0 and self.lambda0 > 0 and not self._moment_finite_at_abscissa(power):
-            return math.inf
-        p, q, mu, alpha = self.p, self.q, self.mu, self.alpha
-
-        def pos(s):
-            return alpha * s**power * math.exp(min(lam * s - mu * s**p, 700.0)) / (1.0 + s**q)
-
-        def neg(s):
-            return alpha * s**power * math.exp(-lam * s - mu * s**p) / (1.0 + s**q)
-
-        sign = (-1.0) ** power
-        return _quad(pos, 0.0, np.inf) + sign * _quad(neg, 0.0, np.inf)
-
-    def effective_scale(self):
-        return min(1.0, 1.0 / self.mu) if self.p > 0 else 1.0
-
-
-class UniformLine(_QuadratureLine):
+class UniformLine(Kernel1D):
     """Uniform density on [-R, R]."""
 
     def __init__(self, radius: float, source=None):
@@ -439,31 +400,26 @@ class UniformLine(_QuadratureLine):
         self.lambda0 = math.inf
         self.tail_class = EXP_DECAY_INFINITE
         self.source = source
+        density = 1.0 / (2.0 * radius)
+        self._decay, self._factor, self._support = _no_decay, lambda s: density, radius
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
         return np.where(np.abs(s) <= self.radius, 1.0 / (2.0 * self.radius), 0.0)
 
-    def transform(self, lam):
+    def _closed_form(self, lam, power):
+        if power:
+            return None
         x = lam * self.radius
         if abs(x) < 1e-6:
             return 1.0 + x * x / 6.0
         return math.sinh(x) / x
 
-    def _weighted(self, lam, power):
-        if power == 0:
-            return self.transform(lam)
-        f = lambda s: (s**power) * math.exp(lam * s) / (2.0 * self.radius)
-        return _quad(f, -self.radius, self.radius)
-
     def mass_outside(self, radius):
         return 0.0 if radius >= self.radius else 1.0 - radius / self.radius
 
-    def effective_scale(self):
-        return self.radius
 
-
-class ChordLine(_QuadratureLine):
+class ChordLine(Kernel1D):
     """Marginal of the uniform disk: 2 sqrt(R^2 - s^2) / (pi R^2)."""
 
     def __init__(self, radius: float, source=None):
@@ -471,6 +427,11 @@ class ChordLine(_QuadratureLine):
         self.lambda0 = math.inf
         self.tail_class = EXP_DECAY_INFINITE
         self.source = source
+        r = radius
+        # eval's arithmetic on scalars, so every quad result keeps its bits;
+        # quad samples only the open interval, where |s| < r
+        self._decay, self._support = _no_decay, r
+        self._factor = lambda s: 2.0 * math.sqrt(r**2 - s * s) / (math.pi * r**2)
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
@@ -479,21 +440,13 @@ class ChordLine(_QuadratureLine):
         out[inside] = 2.0 * np.sqrt(self.radius**2 - s[inside] ** 2) / (math.pi * self.radius**2)
         return out
 
-    def transform(self, lam):
+    def _closed_form(self, lam, power):
+        if power:
+            return None
         x = lam * self.radius
         if abs(x) < 1e-6:
             return 1.0 + x * x / 8.0
         return 2.0 * float(special.iv(1, x)) / x
-
-    def _weighted(self, lam, power):
-        if power == 0:
-            return self.transform(lam)
-        r = self.radius
-        # eval's arithmetic on scalars, so every quad result keeps its bits;
-        # quad samples only the open interval, where |s| < r
-        f = lambda s: (s**power) * math.exp(lam * s) * (
-            2.0 * math.sqrt(r**2 - s * s) / (math.pi * r**2))
-        return _quad(f, -r, r)
 
     def mass_outside(self, radius):
         if radius >= self.radius:
@@ -501,68 +454,40 @@ class ChordLine(_QuadratureLine):
         t = radius / self.radius
         return 1.0 - (2.0 / math.pi) * (t * math.sqrt(1 - t * t) + math.asin(t))
 
-    def effective_scale(self):
-        return self.radius
 
+class RadialLine(Kernel1D):
+    """Directional reduction of an ``exppoly`` or ``power_tail`` kernel.
 
-class PowerTailLine(_QuadratureLine):
-    """a(s) = alpha / (1 + |s|^q), q > 1: heavy tail, abscissa zero."""
-
-    def __init__(self, q: float, source=None):
-        if not q > 1:
-            raise KernelError("power_tail line density needs q > 1")
-        self.q = q
-        self.lambda0 = 0.0
-        self.tail_class = HEAVY_TAIL
-        self.source = source
-        self.alpha = 1.0 / (2.0 * _quad(lambda s: 1.0 / (1.0 + s**self.q), 0.0, np.inf))
-
-    def eval(self, s):
-        return self.alpha / (1.0 + np.abs(np.asarray(s, dtype=float)) ** self.q)
-
-    def transform(self, lam):
-        if lam > 0:
-            return math.inf
-        return 1.0
-
-    def _weighted(self, lam, power):
-        if lam > 0:
-            return math.inf
-        if power == 0:
-            return 1.0
-        if self.q <= power + 1:
-            return math.inf
-        return 0.0  # odd symmetry for power 1; power 2 handled below
-
-    def weighted_moment2(self, lam):
-        if lam > 0:
-            return math.inf
-        if self.q <= 3:
-            return math.inf
-        return 2.0 * _quad(lambda s: s * s * self.alpha / (1.0 + s**self.q), 0.0, np.inf)
-
-    def mean_is_finite(self) -> bool:
-        return self.q > 2
-
-
-class AbelLine(_QuadratureLine):
-    """Numerical marginal of a radially symmetric 2-D kernel.
-
-    eval uses the Abel integral 2 int_0^inf g(sqrt(s^2 + t^2)) dt; transforms
-    use the radial Bessel representation 2 pi int_0^inf g(r) I_nu(lam r) r dr.
+    The radial density is g(r) = alpha exp(-mu r^p) / (1 + r^q) (mu = 0 for
+    ``power_tail``).  In 1-D the line density is g itself.  In 2-D ``eval`` is
+    the Abel integral 2 int_0^inf g(sqrt(s^2 + t^2)) dt, and the moments use
+    the radial Bessel representation, e.g. 2 pi int_0^inf g(r) I_0(lam r) r dr
+    for the transform.
     """
 
     def __init__(self, kernel: Kernel, source=None):
         spec = kernel.spec
-        if spec.dimension != 2:
-            raise KernelError("AbelLine reduces 2-D kernels only")
         self.kernel = kernel
-        self.tail_class, self.lambda0 = _tail_class(spec)
+        self.tail_class, self.lambda0 = kernel.tail_class, kernel.abscissa
         self.source = source
+        d = spec.dimension
+        p, mu = (spec.p, spec.mu) if spec.family == "exppoly" else (0.0, 0.0)
+        # a(s) e^{lambda0 s} decays like s^{-q} times s^{(d-1)/2} (p = 1) or
+        # s^{d-1} (pure power); any other p decays faster than every power
+        if p == 1:
+            self.tail_power = spec.q - (d - 1) / 2.0
+        elif p == 0:
+            self.tail_power = spec.q - (d - 1)
+        alpha, q = kernel.normalizer_alpha, spec.q
+        self._decay = lambda r: mu * r**p
+        self._factor = lambda r: alpha / (1.0 + r**q)
+        self._support = math.inf
         shape = _radial_shape(spec)
-        self._g = lambda r: kernel.normalizer_alpha * shape(r)
+        self._g = lambda r: alpha * shape(r)
 
     def eval(self, s):
+        if self.kernel.dimension == 1:
+            return self.kernel.eval(s)
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(s)
         for i, si in enumerate(s.ravel()):
@@ -571,59 +496,24 @@ class AbelLine(_QuadratureLine):
             )
         return out if out.size > 1 else float(out[0])
 
-    def _bessel_moment(self, lam: float, power: int) -> float:
-        if lam == 0.0:
-            if power == 0:
-                return 1.0
-            if power == 1:
-                return 0.0
-            return math.pi * _quad(lambda r: self._g(r) * r**3, 0.0, np.inf)
-        # i0e/i1e are exponentially scaled; reinsert exp(lam r) in the integrand.
+    def _quadrature(self, lam, power):
+        if self.kernel.dimension == 1:
+            return super()._quadrature(lam, power)
+        # 2 pi int_0^inf r^{power+1} g(r) e^{lam r} B(lam r) dr with the scaled
+        # Bessel factors B = i0e, i1e and i0e(x) - i1e(x)/x (-> 1/2 at x = 0)
+        factor, i0e, i1e = self._factor, special.i0e, special.i1e
         if power == 0:
-            f = lambda r: 2 * math.pi * self._g_exp(r, lam) * r * special.i0e(lam * r)
+            weight = lambda r: factor(r) * i0e(lam * r)
         elif power == 1:
-            f = lambda r: 2 * math.pi * self._g_exp(r, lam) * r * r * special.i1e(lam * r)
+            weight = lambda r: factor(r) * i1e(lam * r)
+        elif lam == 0.0:
+            weight = lambda r: 0.5 * factor(r)
         else:
-            f = lambda r: (
-                2 * math.pi * self._g_exp(r, lam) * r**3
-                * (special.i0e(lam * r) - special.i1e(lam * r) / (lam * r))
-            )
-        return _quad(f, 0.0, np.inf)
-
-    def _g_exp(self, r: float, lam: float) -> float:
-        """g(r) e^{lam r}; for exppoly with the exponents fused, as in ``ExpPolyLine``.
-
-        Taken alone, e^{lam r} overflows where the product is still finite.
-        """
-        spec = self.kernel.spec
-        if spec.family != "exppoly":
-            return self._g(r) * math.exp(lam * r)
-        alpha = self.kernel.normalizer_alpha
-        return alpha * math.exp(min(lam * r - spec.mu * r**spec.p, 700.0)) / (1.0 + r**spec.q)
-
-    def _weighted(self, lam, power):
-        spec = self.kernel.spec
-        if lam > self.lambda0:
-            return math.inf
-        if lam == self.lambda0 and self.lambda0 > 0:
-            # p = 1 family: integrand decays like r^{power + 1/2 - q}
-            if not (spec.family == "exppoly" and spec.q > power + 1.5):
-                return math.inf
-        if self.lambda0 == 0.0 and lam > 0:
-            return math.inf
-        return self._bessel_moment(lam, power)
-
-    def mean_is_finite(self) -> bool:
-        spec = self.kernel.spec
-        if spec.family == "power_tail":
-            return spec.q > 3
-        return True
+            weight = lambda r: factor(r) * (i0e(lam * r) - i1e(lam * r) / (lam * r))
+        return 2.0 * math.pi * _fused_quad(lam, power + 1, self._decay, weight, 0.0, np.inf)
 
     def mass_outside(self, radius):
         return self.kernel.mass_outside(radius)
-
-    def effective_scale(self):
-        return self.kernel.effective_scale()
 
 
 def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
@@ -652,11 +542,7 @@ def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
         if kernel.dimension == 1:
             return UniformLine(spec.radius, source=source)
         return ChordLine(spec.radius, source=source)
-    if kernel.dimension == 1:
-        if spec.family == "exppoly":
-            return ExpPolyLine(spec.p, spec.q, spec.mu, source=source)
-        return PowerTailLine(spec.q, source=source)
-    return AbelLine(kernel, source=source)
+    return RadialLine(kernel, source=source)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ def sample_line_kernels(k_plus: Kernel1D, k_minus: Kernel1D,
     Callers test ``wm is wp`` to convolve once per right-hand side.
     """
     wp = sample_line_kernel(k_plus, h)
+    if k_minus is k_plus:
+        return wp, wp
     wm = sample_line_kernel(k_minus, h)
     return (wp, wp) if np.array_equal(wp.weights, wm.weights) else (wp, wm)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nlkpp
-from nlkpp import ConfigError
+from nlkpp import ConfigError, ConvergenceFailure, waves
 from nlkpp.cli import _problem, main
 from nlkpp.config import parse_config
 
@@ -108,6 +108,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"line {lineno}:") as info:
             parse_config(text)
         assert info.value.line == lineno
+
+    def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
+        text = BASE + "\n[front]\ninflate = 1.2\n"
+        lineno = text.splitlines().index("inflate = 1.2") + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: unknown key 'inflate'"):
+            parse_config(text)
+        cfg_file = tmp_path / "front.cfg"
+        cfg_file.write_text(text)
+        assert main(["front", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'inflate'" in capsys.readouterr().err
 
 
 class TestScenarios:
@@ -216,6 +226,23 @@ class TestScenarios:
         assert problem.a_minus_w is problem.a_plus_w
         problem = _problem(parse_config(BASE.replace("sigma = 1.0", "sigma = 1.5", 1)))
         assert problem.a_minus_w is not problem.a_plus_w
+
+    @pytest.mark.parametrize("sigma_plus, shared", [("1.0", True), ("1.5", False)])
+    def test_wave_with_equal_kernels_builds_one_line(self, tmp_path, monkeypatch,
+                                                     sigma_plus, shared):
+        seen = []
+
+        def stop(params, k_plus, k_minus, c, **kwargs):
+            seen.append((k_plus, k_minus))
+            raise ConvergenceFailure("stopped after the lines were built")
+
+        monkeypatch.setattr(waves, "solve_profile", stop)
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text(BASE.replace("sigma = 1.0", f"sigma = {sigma_plus}", 1)
+                            + "\n[wave]\nspeed_factor = 1.5\n")
+        assert main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        [(k_plus, k_minus)] = seen
+        assert (k_minus is k_plus) == shared
 
 
 def test_cli_import_skips_scipy_stats_and_signal():

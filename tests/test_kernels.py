@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
-from nlkpp.kernels import EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, _quad
+from nlkpp.kernels import EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, RadialLine, _quad
 
 
 def quad_mass_1d(kernel):
@@ -223,3 +223,124 @@ def test_discretize_accepts_line_kernels(gauss_line):
     w = discretize(gauss_line, grid)
     assert w.weights.sum() == 1.0
     assert w.weights.shape == grid.shape
+
+
+def test_exppoly_without_power_has_unit_scale():
+    # with p = 0, mu only scales the density by exp(-mu): no length scale
+    for d, xi in ((1, [1.0]), (2, [1.0, 0.0])):
+        kernel = make_kernel(KernelSpec("exppoly", d, p=0.0, q=3.0, mu=10.0))
+        line = reduce_to_direction(kernel, xi)
+        assert kernel.effective_scale() == line.effective_scale() == 1.0
+    grid = Grid(dimension=1, half_length=20.0, points_per_axis=64)
+    assert grid.spacing == 0.625
+    kernel = make_kernel(KernelSpec("exppoly", 1, p=0.0, q=3.0, mu=10.0))
+    with pytest.warns(UserWarning, match="marginal"):
+        w = discretize(kernel, grid)
+    assert not w.renormalized
+
+
+# (spec, oracle half-width, powers whose moment diverges at a finite abscissa)
+MOMENT_MATRIX = [
+    (KernelSpec("gaussian", 1, sigma=0.8), 15.0, None),
+    (KernelSpec("gaussian", 2, sigma=0.8), 15.0, None),
+    (KernelSpec("gaussian", 1, sigma=0.8, offset=(0.5,)), 15.0, None),
+    (KernelSpec("gaussian", 2, sigma=0.8, offset=(0.5, -0.25)), 15.0, None),
+    (KernelSpec("laplace", 1, mu=1.3), 80.0, {0, 1, 2}),
+    (KernelSpec("laplace", 2, mu=1.3), 80.0, {0, 1, 2}),
+    (KernelSpec("exppoly", 1, p=0.5, q=3.0, mu=1.0), 2500.0, set()),
+    (KernelSpec("exppoly", 2, p=0.5, q=3.0, mu=1.0), 2500.0, set()),
+    (KernelSpec("exppoly", 1, p=1.0, q=3.0, mu=1.0), 100.0, {2}),
+    (KernelSpec("exppoly", 2, p=1.0, q=3.0, mu=1.0), 100.0, {2}),
+    (KernelSpec("exppoly", 1, p=2.0, q=1.0, mu=0.5), 15.0, None),
+    (KernelSpec("exppoly", 2, p=2.0, q=1.0, mu=0.5), 15.0, None),
+    (KernelSpec("compact_uniform", 1, radius=1.5), 1.5, None),
+    (KernelSpec("compact_uniform", 2, radius=1.5), 1.5, None),
+    (KernelSpec("power_tail", 1, q=2.5), None, {2}),
+    (KernelSpec("power_tail", 2, q=2.5), None, {1, 2}),
+    (KernelSpec("power_tail", 1, q=3.5), None, set()),
+    (KernelSpec("power_tail", 2, q=3.5), None, {2}),
+    (KernelSpec("power_tail", 2, q=4.5), None, set()),
+]
+
+MOMENTS = ("transform", "weighted_moment1", "weighted_moment2")
+
+
+def _matrix_id(case):
+    spec = case[0]
+    extra = {"exppoly": f"p{spec.p}", "power_tail": f"q{spec.q}"}.get(spec.family, "")
+    offset = "-offset" if spec.offset else ""
+    return f"{spec.family}{extra}{offset}-{spec.dimension}d"
+
+
+def _line_oracle(line, lam, k, half_width, center):
+    """quad of the line density times s^k e^{lam s} on the truncated range."""
+    f = lambda s: float(line.eval(s)) * s**k * math.exp(lam * s)
+    lo, hi = center - half_width, center + half_width
+    points = [p for p in (center - 1.0, center, center + 1.0, -10.0, 10.0, -100.0, 100.0)
+              if lo < p < hi]
+    val, _ = integrate.quad(f, lo, hi, points=points, limit=2000, epsabs=1e-13, epsrel=1e-10)
+    return val
+
+
+def _polar_oracle(kernel, xi, lam, k, radius):
+    """The moment from the planar density: trapezoid rule in angle, quad in radius."""
+    theta = 2.0 * math.pi * np.arange(256) / 256
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    proj = dirs @ np.asarray(xi)
+
+    def ring(r):
+        s = r * proj
+        density = kernel.eval(r * dirs)
+        return r * 2.0 * math.pi * float(np.mean(density * s**k * np.exp(lam * s)))
+
+    points = [p for p in (1.0, 10.0, 100.0, 1000.0) if p < radius]
+    val, _ = integrate.quad(ring, 0.0, radius, points=points, limit=2000,
+                            epsabs=1e-15, epsrel=1e-11)
+    return val
+
+
+def _power_tail_oracle(spec, k):
+    """Closed forms at lam = 0 from int_0^inf s^(a-1) / (1 + s^q) ds = (pi/q) / sin(a pi/q)."""
+    moment = lambda a: (math.pi / spec.q) / math.sin(a * math.pi / spec.q)
+    d = spec.dimension
+    return (1.0, 0.0, moment(d + 2) / (d * moment(d)))[k]
+
+
+@pytest.mark.parametrize("case", MOMENT_MATRIX, ids=_matrix_id)
+def test_moment_matrix(case):
+    spec, half_width, divergent = case
+    kernel = make_kernel(spec)
+    xi = [1.0] if spec.dimension == 1 else [0.6, 0.8]
+    line = reduce_to_direction(kernel, xi)
+    lam0 = line.lambda0
+    if math.isinf(lam0):
+        lams = (0.0, 0.6, 1.7)
+    elif lam0 > 0:
+        lams = (0.0, 0.3 * lam0, 0.6 * lam0)
+    else:
+        lams = (0.0,)  # heavy tail: the abscissa is the only finite point
+    center = float(np.dot(spec.offset_vector, xi))
+    for lam in lams:
+        for k, name in enumerate(MOMENTS):
+            value = getattr(line, name)(lam)
+            if lam == lam0 and k in divergent:
+                continue
+            if spec.family == "power_tail":
+                oracle = _power_tail_oracle(spec, k)
+            elif isinstance(line, RadialLine) and spec.dimension == 2:
+                oracle = _polar_oracle(kernel, xi, lam, k, half_width)
+            else:
+                oracle = _line_oracle(line, lam, k, half_width, center)
+            assert value == pytest.approx(oracle, rel=1e-8, abs=1e-12), (lam, name)
+    if math.isinf(lam0):
+        return
+    for k, name in enumerate(MOMENTS):
+        assert getattr(line, name)(lam0 + 0.1) == math.inf
+        at_abscissa = getattr(line, name)(lam0)
+        assert math.isinf(at_abscissa) == (k in divergent) == (line.tail_power <= k + 1), name
+
+
+def test_divergent_second_moment_of_a_planar_power_tail_is_infinite():
+    line = reduce_to_direction(make_kernel(KernelSpec("power_tail", 2, q=3.5)), [1.0, 0.0])
+    assert line.weighted_moment2(0.0) == math.inf
+    assert line.mean() == 0.0

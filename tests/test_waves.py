@@ -201,8 +201,9 @@ class TestResidual:
         solve_profile(canon, gauss_line, gauss_line, 1.3 * report.c_star, h=0.2, tol=1e-13,
                       report=report)
         assert len(checks) >= 2
-        # the supersolution seed, the evolution pair and the residual pair
-        assert len(samplings) == 6
+        # a- is a+: one sampling each for the supersolution seed, the evolution
+        # and the residual
+        assert len(samplings) == 3
 
 
 class TestSolveProfile:
