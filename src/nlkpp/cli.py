@@ -41,9 +41,9 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    row_format = ",".join(["%.17g"] * len(header))  # the float format of _fmt
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(row_format % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -109,17 +109,15 @@ def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
 
 
 def _snapshot_rows(traj, grid: Grid):
-    if grid.dimension == 1:
-        x = grid.axis_coords()
-        for f in traj.snapshots:
-            for i in range(len(x)):
-                yield (f.time, x[i], f.values[i])
-    else:
-        x = grid.axis_coords()
-        for f in traj.snapshots:
-            for i in range(len(x)):
-                for j in range(len(x)):
-                    yield (f.time, x[i], x[j], f.values[i, j])
+    x = grid.axis_coords().tolist()
+    for f in traj.snapshots:
+        if grid.dimension == 1:
+            for xi, value in zip(x, f.values.tolist()):
+                yield (f.time, xi, value)
+        else:
+            for xi, row in zip(x, f.values.tolist()):
+                for xj, value in zip(x, row):
+                    yield (f.time, xi, xj, value)
 
 
 def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
@@ -197,7 +195,7 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
     )
     _write_csv(out / "profile.csv", ["s", "psi"],
                zip(profile.s.tolist(), profile.psi.tolist()))
-    residual = waves.profile_residual(profile, cfg.params, line_p, line_m)
+    residual = profile.residual
     predicted = speed_to_abscissa(cfg.params, line_p, c, report=report)
     r_squared = None
     if profile.fitted_j is not None:

@@ -2,9 +2,13 @@
 
 Profiles live on a plain (non-periodic) line grid with far-field values
 theta on the left and 0 on the right.  A profile with speed c is computed as
-the fixed point of evolve-then-shift: advance the line equation by a sweep
-time, translate back by c times that sweep, and re-pin the half-level at the
-grid center to kill the translation degeneracy.
+the solution of the discrete stationary equation
+c psi' + kp (a+ * psi) - m psi - km psi (a- * psi) = 0 by Newton's method,
+with the grid-centre equation replaced by the pin psi(0) = theta/2.  Values
+beyond the grid follow the linearised far fields: theta + (psi_0 - theta)
+e^{nu (s - s_0)} on the left, with nu the decay rate of the linearisation at
+theta, and psi_N e^{-lambda_c (s - s_N)} on the right, with lambda_c the
+decay rate paired with c.
 """
 from __future__ import annotations
 
@@ -13,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
+from scipy.linalg.lapack import dgbsv
+from scipy.optimize import brentq
 
 from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
@@ -22,6 +28,8 @@ from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
 BC_TOL = 1e-8
+# Newton steps allowed before the solve counts as divergent
+NEWTON_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -81,17 +89,23 @@ def _convolve_pair(conv, wp: LineKernel, wm: LineKernel) -> tuple[np.ndarray, np
 
 
 def line_convolve(psi: np.ndarray, lk: LineKernel, left: float, right: float) -> np.ndarray:
-    """(a * psi)(s_i) assuming psi = left before the grid and right after it.
+    """(a * psi)(s_i) assuming psi = left before the grid and right after it."""
+    half = lk.halfwidth
+    return _padded_convolve(np.concatenate([np.full(half, left), psi, np.full(half, right)]), lk)
+
+
+def _padded_convolve(padded: np.ndarray, lk: LineKernel) -> np.ndarray:
+    """(a * psi)(s_i) from psi extended by the kernel halfwidth beyond each end.
 
     The 'valid' part of the linear convolution of the padded data with the
     weights, by real FFTs of a fast length; bitwise equal to
     ``scipy.signal.fftconvolve(padded, weights, mode="valid")``.
     """
     half = lk.halfwidth
-    padded = np.concatenate([np.full(half, left), psi, np.full(half, right)])
-    n = sp_fft.next_fast_len(len(psi) + 4 * half, True)
+    size = len(padded) - 2 * half
+    n = sp_fft.next_fast_len(size + 4 * half, True)
     full = sp_fft.irfft(sp_fft.rfft(padded, n) * lk.spectrum(n), n)
-    return full[2 * half: 2 * half + len(psi)]
+    return full[2 * half: 2 * half + size]
 
 
 def evolve_line(psi: np.ndarray, params: ModelParams, wp: LineKernel, wm: LineKernel,
@@ -104,23 +118,6 @@ def evolve_line(psi: np.ndarray, params: ModelParams, wp: LineKernel, wm: LineKe
     for _ in range(n_steps):
         psi = _rk4(f, psi, dt)
     return psi
-
-
-def shift_samples(psi: np.ndarray, s: np.ndarray, delta: float, theta: float) -> np.ndarray:
-    """Band-limited evaluation of psi(. + delta).
-
-    The monotone ramp is split off against an analytic logistic reference so
-    the remainder decays to zero at both ends and is safe to shift in Fourier
-    space; the reference shifts exactly.
-    """
-    h = s[1] - s[0]
-    ref = theta / (1.0 + np.exp(np.clip(s, -500.0, 500.0)))
-    ref_shifted = theta / (1.0 + np.exp(np.clip(s + delta, -500.0, 500.0)))
-    diff = psi - ref
-    n = len(diff)
-    freqs = np.fft.rfftfreq(n, d=h)
-    spectrum = np.fft.rfft(diff) * np.exp(2j * np.pi * freqs * delta)
-    return np.fft.irfft(spectrum, n=n) + ref_shifted
 
 
 def half_level_crossing(s: np.ndarray, psi: np.ndarray, level: float) -> float:
@@ -137,7 +134,11 @@ def half_level_crossing(s: np.ndarray, psi: np.ndarray, level: float) -> float:
 
 @dataclass
 class WaveProfile:
-    """Converged monotone profile with speed and fitted tail data."""
+    """Converged monotone profile with speed, fitted tail data and residual.
+
+    ``residual`` is the stationary-frame residual (``profile_residual``) that
+    ``solve_profile`` measured with its own kernel samples.
+    """
 
     s: np.ndarray
     psi: np.ndarray
@@ -145,6 +146,7 @@ class WaveProfile:
     theta: float
     fitted_lambda: float | None = None
     fitted_j: int | None = None
+    residual: float | None = None
 
     def __post_init__(self):
         theta, psi = self.theta, self.psi
@@ -178,13 +180,19 @@ def initial_supersolution(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel
     The pair is certified as a discrete supersolution: the stationary-frame
     operator evaluated with the sampled kernels must be <= tol everywhere.
     """
+    lines = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
+    return _supersolution(params, k_plus, *lines, s, mu, tol)
+
+
+def _supersolution(params: ModelParams, k_plus: Kernel1D, wp: LineKernel, wm: LineKernel,
+                   s: np.ndarray, mu: float, tol: float) -> tuple[np.ndarray, float]:
+    """``initial_supersolution`` with a+ and a- sampled at the spacing of ``s``."""
     if not 0 < mu < k_plus.lambda0 or math.isinf(k_plus.transform(mu)):
         raise ValueError(f"mu = {mu} must have a finite transform (abscissa {k_plus.lambda0})")
     theta = params.require_carrying_capacity()
     c = (params.kappa_plus * k_plus.transform(mu) - params.mortality) / mu
 
     phi = theta * np.minimum(np.exp(-mu * np.clip(s, -500 / mu, None)), 1.0)
-    wp, wm = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
     dphi = np.where(s > 0, -mu * phi, 0.0)
     conv_p, conv_m = _convolve_pair(lambda w: line_convolve(phi, w, theta, 0.0), wp, wm)
     j_c = (c * dphi + params.kappa_plus * conv_p - params.mortality * phi
@@ -205,16 +213,30 @@ def initial_supersolution(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel
     return phi, c
 
 
+def _operator(psi: np.ndarray, pad, c: float, params: ModelParams, h: float,
+              wp: LineKernel, wm: LineKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(c psi' + kp (a+ * psi) - m psi - km psi (a- * psi), a- * psi) on the grid.
+
+    ``pad(psi, k)`` extends psi by k values beyond each end; psi' is the
+    4th-order central difference.
+    """
+    ext = pad(psi, 2)
+    dpsi = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * h)
+    conv_p, conv_m = _convolve_pair(lambda w: _padded_convolve(pad(psi, w.halfwidth), w),
+                                    wp, wm)
+    return (c * dpsi + params.kappa_plus * conv_p - params.mortality * psi
+            - params.kappa_minus * psi * conv_m), conv_m
+
+
 def _frame_residual(s: np.ndarray, psi: np.ndarray, c: float, params: ModelParams,
                     wp: LineKernel, wm: LineKernel) -> float:
     """``stationary_frame_residual`` with a+ and a- sampled at the spacing of ``s``."""
-    h = float(s[1] - s[0])
     left, right = float(psi[0]), float(psi[-1])
-    padded = np.concatenate([[left, left], psi, [right, right]])
-    dpsi = (-padded[4:] + 8.0 * padded[3:-1] - 8.0 * padded[1:-3] + padded[:-4]) / (12.0 * h)
-    conv_p, conv_m = _convolve_pair(lambda w: line_convolve(psi, w, left, right), wp, wm)
-    res = (c * dpsi + params.kappa_plus * conv_p - params.mortality * psi
-           - params.kappa_minus * psi * conv_m)
+
+    def pad(values: np.ndarray, k: int) -> np.ndarray:
+        return np.concatenate([np.full(k, left), values, np.full(k, right)])
+
+    res, _ = _operator(psi, pad, c, params, float(s[1] - s[0]), wp, wm)
     buf = max(2, int(0.05 * len(s)))
     return float(np.max(np.abs(res[buf:-buf])))
 
@@ -224,23 +246,17 @@ def stationary_frame_residual(s: np.ndarray, psi: np.ndarray, c: float, theta: f
                               k_minus: Kernel1D) -> float:
     """Sup norm of c psi' + kp (a+ * psi) - m psi - km psi (a- * psi).
 
-    psi' uses 4th-order central differences with the theta/0 far-field
-    extension; a buffer of 5% of the domain is excluded at each end.
+    psi' uses 4th-order central differences; psi is extended by its end
+    values beyond the grid, and a buffer of 5% of the domain is excluded at each end.
     """
     lines = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
     return _frame_residual(s, psi, c, params, *lines)
 
 
 def profile_residual(profile: WaveProfile, params: ModelParams,
-                     k_plus: Kernel1D, k_minus: Kernel1D,
-                     lines: tuple[LineKernel, LineKernel] | None = None) -> float:
-    """Stationary-frame equation residual of a converged profile.
-
-    ``lines`` is the (a+, a-) pair already sampled at ``profile.spacing``;
-    without it both kernels are sampled here.
-    """
-    if lines is None:
-        lines = sample_line_kernels(k_plus, k_minus, profile.spacing)
+                     k_plus: Kernel1D, k_minus: Kernel1D) -> float:
+    """Stationary-frame equation residual of a converged profile."""
+    lines = sample_line_kernels(k_plus, k_minus, profile.spacing)
     return _frame_residual(profile.s, profile.psi, profile.speed_c, params, *lines)
 
 
@@ -272,72 +288,118 @@ def fit_decay(profile: WaveProfile, expected_j: int) -> tuple[float, float, floa
     return lam, math.exp(const), r2
 
 
-def _integer_shift(values: np.ndarray, cells: int, theta: float) -> np.ndarray:
-    """Exact translation by whole cells, refilling the vacated far field."""
-    if cells == 0:
-        return values
-    out = np.empty_like(values)
-    if cells > 0:  # evaluate at s + cells*h: content moves left, zeros enter right
-        out[:-cells] = values[cells:]
-        out[-cells:] = 0.0
-    else:
-        k = -cells
-        out[k:] = values[:-k]
-        out[:k] = theta
-    return out
+def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
+                  wp: LineKernel, wm: LineKernel, abscissa: float) -> float:
+    """Rate nu > 0 of theta - psi ~ e^{nu s} as s -> -inf in the discrete equation.
 
-
-def _extend_tail(values: np.ndarray, h: float, idx: int, lam: float,
-                 j: int, fit_cells: int = 24) -> np.ndarray:
-    """Overwrite everything right of index ``idx`` with the characteristic tail.
-
-    Chopping the tail would turn the iterate into a cutoff front whose
-    selected speed falls back to the minimal one: supercritical profiles owe
-    their speed entirely to the e^{-lam s} tail, so the analytic decay rate
-    is enforced.  For a double root (j = 2) the prefactor A + B s is fitted
-    on the stretch left of the anchor; otherwise only the amplitude is
-    matched.
+    The smallest root of the linearisation at theta,
+    -c D(nu) - kp A+(nu) + kp + km theta A-(nu), where D(nu) is the
+    4th-order difference of e^{nu s} and A(nu) = sum_j w_j e^{-nu tau_j} the
+    transform of the sampled kernel.  It is km theta > 0 at nu = 0; the root
+    is sought below the kernels' ``abscissa``, below nu h = 1.4, where D peaks,
+    and where e^{nu tau} cannot overflow.
     """
-    tail_len = len(values) - idx - 1
-    if tail_len <= 0 or values[idx] <= 0.0:
-        return values
-    values = values.copy()
-    offsets = h * np.arange(1, tail_len + 1)
-    if j == 2:
-        lo = max(idx - fit_cells, 0)
-        window = values[lo: idx + 1]
-        if np.all(window > 0.0):
-            rel = h * (np.arange(lo, idx + 1) - idx)
-            weighted = window * np.exp(lam * rel)
-            coef = np.polyfit(rel, weighted, 1)
-            slope_b, const_a = float(coef[0]), float(coef[1])
-            if slope_b > 0.0 and const_a > 0.0:
-                prefactor = const_a + slope_b * offsets
-                values[idx + 1:] = prefactor * np.exp(-lam * offsets)
-                return values
-    values[idx + 1:] = values[idx] * np.exp(-lam * offsets)
-    return values
+    cap = min(abscissa, 1.4 / h, 700.0 / (max(wp.halfwidth, wm.halfwidth) * h))
+
+    def transform(w: LineKernel, nu: float) -> float:
+        tau = (np.arange(len(w.weights)) - w.halfwidth) * h
+        return float(w.weights @ np.exp(-nu * tau))
+
+    def linearisation(nu: float) -> float:
+        x = nu * h
+        slope = (16.0 * math.sinh(x) - 2.0 * math.sinh(2.0 * x)) / (12.0 * h)
+        return (-c * slope + params.kappa_plus * (1.0 - transform(wp, nu))
+                + params.kappa_minus * theta * transform(wm, nu))
+
+    lo = 0.0
+    for hi in cap * 2.0 ** -np.arange(40.0, -1.0, -1.0):
+        if linearisation(hi) < 0.0:
+            return brentq(linearisation, lo, hi)
+        lo = hi
+    raise ConvergenceFailure(
+        f"the theta plateau has no decaying mode with rate below {cap:.4g}; "
+        "check kernel domination (A2)"
+    )
+
+
+def _newton(psi: np.ndarray, c: float, theta: float, params: ModelParams, h: float,
+            wp: LineKernel, wm: LineKernel, nu: float, lam_c: float,
+            target: float) -> np.ndarray:
+    """Newton's method on the pinned stationary equation, from the guess ``psi``.
+
+    Rows are the operator at each grid point, with the centre row replaced by
+    psi(0) = theta/2.  The k-th value left of the grid is
+    theta + (psi_0 - theta) e^{-nu k h} and the k-th right of it
+    psi_N e^{-lam_c k h}, so the Jacobian columns of these values fold into
+    the first and last columns and the matrix stays banded.  Stops when the
+    sup norm of the rows is at most ``target``.
+    """
+    n, center = len(psi), len(psi) // 2
+    reach = max(wp.halfwidth, wm.halfwidth, 2)
+    left_decay = np.exp(-nu * h * np.arange(1, reach + 1))
+    right_decay = np.exp(-lam_c * h * np.arange(1, reach + 1))
+
+    def pad(values: np.ndarray, k: int) -> np.ndarray:
+        return np.concatenate([theta + (values[0] - theta) * left_decay[:k][::-1], values,
+                               values[-1] * right_decay[:k]])
+
+    kp, km = params.kappa_plus, params.kappa_minus
+    weights_p = np.pad(wp.weights, reach - wp.halfwidth)
+    weights_m = np.pad(wm.weights, reach - wm.halfwidth)
+    difference = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}
+    # LAPACK band storage: entry (i, l) at ab[2 reach + i - l, l]; dgbsv
+    # factors in place and uses the top reach rows as workspace
+    ab = np.zeros((3 * reach + 1, n), order="F")
+    for step in range(NEWTON_STEPS + 1):
+        rows, conv_m = _operator(psi, pad, c, params, h, wp, wm)
+        rows[center] = psi[center] - theta / 2.0
+        size = float(np.max(np.abs(rows)))
+        if size <= target:
+            return psi
+        if step == NEWTON_STEPS:
+            break
+        ab[:] = 0.0
+        for d in range(-reach, reach + 1):  # entries (i, i + d)
+            entry = kp * weights_p[reach - d] - km * weights_m[reach - d] * psi
+            if d == 0:
+                entry -= params.mortality + km * conv_m
+            if d in difference:
+                entry += c * difference[d] / (12.0 * h)
+            entry[center] = 1.0 if d == 0 else 0.0  # the pin row
+            lo, hi = max(0, -d), min(n, n - d)
+            ab[2 * reach - d, lo + d: hi + d] += entry[lo:hi]
+            if d < 0:
+                ab[2 * reach: 2 * reach - d, 0] += entry[:-d] * left_decay[:-d][::-1]
+            elif d > 0:
+                ab[2 * reach - d + 1: 2 * reach + 1, n - 1] += entry[n - d:] * right_decay[:d]
+        *_, delta, info = dgbsv(reach, reach, ab, rows, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise ConvergenceFailure(
+                f"Newton step {step + 1}: singular Jacobian (dgbsv info {info})")
+        step_size = float(np.max(np.abs(delta)))
+        if not step_size <= 1e6 * theta:
+            raise ConvergenceFailure(f"Newton step {step + 1} diverged (size {step_size:.3g})")
+        psi = psi - delta
+    raise ConvergenceFailure(
+        f"Newton solve did not reach residual {target:g} in {NEWTON_STEPS} steps "
+        f"(last {size:.3g})"
+    )
 
 
 def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: float,
                   h: float = 0.05, s_left: float = -50.0, s_right: float = 60.0,
-                  sweep_time: float = 0.2, dt: float = 0.02, tol: float = 1e-8,
-                  max_sweeps: int = 10000, seed: str = "auto",
-                  residual_target: float = 5e-7,
+                  seed: str = "auto", residual_target: float = 1e-10,
                   report: DispersionReport | None = None) -> WaveProfile:
     """Monotone profile with speed c >= c*, pinned at psi(0) = theta/2.
 
-    The flat far-field mode is linearly unstable in the co-moving frame, so
-    the iteration must not feed it numerical noise: sweeps are sized so the
-    shift c * sweep_time is an exact whole number of cells (no interpolation
-    ringing), pinning during the iteration is by whole cells, and values
-    below a hard floor are zeroed each sweep.  One band-limited fractional
-    shift at the very end places the half level exactly at s = 0.
-
-    Sweeps stop when the sup change drops below ``tol`` or the
-    stationary-frame residual reaches ``residual_target`` (at the critical
-    speed the shape relaxes only algebraically, so the residual is the
-    binding criterion there).
+    Newton's method (``_newton``) on the grid of spacing h over
+    [s_left, s_right), shifted so that its centre point is s = 0, until the
+    sup norm of the equations is at most ``residual_target``.  The initial
+    guess is the seed ramp: the certified ``"supersolution"``, the
+    ``"critical"`` (1 + lambda s) e^{-lambda s} or a logistic ``"step"``;
+    ``"auto"`` takes the critical ramp at a double root.  A solution that
+    misses theta at the left end or 0 at the right end by more than
+    ``WaveProfile`` allows raises ``ConvergenceFailure`` naming that end.
     """
     theta = params.require_carrying_capacity()
     if report is None:
@@ -353,18 +415,24 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
     n = int(round((s_right - s_left) / h))
     s = s_left + h * np.arange(n)
     s = s - s[n // 2]  # index n//2 carries s = 0 exactly
+    spacing = float(s[1] - s[0])
+    wp, wm = sample_line_kernels(k_plus, k_minus, spacing)
+    reach = max(wp.halfwidth, wm.halfwidth, 2)
+    if n // 2 <= reach:
+        raise ValueError(
+            f"line domain too small for the kernel reach: {n // 2} cells on each side "
+            f"of s = 0 against a reach of {reach}; enlarge the domain"
+        )
+    try:
+        j = char_multiplicity(params, k_plus, c, report=report)
+    except UnsupportedCriticalCase:
+        j = None
 
     if seed == "auto":
-        try:
-            j_seed = char_multiplicity(params, k_plus, c, report=report)
-        except UnsupportedCriticalCase:
-            j_seed = 1
-        seed = "critical" if j_seed == 2 else "supersolution"
+        seed = "critical" if j == 2 else "supersolution"
     if seed == "supersolution":
-        psi, _ = initial_supersolution(params, k_plus, k_minus, s, mu=lam_c, tol=1e-3)
+        psi, _ = _supersolution(params, k_plus, wp, wm, s, lam_c, tol=1e-3)
     elif seed == "critical":
-        # tail (1 + lam s) e^{-lam s}: matches the double-root structure; a
-        # pure exponential seed would creep logarithmically forever
         ramp = (1.0 + lam_c * np.maximum(s, 0.0)) * np.exp(-lam_c * np.clip(s, 0.0, None))
         psi = theta * np.minimum(ramp, 1.0)
     elif seed == "step":
@@ -372,102 +440,30 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
     else:
         raise ValueError(f"unknown seed {seed!r}")
 
-    wp, wm = sample_line_kernels(k_plus, k_minus, h)
-    shift_cells = max(1, int(round(c * sweep_time / h)))
-    sweep_eff = shift_cells * h / c  # exact whole-cell displacement per sweep
-    n_sub = max(1, int(math.ceil(sweep_eff / dt)))
-    dt_eff = sweep_eff / n_sub
-    buf = max(2, int(0.05 * n))
-    center = n // 2
-    try:
-        j_tail = char_multiplicity(params, k_plus, c, report=report)
-    except UnsupportedCriticalCase:
-        j_tail = 1
-    # tail extension anchored where psi ~ 1e-9 theta, but never closer to the
-    # right end than one kernel reach plus shift margin
-    reach = max(wp.halfwidth, wm.halfwidth)
-    anchor_cap = n - reach - max(shift_cells, 8) - 8
-    anchor_level = 1e-9 * theta
-    if anchor_cap <= center + 40:
-        raise ValueError(
-            "line domain too small for the kernel reach; enlarge s_right "
-            f"(anchor cap {anchor_cap} vs center {center})"
-        )
+    nu = _plateau_rate(params, c, theta, spacing, wp, wm,
+                       min(k_plus.lambda0, k_minus.lambda0))
+    psi = _newton(psi, c, theta, params, spacing, wp, wm, nu, lam_c, residual_target)
 
-    def extend(values: np.ndarray) -> np.ndarray:
-        above = values >= anchor_level
-        idx = int(np.max(np.nonzero(above))) if above.any() else anchor_cap
-        return _extend_tail(values, h, min(idx, anchor_cap), lam_c, j_tail)
-
-    def pin_cells(values: np.ndarray) -> np.ndarray:
-        above = values >= theta / 2.0
-        if not above.any() or above.all():
-            raise ConvergenceFailure("profile iterate lost its half-level crossing")
-        idx = int(np.max(np.nonzero(above)))
-        return _integer_shift(values, idx - center, theta)
-
-    psi = extend(psi)
-    psi = pin_cells(psi)
-    residual_every = 50
-    # the residual differentiates on s, whose spacing can differ from h in the last bits
-    residual_lines = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
-    for sweep in range(1, max_sweeps + 1):
-        prev = psi
-        work = psi.copy()
-        work[:buf] = theta
-        work = evolve_line(work, params, wp, wm, theta, dt_eff, n_sub)
-        work = _integer_shift(work, shift_cells, theta)
-        np.clip(work, 0.0, theta, out=work)
-        work = extend(work)
-        psi = pin_cells(work)
-        change = float(np.max(np.abs(psi - prev)))
-        if change <= tol:
-            break
-        if sweep % residual_every == 0:
-            candidate = _as_profile(s, psi, c, theta)
-            if candidate is not None and profile_residual(
-                candidate, params, k_plus, k_minus, lines=residual_lines
-            ) <= residual_target:
-                break
-    else:
+    band = 10 * BC_TOL * theta
+    if psi[0] < theta * (1.0 - 10 * BC_TOL):
         raise ConvergenceFailure(
-            f"profile iteration did not converge in {max_sweeps} sweeps "
-            f"(last change {change:.3g})"
+            f"profile misses theta at the left end: psi({s[0]:.6g}) = theta - "
+            f"{theta - psi[0]:.3g} (allowed {band:.3g}); lower s_left (domain_left)"
         )
-
-    # final sub-cell pinning; a second pass cancels the linear-interpolation
-    # bias of the crossing locator
-    for _ in range(2):
-        s0 = half_level_crossing(s, psi, theta / 2.0)
-        psi = shift_samples(psi, s, s0, theta)
-        np.clip(psi, 0.0, theta, out=psi)
-    psi = extend(psi)
-    rises = np.diff(psi)
-    if rises.max() > 1e-7 * theta:
+    if psi[-1] > theta * 10 * BC_TOL:
         raise ConvergenceFailure(
-            f"converged iterate is not monotone (max rise {rises.max():.3g})"
+            f"profile misses 0 at the right end: psi({s[-1]:.6g}) = {psi[-1]:.3g} "
+            f"(allowed {band:.3g}); raise s_right (domain_right)"
         )
-    np.minimum.accumulate(psi, out=psi)  # flatten interpolation ripple only
-
-    profile = _as_profile(s, psi, c, theta)
-    if profile is None:
-        raise ConvergenceFailure("profile iterate violates monotone boundary structure")
-    try:
-        j = char_multiplicity(params, k_plus, c, report=report)
-        lam_fit, _, _ = fit_decay(profile, expected_j=j)
-        profile.fitted_lambda = lam_fit
-        profile.fitted_j = j
-    except (UnsupportedCriticalCase, ValueError):
-        pass
+    profile = WaveProfile(s=s, psi=psi, speed_c=c, theta=theta)
+    profile.residual = _frame_residual(s, psi, c, params, wp, wm)
+    if j is not None:
+        try:
+            profile.fitted_lambda, _, _ = fit_decay(profile, expected_j=j)
+            profile.fitted_j = j
+        except ValueError:
+            pass
     return profile
-
-
-def _as_profile(s, psi, c, theta) -> WaveProfile | None:
-    cleaned = np.clip(psi, 0.0, theta)
-    try:
-        return WaveProfile(s=s, psi=cleaned, speed_c=c, theta=theta)
-    except ValueError:
-        return None
 
 
 def measure_profile_speed(profile: WaveProfile, params: ModelParams,

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlkpp
 from nlkpp import ConfigError, ConvergenceFailure, waves
@@ -243,6 +245,79 @@ class TestScenarios:
         assert main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
         [(k_plus, k_minus)] = seen
         assert (k_minus is k_plus) == shared
+
+    @pytest.mark.parametrize("sigma_minus, samplings", [("1.0", 1), ("0.8", 2)])
+    def test_wave_samples_each_line_kernel_once(self, tmp_path, monkeypatch, sigma_minus,
+                                                samplings):
+        spacings = []
+
+        def counted(k, h, *args, **kwargs):
+            spacings.append(h)
+            return sample(k, h, *args, **kwargs)
+
+        sample = waves.sample_line_kernel
+        monkeypatch.setattr(waves, "sample_line_kernel", counted)
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text(BASE.replace("family = gaussian\nsigma = 1.0\n\n[grid]",
+                                         f"family = gaussian\nsigma = {sigma_minus}\n\n[grid]")
+                            + "\n[wave]\nspeed_factor = 1.5\nspacing = 0.1\n"
+                            "domain_left = -45\ndomain_right = 70\n")
+        assert main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        assert len(spacings) == samplings
+        assert len(set(spacings)) == 1
+
+
+LAPLACE = BASE.replace("family = gaussian\nsigma = 1.0", "family = laplace\nmu = 1.0")
+
+
+class TestLaplaceWave:
+    def test_short_left_domain_names_its_end(self, tmp_path):
+        # psi(-60) = theta - 1.8e-6 on the default domain; it converges on [-80, 80]
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text(LAPLACE + "\n[wave]\nspeed_factor = 1.3\n")
+        assert main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        entries = summary_dict(tmp_path / "out")
+        assert entries["error.type"] == "ConvergenceFailure"
+        assert "left end: psi(-60) = theta - 1.82e-06" in entries["error"]
+        assert "domain_left" in entries["error"]
+
+    def test_critical_speed(self, tmp_path):
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text(LAPLACE + "\n[wave]\nspeed_factor = 1.0\n")
+        assert main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        entries = summary_dict(tmp_path / "out")
+        assert float(entries["wave.residual_sup"]) <= 1e-6
+        assert entries["wave.j"] == "2"
+
+
+WAVE_FAMILIES = {
+    "gaussian": "sigma = 1.0",
+    "laplace": "mu = 1.0",
+    "compact_uniform": "radius = 1.0",
+    "exppoly": "p = 1.0\nq = 4.0\nmu = 1.0",
+    "power_tail": "q = 4.0",
+}
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(family=st.sampled_from(sorted(WAVE_FAMILIES)), speed_factor=st.floats(1.0, 2.0),
+       spacing=st.sampled_from([0.1, 0.2]))
+def test_wave_configs_end_in_a_summary(tmp_path_factory, family, speed_factor, spacing):
+    kernel = f"family = {family}\n{WAVE_FAMILIES[family]}\n"
+    out = tmp_path_factory.mktemp("wave")
+    cfg_file = out / "w.cfg"
+    cfg_file.write_text("[model]\nkappa_plus = 2.0\nkappa_minus = 1.0\nmortality = 1.0\n"
+                        f"[kernel_plus]\n{kernel}[kernel_minus]\n{kernel}"
+                        f"[wave]\nspeed_factor = {speed_factor!r}\nspacing = {spacing}\n")
+    rc = main(["wave", "--config", str(cfg_file), "--out", str(out / "run")])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        return
+    entries = summary_dict(out / "run")
+    if rc == 1:
+        assert entries["error"] and entries["error.type"]
+    else:
+        assert "error" not in entries
 
 
 def test_cli_import_skips_scipy_stats_and_signal():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from nlkpp import (CertificationFailed, KernelSpec, fit_decay, initial_supersolution,
-                   make_kernel, measure_profile_speed, minimize_G, profile_residual,
-                   reduce_to_direction, solve_profile, speed_to_abscissa,
+from nlkpp import (CertificationFailed, ConvergenceFailure, KernelSpec, fit_decay,
+                   initial_supersolution, make_kernel, measure_profile_speed, minimize_G,
+                   profile_residual, reduce_to_direction, solve_profile, speed_to_abscissa,
                    stationary_frame_residual)
 from nlkpp import waves
 from nlkpp.waves import (WaveProfile, LineKernel, evolve_line, half_level_crossing,
-                         line_convolve, sample_line_kernel, sample_line_kernels,
-                         shift_samples)
+                         line_convolve, sample_line_kernel, sample_line_kernels)
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +97,6 @@ class TestLineMachinery:
         assert len(calls) == 3 * 4 + 3 * 8
         assert np.array_equal(shared, separate)
 
-    def test_shift_samples_on_smooth_profile(self):
-        s = np.linspace(-30, 30, 1200, endpoint=False)
-        theta = 1.0
-        psi = theta / (1.0 + np.exp(0.7 * s))
-        shifted = shift_samples(psi, s, 0.31, theta)
-        expected = theta / (1.0 + np.exp(0.7 * (s + 0.31)))
-        interior = slice(50, -50)
-        assert np.abs(shifted[interior] - expected[interior]).max() <= 1e-9
-
     def test_half_level_crossing_interpolates(self):
         s = np.linspace(-5, 5, 101)
         psi = np.clip(1.0 - (s + 0.3), 0.0, 1.0)  # crossing 0.5 at s = 0.2
@@ -179,31 +169,9 @@ class TestResidual:
         assert profile_residual(profile_13, canon, gauss_line, gauss_line) <= 1e-6
 
     def test_presampled_lines_give_the_same_bits(self, canon, gauss_line, profile_13):
-        lap = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
-        for k_minus in (gauss_line, lap):
-            lines = sample_line_kernels(gauss_line, k_minus, profile_13.spacing)
-            assert profile_residual(profile_13, canon, gauss_line, k_minus, lines=lines) == (
-                profile_residual(profile_13, canon, gauss_line, k_minus))
-
-    def test_solve_profile_samples_the_residual_kernels_once(self, canon, gauss_line, report,
-                                                             monkeypatch):
-        samplings, checks = [], []
-
-        def counting(log, fn):
-            def counted(*args, **kwargs):
-                log.append(args)
-                return fn(*args, **kwargs)
-            return counted
-
-        monkeypatch.setattr(waves, "sample_line_kernel",
-                            counting(samplings, waves.sample_line_kernel))
-        monkeypatch.setattr(waves, "profile_residual", counting(checks, waves.profile_residual))
-        solve_profile(canon, gauss_line, gauss_line, 1.3 * report.c_star, h=0.2, tol=1e-13,
-                      report=report)
-        assert len(checks) >= 2
-        # a- is a+: one sampling each for the supersolution seed, the evolution
-        # and the residual
-        assert len(samplings) == 3
+        # solve_profile measures its residual with the pair it solved with
+        assert profile_13.residual == profile_residual(profile_13, canon, gauss_line,
+                                                       gauss_line)
 
 
 class TestSolveProfile:
@@ -229,10 +197,28 @@ class TestSolveProfile:
 
     def test_two_seeds_agree(self, canon, gauss_line, report):
         c = 1.5 * report.c_star
-        a = solve_profile(canon, gauss_line, gauss_line, c, report=report,
-                          seed="supersolution")
-        b = solve_profile(canon, gauss_line, gauss_line, c, report=report, seed="step")
+        a = solve_profile(canon, gauss_line, gauss_line, c, report=report, s_left=-60,
+                          s_right=60, seed="supersolution")
+        b = solve_profile(canon, gauss_line, gauss_line, c, report=report, s_left=-60,
+                          s_right=60, seed="step")
         assert np.abs(a.psi - b.psi).max() <= 1e-5
+
+    def test_short_left_domain_names_its_end(self, canon, gauss_line, report):
+        # psi(-55) = theta - 1.08e-7 on the default domain, outside the 1e-7 band
+        with pytest.raises(ConvergenceFailure, match=r"left end: psi\(-55\) = theta - 1\.08e-07"
+                           ) as err:
+            solve_profile(canon, gauss_line, gauss_line, 1.5 * report.c_star, report=report)
+        assert "s_left (domain_left)" in str(err.value)
+
+    def test_plateau_rate_solves_the_linearisation_at_theta(self, canon, gauss_line, report):
+        # the discrete rate tends to the root of -c nu + kp + (km theta - kp) T(nu)
+        # with T(nu) = e^{nu^2/2} for the unit gaussian
+        c = 1.3 * report.c_star
+        wp = sample_line_kernel(gauss_line, 0.05)
+        nu = waves._plateau_rate(canon, c, canon.theta, 0.05, wp, wp, math.inf)
+        continuous = -c * nu + 2.0 - math.exp(nu * nu / 2.0)
+        assert nu > 0.0
+        assert abs(continuous) <= 1e-7
 
     def test_speed_consistency(self, canon, gauss_line, profile_13, report):
         c = 1.3 * report.c_star
