@@ -184,10 +184,6 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
         c = cfg.wave_speed_factor * report.c_star
     else:
         c = report.c_star
-    if c < report.c_star - 1e-9 * max(1.0, abs(report.c_star)):
-        raise NlkppError(
-            f"no traveling wave below the minimal speed: c = {c:.6g} < c* = {report.c_star:.6g}"
-        )
     profile = waves.solve_profile(
         cfg.params, line_p, line_m, c,
         h=cfg.wave_spacing, s_left=cfg.wave_domain[0], s_right=cfg.wave_domain[1],
@@ -374,8 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads  # accepted; results never depend on it
     if getattr(args, "suite", None):
         cfg.verify_suite = args.suite
     try:

@@ -133,7 +133,6 @@ class ScenarioConfig:
     out_dir: str = "out"
     split_snapshots: bool = False
     seed: int = 0
-    threads: int = 1
     # subcommand extras
     direction: tuple[float, ...] = (1.0,)
     lambda_grid: tuple[float, float, int] = (1e-3, 3.0, 200)
@@ -239,8 +238,8 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         out_dir=_take(sections, "output", "directory", str, default="out"),
         split_snapshots=_take(sections, "output", "split_snapshots", _as_bool, default=False),
         seed=_take(sections, "scenario", "seed", int, default=0),
-        threads=_take(sections, "scenario", "threads", int, default=1),
     )
+    _take(sections, "scenario", "threads", int)  # accepted, validated, never read
 
     if "dispersion" in sections:
         cfg.direction = _take(sections, "dispersion", "direction", _as_floats, default=(1.0,))
@@ -256,11 +255,15 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
             _take(sections, "wave", "domain_left", float, default=-40.0),
             _take(sections, "wave", "domain_right", float, default=80.0),
         )
-        cfg.wave_spacing = _take(sections, "wave", "spacing", float, default=0.05)
+        if not -math.inf < cfg.wave_domain[0] < cfg.wave_domain[1] < math.inf:
+            line = max(entry[1] for key, entry in sections["wave"].items() if "domain" in key)
+            raise ConfigError(f"need finite domain_left < domain_right: {cfg.wave_domain}", line)
+        cfg.wave_spacing = _take(sections, "wave", "spacing", _positive, default=0.05)
     if "front" in sections:
         cfg.front_level = _take(sections, "front", "level", float)
         cfg.front_shrink = _take(sections, "front", "shrink", float, default=0.5)
-        cfg.front_n_directions = _take(sections, "front", "n_directions", int, default=32)
+        cfg.front_n_directions = _take(sections, "front", "n_directions", _int_at_least(1),
+                                       default=32)
     if "verify" in sections:
         cfg.verify_suite = _take(sections, "verify", "suite", str, default="comparison")
         cfg.verify_pairs = _take(sections, "verify", "pairs", _int_at_least(1), default=50)

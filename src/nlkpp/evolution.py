@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import CertificationFailed, ConvergenceFailure, GridError
 from .grids import Field, Grid
-from .kernels import Kernel, SampledWeights, _displacement_coords
+from .kernels import Kernel, SampledWeights, _displacement_coords, _Samples
 from .params import ModelParams
 
 
@@ -49,21 +50,23 @@ def convolve(w: SampledWeights, values: np.ndarray, backend: str = "fft") -> np.
     return convolve_pair(w, w, values, backend)[0]
 
 
-def convolve_pair(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
+def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
                   backend: str = "fft") -> tuple[np.ndarray, np.ndarray]:
-    """(a+ * values, a- * values) over the kernels' trailing axes.
+    """(a+ * values, a- * values), circular over the trailing axes the kernels span.
 
-    The fft backend transforms ``values`` forward once and inverts once per
-    distinct kernel; each result has the bits of a separate ``convolve``.
-    Callers pass one object for a+ and a- when their samples are equal; the
-    shared result must not be modified in place.
+    The fft backend transforms ``values`` forward once, at the shape of those
+    axes, and inverts once per distinct kernel; a kernel's spectrum is its
+    weights zero-filled to that shape.  Each result has the bits of a separate
+    ``convolve``.  Callers pass one object for a+ and a- when their samples
+    are equal; the shared result must not be modified in place.
     """
     if backend == "fft":
-        axes = tuple(range(values.ndim - wplus.weights.ndim, values.ndim))
-        spectrum = np.fft.rfftn(values, axes=axes)
+        shape = values.shape[values.ndim - wplus.weights.ndim:]
+        axes = tuple(range(values.ndim - len(shape), values.ndim))
+        spectrum = sp_fft.rfftn(values, axes=axes)
 
-        def conv(w: SampledWeights) -> np.ndarray:
-            return np.fft.irfftn(spectrum * w.fft(), s=w.shape, axes=axes)
+        def conv(w: _Samples) -> np.ndarray:
+            return sp_fft.irfftn(spectrum * w.spectrum(shape), s=shape, axes=axes)
     elif backend == "direct":
         def conv(w: SampledWeights) -> np.ndarray:
             return _conv_direct(w, values)
@@ -142,11 +145,15 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray,
-              conv_m: np.ndarray) -> np.ndarray:
-    """kappa_plus*conv_p - m*u - kappa_minus*u*conv_m; shared by periodic and line solvers."""
-    return (params.kappa_plus * conv_p - params.mortality * u
-            - params.kappa_minus * u * conv_m)
+def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray, conv_m: np.ndarray,
+              drift: np.ndarray | None = None) -> np.ndarray:
+    """drift + kappa_plus*conv_p - m*u - kappa_minus*u*conv_m, summed in that order.
+
+    The one statement of the equation: the periodic and line solvers call it
+    without ``drift``, the traveling-wave operator with drift c psi'.
+    """
+    gain = params.kappa_plus * conv_p if drift is None else drift + params.kappa_plus * conv_p
+    return gain - params.mortality * u - params.kappa_minus * u * conv_m
 
 
 def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
@@ -458,9 +465,7 @@ def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: Sam
     w = q * np.exp(-sq / (alpha * t))
     dw_dt = w * (2.0 * drift_term / (alpha * t) + sq / (alpha * t * t))
 
-    conv_p, conv_m = convolve_pair(wplus, wminus, w)
-    operator = (dw_dt - params.kappa_plus * conv_p + params.mortality * w
-                + params.kappa_minus * w * conv_m)
+    operator = dw_dt - _reaction(params, w, *convolve_pair(wplus, wminus, w))
     worst = int(np.argmax(operator))
     if operator.reshape(-1)[worst] > tol:
         loc = np.unravel_index(worst, operator.shape)

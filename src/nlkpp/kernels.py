@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import integrate, special
 
 from .errors import KernelError
@@ -550,30 +551,34 @@ def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SampledWeights:
+@dataclass(frozen=True)
+class _Samples:
+    """Kernel weights with their real FFT spectra, cached per transform shape."""
+
+    weights: np.ndarray
+    spacing: float
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def spectrum(self, shape: tuple[int, ...]) -> np.ndarray:
+        """rfftn of the weights zero-filled to ``shape``, computed once per shape."""
+        if shape not in self._spectra:
+            self._spectra[shape] = sp_fft.rfftn(self.weights, shape)
+        return self._spectra[shape]
+
+
+@dataclass(frozen=True)
+class SampledWeights(_Samples):
     """Kernel samples on the displacement lattice of a periodic grid.
 
     ``weights`` is stored in FFT order (zero displacement first) so that
-    ``irfftn(rfftn(u) * rfftn(weights))`` is the circular convolution.  For
+    ``irfftn(rfftn(u) * spectrum(shape))`` is the circular convolution.  For
     exponentially decaying kernels the weights are renormalized to sum to one
     exactly; heavy tails keep their truncated mass so the truncated-equation
     theory applies verbatim.
     """
 
-    weights: np.ndarray
-    spacing: float
     mass: float
     renormalized: bool
-
-    def __post_init__(self):
-        self._fft = None
-
-    def fft(self) -> np.ndarray:
-        if self._fft is None:
-            axes = tuple(range(self.weights.ndim))
-            self._fft = np.fft.rfftn(self.weights, axes=axes)
-        return self._fft
 
     @property
     def shape(self) -> tuple[int, ...]:

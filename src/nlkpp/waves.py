@@ -4,7 +4,9 @@ Profiles live on a plain (non-periodic) line grid with far-field values
 theta on the left and 0 on the right.  A profile with speed c is computed as
 the solution of the discrete stationary equation
 c psi' + kp (a+ * psi) - m psi - km psi (a- * psi) = 0 by Newton's method,
-with the grid-centre equation replaced by the pin psi(0) = theta/2.  Values
+with the grid-centre equation replaced by the pin psi(0) = theta/2.  The
+equation is ``evolution._reaction`` with drift c psi', and ``_line_pair``
+makes its convolutions through ``evolution.convolve_pair``.  Values
 beyond the grid follow the linearised far fields: theta + (psi_0 - theta)
 e^{nu (s - s_0)} on the left, with nu the decay rate of the linearisation at
 theta, and psi_N e^{-lambda_c (s - s_N)} on the right, with lambda_c the
@@ -13,7 +15,7 @@ decay rate paired with c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -22,8 +24,8 @@ from scipy.optimize import brentq
 
 from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
-from .evolution import _reaction, _rk4
-from .kernels import Kernel1D
+from .evolution import _reaction, _rk4, convolve_pair
+from .kernels import Kernel1D, _Samples
 from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
@@ -33,22 +35,12 @@ NEWTON_STEPS = 30
 
 
 @dataclass(frozen=True)
-class LineKernel:
-    """Kernel samples for line convolution with theta/0 far-field extension."""
-
-    weights: np.ndarray  # length 2K+1, displacement (j - K) * h
-    spacing: float
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class LineKernel(_Samples):
+    """Kernel samples for line convolution; ``weights[j]`` sits at displacement (j - K) h."""
 
     @property
     def halfwidth(self) -> int:
         return (len(self.weights) - 1) // 2
-
-    def spectrum(self, n: int) -> np.ndarray:
-        """rfft of the weights zero-padded to length n, computed once per n."""
-        if n not in self._spectra:
-            self._spectra[n] = sp_fft.rfft(self.weights, n)
-        return self._spectra[n]
 
 
 def sample_line_kernel(k: Kernel1D, h: float, coverage: float = 1e-10) -> LineKernel:
@@ -79,41 +71,44 @@ def sample_line_kernels(k_plus: Kernel1D, k_minus: Kernel1D,
     return (wp, wp) if np.array_equal(wp.weights, wm.weights) else (wp, wm)
 
 
-def _convolve_pair(conv, wp: LineKernel, wm: LineKernel) -> tuple[np.ndarray, np.ndarray]:
-    """(conv(wp), conv(wm)), calling ``conv`` once when ``wm is wp``.
+def _constant_pad(left: float, right: float):
+    """``pad`` for ``_line_pair``: psi = left before the grid and right after it."""
+    return lambda values, k: np.concatenate([np.full(k, left), values, np.full(k, right)])
 
-    The shared result must not be modified in place.
+
+def _line_pair(psi: np.ndarray, pad, wp: LineKernel,
+               wm: LineKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(a+ * psi, a- * psi) on the grid, with ``pad(psi, k)`` giving k values beyond each end.
+
+    psi is padded once to the larger reach R and zero-filled to a fast length
+    of at least len(psi) + 4R: one forward transform, and each kernel's
+    circular convolution holds the linear one in its valid window.
     """
-    conv_p = conv(wp)
-    return conv_p, conv_p if wm is wp else conv(wm)
+    n = len(psi)
+    reach = max(wp.halfwidth, wm.halfwidth)
+    values = np.zeros(sp_fft.next_fast_len(n + 4 * reach, True))
+    values[:n + 2 * reach] = pad(psi, reach)
+    conv_p, conv_m = convolve_pair(wp, wm, values)
+    return (conv_p[reach + wp.halfwidth: reach + wp.halfwidth + n],
+            conv_m[reach + wm.halfwidth: reach + wm.halfwidth + n])
 
 
 def line_convolve(psi: np.ndarray, lk: LineKernel, left: float, right: float) -> np.ndarray:
-    """(a * psi)(s_i) assuming psi = left before the grid and right after it."""
-    half = lk.halfwidth
-    return _padded_convolve(np.concatenate([np.full(half, left), psi, np.full(half, right)]), lk)
+    """(a * psi)(s_i) assuming psi = left before the grid and right after it.
 
-
-def _padded_convolve(padded: np.ndarray, lk: LineKernel) -> np.ndarray:
-    """(a * psi)(s_i) from psi extended by the kernel halfwidth beyond each end.
-
-    The 'valid' part of the linear convolution of the padded data with the
-    weights, by real FFTs of a fast length; bitwise equal to
-    ``scipy.signal.fftconvolve(padded, weights, mode="valid")``.
+    Bitwise equal to ``scipy.signal.fftconvolve(padded, weights, mode="valid")``
+    of psi padded by the kernel halfwidth.
     """
-    half = lk.halfwidth
-    size = len(padded) - 2 * half
-    n = sp_fft.next_fast_len(size + 4 * half, True)
-    full = sp_fft.irfft(sp_fft.rfft(padded, n) * lk.spectrum(n), n)
-    return full[2 * half: 2 * half + size]
+    return _line_pair(psi, _constant_pad(left, right), lk, lk)[0]
 
 
 def evolve_line(psi: np.ndarray, params: ModelParams, wp: LineKernel, wm: LineKernel,
                 theta: float, dt: float, n_steps: int) -> np.ndarray:
     """RK4 advance of the line equation with the theta/0 far-field extension."""
+    pad = _constant_pad(theta, 0.0)
+
     def f(values: np.ndarray) -> np.ndarray:
-        return _reaction(params, values, *_convolve_pair(
-            lambda w: line_convolve(values, w, theta, 0.0), wp, wm))
+        return _reaction(params, values, *_line_pair(values, pad, wp, wm))
 
     for _ in range(n_steps):
         psi = _rk4(f, psi, dt)
@@ -194,9 +189,8 @@ def _supersolution(params: ModelParams, k_plus: Kernel1D, wp: LineKernel, wm: Li
 
     phi = theta * np.minimum(np.exp(-mu * np.clip(s, -500 / mu, None)), 1.0)
     dphi = np.where(s > 0, -mu * phi, 0.0)
-    conv_p, conv_m = _convolve_pair(lambda w: line_convolve(phi, w, theta, 0.0), wp, wm)
-    j_c = (c * dphi + params.kappa_plus * conv_p - params.mortality * phi
-           - params.kappa_minus * phi * conv_m)
+    j_c = _reaction(params, phi, *_line_pair(phi, _constant_pad(theta, 0.0), wp, wm),
+                    drift=c * dphi)
     worst = int(np.argmax(j_c))
     if j_c[worst] > tol:
         if s[worst] <= 0:
@@ -217,25 +211,19 @@ def _operator(psi: np.ndarray, pad, c: float, params: ModelParams, h: float,
               wp: LineKernel, wm: LineKernel) -> tuple[np.ndarray, np.ndarray]:
     """(c psi' + kp (a+ * psi) - m psi - km psi (a- * psi), a- * psi) on the grid.
 
-    ``pad(psi, k)`` extends psi by k values beyond each end; psi' is the
+    ``pad`` extends psi beyond the grid as in ``_line_pair``; psi' is the
     4th-order central difference.
     """
     ext = pad(psi, 2)
     dpsi = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * h)
-    conv_p, conv_m = _convolve_pair(lambda w: _padded_convolve(pad(psi, w.halfwidth), w),
-                                    wp, wm)
-    return (c * dpsi + params.kappa_plus * conv_p - params.mortality * psi
-            - params.kappa_minus * psi * conv_m), conv_m
+    conv_p, conv_m = _line_pair(psi, pad, wp, wm)
+    return _reaction(params, psi, conv_p, conv_m, drift=c * dpsi), conv_m
 
 
 def _frame_residual(s: np.ndarray, psi: np.ndarray, c: float, params: ModelParams,
                     wp: LineKernel, wm: LineKernel) -> float:
     """``stationary_frame_residual`` with a+ and a- sampled at the spacing of ``s``."""
-    left, right = float(psi[0]), float(psi[-1])
-
-    def pad(values: np.ndarray, k: int) -> np.ndarray:
-        return np.concatenate([np.full(k, left), values, np.full(k, right)])
-
+    pad = _constant_pad(float(psi[0]), float(psi[-1]))
     res, _ = _operator(psi, pad, c, params, float(s[1] - s[0]), wp, wm)
     buf = max(2, int(0.05 * len(s)))
     return float(np.max(np.abs(res[buf:-buf])))

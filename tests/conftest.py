@@ -1,7 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
-from nlkpp import Grid, KernelSpec, ModelParams, discretize, make_kernel, reduce_to_direction
+from nlkpp import (Grid, KernelSpec, ModelParams, discretize, evolution, make_kernel,
+                   reduce_to_direction)
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +32,27 @@ def grid256():
 @pytest.fixture(scope="session")
 def gauss_weights(gauss1, grid256):
     return discretize(gauss1, grid256)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counts of the forward FFTs, inverse FFTs and direct sums made from here on.
+
+    ``convolve_pair`` is the package's one FFT convolution; it calls these two
+    ``scipy.fft`` functions, and kernel spectra come from ``rfftn`` as well.
+    """
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(sp_fft, "rfftn", counting("rfftn", sp_fft.rfftn))
+    monkeypatch.setattr(sp_fft, "irfftn", counting("irfftn", sp_fft.irfftn))
+    monkeypatch.setattr(evolution, "_conv_direct", counting("direct", evolution._conv_direct))
+    return counts
 
 
 def brute_circular_convolution(weights: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -103,6 +103,13 @@ class TestParsing:
         ("horizon = 0.5", "horizon = inf"),
         ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_count = 1"),
         ("value = 0.5", "value = 0.5\n\n[verify]\npairs = 0"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\nspacing = 0"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\nspacing = -0.1"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\nspacing = inf"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\ndomain_left = 80\ndomain_right = -40"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\ndomain_right = inf"),
+        ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 0"),
+        ("seed = 11", "seed = 11\nthreads = two"),
     ])
     def test_rejects_out_of_range_values_with_line(self, old, new):
         text = BASE.replace(old, new)
@@ -166,6 +173,7 @@ class TestScenarios:
         assert rc == 1
         entries = summary_dict(tmp_path / "out")
         assert "minimal speed" in entries["error"]
+        assert entries["error.type"] == "ValueError"
 
     @pytest.mark.parametrize("command, extra", [
         ("front", ""),

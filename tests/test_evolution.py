@@ -1,4 +1,3 @@
-import collections
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpec,
                    ModelParams, StepConfig, constant_field, bump_field, discretize,
                    find_subsolution_params, gaussian_subsolution, logistic_exact,
-                   make_kernel, picard_solve, rhs, simulate, step,
+                   make_kernel, minimize_G, picard_solve, rhs, simulate, solve_profile, step,
                    truncated_problem, uniform_bound)
 from nlkpp import evolution
 from nlkpp.evolution import _advance, _picard_interval, convolve, convolve_pair, rhs_values
@@ -60,29 +59,13 @@ class TestRhs:
         assert np.array_equal(batched, per_slice)
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """Counts of the forward FFTs, inverse FFTs and direct sums made from here on."""
-    counts = collections.Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(np.fft, "rfftn", counting("rfftn", np.fft.rfftn))
-    monkeypatch.setattr(np.fft, "irfftn", counting("irfftn", np.fft.irfftn))
-    monkeypatch.setattr(evolution, "_conv_direct", counting("direct", evolution._conv_direct))
-    return counts
-
-
 def reference_convolve(w, values, backend):
-    """One kernel, one forward transform: the convolution before pairs shared it."""
+    """One kernel, one forward transform, all by ``np.fft``: an independent reference."""
     if backend == "direct":
         return evolution._conv_direct(w, values)
     axes = tuple(range(values.ndim - w.weights.ndim, values.ndim))
-    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * w.fft(), s=w.shape, axes=axes)
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * np.fft.rfftn(w.weights),
+                         s=w.shape, axes=axes)
 
 
 class TestConvolvePair:
@@ -108,7 +91,7 @@ class TestConvolvePair:
     def test_one_forward_one_inverse_per_kernel(self, shape, transforms):
         dimension = 2 if shape == (64, 64) else 1
         wp, wm = self.kernels(dimension, shape[-1])
-        wp.fft(), wm.fft()  # the kernel spectra are cached before counting
+        wp.spectrum(wp.shape), wm.spectrum(wm.shape)  # cached before counting
         values = np.random.default_rng(10).random(shape)
         transforms.clear()
         convolve_pair(wp, wm, values)
@@ -371,3 +354,23 @@ class TestSubsolution:
         grid, w = wide
         with pytest.raises(CertificationFailed):
             gaussian_subsolution(canon, w, w, grid, q=0.9 * canon.theta, alpha=50.0, t=0.5)
+
+
+def test_solvers_make_no_numpy_fft_call(monkeypatch, canon, gauss_line):
+    """Both solvers convolve through ``convolve_pair``'s one FFT library, scipy.fft."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
+                 "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    for dimension, n in ((1, 256), (2, 64)):
+        grid = Grid(dimension=dimension, half_length=8.0, points_per_axis=n)
+        kernel = make_kernel(KernelSpec("gaussian", dimension=dimension, sigma=1.0))
+        u = bump_field(grid, 0.0 if dimension == 1 else (0.0, 0.0), 2.0, 0.5)
+        step(EvolutionProblem(canon, discretize(kernel, grid), discretize(kernel, grid), u),
+             StepConfig(dt=0.01))
+    report = minimize_G(canon, gauss_line)
+    profile = solve_profile(canon, gauss_line, gauss_line, 1.3 * report.c_star, h=0.1,
+                            s_left=-40.0, s_right=60.0, report=report)
+    assert profile.residual <= 1e-6

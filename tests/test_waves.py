@@ -66,8 +66,9 @@ class TestLineMachinery:
 
     def test_line_kernel_spectrum_is_cached_per_length(self, gauss_line):
         lk = sample_line_kernel(gauss_line, 0.1)
-        assert lk.spectrum(1024) is lk.spectrum(1024)
-        assert len(lk.spectrum(1000)) == 501
+        assert lk.spectrum((1024,)) is lk.spectrum((1024,))
+        assert len(lk.spectrum((1000,))) == 501
+        assert np.array_equal(lk.spectrum((1000,)), np.fft.rfft(lk.weights, 1000))
 
     def test_sample_line_kernels_shares_only_equal_samples(self, gauss_line):
         twin = reduce_to_direction(make_kernel(KernelSpec("gaussian", 1, sigma=1.0)), [1.0])
@@ -79,23 +80,35 @@ class TestLineMachinery:
         assert not np.array_equal(wp.weights, wm.weights)
         assert np.array_equal(wm.weights, sample_line_kernel(lap, 0.1).weights)
 
-    def test_evolve_line_shared_kernel_convolves_once(self, canon, gauss_line, monkeypatch):
+    def test_evolve_line_shared_kernel_convolves_once(self, canon, gauss_line, transforms):
         wp = sample_line_kernel(gauss_line, 0.1)
         copy = LineKernel(weights=wp.weights.copy(), spacing=wp.spacing)
         s = 0.1 * (np.arange(600) - 200)
         psi = 1.0 / (1.0 + np.exp(s))
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1])
-            return line_convolve(*args)
-
-        monkeypatch.setattr(waves, "line_convolve", counted)
+        evolve_line(psi, canon, wp, copy, 1.0, 0.02, 1)  # caches both kernel spectra
+        transforms.clear()
         shared = evolve_line(psi, canon, wp, wp, 1.0, 0.02, 3)
-        assert len(calls) == 3 * 4
+        assert transforms == {"rfftn": 3 * 4, "irfftn": 3 * 4}
+        transforms.clear()
         separate = evolve_line(psi, canon, wp, copy, 1.0, 0.02, 3)
-        assert len(calls) == 3 * 4 + 3 * 8
+        assert transforms == {"rfftn": 3 * 4, "irfftn": 3 * 8}
         assert np.array_equal(shared, separate)
+
+    def test_line_pair_transforms_psi_once(self, gauss_line, transforms):
+        narrow = reduce_to_direction(make_kernel(KernelSpec("gaussian", 1, sigma=0.8)), [1.0])
+        wp, wm = sample_line_kernels(gauss_line, narrow, 0.1)
+        assert wm.halfwidth < wp.halfwidth
+        pad = waves._constant_pad(1.0, 0.0)
+        rng = np.random.default_rng(12)
+        for n in (500, 777, 1200):
+            psi = rng.random(n)
+            waves._line_pair(psi, pad, wp, wm)  # caches both kernel spectra at this length
+            transforms.clear()
+            pair = waves._line_pair(psi, pad, wp, wm)
+            assert transforms == {"rfftn": 1, "irfftn": 2}
+            for w, result in zip((wp, wm), pair):
+                expected = line_convolve(psi, w, 1.0, 0.0)
+                assert np.max(np.abs(result - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_half_level_crossing_interpolates(self):
         s = np.linspace(-5, 5, 101)
