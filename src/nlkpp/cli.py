@@ -21,7 +21,7 @@ from .config import ScenarioConfig, load_config
 from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
                          reduce_to_direction, speed_to_abscissa)
 from .errors import ConfigError, MollisonFailure, NlkppError
-from .evolution import EvolutionProblem, StepConfig, simulate
+from .evolution import EvolutionProblem, _advance, _march, simulate
 from .grids import Field, Grid, bump_field, constant_field, step_field
 from .kernels import KernelSpec, discretize, make_kernel
 
@@ -76,8 +76,7 @@ def build_initial(cfg: ScenarioConfig, grid: Grid) -> Field:
         return constant_field(grid, spec.value)
     if spec.kind == "bump":
         center = spec.center if spec.center is not None else (0.0,) * grid.dimension
-        return bump_field(grid, center if grid.dimension > 1 else center[0],
-                          spec.width, spec.height)
+        return bump_field(grid, center, spec.width, spec.height)
     if spec.kind == "step":
         return step_field(grid, max(theta, 0.0), direction=spec.direction)
     # profile-file / shifted-profile
@@ -122,8 +121,7 @@ def _snapshot_rows(traj, grid: Grid):
 
 def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
     problem = _problem(cfg)
-    step_cfg = StepConfig(dt=cfg.dt, method=cfg.method, floor=cfg.floor)
-    traj = simulate(problem, step_cfg, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
+    traj = simulate(problem, cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
     grid = cfg.grid
     header = ["t", "x1", "u"] if grid.dimension == 1 else ["t", "x1", "x2", "u"]
     if cfg.split_snapshots:
@@ -221,8 +219,7 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     theta = cfg.params.require_carrying_capacity()
     level = cfg.front_level if cfg.front_level is not None else theta / 2.0
     problem = _problem(cfg)
-    step_cfg = StepConfig(dt=cfg.dt, method=cfg.method, floor=cfg.floor)
-    traj = simulate(problem, step_cfg, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
+    traj = simulate(problem, cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
     d = cfg.grid.dimension
     xi = np.array([1.0]) if d == 1 else np.array([1.0, 0.0])
     trace = fronts.track_level(traj, level, xi)
@@ -255,13 +252,12 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
         raise NlkppError(f"unknown verification suite {cfg.verify_suite!r}")
     theta = cfg.params.require_carrying_capacity()
     problem = _problem(cfg)
-    step_cfg = StepConfig(dt=cfg.dt, method=cfg.method)
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid
 
     if cfg.verify_necessity:
         # counterexample mode: domination deliberately violated near the origin
-        worst_overshoot = _necessity_counterexample(cfg, step_cfg)
+        worst_overshoot = _necessity_counterexample(cfg)
         return {
             "scenario.command": "verify",
             "verify.suite": "comparison-necessity",
@@ -279,7 +275,7 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
         u0 = base
         result = fronts.comparison_harness(
             cfg.params, problem.a_plus_w, problem.a_minus_w,
-            Field(grid, u0), Field(grid, v0), cfg.horizon, step_cfg,
+            Field(grid, u0), Field(grid, v0), cfg.horizon, cfg.step,
         )
         worst = max(worst, result.max_violation)
         worst_strip = max(worst_strip, result.strip_violation)
@@ -296,7 +292,7 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _necessity_counterexample(cfg: ScenarioConfig, step_cfg: StepConfig) -> float:
+def _necessity_counterexample(cfg: ScenarioConfig) -> float:
     """Local domination failure: a competition spike makes u overshoot theta."""
     params = cfg.params
     theta = params.require_carrying_capacity()
@@ -310,9 +306,14 @@ def _necessity_counterexample(cfg: ScenarioConfig, step_cfg: StepConfig) -> floa
     u0 = constant_field(grid, theta)
     dent = bump_field(grid, 0.18 if grid.dimension == 1 else (0.18, 0.0), 0.09, 0.8 * theta)
     u0 = Field(grid, np.maximum(u0.values - dent.values, 0.0))
-    problem = EvolutionProblem(params, wp, wm, u0)
-    traj = simulate(problem, step_cfg, cfg.horizon, snapshot_stride=1)
-    return float(max(traj.maxs) - theta)
+    peak = u0.max
+
+    def running_max(k: int, values: np.ndarray, last: bool) -> None:
+        nonlocal peak
+        peak = max(peak, float(values.max()))
+
+    _march(_advance, params, wp, wm, u0.values, cfg.step, cfg.horizon, running_max)
+    return peak - theta
 
 
 _RUNNERS = {

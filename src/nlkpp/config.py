@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .evolution import METHODS, StepConfig
 from .grids import Grid
 from .kernels import KernelSpec
 from .params import ModelParams
@@ -89,11 +90,36 @@ def _as_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.replace(",", " ").split())
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
         raise ValueError("must be positive and finite")
     return value
+
+
+def _one_of(options: tuple[str, ...]):
+    def conv(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {options}")
+        return text
+    return conv
+
+
+def _point(dimension: int):
+    def conv(text: str) -> tuple[float, ...]:
+        point = _as_floats(text)
+        if len(point) != dimension:
+            raise ValueError(f"need {dimension} coordinate(s) on a {dimension}-D grid, "
+                             f"got {len(point)}")
+        return point
+    return conv
 
 
 def _int_at_least(low: int):
@@ -124,11 +150,9 @@ class ScenarioConfig:
     kernel_plus: KernelSpec
     kernel_minus: KernelSpec
     grid: Grid | None
-    dt: float = 1e-3
+    step: StepConfig = StepConfig(dt=1e-3)
     horizon: float = 1.0
-    method: str = "rk4"
     snapshot_stride: int = 100
-    floor: float = 0.0
     initial: InitialSpec | None = None
     out_dir: str = "out"
     split_snapshots: bool = False
@@ -206,7 +230,7 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         initial = InitialSpec(
             kind=kind,
             value=_take(sections, "initial", "value", float),
-            center=_take(sections, "initial", "center", _as_floats),
+            center=_take(sections, "initial", "center", _point(grid_dim)),
             width=_take(sections, "initial", "width", float),
             height=_take(sections, "initial", "height", float),
             direction=_take(sections, "initial", "direction", int, default=1),
@@ -229,11 +253,13 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         kernel_plus=kplus,
         kernel_minus=kminus,
         grid=grid,
-        dt=_take(sections, "time", "dt", _positive, default=1e-3),
+        step=StepConfig(
+            dt=_take(sections, "time", "dt", _positive, default=1e-3),
+            method=_take(sections, "time", "method", _one_of(METHODS), default="rk4"),
+            floor=_take(sections, "time", "floor", float, default=0.0),
+        ),
         horizon=_take(sections, "time", "horizon", _positive, default=1.0),
-        method=_take(sections, "time", "method", str, default="rk4"),
         snapshot_stride=_take(sections, "time", "snapshot_stride", _int_at_least(1), default=100),
-        floor=_take(sections, "time", "floor", float, default=0.0),
         initial=initial,
         out_dir=_take(sections, "output", "directory", str, default="out"),
         split_snapshots=_take(sections, "output", "split_snapshots", _as_bool, default=False),
@@ -249,8 +275,8 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
             _take(sections, "dispersion", "lambda_count", _int_at_least(2), default=200),
         )
     if "wave" in sections:
-        cfg.wave_speed = _take(sections, "wave", "speed", float)
-        cfg.wave_speed_factor = _take(sections, "wave", "speed_factor", float)
+        cfg.wave_speed = _take(sections, "wave", "speed", _finite)
+        cfg.wave_speed_factor = _take(sections, "wave", "speed_factor", _finite)
         cfg.wave_domain = (
             _take(sections, "wave", "domain_left", float, default=-40.0),
             _take(sections, "wave", "domain_right", float, default=80.0),
@@ -269,8 +295,6 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         cfg.verify_pairs = _take(sections, "verify", "pairs", _int_at_least(1), default=50)
         cfg.verify_necessity = _take(sections, "verify", "necessity", _as_bool, default=False)
 
-    if cfg.method not in ("rk4", "exp_euler"):
-        raise ConfigError(f"unknown time method {cfg.method!r}")
     if cfg.command not in ("simulate", "dispersion", "wave", "front", "verify"):
         raise ConfigError(f"unknown command {cfg.command!r}")
     return cfg

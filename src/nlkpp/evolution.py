@@ -95,6 +95,9 @@ class EvolutionProblem:
                                 self.u.with_values(values, time))
 
 
+METHODS = ("rk4", "exp_euler")
+
+
 @dataclass(frozen=True)
 class StepConfig:
     """Fixed-step integrator configuration with a stability guard.
@@ -113,7 +116,7 @@ class StepConfig:
     floor: float = 0.0
 
     def validate(self, params: ModelParams) -> None:
-        if self.method not in ("rk4", "exp_euler"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         theta = max(params.theta, 0.0)
         rate = params.kappa_plus + params.mortality + params.kappa_minus * theta
@@ -195,36 +198,50 @@ def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
     return out
 
 
+def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, values: np.ndarray,
+           cfg: StepConfig, horizon: float, observe=None, t0: float = 0.0) -> np.ndarray:
+    """The one fixed-step loop: ``values`` after ``horizon / cfg.dt`` steps of ``advance``.
+
+    ``advance(params, wplus, wminus, values, cfg)`` is one step: ``_advance``
+    for the periodic equation, ``waves._line_advance`` for the line.  The loop
+    owns the checks every run needs: the stability guard, a horizon that is a
+    whole number of steps, and a finite state after each step k, which
+    ``observe(k, values, last)`` then sees.
+    """
+    cfg.validate(params)
+    n_steps = int(round(horizon / cfg.dt))
+    if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
+    for k in range(1, n_steps + 1):
+        values = advance(params, wplus, wminus, values, cfg)
+        if not np.all(np.isfinite(values)):
+            raise ConvergenceFailure(f"non-finite state after step {k} (t = {t0 + k * cfg.dt:.6g})")
+        if observe is not None:
+            observe(k, values, k == n_steps)
+    return values
+
+
 def step(problem: EvolutionProblem, cfg: StepConfig) -> EvolutionProblem:
     """One time step; aborts on non-finite values."""
-    cfg.validate(problem.params)
-    out = _advance(problem.params, problem.a_plus_w, problem.a_minus_w,
-                   problem.u.values, cfg)
-    if not np.all(np.isfinite(out)):
-        raise ConvergenceFailure(
-            f"non-finite state after step at t = {problem.u.time + cfg.dt:.6g}"
-        )
-    return problem.with_state(out, problem.u.time + cfg.dt)
+    u = problem.u
+    out = _march(_advance, problem.params, problem.a_plus_w, problem.a_minus_w, u.values,
+                 cfg, cfg.dt, t0=u.time)
+    return problem.with_state(out, u.time + cfg.dt)
 
 
 def simulate(problem: EvolutionProblem, cfg: StepConfig, horizon: float,
              snapshot_stride: int = 100) -> Trajectory:
-    """Fixed-step run to the horizon, storing every stride-th state."""
-    cfg.validate(problem.params)
-    n_steps = int(round(horizon / cfg.dt))
-    if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
+    """Fixed-step run to the horizon, storing every stride-th state and the last."""
     traj = Trajectory()
     traj.append(problem.u)
-    values = problem.u.values
-    t0 = problem.u.time
-    params, wp, wm = problem.params, problem.a_plus_w, problem.a_minus_w
-    for k in range(1, n_steps + 1):
-        values = _advance(params, wp, wm, values, cfg)
-        if not np.all(np.isfinite(values)):
-            raise ConvergenceFailure(f"non-finite state after step {k} (t = {t0 + k * cfg.dt:.6g})")
-        if k % snapshot_stride == 0 or k == n_steps:
-            traj.append(Field(problem.u.grid, values.copy(), t0 + k * cfg.dt))
+    grid, t0 = problem.u.grid, problem.u.time
+
+    def snapshot(k: int, values: np.ndarray, last: bool) -> None:
+        if k % snapshot_stride == 0 or last:
+            traj.append(Field(grid, values.copy(), t0 + k * cfg.dt))
+
+    _march(_advance, problem.params, problem.a_plus_w, problem.a_minus_w, problem.u.values,
+           cfg, horizon, snapshot, t0)
     return traj
 
 

@@ -3,8 +3,10 @@
 These routines measure propagation from simulated trajectories and compare
 against the dispersion-theoretic predictions: spreading speed, interior
 convergence to the carrying capacity, exterior exponential decay, and
-acceleration for kernels without exponential moments.  The comparison and
-separation harnesses exercise the order-preservation structure directly.
+acceleration for kernels without exponential moments.  The comparison
+harness co-evolves ordered initial data to exercise the order-preservation
+structure directly: order, the strip 0 <= u <= theta, the logistic lower
+envelope and the separation of distinct data at the horizon.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .dispersion import FrontSet
 from .errors import CertificationFailed
-from .evolution import EvolutionProblem, StepConfig, Trajectory, _advance, simulate
+from .evolution import StepConfig, Trajectory, _advance, _march
 from .grids import Field
 from .kernels import SampledWeights
 from .params import ModelParams
@@ -115,20 +117,10 @@ def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta
         t = f.time
         if t <= 0.0:
             continue
-        if grid.dimension == 1:
-            lo, hi = front.interval()
-            lo, hi = shrink * t * lo, shrink * t * hi
-            if hi > grid.half_length or lo < -grid.half_length:
-                break
-            x = grid.axis_coords()
-            mask = (x >= lo) & (x <= hi)
-        else:
-            pts = grid.coords().reshape(-1, 2)
-            inside = front.contains(pts, scale=shrink * t)
-            radius = shrink * t * float(np.max(front.speeds))
-            if radius > grid.half_length:
-                break
-            mask = inside.reshape(grid.shape)
+        if shrink * t * float(np.max(front.speeds)) > grid.half_length:
+            break
+        pts = grid.coords().reshape(-1, grid.dimension)
+        mask = front.contains(pts, scale=shrink * t).reshape(grid.shape)
         if not np.any(mask):
             continue
         times.append(t)
@@ -174,14 +166,8 @@ def exterior_decay(traj: Trajectory, front: FrontSet, inflate: float,
         if t <= 0.0:
             continue
         grid = f.grid
-        if grid.dimension == 1:
-            lo, hi = front.interval()
-            x = grid.axis_coords()
-            outside = (x < inflate * t * lo) | (x > inflate * t * hi)
-        else:
-            pts = grid.coords().reshape(-1, 2)
-            outside = ~front.contains(pts, scale=inflate * t)
-            outside = outside.reshape(grid.shape)
+        pts = grid.coords().reshape(-1, grid.dimension)
+        outside = ~front.contains(pts, scale=inflate * t).reshape(grid.shape)
         if not np.any(outside):
             break
         envelope = float(np.max(u0_weighted_norms * np.exp(-rates * t)))
@@ -251,6 +237,7 @@ class ComparisonResult:
     max_violation: float
     strip_violation: float
     lower_envelope_ok: bool
+    final_gap: float  # min of v - u at the horizon
 
 
 def comparison_harness(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
@@ -259,7 +246,8 @@ def comparison_harness(params: ModelParams, wplus: SampledWeights, wminus: Sampl
     """Co-evolve ordered initial data and record any order or strip violation.
 
     With a positive infimum beta of u0, also checks the logistic lower
-    envelope beta*theta / (beta + (theta-beta) e^{-theta km t}) <= u.
+    envelope beta*theta / (beta + (theta-beta) e^{-theta km t}) <= u.  The
+    final gap min(v - u) measures how far distinct ordered data stay apart.
     """
     theta = params.require_carrying_capacity()
     if not allow_violated_domination and not _discrete_domination_holds(params, wplus, wminus):
@@ -270,62 +258,23 @@ def comparison_harness(params: ModelParams, wplus: SampledWeights, wminus: Sampl
     if np.any(u0.values > v0.values + 1e-15):
         raise ValueError("initial data must satisfy u0 <= v0 pointwise")
     beta = u0.min
+    result = ComparisonResult(max_violation=0.0, strip_violation=0.0, lower_envelope_ok=True,
+                              final_gap=math.nan)
 
-    n_steps = int(round(horizon / cfg.dt))
-    pair = np.stack([u0.values, v0.values])
-
-    max_violation = 0.0
-    strip_violation = 0.0
-    envelope_ok = True
-    times = cfg.dt * np.arange(1, n_steps + 1)
-    for k in range(n_steps):
-        pair = _advance(params, wplus, wminus, pair, cfg)
+    def record(k: int, pair: np.ndarray, last: bool) -> None:
         uu, vv = pair
-        max_violation = max(max_violation, float(np.max(uu - vv)))
-        strip_violation = max(
-            strip_violation, float(max(-vv.min(), -uu.min(), uu.max() - theta,
-                                       vv.max() - theta))
+        result.max_violation = max(result.max_violation, float(np.max(uu - vv)))
+        result.strip_violation = max(
+            result.strip_violation, float(max(-vv.min(), -uu.min(), uu.max() - theta,
+                                              vv.max() - theta))
         )
         if beta > 0:
-            t = times[k]
+            t = k * cfg.dt
             env = beta * theta / (beta + (theta - beta) * math.exp(-theta * params.kappa_minus * t))
             if uu.min() < env - 1e-9:
-                envelope_ok = False
-    return ComparisonResult(max_violation=max_violation, strip_violation=strip_violation,
-                            lower_envelope_ok=envelope_ok)
+                result.lower_envelope_ok = False
 
-
-def separation_harness(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-                       u0: Field, v0: Field, horizon: float, cfg: StepConfig) -> float:
-    """Minimum of v - u at the final time for ordered, distinct initial data."""
-    if np.any(u0.values > v0.values + 1e-15):
-        raise ValueError("initial data must satisfy u0 <= v0 pointwise")
-    pu = EvolutionProblem(params, wplus, wminus, u0)
-    pv = EvolutionProblem(params, wplus, wminus, v0)
-    stride = max(1, int(round(horizon / cfg.dt)))
-    tu = simulate(pu, cfg, horizon, snapshot_stride=stride)
-    tv = simulate(pv, cfg, horizon, snapshot_stride=stride)
-    return float(np.min(tv.final.values - tu.final.values))
-
-
-def stability_perturbation(params: ModelParams, wplus: SampledWeights,
-                           wminus: SampledWeights, u0: Field, horizon: float,
-                           cfg: StepConfig, snapshot_stride: int = 100
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distance to theta per snapshot, with the logistic envelope when min u0 > 0.
-
-    Returns (times, sup-distances, envelopes); envelope entries are +inf when
-    the initial minimum is not positive or exceeds theta (open regime: the
-    run is reported without an invariant claim).
-    """
-    theta = params.require_carrying_capacity()
-    beta = u0.min
-    problem = EvolutionProblem(params, wplus, wminus, u0)
-    traj = simulate(problem, cfg, horizon, snapshot_stride=snapshot_stride)
-    times = np.asarray(traj.times)
-    dist = np.asarray([float(np.max(np.abs(f.values - theta))) for f in traj.snapshots])
-    if 0.0 < beta <= theta and u0.max <= theta:
-        env = (theta - beta) / beta * np.exp(-theta * params.kappa_minus * times)
-    else:
-        env = np.full_like(times, math.inf)
-    return times, dist, env
+    uu, vv = _march(_advance, params, wplus, wminus, np.stack([u0.values, v0.values]),
+                    cfg, horizon, record)
+    result.final_gap = float(np.min(vv - uu))
+    return result

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
-from .evolution import _reaction, _rk4, convolve_pair
+from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
 from .kernels import Kernel1D, _Samples
 from .params import ModelParams
 
@@ -102,17 +102,11 @@ def line_convolve(psi: np.ndarray, lk: LineKernel, left: float, right: float) ->
     return _line_pair(psi, _constant_pad(left, right), lk, lk)[0]
 
 
-def evolve_line(psi: np.ndarray, params: ModelParams, wp: LineKernel, wm: LineKernel,
-                theta: float, dt: float, n_steps: int) -> np.ndarray:
-    """RK4 advance of the line equation with the theta/0 far-field extension."""
-    pad = _constant_pad(theta, 0.0)
-
-    def f(values: np.ndarray) -> np.ndarray:
-        return _reaction(params, values, *_line_pair(values, pad, wp, wm))
-
-    for _ in range(n_steps):
-        psi = _rk4(f, psi, dt)
-    return psi
+def _line_advance(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.ndarray,
+                  cfg: StepConfig) -> np.ndarray:
+    """One RK4 step of the line equation with the theta/0 far-field extension."""
+    pad = _constant_pad(params.theta, 0.0)
+    return _rk4(lambda v: _reaction(params, v, *_line_pair(v, pad, wp, wm)), psi, cfg.dt)
 
 
 def half_level_crossing(s: np.ndarray, psi: np.ndarray, level: float) -> float:
@@ -465,8 +459,7 @@ def measure_profile_speed(profile: WaveProfile, params: ModelParams,
     theta = profile.theta
     h = profile.spacing
     wp, wm = sample_line_kernels(k_plus, k_minus, h)
-    n_steps = int(round(duration / dt))
-    evolved = evolve_line(profile.psi.copy(), params, wp, wm, theta, dt, n_steps)
+    evolved = _march(_line_advance, params, wp, wm, profile.psi, StepConfig(dt), duration)
 
     def core_pulse(values: np.ndarray) -> np.ndarray:
         pulse = -np.gradient(values, h)

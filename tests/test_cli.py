@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlkpp
-from nlkpp import ConfigError, ConvergenceFailure, waves
+from nlkpp import ConfigError, ConvergenceFailure, StepConfig, fronts, waves
 from nlkpp.cli import _problem, main
 from nlkpp.config import parse_config
 
@@ -58,7 +58,7 @@ class TestParsing:
     def test_defaults(self):
         cfg = parse_config(BASE.replace("dt = 2e-3", "").replace(
             "snapshot_stride = 125", ""))
-        assert cfg.dt == 1e-3
+        assert cfg.step == StepConfig(dt=1e-3, method="rk4", floor=0.0)
         assert cfg.snapshot_stride == 100
         assert cfg.command == "simulate"
         assert cfg.seed == 11
@@ -110,6 +110,10 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\n\n[wave]\ndomain_right = inf"),
         ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 0"),
         ("seed = 11", "seed = 11\nthreads = two"),
+        ("dt = 2e-3", "dt = 2e-3\nmethod = leapfrog"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\nspeed = nan"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\nspeed_factor = inf"),
+        ("value = 0.5", "value = 0.5\ncenter = 5 -3"),
     ])
     def test_rejects_out_of_range_values_with_line(self, old, new):
         text = BASE.replace(old, new)
@@ -117,6 +121,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"line {lineno}:") as info:
             parse_config(text)
         assert info.value.line == lineno
+
+    @pytest.mark.parametrize("dimension, center", [(1, "5 -3"), (2, "5")])
+    def test_center_must_match_grid_dimension(self, tmp_path, capsys, dimension, center):
+        text = BASE.replace("dimension = 1", f"dimension = {dimension}").replace(
+            "kind = constant\nvalue = 0.5",
+            f"kind = bump\nwidth = 2.0\nheight = 0.5\ncenter = {center}")
+        lineno = text.splitlines().index(f"center = {center}") + 1
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(text)
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert f"line {lineno}: bad value for 'center'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
         text = BASE + "\n[front]\ninflate = 1.2\n"
@@ -218,6 +234,37 @@ class TestScenarios:
         entries = summary_dict(tmp_path / "out")
         assert entries["verify.violations"] == "0"
         assert float(entries["verify.max_order_violation"]) <= 1e-9
+
+    @pytest.mark.parametrize("dt, horizon", [("0.4", "0.8"), ("3", "3"), ("0.03", "1")])
+    def test_verify_refuses_what_simulate_refuses(self, tmp_path, dt, horizon):
+        text = (BASE.replace("points = 128", "points = 256").replace("dt = 2e-3", f"dt = {dt}")
+                .replace("horizon = 0.5", f"horizon = {horizon}"))
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(text + "\n[verify]\npairs = 2\n")
+        errors = []
+        for command in ("simulate", "verify"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 1
+            entries = summary_dict(out)
+            assert entries["error.type"] == "ValueError"
+            errors.append(entries["error"])
+        assert errors[0] == errors[1]
+
+    def test_verify_steps_with_the_time_section(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(args[6])
+            return harness(*args, **kwargs)
+
+        harness = fronts.comparison_harness
+        monkeypatch.setattr(fronts, "comparison_harness", record)
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(BASE.replace("horizon = 0.5", "horizon = 0.1\nfloor = 1e-12\n"
+                                         "method = exp_euler")
+                            + "\n[verify]\npairs = 2\n")
+        assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [StepConfig(dt=2e-3, method="exp_euler", floor=1e-12)] * 2
 
     def test_front_scenario(self, tmp_path):
         text = BASE.replace("kind = constant\nvalue = 0.5",
@@ -326,6 +373,45 @@ def test_wave_configs_end_in_a_summary(tmp_path_factory, family, speed_factor, s
         assert entries["error"] and entries["error.type"]
     else:
         assert "error" not in entries
+
+
+def _run(command: str, cfg_file: Path, out: Path) -> tuple[int, dict]:
+    """Exit status and summary of one in-process CLI run; any escaping exception fails."""
+    rc = main([command, "--config", str(cfg_file), "--out", str(out)])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        return rc, {}
+    entries = summary_dict(out)  # exit 0 or 1 leaves a summary
+    if "error" in entries:
+        assert rc == 1 and entries["error"] and entries["error.type"]
+    return rc, entries
+
+
+# canonical rates: the stability guard needs dt * 4 < 0.5
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(dimension=st.sampled_from([1, 2]),
+       dt=st.sampled_from([0.01, 0.05, 0.1, 0.12, 0.125, 0.2, 0.4, 3.0]),
+       steps=st.integers(1, 4), off_lattice=st.sampled_from([0.0, 0.0, 0.37]),
+       method=st.sampled_from(["rk4", "exp_euler", "euler"]),
+       floor=st.sampled_from([0.0, 1e-3]))
+def test_simulate_and_verify_configs_end_in_a_summary(tmp_path_factory, dimension, dt, steps,
+                                                       off_lattice, method, floor):
+    out = tmp_path_factory.mktemp("step")
+    cfg_file = out / "s.cfg"
+    cfg_file.write_text(
+        "[model]\nkappa_plus = 2.0\nkappa_minus = 1.0\nmortality = 1.0\n"
+        "[kernel_plus]\nfamily = gaussian\nsigma = 1.0\n"
+        "[kernel_minus]\nfamily = gaussian\nsigma = 0.8\n"
+        f"[grid]\ndimension = {dimension}\nhalf_length = 8.0\npoints = {64 // dimension}\n"
+        f"[time]\ndt = {dt!r}\nhorizon = {(steps + off_lattice) * dt!r}\n"
+        f"method = {method}\nfloor = {floor!r}\n"
+        "[initial]\nkind = bump\nwidth = 3.0\nheight = 0.5\n"
+        "[verify]\npairs = 2\n")
+    refusals = []
+    for command in ("simulate", "verify"):
+        rc, entries = _run(command, cfg_file, out / command)
+        refusals.append((rc == 2, entries.get("error"), entries.get("error.type")))
+    assert refusals[0] == refusals[1]
 
 
 def test_cli_import_skips_scipy_stats_and_signal():

@@ -7,8 +7,7 @@ from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpe
 from nlkpp.evolution import Trajectory
 from nlkpp.fronts import (LevelTrace, acceleration_test, check_initial_decay,
                           comparison_harness, estimate_speed, exterior_decay,
-                          interior_convergence, separation_harness,
-                          stability_perturbation, track_level, weighted_norm)
+                          interior_convergence, track_level, weighted_norm)
 
 
 @pytest.fixture(scope="module")
@@ -166,42 +165,68 @@ class TestSeparationAndStability:
     def test_bump_stays_below_theta(self, canon, grid256, gauss_weights):
         u0 = bump_field(grid256, 0.0, 2.0, canon.theta / 2)
         v0 = constant_field(grid256, canon.theta)
-        gap = separation_harness(canon, gauss_weights, gauss_weights, u0, v0, 2.0,
-                                 StepConfig(dt=2e-3))
-        assert gap > 0.0
+        result = comparison_harness(canon, gauss_weights, gauss_weights, u0, v0, 2.0,
+                                    StepConfig(dt=2e-3))
+        assert result.final_gap > 0.0
 
     def test_bump_stays_above_zero(self, canon, grid256, gauss_weights):
         u0 = constant_field(grid256, 0.0)
         v0 = bump_field(grid256, 0.0, 2.0, canon.theta / 2)
-        gap = separation_harness(canon, gauss_weights, gauss_weights, u0, v0, 2.0,
-                                 StepConfig(dt=2e-3))
-        assert gap > 0.0
+        result = comparison_harness(canon, gauss_weights, gauss_weights, u0, v0, 2.0,
+                                    StepConfig(dt=2e-3))
+        assert result.final_gap > 0.0
 
     def test_zero_perturbation_stays_at_theta(self, canon, grid256, gauss_weights):
         u0 = constant_field(grid256, canon.theta)
-        times, dist, env = stability_perturbation(
-            canon, gauss_weights, gauss_weights, u0, 1.0, StepConfig(dt=2e-3))
-        assert np.all(dist <= 1e-12)
+        result = comparison_harness(canon, gauss_weights, gauss_weights, u0, u0, 1.0,
+                                    StepConfig(dt=2e-3))
+        assert result.strip_violation <= 1e-12  # never above theta
+        assert result.lower_envelope_ok  # the envelope of beta = theta is theta itself
+        assert result.final_gap == 0.0
 
     def test_below_perturbation_obeys_envelope(self, canon, grid256, gauss_weights):
         theta = canon.theta
         dent = bump_field(grid256, 0.0, 3.0, 0.1 * theta)
         u0 = Field(grid256, theta - dent.values)
-        times, dist, env = stability_perturbation(
-            canon, gauss_weights, gauss_weights, u0, 4.0, StepConfig(dt=2e-3),
-            snapshot_stride=250)
-        assert np.all(dist[1:] <= env[1:] + 1e-12)
-        assert dist[-1] < dist[1]
+        result = comparison_harness(canon, gauss_weights, gauss_weights, u0,
+                                    constant_field(grid256, theta), 4.0, StepConfig(dt=2e-3))
+        assert result.lower_envelope_ok
+        assert result.max_violation <= 1e-12
+        assert result.strip_violation <= 1e-12
 
     def test_above_perturbation_reported_without_claim(self, canon, grid256,
                                                        gauss_weights):
+        # open regime: no invariant to check, only the observed relaxation toward theta
         theta = canon.theta
         bump = bump_field(grid256, 0.0, 3.0, 0.1 * theta)
         u0 = Field(grid256, theta + bump.values)
-        times, dist, env = stability_perturbation(
-            canon, gauss_weights, gauss_weights, u0, 2.0, StepConfig(dt=2e-3))
-        assert np.all(np.isinf(env))  # open regime: measurement only
-        assert dist[-1] < dist[0]  # observed relaxation toward theta
+        traj = simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, u0),
+                        StepConfig(dt=2e-3), 2.0)
+        assert traj.maxs[-1] - theta < traj.maxs[0] - theta
+        assert traj.mins[-1] >= theta - 1e-12
+
+    def test_final_gap_matches_separate_runs(self, canon, grid256, gauss_weights):
+        u0 = bump_field(grid256, 0.0, 2.0, canon.theta / 2)
+        v0 = constant_field(grid256, canon.theta)
+        cfg = StepConfig(dt=2e-3)
+        result = comparison_harness(canon, gauss_weights, gauss_weights, u0, v0, 0.5, cfg)
+        tu = simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, u0), cfg, 0.5)
+        tv = simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, v0), cfg, 0.5)
+        assert result.final_gap == float(np.min(tv.final.values - tu.final.values))
+
+    @pytest.mark.parametrize("dt, horizon, match", [
+        (0.4, 0.8, "stability guard"),
+        (3.0, 3.0, "stability guard"),
+        (0.03, 1.0, "integer multiple"),
+    ])
+    def test_refuses_what_simulate_refuses(self, canon, grid256, gauss_weights, dt, horizon,
+                                           match):
+        u0 = constant_field(grid256, 0.3)
+        cfg = StepConfig(dt=dt)
+        with pytest.raises(ValueError, match=match):
+            simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, u0), cfg, horizon)
+        with pytest.raises(ValueError, match=match):
+            comparison_harness(canon, gauss_weights, gauss_weights, u0, u0, horizon, cfg)
 
 
 class TestSubsolutionOrdering:

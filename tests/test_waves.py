@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from nlkpp import (CertificationFailed, ConvergenceFailure, KernelSpec, fit_decay,
+from nlkpp import (CertificationFailed, ConvergenceFailure, KernelSpec, StepConfig, fit_decay,
                    initial_supersolution, make_kernel, measure_profile_speed, minimize_G,
                    profile_residual, reduce_to_direction, solve_profile, speed_to_abscissa,
                    stationary_frame_residual)
 from nlkpp import waves
-from nlkpp.waves import (WaveProfile, LineKernel, evolve_line, half_level_crossing,
+from nlkpp.evolution import _march
+from nlkpp.waves import (WaveProfile, LineKernel, half_level_crossing,
                          line_convolve, sample_line_kernel, sample_line_kernels)
 
 
@@ -80,17 +81,18 @@ class TestLineMachinery:
         assert not np.array_equal(wp.weights, wm.weights)
         assert np.array_equal(wm.weights, sample_line_kernel(lap, 0.1).weights)
 
-    def test_evolve_line_shared_kernel_convolves_once(self, canon, gauss_line, transforms):
+    def test_line_step_shared_kernel_convolves_once(self, canon, gauss_line, transforms):
         wp = sample_line_kernel(gauss_line, 0.1)
         copy = LineKernel(weights=wp.weights.copy(), spacing=wp.spacing)
         s = 0.1 * (np.arange(600) - 200)
         psi = 1.0 / (1.0 + np.exp(s))
-        evolve_line(psi, canon, wp, copy, 1.0, 0.02, 1)  # caches both kernel spectra
+        cfg = StepConfig(dt=0.02)
+        waves._line_advance(canon, wp, copy, psi, cfg)  # caches both kernel spectra
         transforms.clear()
-        shared = evolve_line(psi, canon, wp, wp, 1.0, 0.02, 3)
+        shared = _march(waves._line_advance, canon, wp, wp, psi, cfg, 0.06)
         assert transforms == {"rfftn": 3 * 4, "irfftn": 3 * 4}
         transforms.clear()
-        separate = evolve_line(psi, canon, wp, copy, 1.0, 0.02, 3)
+        separate = _march(waves._line_advance, canon, wp, copy, psi, cfg, 0.06)
         assert transforms == {"rfftn": 3 * 4, "irfftn": 3 * 8}
         assert np.array_equal(shared, separate)
 
