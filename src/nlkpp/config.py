@@ -77,6 +77,12 @@ def _take(sections, section, key, conv, default=None, required=False):
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})", lineno) from exc
 
 
+def _line(sections, section, key) -> int | None:
+    """Line number of a key, or None when the key is absent."""
+    entry = sections.get(section, {}).get(key)
+    return None if entry is None else entry[1]
+
+
 def _as_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -94,6 +100,13 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError("must be nonnegative and finite")
     return value
 
 
@@ -188,8 +201,11 @@ def _kernel_spec(sections, section: str, default_dimension: int) -> KernelSpec:
             radius=_take(sections, section, "radius", float),
             offset=offset,
         )
+    except ConfigError:
+        raise
     except Exception as exc:
-        raise ConfigError(f"invalid [{section}] kernel: {exc}") from exc
+        raise ConfigError(f"invalid [{section}] kernel: {exc}",
+                          _line(sections, section, "family")) from exc
 
 
 def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
@@ -207,7 +223,8 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     if "grid" in sections:
         grid_dim = _take(sections, "grid", "dimension", int, default=1)
         if grid_dim > 2:
-            raise ConfigError("grid dimension must be 1 or 2")
+            raise ConfigError("grid dimension must be 1 or 2",
+                              _line(sections, "grid", "dimension"))
         try:
             grid = Grid(
                 dimension=grid_dim,
@@ -225,8 +242,10 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     initial = None
     if "initial" in sections:
         kind = _take(sections, "initial", "kind", str, required=True)
+        kind_line = _line(sections, "initial", "kind")
         if kind not in _INITIAL_KINDS:
-            raise ConfigError(f"unknown initial kind {kind!r}; expected one of {_INITIAL_KINDS}")
+            raise ConfigError(f"unknown initial kind {kind!r}; expected one of {_INITIAL_KINDS}",
+                              kind_line)
         initial = InitialSpec(
             kind=kind,
             value=_take(sections, "initial", "value", float),
@@ -238,14 +257,15 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
             shift=_take(sections, "initial", "shift", float, default=0.0),
         )
         if kind == "constant" and initial.value is None:
-            raise ConfigError("initial kind 'constant' requires 'value'")
+            raise ConfigError("initial kind 'constant' requires 'value'", kind_line)
         if kind == "bump" and (initial.width is None or initial.height is None):
-            raise ConfigError("initial kind 'bump' requires 'width' and 'height'")
+            raise ConfigError("initial kind 'bump' requires 'width' and 'height'", kind_line)
         if kind in ("profile-file", "shifted-profile"):
             if initial.path is None:
-                raise ConfigError(f"initial kind {kind!r} requires 'path'")
+                raise ConfigError(f"initial kind {kind!r} requires 'path'", kind_line)
             if not Path(initial.path).exists():
-                raise ConfigError(f"initial profile file {initial.path!r} does not exist")
+                raise ConfigError(f"initial profile file {initial.path!r} does not exist",
+                                  _line(sections, "initial", "path"))
 
     cfg = ScenarioConfig(
         command=command or _take(sections, "scenario", "command", str, default="simulate"),
@@ -256,7 +276,7 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         step=StepConfig(
             dt=_take(sections, "time", "dt", _positive, default=1e-3),
             method=_take(sections, "time", "method", _one_of(METHODS), default="rk4"),
-            floor=_take(sections, "time", "floor", float, default=0.0),
+            floor=_take(sections, "time", "floor", _nonnegative, default=0.0),
         ),
         horizon=_take(sections, "time", "horizon", _positive, default=1.0),
         snapshot_stride=_take(sections, "time", "snapshot_stride", _int_at_least(1), default=100),
@@ -296,7 +316,8 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         cfg.verify_necessity = _take(sections, "verify", "necessity", _as_bool, default=False)
 
     if cfg.command not in ("simulate", "dispersion", "wave", "front", "verify"):
-        raise ConfigError(f"unknown command {cfg.command!r}")
+        raise ConfigError(f"unknown command {cfg.command!r}",
+                          None if command else _line(sections, "scenario", "command"))
     return cfg
 
 

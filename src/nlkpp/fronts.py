@@ -112,6 +112,7 @@ def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta
     if not 0.0 < shrink < 1.0:
         raise ValueError("shrink must lie in (0, 1)")
     times, deficits = [], []
+    proj = None  # grid points projected on the front directions, shared by all snapshots
     for f in traj.snapshots:
         grid = f.grid
         t = f.time
@@ -119,8 +120,10 @@ def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta
             continue
         if shrink * t * float(np.max(front.speeds)) > grid.half_length:
             break
-        pts = grid.coords().reshape(-1, grid.dimension)
-        mask = front.contains(pts, scale=shrink * t).reshape(grid.shape)
+        if proj is None:
+            proj = grid.coords().reshape(-1, grid.dimension) @ front.directions.T
+        # FrontSet.contains with scale shrink * t
+        mask = np.all(proj <= shrink * t * front.speeds + 1e-12, axis=1).reshape(grid.shape)
         if not np.any(mask):
             continue
         times.append(t)

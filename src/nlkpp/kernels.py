@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import integrate, special
+from scipy import special
 
 from .errors import KernelError
 
@@ -34,6 +34,9 @@ _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 
 
 def _quad(f, a, b, **kw):
+    # imported here, not at module level, so that closed-form kernels never load scipy.integrate
+    from scipy import integrate
+
     opts = dict(_QUAD_OPTS)
     opts.update(kw)
     with warnings.catch_warnings():
@@ -192,6 +195,11 @@ class Kernel:
 
     def mass_outside(self, radius: float) -> float:
         """Probability mass outside the ball of the given radius (offset-centered)."""
+        if self.spec.family == "gaussian":
+            sigma = self.spec.sigma
+            if self.dimension == 1:
+                return float(special.erfc(radius / (sigma * math.sqrt(2.0))))
+            return math.exp(-radius**2 / (2.0 * sigma**2))
         shape = _radial_shape(self.spec)
         if self.dimension == 1:
             return 2.0 * self.normalizer_alpha * _quad(shape, radius, np.inf)

@@ -15,12 +15,11 @@ decay rate paired with c.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.linalg.lapack import dgbsv
-from scipy.optimize import brentq
 
 from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
@@ -270,6 +269,65 @@ def fit_decay(profile: WaveProfile, expected_j: int) -> tuple[float, float, floa
     return lam, math.exp(const), r2
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = 4.0 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+    """Root of f between xa and xb, bitwise equal to ``scipy.optimize.brentq``.
+
+    A step-for-step transcription of scipy's C loop with its defaults.
+    Raises ``ValueError`` when f(xa) and f(xb) have the same sign or f
+    returns NaN, and ``RuntimeError`` after ``maxiter`` iterations.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # C divides to a non-finite step, which bisects
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
                   wp: LineKernel, wm: LineKernel, abscissa: float) -> float:
     """Rate nu > 0 of theta - psi ~ e^{nu s} as s -> -inf in the discrete equation.
@@ -296,7 +354,7 @@ def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
     lo = 0.0
     for hi in cap * 2.0 ** -np.arange(40.0, -1.0, -1.0):
         if linearisation(hi) < 0.0:
-            return brentq(linearisation, lo, hi)
+            return _brentq(linearisation, lo, hi)
         lo = hi
     raise ConvergenceFailure(
         f"the theta plateau has no decaying mode with rate below {cap:.4g}; "
@@ -316,6 +374,9 @@ def _newton(psi: np.ndarray, c: float, theta: float, params: ModelParams, h: flo
     the first and last columns and the matrix stays banded.  Stops when the
     sup norm of the rows is at most ``target``.
     """
+    # imported here, not at module level, so that only a wave solve loads scipy.linalg
+    from scipy.linalg.lapack import dgbsv
+
     n, center = len(psi), len(psi) // 2
     reach = max(wp.halfwidth, wm.halfwidth, 2)
     left_decay = np.exp(-nu * h * np.arange(1, reach + 1))

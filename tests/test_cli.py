@@ -114,10 +114,33 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\n\n[wave]\nspeed = nan"),
         ("value = 0.5", "value = 0.5\n\n[wave]\nspeed_factor = inf"),
         ("value = 0.5", "value = 0.5\ncenter = 5 -3"),
+        ("dt = 2e-3", "dt = 2e-3\nfloor = nan"),
+        ("dt = 2e-3", "dt = 2e-3\nfloor = -1"),
     ])
     def test_rejects_out_of_range_values_with_line(self, old, new):
         text = BASE.replace(old, new)
         lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}:") as info:
+            parse_config(text)
+        assert info.value.line == lineno
+
+    @pytest.mark.parametrize("old, new, cited", [
+        ("kind = constant", "kind = blob", "kind = blob"),
+        ("kind = constant\nvalue = 0.5", "kind = constant", "kind = constant"),
+        ("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 2.0", "kind = bump"),
+        ("kind = constant\nvalue = 0.5", "kind = profile-file", "kind = profile-file"),
+        ("kind = constant\nvalue = 0.5", "kind = shifted-profile\npath = /nonexistent.csv",
+         "path = /nonexistent.csv"),
+        ("dimension = 1", "dimension = 3", "dimension = 3"),
+        ("family = gaussian\nsigma = 1.0", "family = exppoly", "family = exppoly"),
+        ("[kernel_minus]\nfamily = gaussian\nsigma = 1.0", "[kernel_minus]\nfamily = laplace",
+         "family = laplace"),
+        ("sigma = 1.0", "sigma = -1.0", "family = gaussian"),
+        ("seed = 11", "seed = 11\ncommand = bogus", "command = bogus"),
+    ])
+    def test_whole_config_errors_cite_the_line_of_their_key(self, old, new, cited):
+        text = BASE.replace(old, new, 1)
+        lineno = text.splitlines().index(cited) + 1
         with pytest.raises(ConfigError, match=f"line {lineno}:") as info:
             parse_config(text)
         assert info.value.line == lineno
@@ -414,15 +437,38 @@ def test_simulate_and_verify_configs_end_in_a_summary(tmp_path_factory, dimensio
     assert refusals[0] == refusals[1]
 
 
-def test_cli_import_skips_scipy_stats_and_signal():
+def _run_python(code: str) -> str:
+    """Last line that ``code`` prints in a fresh interpreter importing this ``nlkpp``."""
     src = str(Path(nlkpp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = ("import sys, nlkpp.cli\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    modules = ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize",
+               "scipy.linalg")
+    code = ("import sys, nlkpp.cli\n"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+    assert _run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("wave", BASE + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.1\n"
+                    "domain_left = -40\ndomain_right = 80\n"),
+    ("simulate", BASE),
+], ids=["wave", "simulate"])
+def test_gaussian_run_skips_scipy_optimize_and_integrate(tmp_path, command, text):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+    code = ("import sys\nfrom nlkpp.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    assert _run_python(code) == "0 []"
 
 
 class TestMoreScenarios:

@@ -194,6 +194,21 @@ def test_discretize_rejects_poor_coverage():
         discretize(wide, grid)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.5, 6.0])
+def test_gaussian_mass_outside_closed_form_matches_quadrature(dimension, radius):
+    kernel = make_kernel(KernelSpec("gaussian", dimension, sigma=0.8,
+                                    offset=(0.4,) * dimension))
+    shape = lambda r: kernel.normalizer_alpha * math.exp(-r * r / (2.0 * 0.8**2))
+    opts = dict(limit=800, epsabs=0.0, epsrel=1e-13)
+    if dimension == 1:
+        expected = 2.0 * integrate.quad(shape, radius, np.inf, **opts)[0]
+    else:
+        expected = 2.0 * math.pi * integrate.quad(lambda r: shape(r) * r, radius, np.inf,
+                                                  **opts)[0]
+    assert kernel.mass_outside(radius) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_transform_divergence_is_signalled(gauss_line):
     laplace = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
     assert laplace.transform(1.5) == math.inf
