@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fronts, waves
 from .assumptions import check_assumptions
-from .config import ScenarioConfig, load_config
+from .config import COMMANDS, ScenarioConfig, load_config
 from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
                          reduce_to_direction, speed_to_abscissa)
 from .errors import ConfigError, MollisonFailure, NlkppError
@@ -145,8 +145,7 @@ def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
 
 def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
     kernel = make_kernel(cfg.kernel_plus)
-    d = kernel.dimension
-    xi = np.asarray(cfg.direction[:d], dtype=float)
+    xi = np.asarray(cfg.direction, dtype=float)  # one component per kernel axis
     xi = xi / np.linalg.norm(xi)
     line = reduce_to_direction(kernel, xi)
     report = minimize_G(cfg.params, line)
@@ -316,13 +315,8 @@ def _necessity_counterexample(cfg: ScenarioConfig) -> float:
     return peak - theta
 
 
-_RUNNERS = {
-    "simulate": run_simulate,
-    "dispersion": run_dispersion,
-    "wave": run_wave,
-    "front": run_front,
-    "verify": run_verify,
-}
+# the runner of each command is the function run_<command> above
+_RUNNERS = {name: globals()[f"run_{name}"] for name in COMMANDS}
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:
@@ -354,12 +348,11 @@ def main(argv: list[str] | None = None) -> int:
         description="Numerical laboratory for the doubly nonlocal Fisher-KPP equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "dispersion", "wave", "front"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
+        if name == "verify":
+            p.add_argument("suite", nargs="?", default=None)
         _common_flags(p)
-    p = sub.add_parser("verify")
-    p.add_argument("suite", nargs="?", default=None)
-    _common_flags(p)
 
     args = parser.parse_args(argv)
     try:

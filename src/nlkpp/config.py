@@ -11,76 +11,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, KernelError
 from .evolution import METHODS, StepConfig
 from .grids import Grid
 from .kernels import KernelSpec
 from .params import ModelParams
 
-_KERNEL_KEYS = {"family", "dimension", "sigma", "mu", "p", "q", "radius", "offset"}
-_SECTION_KEYS = {
-    "scenario": {"command", "seed", "threads"},
-    "model": {"kappa_plus", "kappa_minus", "mortality"},
-    "kernel_plus": _KERNEL_KEYS,
-    "kernel_minus": _KERNEL_KEYS,
-    "grid": {"dimension", "half_length", "points"},
-    "time": {"dt", "horizon", "method", "snapshot_stride", "floor"},
-    "initial": {"kind", "value", "center", "width", "height", "direction", "path", "shift"},
-    "output": {"directory", "split_snapshots"},
-    "dispersion": {"direction", "lambda_min", "lambda_max", "lambda_count"},
-    "wave": {"speed", "speed_factor", "domain_left", "domain_right", "spacing"},
-    "front": {"level", "shrink", "n_directions"},
-    "verify": {"suite", "pairs", "necessity"},
-}
-
+COMMANDS = ("simulate", "dispersion", "wave", "front", "verify")
 _INITIAL_KINDS = ("constant", "bump", "step", "profile-file", "shifted-profile")
-
-
-def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in _SECTION_KEYS:
-                raise ConfigError(f"unknown section [{current}]", lineno)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
-        if current is None:
-            raise ConfigError("key outside of any [section]", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[current]:
-            raise ConfigError(f"unknown key {key!r} in section [{current}]", lineno)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
-        sections[current][key] = (value, lineno)
-    return sections
-
-
-def _take(sections, section, key, conv, default=None, required=False):
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        return default
-    value, lineno = entry
-    try:
-        return conv(value)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})", lineno) from exc
-
-
-def _line(sections, section, key) -> int | None:
-    """Line number of a key, or None when the key is absent."""
-    entry = sections.get(section, {}).get(key)
-    return None if entry is None else entry[1]
 
 
 def _as_bool(text: str) -> bool:
@@ -96,64 +34,149 @@ def _as_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.replace(",", " ").split())
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
+def _checked(conv, ok, message: str):
+    """Converter: ``conv(text)``, refused with ``message`` unless ``ok`` holds."""
+    def check(text: str):
+        value = conv(text)
+        if not ok(value):
+            raise ValueError(message)
+        return value
+    return check
 
 
-def _nonnegative(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise ValueError("must be nonnegative and finite")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise ValueError("must be positive and finite")
-    return value
-
-
-def _one_of(options: tuple[str, ...]):
-    def conv(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"expected one of {options}")
-        return text
-    return conv
-
-
-def _point(dimension: int):
-    def conv(text: str) -> tuple[float, ...]:
-        point = _as_floats(text)
-        if len(point) != dimension:
-            raise ValueError(f"need {dimension} coordinate(s) on a {dimension}-D grid, "
-                             f"got {len(point)}")
-        return point
-    return conv
+def _one_of(options: tuple[str, ...], noun: str):
+    return _checked(str, options.__contains__, f"unknown {noun}; expected one of {options}")
 
 
 def _int_at_least(low: int):
-    def conv(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be at least {low}")
-        return value
-    return conv
+    return _checked(int, lambda value: value >= low, f"must be at least {low}")
+
+
+_finite = _checked(float, math.isfinite, "must be finite")
+_positive = _checked(float, lambda value: 0 < value < math.inf, "must be positive and finite")
+_nonnegative = _checked(float, lambda value: 0 <= value < math.inf,
+                        "must be nonnegative and finite")
+_open_unit = _checked(float, lambda value: 0 < value < 1, "must lie in (0, 1)")
+_direction = _checked(_as_floats, lambda xi: all(map(math.isfinite, xi)) and any(xi),
+                      "must be finite and not all zero")
+_grid_dimension = _checked(int, (1, 2).__contains__, "grid dimension must be 1 or 2")
+_grid_points = _checked(int, lambda n: n >= 16 and not n & (n - 1),
+                        "must be a power of two, at least 16")
+
+
+def _family(text: str) -> str:
+    return {"uniform": "compact_uniform", "powertail": "power_tail"}.get(text, text)
+
+
+_REQUIRED = object()  # the default of a key that must be given
+
+_KERNEL_KEYS = {
+    "family": (_family, _REQUIRED),
+    "dimension": (int, None),  # None: the grid's dimension, 1 without a grid
+    "sigma": (float, None), "mu": (float, None), "p": (float, None), "q": (float, None),
+    "radius": (float, None), "offset": (_as_floats, None),
+}
+
+# section -> key -> (converter, default): the only statement of each key, and
+# the list of accepted ones.  A converter's error is refused with the key's line.
+_KEYS = {
+    "scenario": {"command": (_one_of(COMMANDS, "command"), "simulate"), "seed": (int, 0),
+                 "threads": (int, None)},  # threads: accepted, validated, never read
+    "model": {"kappa_plus": (_positive, _REQUIRED), "kappa_minus": (_positive, _REQUIRED),
+              "mortality": (_positive, _REQUIRED)},
+    "kernel_plus": _KERNEL_KEYS,
+    "kernel_minus": _KERNEL_KEYS,
+    "grid": {"dimension": (_grid_dimension, 1), "half_length": (_positive, _REQUIRED),
+             "points": (_grid_points, _REQUIRED)},
+    "time": {"dt": (_positive, 1e-3), "horizon": (_positive, 1.0),
+             "method": (_one_of(METHODS, "method"), "rk4"),
+             "snapshot_stride": (_int_at_least(1), 100), "floor": (_nonnegative, 0.0)},
+    "initial": {"kind": (_one_of(_INITIAL_KINDS, "initial kind"), _REQUIRED),
+                "value": (float, None),
+                "center": (_as_floats, None),  # one coordinate per grid axis
+                "width": (float, None), "height": (float, None), "direction": (int, 1),
+                "path": (str, None), "shift": (float, 0.0)},
+    "output": {"directory": (str, "out"), "split_snapshots": (_as_bool, False)},
+    "dispersion": {"direction": (_direction, None),  # one per kernel_plus axis; None: e1
+                   "lambda_min": (float, 1e-3), "lambda_max": (float, 3.0),
+                   "lambda_count": (_int_at_least(2), 200)},
+    "wave": {"speed": (_finite, None), "speed_factor": (_finite, None),
+             "domain_left": (float, -40.0), "domain_right": (float, 80.0),
+             "spacing": (_positive, 0.05)},
+    "front": {"level": (_finite, None),  # None: theta / 2
+              "shrink": (_open_unit, 0.5), "n_directions": (_int_at_least(1), 32)},
+    "verify": {"suite": (str, "comparison"), "pairs": (_int_at_least(1), 50),
+               "necessity": (_as_bool, False)},
+}
+
+
+def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
+    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    current: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in _KEYS:
+                raise ConfigError(f"unknown section [{current}]", lineno)
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
+        if current is None:
+            raise ConfigError("key outside of any [section]", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS[current]:
+            raise ConfigError(f"unknown key {key!r} in section [{current}]", lineno)
+        if key in sections[current]:
+            raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
+        sections[current][key] = (value, lineno)
+    return sections
+
+
+def _section(sections, section: str, **lengths: int) -> dict:
+    """Every key of ``section``, converted or defaulted by the table.
+
+    ``lengths`` names the keys whose tuples must have a given length, such as
+    a coordinate per grid axis.
+    """
+    entries = sections.get(section, {})
+    values = {}
+    for key, (conv, default) in _KEYS[section].items():
+        if key not in entries:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            values[key] = default
+            continue
+        text, lineno = entries[key]
+        try:
+            values[key] = conv(text)
+            if key in lengths and len(values[key]) != lengths[key]:
+                raise ValueError(f"need {lengths[key]} coordinate(s) in {lengths[key]}-D, "
+                                 f"got {len(values[key])}")
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})", lineno) from exc
+    return values
+
+
+def _line(sections, section, key) -> int | None:
+    """Line number of a key, or None when the key is absent."""
+    entry = sections.get(section, {}).get(key)
+    return None if entry is None else entry[1]
 
 
 @dataclass
 class InitialSpec:
     kind: str
-    value: float | None = None
-    center: tuple[float, ...] | None = None
-    width: float | None = None
-    height: float | None = None
-    direction: int = 1
-    path: str | None = None
-    shift: float = 0.0
+    value: float | None
+    center: tuple[float, ...] | None
+    width: float | None
+    height: float | None
+    direction: int
+    path: str | None
+    shift: float
 
 
 @dataclass
@@ -163,162 +186,107 @@ class ScenarioConfig:
     kernel_plus: KernelSpec
     kernel_minus: KernelSpec
     grid: Grid | None
-    step: StepConfig = StepConfig(dt=1e-3)
-    horizon: float = 1.0
-    snapshot_stride: int = 100
-    initial: InitialSpec | None = None
-    out_dir: str = "out"
-    split_snapshots: bool = False
-    seed: int = 0
+    step: StepConfig
+    horizon: float
+    snapshot_stride: int
+    initial: InitialSpec | None
+    out_dir: str
+    split_snapshots: bool
+    seed: int
     # subcommand extras
-    direction: tuple[float, ...] = (1.0,)
-    lambda_grid: tuple[float, float, int] = (1e-3, 3.0, 200)
-    wave_speed: float | None = None
-    wave_speed_factor: float | None = None
-    wave_domain: tuple[float, float] = (-40.0, 80.0)
-    wave_spacing: float = 0.05
-    front_level: float | None = None
-    front_shrink: float = 0.5
-    front_n_directions: int = 32
-    verify_suite: str = "comparison"
-    verify_pairs: int = 50
-    verify_necessity: bool = False
+    direction: tuple[float, ...]
+    lambda_grid: tuple[float, float, int]
+    wave_speed: float | None
+    wave_speed_factor: float | None
+    wave_domain: tuple[float, float]
+    wave_spacing: float
+    front_level: float | None
+    front_shrink: float
+    front_n_directions: int
+    verify_suite: str
+    verify_pairs: int
+    verify_necessity: bool
 
 
-def _kernel_spec(sections, section: str, default_dimension: int) -> KernelSpec:
-    family = _take(sections, section, "family", str, required=True)
-    family = {"uniform": "compact_uniform", "powertail": "power_tail"}.get(family, family)
-    dimension = _take(sections, section, "dimension", int, default=default_dimension)
-    offset = _take(sections, section, "offset", _as_floats)
+def _kernel_spec(sections, section: str, grid_dimension: int) -> KernelSpec:
+    spec = _section(sections, section)
+    if spec["dimension"] is None:
+        spec["dimension"] = grid_dimension
     try:
-        return KernelSpec(
-            family=family,
-            dimension=dimension,
-            sigma=_take(sections, section, "sigma", float),
-            mu=_take(sections, section, "mu", float),
-            p=_take(sections, section, "p", float),
-            q=_take(sections, section, "q", float),
-            radius=_take(sections, section, "radius", float),
-            offset=offset,
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
+        return KernelSpec(**spec)
+    except KernelError as exc:
         raise ConfigError(f"invalid [{section}] kernel: {exc}",
                           _line(sections, section, "family")) from exc
 
 
+def _initial(sections, grid_dimension: int) -> InitialSpec:
+    initial = InitialSpec(**_section(sections, "initial", center=grid_dimension))
+    kind, kind_line = initial.kind, _line(sections, "initial", "kind")
+    if kind == "constant" and initial.value is None:
+        raise ConfigError("initial kind 'constant' requires 'value'", kind_line)
+    if kind == "bump" and (initial.width is None or initial.height is None):
+        raise ConfigError("initial kind 'bump' requires 'width' and 'height'", kind_line)
+    if kind in ("profile-file", "shifted-profile"):
+        if initial.path is None:
+            raise ConfigError(f"initial kind {kind!r} requires 'path'", kind_line)
+        if not Path(initial.path).exists():
+            raise ConfigError(f"initial profile file {initial.path!r} does not exist",
+                              _line(sections, "initial", "path"))
+    return initial
+
+
 def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
-    """Parse a scenario configuration; unknown keys are hard errors."""
+    """Parse a scenario configuration; unknown keys are hard errors.
+
+    A missing ``[grid]`` or ``[initial]`` section means none; any other
+    missing section takes the table's defaults.
+    """
     sections = _parse_lines(text)
-
-    params = ModelParams(
-        kappa_plus=_take(sections, "model", "kappa_plus", float, required=True),
-        kappa_minus=_take(sections, "model", "kappa_minus", float, required=True),
-        mortality=_take(sections, "model", "mortality", float, required=True),
-    )
-
+    params = ModelParams(**_section(sections, "model"))
     grid = None
-    grid_dim = 1
     if "grid" in sections:
-        grid_dim = _take(sections, "grid", "dimension", int, default=1)
-        if grid_dim > 2:
-            raise ConfigError("grid dimension must be 1 or 2",
-                              _line(sections, "grid", "dimension"))
-        try:
-            grid = Grid(
-                dimension=grid_dim,
-                half_length=_take(sections, "grid", "half_length", float, required=True),
-                points_per_axis=_take(sections, "grid", "points", int, required=True),
-            )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"invalid [grid]: {exc}") from exc
+        grid_keys = _section(sections, "grid")
+        grid = Grid(grid_keys["dimension"], grid_keys["half_length"], grid_keys["points"])
+    grid_dimension = 1 if grid is None else grid.dimension
+    kplus = _kernel_spec(sections, "kernel_plus", grid_dimension)
+    kminus = _kernel_spec(sections, "kernel_minus", grid_dimension)
+    initial = _initial(sections, grid_dimension) if "initial" in sections else None
 
-    kplus = _kernel_spec(sections, "kernel_plus", grid_dim)
-    kminus = _kernel_spec(sections, "kernel_minus", grid_dim)
-
-    initial = None
-    if "initial" in sections:
-        kind = _take(sections, "initial", "kind", str, required=True)
-        kind_line = _line(sections, "initial", "kind")
-        if kind not in _INITIAL_KINDS:
-            raise ConfigError(f"unknown initial kind {kind!r}; expected one of {_INITIAL_KINDS}",
-                              kind_line)
-        initial = InitialSpec(
-            kind=kind,
-            value=_take(sections, "initial", "value", float),
-            center=_take(sections, "initial", "center", _point(grid_dim)),
-            width=_take(sections, "initial", "width", float),
-            height=_take(sections, "initial", "height", float),
-            direction=_take(sections, "initial", "direction", int, default=1),
-            path=_take(sections, "initial", "path", str),
-            shift=_take(sections, "initial", "shift", float, default=0.0),
-        )
-        if kind == "constant" and initial.value is None:
-            raise ConfigError("initial kind 'constant' requires 'value'", kind_line)
-        if kind == "bump" and (initial.width is None or initial.height is None):
-            raise ConfigError("initial kind 'bump' requires 'width' and 'height'", kind_line)
-        if kind in ("profile-file", "shifted-profile"):
-            if initial.path is None:
-                raise ConfigError(f"initial kind {kind!r} requires 'path'", kind_line)
-            if not Path(initial.path).exists():
-                raise ConfigError(f"initial profile file {initial.path!r} does not exist",
-                                  _line(sections, "initial", "path"))
-
-    cfg = ScenarioConfig(
-        command=command or _take(sections, "scenario", "command", str, default="simulate"),
+    scenario, time, output, wave, front, verify = (
+        _section(sections, name) for name in ("scenario", "time", "output", "wave", "front",
+                                               "verify"))
+    dispersion = _section(sections, "dispersion", direction=kplus.dimension)
+    wave_domain = (wave["domain_left"], wave["domain_right"])
+    if not -math.inf < wave_domain[0] < wave_domain[1] < math.inf:
+        line = max(entry[1] for key, entry in sections["wave"].items() if "domain" in key)
+        raise ConfigError(f"need finite domain_left < domain_right: {wave_domain}", line)
+    return ScenarioConfig(
+        command=command or scenario["command"],
         params=params,
         kernel_plus=kplus,
         kernel_minus=kminus,
         grid=grid,
-        step=StepConfig(
-            dt=_take(sections, "time", "dt", _positive, default=1e-3),
-            method=_take(sections, "time", "method", _one_of(METHODS), default="rk4"),
-            floor=_take(sections, "time", "floor", _nonnegative, default=0.0),
-        ),
-        horizon=_take(sections, "time", "horizon", _positive, default=1.0),
-        snapshot_stride=_take(sections, "time", "snapshot_stride", _int_at_least(1), default=100),
+        step=StepConfig(dt=time["dt"], method=time["method"], floor=time["floor"]),
+        horizon=time["horizon"],
+        snapshot_stride=time["snapshot_stride"],
         initial=initial,
-        out_dir=_take(sections, "output", "directory", str, default="out"),
-        split_snapshots=_take(sections, "output", "split_snapshots", _as_bool, default=False),
-        seed=_take(sections, "scenario", "seed", int, default=0),
+        out_dir=output["directory"],
+        split_snapshots=output["split_snapshots"],
+        seed=scenario["seed"],
+        direction=dispersion["direction"] or (1.0,) + (0.0,) * (kplus.dimension - 1),
+        lambda_grid=(dispersion["lambda_min"], dispersion["lambda_max"],
+                     dispersion["lambda_count"]),
+        wave_speed=wave["speed"],
+        wave_speed_factor=wave["speed_factor"],
+        wave_domain=wave_domain,
+        wave_spacing=wave["spacing"],
+        front_level=front["level"],
+        front_shrink=front["shrink"],
+        front_n_directions=front["n_directions"],
+        verify_suite=verify["suite"],
+        verify_pairs=verify["pairs"],
+        verify_necessity=verify["necessity"],
     )
-    _take(sections, "scenario", "threads", int)  # accepted, validated, never read
-
-    if "dispersion" in sections:
-        cfg.direction = _take(sections, "dispersion", "direction", _as_floats, default=(1.0,))
-        cfg.lambda_grid = (
-            _take(sections, "dispersion", "lambda_min", float, default=1e-3),
-            _take(sections, "dispersion", "lambda_max", float, default=3.0),
-            _take(sections, "dispersion", "lambda_count", _int_at_least(2), default=200),
-        )
-    if "wave" in sections:
-        cfg.wave_speed = _take(sections, "wave", "speed", _finite)
-        cfg.wave_speed_factor = _take(sections, "wave", "speed_factor", _finite)
-        cfg.wave_domain = (
-            _take(sections, "wave", "domain_left", float, default=-40.0),
-            _take(sections, "wave", "domain_right", float, default=80.0),
-        )
-        if not -math.inf < cfg.wave_domain[0] < cfg.wave_domain[1] < math.inf:
-            line = max(entry[1] for key, entry in sections["wave"].items() if "domain" in key)
-            raise ConfigError(f"need finite domain_left < domain_right: {cfg.wave_domain}", line)
-        cfg.wave_spacing = _take(sections, "wave", "spacing", _positive, default=0.05)
-    if "front" in sections:
-        cfg.front_level = _take(sections, "front", "level", float)
-        cfg.front_shrink = _take(sections, "front", "shrink", float, default=0.5)
-        cfg.front_n_directions = _take(sections, "front", "n_directions", _int_at_least(1),
-                                       default=32)
-    if "verify" in sections:
-        cfg.verify_suite = _take(sections, "verify", "suite", str, default="comparison")
-        cfg.verify_pairs = _take(sections, "verify", "pairs", _int_at_least(1), default=50)
-        cfg.verify_necessity = _take(sections, "verify", "necessity", _as_bool, default=False)
-
-    if cfg.command not in ("simulate", "dispersion", "wave", "front", "verify"):
-        raise ConfigError(f"unknown command {cfg.command!r}",
-                          None if command else _line(sections, "scenario", "command"))
-    return cfg
 
 
 def load_config(path: str | Path, command: str | None = None) -> ScenarioConfig:

@@ -106,13 +106,22 @@ def estimate_speed(trace: LevelTrace, transient_fraction: float = 0.25) -> Speed
                          window=(float(t[0]), float(t[-1])))
 
 
+def _scaled_membership(grid, front: FrontSet):
+    """``scale -> mask`` of the grid points in scale * front, projecting the grid once.
+
+    Same operands in the same order as ``FrontSet.contains``, so the masks keep its bits.
+    """
+    proj = grid.coords().reshape(-1, grid.dimension) @ front.directions.T
+    return lambda scale: np.all(proj <= scale * front.speeds + 1e-12, axis=1).reshape(grid.shape)
+
+
 def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta: float
                          ) -> tuple[np.ndarray, np.ndarray]:
     """theta - min u over t * shrink * front, per snapshot, until it exits the grid."""
     if not 0.0 < shrink < 1.0:
         raise ValueError("shrink must lie in (0, 1)")
     times, deficits = [], []
-    proj = None  # grid points projected on the front directions, shared by all snapshots
+    inside = None
     for f in traj.snapshots:
         grid = f.grid
         t = f.time
@@ -120,10 +129,8 @@ def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta
             continue
         if shrink * t * float(np.max(front.speeds)) > grid.half_length:
             break
-        if proj is None:
-            proj = grid.coords().reshape(-1, grid.dimension) @ front.directions.T
-        # FrontSet.contains with scale shrink * t
-        mask = np.all(proj <= shrink * t * front.speeds + 1e-12, axis=1).reshape(grid.shape)
+        inside = inside or _scaled_membership(grid, front)
+        mask = inside(shrink * t)
         if not np.any(mask):
             continue
         times.append(t)
@@ -147,7 +154,6 @@ class ExteriorDecayResult:
     times: np.ndarray
     exterior_sup: np.ndarray
     envelope: np.ndarray
-    fitted_rate: float
     envelope_satisfied: bool
 
 
@@ -164,31 +170,23 @@ def exterior_decay(traj: Trajectory, front: FrontSet, inflate: float,
     times, sups, envs = [], [], []
     deltas = (inflate - 1.0) * front.speeds
     rates = lambda_stars * deltas
+    inside = None
     for f in traj.snapshots:
         t = f.time
         if t <= 0.0:
             continue
-        grid = f.grid
-        pts = grid.coords().reshape(-1, grid.dimension)
-        outside = ~front.contains(pts, scale=inflate * t).reshape(grid.shape)
+        inside = inside or _scaled_membership(f.grid, front)
+        outside = ~inside(inflate * t)
         if not np.any(outside):
             break
         envelope = float(np.max(u0_weighted_norms * np.exp(-rates * t)))
         times.append(t)
         sups.append(float(f.values[outside].max()))
         envs.append(envelope)
-    times = np.asarray(times)
     sups = np.asarray(sups)
     envs = np.asarray(envs)
-    positive = sups > 1e-300
-    if positive.sum() >= 3:
-        design = np.stack([times[positive], np.ones(int(positive.sum()))], axis=-1)
-        coef, *_ = np.linalg.lstsq(design, np.log(sups[positive]), rcond=None)
-        rate = -float(coef[0])
-    else:
-        rate = math.inf
     return ExteriorDecayResult(
-        times=times, exterior_sup=sups, envelope=envs, fitted_rate=rate,
+        times=np.asarray(times), exterior_sup=sups, envelope=envs,
         envelope_satisfied=bool(np.all(sups <= envs * (1.0 + 1e-9))),
     )
 

@@ -116,6 +116,22 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\ncenter = 5 -3"),
         ("dt = 2e-3", "dt = 2e-3\nfloor = nan"),
         ("dt = 2e-3", "dt = 2e-3\nfloor = -1"),
+        ("mortality = 1.0", "mortality = 0"),
+        ("kappa_plus = 2.0", "kappa_plus = -2"),
+        ("kappa_minus = 1.0", "kappa_minus = nan"),
+        ("kappa_plus = 2.0", "kappa_plus = inf"),
+        ("points = 128", "points = 1000"),
+        ("points = 128", "points = 8"),
+        ("half_length = 20.0", "half_length = -1"),
+        ("half_length = 20.0", "half_length = inf"),
+        ("dimension = 1", "dimension = 0"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\ndirection = 1 1"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\ndirection = 0"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\ndirection = nan"),
+        ("value = 0.5", "value = 0.5\n\n[front]\nlevel = nan"),
+        ("value = 0.5", "value = 0.5\n\n[front]\nlevel = inf"),
+        ("value = 0.5", "value = 0.5\n\n[front]\nshrink = 1.5"),
+        ("value = 0.5", "value = 0.5\n\n[front]\nshrink = 0"),
     ])
     def test_rejects_out_of_range_values_with_line(self, old, new):
         text = BASE.replace(old, new)
@@ -156,6 +172,14 @@ class TestParsing:
         assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
         assert f"line {lineno}: bad value for 'center'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("direction", ["1", "0 0", "1 nan", "1 0 0"])
+    def test_direction_needs_one_finite_component_per_kernel_axis(self, direction):
+        text = BASE.replace("dimension = 1", "dimension = 2") + (
+            f"\n[dispersion]\ndirection = {direction}\n")
+        lineno = text.splitlines().index(f"direction = {direction}") + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: bad value for 'direction'"):
+            parse_config(text)
 
     def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
         text = BASE + "\n[front]\ninflate = 1.2\n"
@@ -204,6 +228,19 @@ class TestScenarios:
         data = np.loadtxt(tmp_path / "out" / "dispersion.csv", delimiter=",", skiprows=1)
         assert data.shape[1] == 2
         assert np.min(data[:, 1]) >= float(entries["dispersion.c_star"]) - 1e-9
+
+    def test_two_dimensional_dispersion_defaults_to_e1(self, tmp_path):
+        text = (BASE.replace("dimension = 1", "dimension = 2")
+                .replace("points = 128", "points = 32")
+                .replace("half_length = 20.0", "half_length = 10.0"))
+        outs = []
+        for name, extra in (("default", ""), ("e1", "\n[dispersion]\ndirection = 1 0\n")):
+            cfg_file = tmp_path / f"{name}.cfg"
+            cfg_file.write_text(text + extra)
+            outs.append(tmp_path / name)
+            assert main(["dispersion", "--config", str(cfg_file), "--out", str(outs[-1])]) == 0
+        for artifact in ("summary.txt", "dispersion.csv"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
     def test_wave_below_minimal_speed_fails(self, tmp_path):
         cfg_file = tmp_path / "w.cfg"
@@ -403,6 +440,7 @@ def _run(command: str, cfg_file: Path, out: Path) -> tuple[int, dict]:
     rc = main([command, "--config", str(cfg_file), "--out", str(out)])
     assert rc in (0, 1, 2)
     if rc == 2:
+        assert not (out / "summary.txt").exists()  # a refused config runs nothing
         return rc, {}
     entries = summary_dict(out)  # exit 0 or 1 leaves a summary
     if "error" in entries:
@@ -435,6 +473,42 @@ def test_simulate_and_verify_configs_end_in_a_summary(tmp_path_factory, dimensio
         rc, entries = _run(command, cfg_file, out / command)
         refusals.append((rc == 2, entries.get("error"), entries.get("error.type")))
     assert refusals[0] == refusals[1]
+
+
+RATES = ["-1.0", "0.0", "nan", "inf", "0.5", "2.0"]
+# one edit of a valid config: a model rate, the dispersion direction or a front value
+EDITS = st.one_of(
+    st.tuples(st.just("model"), st.sampled_from(["kappa_plus", "kappa_minus", "mortality"]),
+              st.sampled_from(RATES)),
+    st.tuples(st.just("dispersion"), st.just("direction"),
+              st.sampled_from([None, "1", "1 0", "1 1", "0 0", "nan"])),
+    st.tuples(st.just("front"), st.just("level"), st.sampled_from([None, "0.25", "nan", "inf"])),
+    st.tuples(st.just("front"), st.just("shrink"), st.sampled_from([None, "0.5", "1.5", "0"])),
+)
+
+
+# an exception escaping main fails the example: that is the traceback a CLI run would print
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(command=st.sampled_from(["dispersion", "front"]), dimension=st.sampled_from([1, 2]),
+       family=st.sampled_from(["gaussian\nsigma = 1.0", "laplace\nmu = 1.0"]), edit=EDITS)
+def test_dispersion_and_front_configs_end_in_a_summary(tmp_path_factory, command, dimension,
+                                                       family, edit):
+    sections = {"model": {"kappa_plus": "2.0", "kappa_minus": "1.0", "mortality": "1.0"},
+                "kernel_plus": {"family": family},
+                "kernel_minus": {"family": "gaussian", "sigma": "1.0"},
+                "grid": {"dimension": dimension, "half_length": "8.0", "points": 64 // dimension},
+                "time": {"dt": "0.02", "horizon": "0.2"},
+                "initial": {"kind": "bump", "width": "2.0", "height": "0.5"},
+                "dispersion": {}, "front": {"n_directions": "4"}}
+    section, key, value = edit
+    sections[section][key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in
+                                            entries.items() if value is not None)
+                   for name, entries in sections.items())
+    out = tmp_path_factory.mktemp(command)
+    cfg_file = out / "c.cfg"
+    cfg_file.write_text(text)
+    _run(command, cfg_file, out / "run")
 
 
 def _run_python(code: str) -> str:

@@ -92,6 +92,20 @@ class TestInteriorExterior:
         assert np.all(res.exterior_sup == 0.0)
         assert res.envelope_satisfied
 
+    def test_exterior_decay_projects_the_grid_once(self, canon, gauss1, small_run, monkeypatch):
+        fset = front_set(canon, gauss1)
+        grid = small_run.snapshots[0].grid
+        inflate = 1.2
+        expected = [~fset.contains(grid.coords().reshape(-1, 1), scale=inflate * f.time)
+                    for f in small_run.snapshots[1:]]
+        calls = []
+        coords = Grid.coords
+        monkeypatch.setattr(Grid, "coords", lambda self: calls.append(self) or coords(self))
+        res = exterior_decay(small_run, fset, inflate, np.ones(2), fset.lambda_stars)
+        assert len(calls) == 1 and len(res.times) == len(expected) > 1
+        for f, outside, sup in zip(small_run.snapshots[1:], expected, res.exterior_sup):
+            assert sup == f.values[outside].max()  # the same mask as FrontSet.contains
+
     def test_initial_decay_check(self, canon, grid256):
         bump = bump_field(grid256, 0.0, 2.0, 0.5)
         assert check_initial_decay(bump, 0.8)
