@@ -219,6 +219,19 @@ def _kernel_spec(sections, section: str, grid_dimension: int) -> KernelSpec:
                           _line(sections, section, "family")) from exc
 
 
+def _check_dimensions(sections, kplus: KernelSpec, kminus: KernelSpec, grid: Grid | None):
+    """Refuse kernels whose dimension differs from the grid's, or without a grid from
+    [kernel_plus]'s, citing the offending ``dimension`` line."""
+    expected, source = ((kplus.dimension, "[kernel_plus]") if grid is None
+                        else (grid.dimension, "[grid]"))
+    for section, spec in (("kernel_plus", kplus), ("kernel_minus", kminus)):
+        if spec.dimension != expected:
+            line = (_line(sections, section, "dimension")
+                    or _line(sections, "kernel_plus", "dimension"))
+            raise ConfigError(f"[{section}] dimension {spec.dimension} differs from the "
+                              f"{source} dimension {expected}", line)
+
+
 def _initial(sections, grid_dimension: int) -> InitialSpec:
     initial = InitialSpec(**_section(sections, "initial", center=grid_dimension))
     kind, kind_line = initial.kind, _line(sections, "initial", "kind")
@@ -250,6 +263,7 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     grid_dimension = 1 if grid is None else grid.dimension
     kplus = _kernel_spec(sections, "kernel_plus", grid_dimension)
     kminus = _kernel_spec(sections, "kernel_minus", grid_dimension)
+    _check_dimensions(sections, kplus, kminus, grid)
     initial = _initial(sections, grid_dimension) if "initial" in sections else None
 
     scenario, time, output, wave, front, verify = (
@@ -290,4 +304,9 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
 
 
 def load_config(path: str | Path, command: str | None = None) -> ScenarioConfig:
-    return parse_config(Path(path).read_text(), command=command)
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
+    return parse_config(text, command=command)

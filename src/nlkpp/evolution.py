@@ -108,6 +108,11 @@ class StepConfig:
     cutoff biases the measured front speed by O(1/log^2 floor), which desk
     tolerances absorb.  Off by default: short runs do not need it, and
     negativity should stay visible as a bug signal.
+
+    An fft step transforms only the occupied window of the state (see
+    ``_advance``), and the floor is what keeps that window small: without it
+    the kernels' tails leave the far field nonzero, and the window soon
+    covers the grid.
     """
 
     dt: float
@@ -180,9 +185,9 @@ def rhs(problem: EvolutionProblem, backend: str = "fft") -> Field:
     return problem.u.with_values(values)
 
 
-def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-             values: np.ndarray, cfg: StepConfig) -> np.ndarray:
-    """One step of ``values``; leading axes beyond the grid are independent states."""
+def _circular_step(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
+                   values: np.ndarray, cfg: StepConfig) -> np.ndarray:
+    """One step of ``values`` with convolutions circular at its shape."""
     dt = cfg.dt
     backend = cfg.conv_backend
     if cfg.method == "rk4":
@@ -195,6 +200,57 @@ def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
         out = decay * values + (1.0 - decay) / loss * params.kappa_plus * conv_p
     if cfg.floor > 0.0:
         out[np.abs(out) < cfg.floor] = 0.0
+    return out
+
+
+def _window(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
+            cfg: StepConfig) -> tuple[slice, ...] | None:
+    """The grid cells one fft step of ``values`` can make nonzero, when a window pays.
+
+    That is the nonzero span on each grid axis (a union over leading batch
+    axes), grown by the kernels' reach once per convolution stage: four times
+    for rk4, once for exp_euler.  None when a grown span wraps the periodic
+    edge or its fast transform length is not shorter than the axis.
+    """
+    if cfg.conv_backend != "fft":
+        return None
+    grow = (4 if cfg.method == "rk4" else 1) * max(wplus.reach, wminus.reach)
+    lead = values.ndim - wplus.weights.ndim
+    if sp_fft.next_fast_len(2 * grow + 1, True) >= min(values.shape[lead:]):
+        return None  # no state has a window: skip scanning it
+    occupied = values != 0.0
+    window = []
+    for axis in range(lead, values.ndim):
+        cells = np.flatnonzero(occupied.any(axis=tuple(a for a in range(values.ndim)
+                                                       if a != axis)))
+        if cells.size == 0:
+            return None
+        lo, hi = cells[0] - grow, cells[-1] + grow + 1
+        if lo < 0 or hi > values.shape[axis] or (
+                sp_fft.next_fast_len(hi - lo, True) >= values.shape[axis]):
+            return None
+        window.append(slice(lo, hi))
+    return tuple(window)
+
+
+def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
+             values: np.ndarray, cfg: StepConfig) -> np.ndarray:
+    """One step of ``values``; leading axes beyond the grid are independent states.
+
+    When ``_window`` finds one, the step runs on that window zero-extended to
+    a fast transform length, where each kernel's weights within its ``reach``
+    wrap; every other cell stays 0.  Otherwise the whole grid is stepped.
+    """
+    window = _window(wplus, wminus, values, cfg)
+    if window is None:
+        return _circular_step(params, wplus, wminus, values, cfg)
+    batch = (slice(None),) * (values.ndim - len(window))
+    segment = np.zeros(values.shape[:len(batch)]
+                       + tuple(sp_fft.next_fast_len(w.stop - w.start, True) for w in window))
+    inner = batch + tuple(slice(0, w.stop - w.start) for w in window)
+    segment[inner] = values[batch + window]
+    out = np.zeros_like(values)
+    out[batch + window] = _circular_step(params, wplus, wminus, segment, cfg)[inner]
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -568,10 +569,14 @@ class _Samples:
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def spectrum(self, shape: tuple[int, ...]) -> np.ndarray:
-        """rfftn of the weights zero-filled to ``shape``, computed once per shape."""
+        """rfftn of the weights laid out at ``shape``, computed once per shape."""
         if shape not in self._spectra:
-            self._spectra[shape] = sp_fft.rfftn(self.weights, shape)
+            self._spectra[shape] = sp_fft.rfftn(self._laid_out(shape), shape)
         return self._spectra[shape]
+
+    def _laid_out(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The weights as a transform of ``shape`` sees them: zero-filled to it."""
+        return self.weights
 
 
 @dataclass(frozen=True)
@@ -591,6 +596,36 @@ class SampledWeights(_Samples):
     @property
     def shape(self) -> tuple[int, ...]:
         return self.weights.shape
+
+    @cached_property
+    def reach(self) -> int:
+        """Smallest displacement r, in cells, beyond which the weights' |mass| is at most eps.
+
+        eps is ``np.finfo(float).eps`` of the total |mass|, and a displacement
+        counts its largest axis component, so the weights outside the box
+        [-r, r]^d carry at most that much.  A compact kernel reaches exactly its
+        support; a heavy tail reaches the whole grid.
+        """
+        axes = [np.minimum(np.arange(n), n - np.arange(n)) for n in self.shape]
+        cells = axes[0] if len(axes) == 1 else np.maximum.outer(*axes)
+        mass = np.bincount(cells.ravel(), weights=np.abs(self.weights).ravel())
+        at_or_beyond = np.cumsum(mass[::-1])[::-1]
+        beyond = np.append(at_or_beyond[1:], 0.0)
+        return int(np.flatnonzero(beyond <= np.finfo(float).eps * at_or_beyond[0])[0])
+
+    def _laid_out(self, shape: tuple[int, ...]) -> np.ndarray:
+        """At the grid's shape the weights; at a smaller one (a window of the grid), the
+        weights within ``reach`` of zero displacement, wrapped at that shape."""
+        if shape == self.shape:
+            return self.weights
+        r = self.reach
+        if min(shape) <= 2 * r:
+            raise ValueError(f"shape {shape} cannot hold the weights' reach of {r} cells")
+        disp = np.arange(-r, r + 1)
+        out = np.zeros(shape)
+        out[np.ix_(*[disp % n for n in shape])] = self.weights[
+            np.ix_(*[disp % n for n in self.shape])]
+        return out
 
 
 def _displacement_coords(n: int, h: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import nlkpp
 from nlkpp import ConfigError, ConvergenceFailure, StepConfig, fronts, waves
 from nlkpp.cli import _problem, main
-from nlkpp.config import parse_config
+from nlkpp.config import COMMANDS, parse_config
 
 BASE = """
 [scenario]
@@ -180,6 +180,43 @@ class TestParsing:
         lineno = text.splitlines().index(f"direction = {direction}") + 1
         with pytest.raises(ConfigError, match=f"line {lineno}: bad value for 'direction'"):
             parse_config(text)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unreadable_config_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        for path in (tmp_path / "missing.cfg", tmp_path):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, dimensions, cited", [
+        (1, {"kernel_minus": 2}, "kernel_minus"),
+        (2, {"kernel_plus": 3, "kernel_minus": 2}, "kernel_plus"),
+        (2, {"kernel_plus": 1, "kernel_minus": 1}, "kernel_plus"),
+        (None, {"kernel_plus": 2}, "kernel_plus"),
+        (None, {"kernel_minus": 2}, "kernel_minus"),
+    ])
+    @pytest.mark.parametrize("command", ["dispersion", "simulate"])
+    def test_kernel_dimensions_must_agree(self, tmp_path, capsys, command, grid, dimensions,
+                                          cited):
+        text = BASE
+        for section, dimension in dimensions.items():
+            text = text.replace(f"[{section}]\n", f"[{section}]\ndimension = {dimension}\n")
+        grid_section = "[grid]\ndimension = 1\nhalf_length = 20.0\npoints = 128\n"
+        text = text.replace(grid_section, "" if grid is None else grid_section.replace(
+            "dimension = 1", f"dimension = {grid}"))
+        lines = text.splitlines()
+        lineno = lines.index(f"dimension = {dimensions[cited]}",
+                             lines.index(f"[{cited}]")) + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: \\[kernel_.*differs"):
+            parse_config(text)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(text)
+        assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
         text = BASE + "\n[front]\ninflate = 1.2\n"
@@ -448,25 +485,30 @@ def _run(command: str, cfg_file: Path, out: Path) -> tuple[int, dict]:
     return rc, entries
 
 
-# canonical rates: the stability guard needs dt * 4 < 0.5
+# canonical rates: the stability guard needs dt * 4 < 0.5.  The grid holds a
+# bump grown by eight reaches of the sigma = 1 kernel, so a step can run on
+# the occupied window; a centre near the edge makes the window wrap instead.
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(dimension=st.sampled_from([1, 2]),
        dt=st.sampled_from([0.01, 0.05, 0.1, 0.12, 0.125, 0.2, 0.4, 3.0]),
        steps=st.integers(1, 4), off_lattice=st.sampled_from([0.0, 0.0, 0.37]),
        method=st.sampled_from(["rk4", "exp_euler", "euler"]),
-       floor=st.sampled_from([0.0, 1e-3]))
+       floor=st.sampled_from([0.0, 1e-3, 1e-14]),
+       center=st.sampled_from([0.0, 39.0, -38.5]))
 def test_simulate_and_verify_configs_end_in_a_summary(tmp_path_factory, dimension, dt, steps,
-                                                       off_lattice, method, floor):
+                                                       off_lattice, method, floor, center):
     out = tmp_path_factory.mktemp("step")
     cfg_file = out / "s.cfg"
     cfg_file.write_text(
         "[model]\nkappa_plus = 2.0\nkappa_minus = 1.0\nmortality = 1.0\n"
         "[kernel_plus]\nfamily = gaussian\nsigma = 1.0\n"
         "[kernel_minus]\nfamily = gaussian\nsigma = 0.8\n"
-        f"[grid]\ndimension = {dimension}\nhalf_length = 8.0\npoints = {64 // dimension}\n"
+        f"[grid]\ndimension = {dimension}\nhalf_length = 40.0\n"
+        f"points = {512 if dimension == 1 else 128}\n"
         f"[time]\ndt = {dt!r}\nhorizon = {(steps + off_lattice) * dt!r}\n"
         f"method = {method}\nfloor = {floor!r}\n"
         "[initial]\nkind = bump\nwidth = 3.0\nheight = 0.5\n"
+        f"center = {' '.join([repr(center)] * dimension)}\n"
         "[verify]\npairs = 2\n")
     refusals = []
     for command in ("simulate", "verify"):

@@ -10,8 +10,9 @@ from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpe
                    find_subsolution_params, gaussian_subsolution, logistic_exact,
                    make_kernel, minimize_G, picard_solve, rhs, simulate, solve_profile, step,
                    truncated_problem, uniform_bound)
-from nlkpp import evolution
-from nlkpp.evolution import _advance, _picard_interval, convolve, convolve_pair, rhs_values
+from nlkpp import evolution, fronts
+from nlkpp.evolution import (_advance, _picard_interval, _rk4, convolve, convolve_pair,
+                             rhs_values)
 from nlkpp.kernels import SampledWeights
 
 from conftest import brute_circular_convolution
@@ -235,6 +236,134 @@ class TestInvariants:
         for f in traj.snapshots:
             rises = np.diff(f.values[sl])
             assert rises.max() <= 1e-10
+
+
+def whole_grid_step(params, wplus, wminus, values, cfg):
+    """An RK4 step transforming the whole grid, built from ``rhs_values``."""
+    out = _rk4(lambda v: rhs_values(params, wplus, wminus, v), values, cfg.dt)
+    if cfg.floor > 0.0:
+        out[np.abs(out) < cfg.floor] = 0.0
+    return out
+
+
+@pytest.fixture
+def transform_shapes(monkeypatch):
+    """Shapes of the states ``convolve_pair`` transforms from here on."""
+    shapes = []
+    pair = evolution.convolve_pair
+
+    def recording(wplus, wminus, values, backend="fft"):
+        shapes.append(values.shape)
+        return pair(wplus, wminus, values, backend)
+
+    monkeypatch.setattr(evolution, "convolve_pair", recording)
+    return shapes
+
+
+@pytest.mark.filterwarnings("ignore:kernel scale")
+class TestWindow:
+    """A state that leaves most of the grid at 0 is stepped on its occupied window."""
+
+    # h = 0.098 in 1-D and 0.625 in 2-D: a bump grown by eight reaches of the
+    # sigma = 1 gaussian (84 and 14 cells) fits well inside one axis
+    GRIDS = {1: Grid(dimension=1, half_length=100.0, points_per_axis=2048),
+             2: Grid(dimension=2, half_length=80.0, points_per_axis=256)}
+
+    @staticmethod
+    def gaussian(grid, sigma=1.0):
+        return discretize(make_kernel(KernelSpec("gaussian", grid.dimension, sigma=sigma)), grid)
+
+    @pytest.mark.parametrize("dimension, steps", [(1, 200), (2, 20)])
+    def test_agrees_with_whole_grid_steps(self, canon, dimension, steps, transform_shapes):
+        grid = self.GRIDS[dimension]
+        w = self.gaussian(grid)
+        cfg = StepConfig(dt=0.01, floor=1e-14)
+        u = bump_field(grid, 0.3 if dimension == 1 else (0.3, -1.1), 2.0, 0.4).values
+        ref = u.copy()
+        for _ in range(steps):
+            u = _advance(canon, w, w, u, cfg)
+            ref = whole_grid_step(canon, w, w, ref, cfg)
+        windowed = [shape for shape in transform_shapes if shape != grid.shape]
+        assert len(windowed) == 4 * steps
+        assert all(max(shape) < grid.points_per_axis for shape in windowed)
+        assert np.abs(u - ref).max() <= 1e-13
+
+    def test_floor_keeps_the_window_small(self, canon, transform_shapes):
+        grid = self.GRIDS[1]
+        w = self.gaussian(grid)
+        u = bump_field(grid, 0.0, 2.0, 0.4).values
+        # without a floor the span grows by four reaches a step: 41, 713, 1385, 2057 cells
+        for floor, windowed_steps in ((1e-14, 3), (0.0, 2)):
+            transform_shapes.clear()
+            v = u
+            for _ in range(3):
+                v = _advance(canon, w, w, v, StepConfig(dt=0.01, floor=floor))
+            assert sum(shape != grid.shape for shape in transform_shapes) == 4 * windowed_steps
+
+    @pytest.mark.parametrize("case", ["wrap", "power_tail", "constant"])
+    @pytest.mark.parametrize("method", ["rk4", "exp_euler"])
+    def test_fallbacks_step_the_whole_grid_bitwise(self, canon, case, method,
+                                                   transform_shapes):
+        grid = self.GRIDS[1]
+        w = self.gaussian(grid)
+        u = bump_field(grid, 0.0, 2.0, 0.4).values
+        if case == "wrap":  # a bump across the periodic edge
+            u = bump_field(grid, grid.half_length, 2.0, 0.4).values
+        elif case == "power_tail":
+            w = discretize(make_kernel(KernelSpec("power_tail", 1, q=4.0)), grid)
+        else:
+            u = constant_field(grid, 0.5).values
+        cfg = StepConfig(dt=0.01, method=method, floor=1e-14)
+        expected = evolution._circular_step(canon, w, w, u, cfg)
+        if method == "rk4":
+            assert np.array_equal(expected, whole_grid_step(canon, w, w, u, cfg))
+        transform_shapes.clear()
+        assert np.array_equal(_advance(canon, w, w, u, cfg), expected)
+        assert set(transform_shapes) == {grid.shape}
+
+    def test_batch_takes_one_window_over_the_grid_axis(self, canon, transform_shapes):
+        grid = self.GRIDS[1]
+        w = self.gaussian(grid)
+        cfg = StepConfig(dt=0.01, floor=1e-14)
+        # disjoint supports: the window must cover both slices' spans
+        pair = np.stack([bump_field(grid, -12.0, 2.0, 0.4).values,
+                         bump_field(grid, 9.0, 1.5, 0.6).values])
+        out = _advance(canon, w, w, pair, cfg)
+        (shape,) = set(transform_shapes)
+        assert shape[0] == 2 and shape[1] < grid.points_per_axis
+        for got, start in zip(out, pair):
+            assert np.abs(got - whole_grid_step(canon, w, w, start, cfg)).max() <= 1e-15
+
+        transform_shapes.clear()
+        u0 = bump_field(grid, 0.0, 2.0, 0.3)
+        v0 = Field(grid, u0.values + bump_field(grid, 5.0, 2.0, 0.3).values)
+        result = fronts.comparison_harness(canon, w, w, u0, v0, 0.5, cfg)
+        assert result.max_violation <= 1e-15 and result.strip_violation <= 1e-15
+        assert all(len(shape) == 2 and shape[0] == 2 and shape[1] < grid.points_per_axis
+                   for shape in transform_shapes)
+
+    def test_reach_of_each_family(self):
+        grid = self.GRIDS[1]
+        uniform = discretize(make_kernel(KernelSpec("compact_uniform", 1, radius=1.5)), grid)
+        r = uniform.reach  # the support is exactly the displacements -r..r
+        assert uniform.weights[r] > 0 and uniform.weights[-r] > 0
+        assert not uniform.weights[r + 1:-r].any()
+
+        eps = np.finfo(float).eps
+        for grid in self.GRIDS.values():
+            w = self.gaussian(grid, sigma=1.5)
+            r = w.reach
+            cells = np.abs(np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis)
+            if grid.dimension == 2:
+                cells = np.maximum.outer(cells, cells)
+            beyond = np.abs(w.weights)[cells > r].sum()
+            assert beyond <= eps * np.abs(w.weights).sum()
+            assert np.abs(w.weights)[cells > r - 1].sum() > eps * np.abs(w.weights).sum()
+            assert 0 < r < grid.points_per_axis // 2
+
+        grid = self.GRIDS[1]
+        heavy = discretize(make_kernel(KernelSpec("power_tail", 1, q=4.0)), grid)
+        assert heavy.reach == grid.points_per_axis // 2
 
 
 class TestPicard:
