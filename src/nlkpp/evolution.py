@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import CertificationFailed, ConvergenceFailure, GridError
 from .grids import Field, Grid
-from .kernels import Kernel, SampledWeights, _displacement_coords, _Samples
+from .kernels import (Kernel, SampledWeights, _displacement_coords, _irfft, _next_fast_len, _rfft,
+                      _Samples)
 from .params import ModelParams
 
 
@@ -62,11 +62,10 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     """
     if backend == "fft":
         shape = values.shape[values.ndim - wplus.weights.ndim:]
-        axes = tuple(range(values.ndim - len(shape), values.ndim))
-        spectrum = sp_fft.rfftn(values, axes=axes)
+        spectrum = _rfft(values, shape)
 
         def conv(w: _Samples) -> np.ndarray:
-            return sp_fft.irfftn(spectrum * w.spectrum(shape), s=shape, axes=axes)
+            return _irfft(spectrum * w.spectrum(shape), shape)
     elif backend == "direct":
         def conv(w: SampledWeights) -> np.ndarray:
             return _conv_direct(w, values)
@@ -216,7 +215,7 @@ def _window(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
         return None
     grow = (4 if cfg.method == "rk4" else 1) * max(wplus.reach, wminus.reach)
     lead = values.ndim - wplus.weights.ndim
-    if sp_fft.next_fast_len(2 * grow + 1, True) >= min(values.shape[lead:]):
+    if _next_fast_len(2 * grow + 1) >= min(values.shape[lead:]):
         return None  # no state has a window: skip scanning it
     occupied = values != 0.0
     window = []
@@ -227,7 +226,7 @@ def _window(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
             return None
         lo, hi = cells[0] - grow, cells[-1] + grow + 1
         if lo < 0 or hi > values.shape[axis] or (
-                sp_fft.next_fast_len(hi - lo, True) >= values.shape[axis]):
+                _next_fast_len(hi - lo) >= values.shape[axis]):
             return None
         window.append(slice(lo, hi))
     return tuple(window)
@@ -246,7 +245,7 @@ def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
         return _circular_step(params, wplus, wminus, values, cfg)
     batch = (slice(None),) * (values.ndim - len(window))
     segment = np.zeros(values.shape[:len(batch)]
-                       + tuple(sp_fft.next_fast_len(w.stop - w.start, True) for w in window))
+                       + tuple(_next_fast_len(w.stop - w.start) for w in window))
     inner = batch + tuple(slice(0, w.stop - w.start) for w in window)
     segment[inner] = values[batch + window]
     out = np.zeros_like(values)

@@ -14,14 +14,13 @@ whole traveling-wave theory hangs on that abscissa.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import special
 
 from .errors import KernelError
 
@@ -196,12 +195,19 @@ class Kernel:
 
     def mass_outside(self, radius: float) -> float:
         """Probability mass outside the ball of the given radius (offset-centered)."""
-        if self.spec.family == "gaussian":
-            sigma = self.spec.sigma
+        spec = self.spec
+        if spec.family == "gaussian":
+            sigma = spec.sigma
             if self.dimension == 1:
-                return float(special.erfc(radius / (sigma * math.sqrt(2.0))))
+                return math.erfc(radius / (sigma * math.sqrt(2.0)))
             return math.exp(-radius**2 / (2.0 * sigma**2))
-        shape = _radial_shape(self.spec)
+        if spec.family == "laplace":
+            x = spec.mu * radius
+            return math.exp(-x) if self.dimension == 1 else (1.0 + x) * math.exp(-x)
+        if spec.family == "compact_uniform":
+            t = min(radius / spec.radius, 1.0)
+            return 1.0 - t if self.dimension == 1 else 1.0 - t * t
+        shape = _radial_shape(spec)
         if self.dimension == 1:
             return 2.0 * self.normalizer_alpha * _quad(shape, radius, np.inf)
         return 2.0 * math.pi * self.normalizer_alpha * _quad(
@@ -241,12 +247,8 @@ class Kernel1D:
     ``transform(lam)`` is the bilateral Laplace transform int a(s) e^{lam s} ds,
     ``weighted_moment1/2`` the companions with factors s and s^2.  All three
     go through ``_moment`` and return ``math.inf`` on analytic divergence
-    instead of failing.
-
-    A line without a closed form describes its density as
-    a(s) = exp(-decay(|s|)) * factor(s) on [-support, support] through the
-    ``_decay``, ``_factor`` and ``_support`` attributes (a planar
-    ``RadialLine`` describes its radial density that way instead).
+    instead of failing; inside the abscissa each line computes them in
+    ``_integral``, in closed form except for ``RadialLine``.
     """
 
     lambda0: float
@@ -281,19 +283,11 @@ class Kernel1D:
         if abs(lam) > self.lambda0 or (abs(lam) == self.lambda0
                                        and self.tail_power <= power + 1):
             return math.inf
-        value = self._closed_form(lam, power)
-        return self._quadrature(lam, power) if value is None else value
+        return self._integral(lam, power)
 
-    def _closed_form(self, lam: float, power: int) -> float | None:
-        return None
-
-    def _quadrature(self, lam: float, power: int) -> float:
-        """The fused quadrature; an unbounded support is folded onto (0, inf)."""
-        decay, factor, support = self._decay, self._factor, self._support
-        if math.isinf(support):
-            return (_fused_quad(lam, power, decay, factor, 0.0, np.inf)
-                    + (-1.0) ** power * _fused_quad(-lam, power, decay, factor, 0.0, np.inf))
-        return _fused_quad(lam, power, decay, factor, -support, support)
+    def _integral(self, lam: float, power: int) -> float:
+        """int s^power a(s) e^{lam s} ds for lam inside the abscissa."""
+        raise NotImplementedError
 
     def mass_outside(self, radius: float) -> float:
         return _quad(self.eval, radius, np.inf) + _quad(self.eval, -np.inf, -radius)
@@ -317,10 +311,6 @@ def _fused_quad(lam: float, power: int, decay, factor, lo: float, hi: float) -> 
     return _quad(f, lo, hi)
 
 
-def _no_decay(s: float) -> float:
-    return 0.0
-
-
 class GaussianLine(Kernel1D):
     """1-D gaussian with optional drift of the center."""
 
@@ -335,7 +325,7 @@ class GaussianLine(Kernel1D):
         z = (np.asarray(s, dtype=float) - self.drift) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
-    def _closed_form(self, lam, power):
+    def _integral(self, lam, power):
         arg = lam * self.drift + 0.5 * lam * lam * self.sigma**2
         if not arg < 700:
             return math.inf
@@ -346,7 +336,7 @@ class GaussianLine(Kernel1D):
         return m * t if power == 1 else (m * m + self.sigma**2) * t
 
     def mass_outside(self, radius):
-        return float(special.erfc(radius / (self.sigma * math.sqrt(2.0))))
+        return math.erfc(radius / (self.sigma * math.sqrt(2.0)))
 
 
 class LaplaceLine1(Kernel1D):
@@ -363,7 +353,7 @@ class LaplaceLine1(Kernel1D):
     def eval(self, s):
         return 0.5 * self.mu * np.exp(-self.mu * np.abs(np.asarray(s, dtype=float)))
 
-    def _closed_form(self, lam, power):
+    def _integral(self, lam, power):
         m2 = self.mu**2
         if power == 0:
             return m2 / (m2 - lam**2)
@@ -387,13 +377,15 @@ class LaplaceLine2(Kernel1D):
         self.source = source
 
     def eval(self, s):
+        from scipy.special import k1
+
         s = np.abs(np.asarray(s, dtype=float))
         out = np.full_like(s, self.mu / math.pi)
         nz = s > 0
-        out[nz] = (self.mu**2 / math.pi) * s[nz] * special.k1(self.mu * s[nz])
+        out[nz] = (self.mu**2 / math.pi) * s[nz] * k1(self.mu * s[nz])
         return out
 
-    def _closed_form(self, lam, power):
+    def _integral(self, lam, power):
         m2 = self.mu**2
         if power == 0:
             return self.mu**3 / (m2 - lam**2) ** 1.5
@@ -402,46 +394,54 @@ class LaplaceLine2(Kernel1D):
         return 3.0 * self.mu**3 * (m2 + 4.0 * lam**2) / (m2 - lam**2) ** 3.5
 
 
+# |lam R| from which the compact lines' moments count as infinite, as GaussianLine's do:
+# sinh and the Bessel functions overflow just past 710
+_OVERFLOW = 700.0
+
+
 class UniformLine(Kernel1D):
-    """Uniform density on [-R, R]."""
+    """Uniform density on [-R, R]; with x = lam R its moments are sinh(x)/x,
+    R (x cosh x - sinh x)/x^2 and R^2 ((x^2 + 2) sinh x - 2 x cosh x)/x^3."""
 
     def __init__(self, radius: float, source=None):
         self.radius = radius
         self.lambda0 = math.inf
         self.tail_class = EXP_DECAY_INFINITE
         self.source = source
-        density = 1.0 / (2.0 * radius)
-        self._decay, self._factor, self._support = _no_decay, lambda s: density, radius
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
         return np.where(np.abs(s) <= self.radius, 1.0 / (2.0 * self.radius), 0.0)
 
-    def _closed_form(self, lam, power):
-        if power:
-            return None
+    def _integral(self, lam, power):
         x = lam * self.radius
-        if abs(x) < 1e-6:
-            return 1.0 + x * x / 6.0
-        return math.sinh(x) / x
+        if not abs(x) < _OVERFLOW:
+            return math.inf
+        if power == 0:
+            return 1.0 + x * x / 6.0 if abs(x) < 1e-6 else math.sinh(x) / x
+        if abs(x) < 1.0:
+            # the closed forms cancel here; int_{-1}^{1} t^power e^{x t} dt / 2 as a series
+            return self.radius**power * sum(x**n / (math.factorial(n) * (n + power + 1))
+                                            for n in range(power % 2, 20, 2))
+        # the closed forms divided through by x, so that no product overflows before sinh
+        sinh, cosh = math.sinh(x), math.cosh(x)
+        if power == 1:
+            return self.radius * (cosh - sinh / x) / x
+        return self.radius**2 * ((1.0 + 2.0 / (x * x)) * sinh - 2.0 * cosh / x) / x
 
     def mass_outside(self, radius):
         return 0.0 if radius >= self.radius else 1.0 - radius / self.radius
 
 
 class ChordLine(Kernel1D):
-    """Marginal of the uniform disk: 2 sqrt(R^2 - s^2) / (pi R^2)."""
+    """Marginal of the uniform disk: 2 sqrt(R^2 - s^2) / (pi R^2); with x = lam R its
+    moments are 2 I_1(x)/x, 2 R I_2(x)/x and 2 R^2 (I_3(x)/x + I_2(x)/x^2)."""
 
     def __init__(self, radius: float, source=None):
         self.radius = radius
         self.lambda0 = math.inf
         self.tail_class = EXP_DECAY_INFINITE
         self.source = source
-        r = radius
-        # eval's arithmetic on scalars, so every quad result keeps its bits;
-        # quad samples only the open interval, where |s| < r
-        self._decay, self._support = _no_decay, r
-        self._factor = lambda s: 2.0 * math.sqrt(r**2 - s * s) / (math.pi * r**2)
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
@@ -450,13 +450,20 @@ class ChordLine(Kernel1D):
         out[inside] = 2.0 * np.sqrt(self.radius**2 - s[inside] ** 2) / (math.pi * self.radius**2)
         return out
 
-    def _closed_form(self, lam, power):
-        if power:
-            return None
-        x = lam * self.radius
+    def _integral(self, lam, power):
+        r = self.radius
+        x = lam * r
+        if not abs(x) < _OVERFLOW:
+            return math.inf
         if abs(x) < 1e-6:
-            return 1.0 + x * x / 8.0
-        return 2.0 * float(special.iv(1, x)) / x
+            return (1.0 + x * x / 8.0, r * x / 4.0, r * r * (0.25 + x * x / 16.0))[power]
+        from scipy.special import iv
+
+        if power == 0:
+            return 2.0 * float(iv(1, x)) / x
+        if power == 1:
+            return 2.0 * r * float(iv(2, x)) / x
+        return 2.0 * r * r * (float(iv(3, x)) / x + float(iv(2, x)) / (x * x))
 
     def mass_outside(self, radius):
         if radius >= self.radius:
@@ -491,7 +498,6 @@ class RadialLine(Kernel1D):
         alpha, q = kernel.normalizer_alpha, spec.q
         self._decay = lambda r: mu * r**p
         self._factor = lambda r: alpha / (1.0 + r**q)
-        self._support = math.inf
         shape = _radial_shape(spec)
         self._g = lambda r: alpha * shape(r)
 
@@ -506,12 +512,16 @@ class RadialLine(Kernel1D):
             )
         return out if out.size > 1 else float(out[0])
 
-    def _quadrature(self, lam, power):
+    def _integral(self, lam, power):
+        decay, factor = self._decay, self._factor
         if self.kernel.dimension == 1:
-            return super()._quadrature(lam, power)
+            # the line density is g itself: fold the line onto (0, inf)
+            return (_fused_quad(lam, power, decay, factor, 0.0, np.inf)
+                    + (-1.0) ** power * _fused_quad(-lam, power, decay, factor, 0.0, np.inf))
+        from scipy.special import i0e, i1e
+
         # 2 pi int_0^inf r^{power+1} g(r) e^{lam r} B(lam r) dr with the scaled
         # Bessel factors B = i0e, i1e and i0e(x) - i1e(x)/x (-> 1/2 at x = 0)
-        factor, i0e, i1e = self._factor, special.i0e, special.i1e
         if power == 0:
             weight = lambda r: factor(r) * i0e(lam * r)
         elif power == 1:
@@ -520,7 +530,7 @@ class RadialLine(Kernel1D):
             weight = lambda r: 0.5 * factor(r)
         else:
             weight = lambda r: factor(r) * (i0e(lam * r) - i1e(lam * r) / (lam * r))
-        return 2.0 * math.pi * _fused_quad(lam, power + 1, self._decay, weight, 0.0, np.inf)
+        return 2.0 * math.pi * _fused_quad(lam, power + 1, decay, weight, 0.0, np.inf)
 
     def mass_outside(self, radius):
         return self.kernel.mass_outside(radius)
@@ -556,8 +566,63 @@ def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
 
 
 # ---------------------------------------------------------------------------
-# Sampling on periodic grids
+# Real transforms and sampling on periodic grids
 # ---------------------------------------------------------------------------
+
+
+@cache
+def _fast_lengths() -> list[int]:
+    """The 5-smooth numbers up to 2^40, ascending: the lengths pocketfft factors fully."""
+    limit = 2**40
+    lengths = []
+    for i in range(41):
+        p3 = 2**i
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                lengths.append(p5)
+                p5 *= 5
+            p3 *= 3
+    return sorted(lengths)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth length >= n: ``scipy.fft.next_fast_len(n, real=True)``."""
+    lengths = _fast_lengths()
+    return lengths[bisect.bisect_left(lengths, n)]
+
+
+def _on_numpy(shape: tuple[int, ...]) -> bool:
+    """Whether a real transform of ``shape`` goes through numpy's pocketfft.
+
+    One axis of 5-smooth length does: there numpy's transforms have scipy.fft's
+    bits and skip its n-D wrapper.  Two axes stay on scipy.fft, whose 2-D
+    forward transform is twice as fast as numpy's, and so do lengths with a
+    larger prime factor, where pocketfft may switch to Bluestein's algorithm
+    and the two libraries round the inverse's 1/n scaling differently.
+    """
+    return len(shape) == 1 and _next_fast_len(shape[0]) == shape[0]
+
+
+def _rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real FFT over the trailing ``len(shape)`` axes of ``values``, zero-filled to ``shape``.
+
+    Leading axes are a batch.  The one forward transform the package makes.
+    """
+    if _on_numpy(shape):
+        return np.fft.rfft(values, shape[0])
+    from scipy import fft
+
+    return fft.rfftn(values, shape, axes=tuple(range(-len(shape), 0)))
+
+
+def _irfft(spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``_rfft``: real values of ``shape`` on the trailing axes."""
+    if _on_numpy(shape):
+        return np.fft.irfft(spectrum, shape[0])
+    from scipy import fft
+
+    return fft.irfftn(spectrum, shape, axes=tuple(range(-len(shape), 0)))
 
 
 @dataclass(frozen=True)
@@ -569,9 +634,9 @@ class _Samples:
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def spectrum(self, shape: tuple[int, ...]) -> np.ndarray:
-        """rfftn of the weights laid out at ``shape``, computed once per shape."""
+        """``_rfft`` of the weights laid out at ``shape``, computed once per shape."""
         if shape not in self._spectra:
-            self._spectra[shape] = sp_fft.rfftn(self._laid_out(shape), shape)
+            self._spectra[shape] = _rfft(self._laid_out(shape), shape)
         return self._spectra[shape]
 
     def _laid_out(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -584,7 +649,7 @@ class SampledWeights(_Samples):
     """Kernel samples on the displacement lattice of a periodic grid.
 
     ``weights`` is stored in FFT order (zero displacement first) so that
-    ``irfftn(rfftn(u) * spectrum(shape))`` is the circular convolution.  For
+    ``_irfft(_rfft(u, shape) * spectrum(shape), shape)`` is the circular convolution.  For
     exponentially decaying kernels the weights are renormalized to sum to one
     exactly; heavy tails keep their truncated mass so the truncated-equation
     theory applies verbatim.

@@ -19,12 +19,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
 from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
-from .kernels import Kernel1D, _Samples
+from .kernels import Kernel1D, _next_fast_len, _Samples
 from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
@@ -85,7 +84,7 @@ def _line_pair(psi: np.ndarray, pad, wp: LineKernel,
     """
     n = len(psi)
     reach = max(wp.halfwidth, wm.halfwidth)
-    values = np.zeros(sp_fft.next_fast_len(n + 4 * reach, True))
+    values = np.zeros(_next_fast_len(n + 4 * reach))
     values[:n + 2 * reach] = pad(psi, reach)
     conv_p, conv_m = convolve_pair(wp, wm, values)
     return (conv_p[reach + wp.halfwidth: reach + wp.halfwidth + n],

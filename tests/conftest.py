@@ -2,9 +2,8 @@ import collections
 
 import numpy as np
 import pytest
-from scipy import fft as sp_fft
 
-from nlkpp import (Grid, KernelSpec, ModelParams, discretize, evolution, make_kernel,
+from nlkpp import (Grid, KernelSpec, ModelParams, discretize, evolution, kernels, make_kernel,
                    reduce_to_direction)
 
 
@@ -38,8 +37,9 @@ def gauss_weights(gauss1, grid256):
 def transforms(monkeypatch):
     """Counts of the forward FFTs, inverse FFTs and direct sums made from here on.
 
-    ``convolve_pair`` is the package's one FFT convolution; it calls these two
-    ``scipy.fft`` functions, and kernel spectra come from ``rfftn`` as well.
+    ``convolve_pair`` is the package's one FFT convolution; it transforms
+    through ``kernels._rfft`` and ``_irfft``, and kernel spectra come from
+    ``_rfft`` as well.
     """
     counts = collections.Counter()
 
@@ -49,8 +49,10 @@ def transforms(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(sp_fft, "rfftn", counting("rfftn", sp_fft.rfftn))
-    monkeypatch.setattr(sp_fft, "irfftn", counting("irfftn", sp_fft.irfftn))
+    rfft, irfft = counting("rfft", kernels._rfft), counting("irfft", kernels._irfft)
+    for module in (kernels, evolution):
+        monkeypatch.setattr(module, "_rfft", rfft)
+        monkeypatch.setattr(module, "_irfft", irfft)
     monkeypatch.setattr(evolution, "_conv_direct", counting("direct", evolution._conv_direct))
     return counts
 

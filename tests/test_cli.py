@@ -301,6 +301,20 @@ class TestScenarios:
         assert "carrying capacity" in entries["error"]
         assert entries["error.type"] == "ValueError"
 
+    @pytest.mark.parametrize("dimension", ["1", "2"])
+    def test_compact_transform_past_overflow_writes_error(self, tmp_path, dimension):
+        # lambda R passes 700 within lambda_max: the transform reads inf, not a traceback
+        cfg_file = tmp_path / "d.cfg"
+        cfg_file.write_text(BASE.replace("family = gaussian\nsigma = 1.0",
+                                         "family = compact_uniform\nradius = 2.0", 1)
+                            .replace("dimension = 1", f"dimension = {dimension}")
+                            + "\n[dispersion]\nlambda_max = 400\n")
+        rc = main(["dispersion", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        entries = summary_dict(tmp_path / "out")
+        assert "transform diverges" in entries["error"]
+        assert entries["error.type"] == "ValueError"
+
     def test_wave_domain_too_small_writes_error(self, tmp_path):
         cfg_file = tmp_path / "w.cfg"
         cfg_file.write_text(BASE + "\n[wave]\nspacing = 0.1\n"
@@ -563,28 +577,44 @@ def _run_python(code: str) -> str:
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_skips_scipy_stats_and_signal():
-    modules = ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize",
-               "scipy.linalg")
+def test_cli_import_loads_no_scipy():
     code = ("import sys, nlkpp.cli\n"
-            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run_python(code) == "[]"
 
 
-@pytest.mark.parametrize("command, text", [
+# front-2d at a small size: compact_uniform a+, gaussian a-, 2-D
+FRONT_2D = (BASE.replace("family = gaussian\nsigma = 1.0",
+                         "family = compact_uniform\nradius = 2.0", 1)
+            .replace("dimension = 1", "dimension = 2").replace("points = 128", "points = 64")
+            .replace("half_length = 20.0", "half_length = 16.0")
+            .replace("dt = 2e-3\nhorizon = 0.5", "dt = 0.05\nhorizon = 1.0")
+            .replace("snapshot_stride = 125", "snapshot_stride = 10")
+            .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 2.0\nheight = 0.5")
+            + "\n[front]\nn_directions = 4\n")
+
+# the scipy subpackages a run may load; scipy.linalg only for the wave's dgbsv
+SCIPY_PARTS = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize",
+               "scipy.linalg", "scipy.stats", "scipy.signal")
+
+
+@pytest.mark.parametrize("command, text, loaded", [
+    ("simulate", BASE, "0 []"),
+    ("simulate", LAPLACE, "0 []"),
     ("wave", BASE + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.1\n"
-                    "domain_left = -40\ndomain_right = 80\n"),
-    ("simulate", BASE),
-], ids=["wave", "simulate"])
-def test_gaussian_run_skips_scipy_optimize_and_integrate(tmp_path, command, text):
+                    "domain_left = -40\ndomain_right = 80\n", "0 ['scipy.linalg']"),
+    ("front", FRONT_2D, "0 ['scipy.fft', 'scipy.special']"),
+], ids=["gaussian-simulate", "laplace-simulate", "gaussian-wave", "front-2d"])
+def test_run_loads_only_the_scipy_it_calls(tmp_path, command, text, loaded):
+    """A 1-D simulate with closed-form kernels needs no scipy, a wave only dgbsv, and
+    a 2-D front with a compact a+ its 2-D transforms and the chord's Bessel functions."""
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text)
     argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]
     code = ("import sys\nfrom nlkpp.cli import main\n"
             f"rc = main({argv!r})\n"
-            "print(rc, sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
-    assert _run_python(code) == "0 []"
+            f"print(rc, sorted(m for m in {SCIPY_PARTS!r} if m in sys.modules))")
+    assert _run_python(code) == loaded
 
 
 class TestMoreScenarios:

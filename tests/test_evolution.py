@@ -10,7 +10,7 @@ from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpe
                    find_subsolution_params, gaussian_subsolution, logistic_exact,
                    make_kernel, minimize_G, picard_solve, rhs, simulate, solve_profile, step,
                    truncated_problem, uniform_bound)
-from nlkpp import evolution, fronts
+from nlkpp import evolution, fronts, kernels
 from nlkpp.evolution import (_advance, _picard_interval, _rk4, convolve, convolve_pair,
                              rhs_values)
 from nlkpp.kernels import SampledWeights
@@ -96,10 +96,10 @@ class TestConvolvePair:
         values = np.random.default_rng(10).random(shape)
         transforms.clear()
         convolve_pair(wp, wm, values)
-        assert transforms == {"rfftn": 1, "irfftn": 2}
+        assert transforms == {"rfft": 1, "irfft": 2}
         transforms.clear()
         conv_p, conv_m = convolve_pair(wp, wp, values)
-        assert transforms == {"rfftn": 1, "irfftn": 1}
+        assert transforms == {"rfft": 1, "irfft": 1}
         assert conv_m is conv_p
 
     def test_unknown_backend(self, gauss_weights):
@@ -118,7 +118,7 @@ class TestSharedKernel:
     @pytest.fixture
     def calls(self, transforms):
         """Kernels applied at the pair boundary: one inverse FFT or direct sum each."""
-        return lambda: transforms["irfftn"] + transforms["direct"]
+        return lambda: transforms["irfft"] + transforms["direct"]
 
     @pytest.mark.parametrize("backend", ["fft", "direct"])
     def test_rhs_values(self, canon, gauss_weights, twin, calls, backend):
@@ -485,14 +485,48 @@ class TestSubsolution:
             gaussian_subsolution(canon, w, w, grid, q=0.9 * canon.theta, alpha=50.0, t=0.5)
 
 
-def test_solvers_make_no_numpy_fft_call(monkeypatch, canon, gauss_line):
-    """Both solvers convolve through ``convolve_pair``'s one FFT library, scipy.fft."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("numpy.fft called")
+# every transform function of the two FFT libraries the package could call
+FFT_FUNCTIONS = {
+    "numpy.fft": ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2", "rfft2",
+                  "irfft2", "fftn", "ifftn", "rfftn", "irfftn"),
+    "scipy.fft": ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2", "rfft2",
+                  "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft2", "ihfft2", "hfftn",
+                  "ihfftn", "dct", "idct", "dst", "idst", "dctn", "idctn", "dstn", "idstn",
+                  "fht", "ifht"),
+}
 
-    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
-                 "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, forbidden)
+
+def test_solvers_transform_only_through_the_fft_pair(monkeypatch, canon, gauss_line):
+    """Both solvers make every FFT inside ``kernels._rfft`` / ``_irfft``: numpy's
+    one-axis transforms in 1-D, scipy.fft's n-D ones in 2-D, and no other call."""
+    from scipy import fft as sp_fft
+
+    inside, used = [], set()
+
+    def entered(fn):
+        def pair(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return pair
+
+    def guarded(label, fn):
+        def call(*args, **kwargs):
+            if not inside:
+                raise AssertionError(f"{label} called outside the FFT pair")
+            used.add(label)
+            return fn(*args, **kwargs)
+        return call
+
+    for library, module in (("numpy.fft", np.fft), ("scipy.fft", sp_fft)):
+        for name in FFT_FUNCTIONS[library]:
+            monkeypatch.setattr(module, name, guarded(f"{library}.{name}", getattr(module, name)))
+    rfft, irfft = entered(kernels._rfft), entered(kernels._irfft)
+    for module in (kernels, evolution):
+        monkeypatch.setattr(module, "_rfft", rfft)
+        monkeypatch.setattr(module, "_irfft", irfft)
     for dimension, n in ((1, 256), (2, 64)):
         grid = Grid(dimension=dimension, half_length=8.0, points_per_axis=n)
         kernel = make_kernel(KernelSpec("gaussian", dimension=dimension, sigma=1.0))
@@ -503,3 +537,4 @@ def test_solvers_make_no_numpy_fft_call(monkeypatch, canon, gauss_line):
     profile = solve_profile(canon, gauss_line, gauss_line, 1.3 * report.c_star, h=0.1,
                             s_left=-40.0, s_right=60.0, report=report)
     assert profile.residual <= 1e-6
+    assert used == {"numpy.fft.rfft", "numpy.fft.irfft", "scipy.fft.rfftn", "scipy.fft.irfftn"}

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
-from nlkpp.kernels import EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, RadialLine, _quad
+from nlkpp.kernels import (EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, RadialLine,
+                           _fast_lengths, _irfft, _next_fast_len, _quad, _rfft)
 
 
 def quad_mass_1d(kernel):
@@ -137,19 +138,33 @@ def test_uniform_disk_chord_reduction():
         assert val == pytest.approx(float(line.eval(np.array([si]))[0]), abs=1e-10)
 
 
-def chord_moment_reference(line, lam, power):
-    """Chord moment with the density from the array ``eval``, one point at a time."""
+def compact_moment_reference(line, lam, power):
+    """Moment of a compact line by quadrature of its array ``eval``, one point at a time."""
     f = lambda s: (s**power) * math.exp(lam * s) * float(line.eval(s))
-    return _quad(f, -line.radius, line.radius)
+    return _quad(f, -line.radius, line.radius, epsabs=0.0, epsrel=1e-13)
 
 
+@pytest.mark.parametrize("dimension", [1, 2], ids=["uniform", "chord"])
 @pytest.mark.parametrize("radius", [0.3, 1.0, 2.0, 3.7])
-def test_chord_moments_bitwise_equal_to_array_eval(radius):
-    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", 2, radius=radius)),
-                               [1.0, 0.0])
-    for lam in np.linspace(0.0, 6.0, 13):
-        assert line.weighted_moment1(lam) == chord_moment_reference(line, lam, 1)
-        assert line.weighted_moment2(lam) == chord_moment_reference(line, lam, 2)
+def test_compact_moments_match_quadrature(dimension, radius):
+    # 0.99 / R and 1.01 / R straddle the uniform line's switch from series to closed form
+    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", dimension,
+                                                      radius=radius)), [1.0, 0.0][:dimension])
+    for lam in [*np.linspace(-6.0, 6.0, 25), 1e-3, 0.99 / radius, 1.01 / radius]:
+        for power, name in enumerate(MOMENTS):
+            expected = compact_moment_reference(line, lam, power)
+            assert getattr(line, name)(lam) == pytest.approx(expected, rel=1e-12, abs=1e-15), (
+                lam, name)
+
+
+@pytest.mark.parametrize("dimension", [1, 2], ids=["uniform", "chord"])
+def test_compact_moments_past_overflow_are_infinite(dimension):
+    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", dimension,
+                                                      radius=2.0)), [1.0, 0.0][:dimension])
+    for name in MOMENTS:
+        assert math.isfinite(getattr(line, name)(349.0))
+        assert getattr(line, name)(350.0) == math.inf
+        assert getattr(line, name)(400.0) == math.inf
 
 
 def test_gaussian_offset_shifts_reduction():
@@ -207,6 +222,27 @@ def test_gaussian_mass_outside_closed_form_matches_quadrature(dimension, radius)
         expected = 2.0 * math.pi * integrate.quad(lambda r: shape(r) * r, radius, np.inf,
                                                   **opts)[0]
     assert kernel.mass_outside(radius) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("radius", [1.0, 5.0, 20.0])
+def test_laplace_mass_outside_closed_form_matches_quadrature(dimension, radius):
+    kernel = make_kernel(KernelSpec("laplace", dimension, mu=1.3))
+    shape = lambda r: kernel.normalizer_alpha * math.exp(-1.3 * r)
+    if dimension == 1:
+        expected = 2.0 * _quad(shape, radius, np.inf, epsabs=0.0, epsrel=1e-13)
+    else:
+        expected = 2.0 * math.pi * _quad(lambda r: shape(r) * r, radius, np.inf,
+                                         epsabs=0.0, epsrel=1e-13)
+    assert kernel.mass_outside(radius) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dimension, inner", [(1, 0.5), (2, 0.75)])
+def test_compact_mass_outside_is_the_volume_fraction(dimension, inner):
+    kernel = make_kernel(KernelSpec("compact_uniform", dimension, radius=2.0))
+    assert kernel.mass_outside(0.0) == 1.0
+    assert kernel.mass_outside(1.0) == inner
+    assert kernel.mass_outside(2.0) == kernel.mass_outside(3.0) == 0.0
 
 
 def test_transform_divergence_is_signalled(gauss_line):
@@ -359,3 +395,47 @@ def test_divergent_second_moment_of_a_planar_power_tail_is_infinite():
     line = reduce_to_direction(make_kernel(KernelSpec("power_tail", 2, q=3.5)), [1.0, 0.0])
     assert line.weighted_moment2(0.0) == math.inf
     assert line.mean() == 0.0
+
+
+class TestFftPair:
+    """``_rfft`` / ``_irfft`` give exactly the bits of ``scipy.fft.rfftn`` / ``irfftn``."""
+
+    @staticmethod
+    def assert_pair_is_scipy(values, shape):
+        from scipy import fft as sp_fft
+
+        axes = tuple(range(-len(shape), 0))
+        spectrum = _rfft(values, shape)
+        assert np.array_equal(spectrum, sp_fft.rfftn(values, shape, axes=axes)), shape
+        assert np.array_equal(_irfft(spectrum, shape),
+                              sp_fft.irfftn(spectrum, shape, axes=axes)), shape
+
+    def test_every_line_length(self):
+        # numpy's branch takes the 5-smooth lengths; scipy.fft the rest, among them
+        # 2731, 4623, 5462, 5607, 5963 and 6147, where numpy's inverse is 1 ulp off
+        rng = np.random.default_rng(21)
+        for n in range(16, 8193):
+            self.assert_pair_is_scipy(rng.random(n), (n,))
+
+    @pytest.mark.parametrize("batch", [2, 12])
+    def test_batched_lines(self, batch):
+        rng = np.random.default_rng(batch)
+        smooth = [n for n in _fast_lengths() if 16 <= n <= 8192]
+        for n in sorted(set(smooth) | set(range(16, 8193, 61)) | {2731, 5462, 6147}):
+            self.assert_pair_is_scipy(rng.random((batch, n)), (n,))
+
+    def test_zero_filled_line(self):
+        rng = np.random.default_rng(22)
+        for width, n in ((21, 64), (101, 1024), (101, 1000)):
+            self.assert_pair_is_scipy(rng.random(width), (n,))
+
+    @pytest.mark.parametrize("n", [64, 96, 128, 200, 256])
+    def test_planes(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_pair_is_scipy(rng.random((n, n)), (n, n))
+        self.assert_pair_is_scipy(rng.random((2, n, n)), (n, n))
+
+    def test_next_fast_len_is_scipy(self):
+        from scipy import fft as sp_fft
+
+        assert all(_next_fast_len(n) == sp_fft.next_fast_len(n, True) for n in range(1, 50001))
