@@ -19,7 +19,7 @@ from . import fronts, waves
 from .assumptions import check_assumptions
 from .config import COMMANDS, ScenarioConfig, load_config
 from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
-                         reduce_to_direction, speed_to_abscissa)
+                         reduce_to_direction)
 from .errors import ConfigError, MollisonFailure, NlkppError
 from .evolution import EvolutionProblem, _advance, _march, simulate
 from .grids import Field, Grid, bump_field, constant_field, step_field
@@ -188,18 +188,13 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
     )
     _write_csv(out / "profile.csv", ["s", "psi"],
                zip(profile.s.tolist(), profile.psi.tolist()))
-    residual = profile.residual
-    predicted = speed_to_abscissa(cfg.params, line_p, c, report=report)
-    r_squared = None
-    if profile.fitted_j is not None:
-        _, _, r_squared = waves.fit_decay(profile, expected_j=profile.fitted_j)
     fit_lines = [
         f"speed_c = {_fmt(c)}",
         f"lambda_fit = {_fmt(profile.fitted_lambda)}",
         f"j = {_fmt(profile.fitted_j)}",
-        f"r_squared = {_fmt(r_squared)}",
-        f"lambda_predicted = {_fmt(predicted)}",
-        f"residual_sup = {_fmt(residual)}",
+        f"r_squared = {_fmt(profile.r_squared)}",
+        f"lambda_predicted = {_fmt(profile.predicted_lambda)}",
+        f"residual_sup = {_fmt(profile.residual)}",
     ]
     (out / "fit.txt").write_text("\n".join(fit_lines) + "\n")
     return {
@@ -207,9 +202,9 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
         "wave.speed": c,
         "wave.c_star": report.c_star,
         "wave.lambda_fit": profile.fitted_lambda,
-        "wave.lambda_predicted": predicted,
+        "wave.lambda_predicted": profile.predicted_lambda,
         "wave.j": profile.fitted_j,
-        "wave.residual_sup": residual,
+        "wave.residual_sup": profile.residual,
     }
 
 

@@ -87,6 +87,11 @@ def t_xi(params: ModelParams, k: Kernel1D, lam: float) -> float:
     value = k.transform(lam)
     if math.isinf(value):
         raise ValueError(f"transform diverges at lambda = {lam}")
+    return _t_xi(params, k, lam, value)
+
+
+def _t_xi(params: ModelParams, k: Kernel1D, lam: float, value: float) -> float:
+    """``t_xi`` at lam from the transform ``value`` there."""
     m1 = k.weighted_moment1(lam)
     if math.isinf(m1):
         return -math.inf
@@ -102,20 +107,44 @@ def _H(params: ModelParams, k: Kernel1D, lam: float) -> float:
     return params.mortality - params.kappa_plus * (value - lam * m1)
 
 
+def _bisect(below, lo: float, hi: float, rtol: float) -> float:
+    """Midpoint of [lo, hi] bisected onto the point where ``below`` turns false.
+
+    ``below`` holds at lo and fails at hi.  At most 200 halvings, each keeping
+    the half across which it turns, until hi - lo <= rtol * max(1, hi).  The
+    one root finder: lambda*, lambda_c and the wave solver's plateau rate.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
 def classify(params: ModelParams, k: Kernel1D) -> str:
     """V when the minimizer is interior, W when it sits at the abscissa."""
     lam0 = k.lambda0
     if lam0 == 0.0:
         raise MollisonFailure("kernel has no positive exponential moment")
-    if math.isinf(lam0):
-        return V_CLASS
-    value = k.transform(lam0)
+    return _at_abscissa(params, k)[0]
+
+
+def _at_abscissa(params: ModelParams, k: Kernel1D) -> tuple[str, float, float | None]:
+    """(class, T(lambda0), t(lambda0)) from one transform and one first moment at lambda0.
+
+    T is inf where lambda0 is infinite or the transform diverges there, and t
+    is then None.
+    """
+    lam0 = k.lambda0
+    value = math.inf if math.isinf(lam0) else k.transform(lam0)
     if math.isinf(value):
-        return V_CLASS
-    t0 = t_xi(params, k, lam0)
-    if t0 >= params.mortality - _BOUNDARY_TOL:
-        return W_CLASS
-    return V_CLASS
+        return V_CLASS, value, None
+    t0 = _t_xi(params, k, lam0, value)
+    return (W_CLASS if t0 >= params.mortality - _BOUNDARY_TOL else V_CLASS), value, t0
 
 
 def directional_mean(kernel: Kernel, xi) -> float:
@@ -153,10 +182,10 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
             "(run the acceleration scenario instead)"
         )
 
-    kernel_class = classify(params, k)
+    kernel_class, value0, t_at_lam0 = _at_abscissa(params, k)
     if kernel_class == W_CLASS:
         lam_star = lam0
-        c_star = dispersion_G(params, k, lam0)
+        c_star = (params.kappa_plus * value0 - params.mortality) / lam0  # G(lambda0)
     else:
         # Bracket the sign change of H, then bisect.
         lo = min(1e-6, lam0 / 4 if math.isfinite(lam0) else 1e-6)
@@ -180,15 +209,7 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
                 hi = lam0 * (1 - frac)
                 if frac < 1e-14:
                     raise RuntimeError("H has no sign change below the abscissa")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _H(params, k, mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(1.0, hi):
-                break
-        lam_star = 0.5 * (lo + hi)
+        lam_star = _bisect(lambda lam: _H(params, k, lam) <= 0, lo, hi, 1e-13)
         c_star = dispersion_G(params, k, lam_star)
 
     m_xi = k.mean()
@@ -203,12 +224,6 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
             raise RuntimeError(
                 f"first-order speed representation mismatch: {alt} vs {c_star}"
             )
-
-    if math.isinf(lam0):
-        t_at_lam0 = None
-    else:
-        value0 = k.transform(lam0)
-        t_at_lam0 = t_xi(params, k, lam0) if math.isfinite(value0) else None
 
     return DispersionReport(
         lambda_star=float(lam_star),
@@ -237,18 +252,9 @@ def speed_to_abscissa(params: ModelParams, k: Kernel1D, c: float,
     def h(lam: float) -> float:
         return params.kappa_plus * k.transform(lam) - params.mortality - lam * c
 
-    lo, hi = 1e-14, lam_star
-    if h(lo) <= 0:
+    if h(1e-14) <= 0:
         raise RuntimeError("characteristic function not positive near zero")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda lam: h(lam) > 0, 1e-14, lam_star, 1e-15)
 
 
 def char_multiplicity(params: ModelParams, k: Kernel1D, c: float,

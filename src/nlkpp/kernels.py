@@ -336,7 +336,9 @@ class GaussianLine(Kernel1D):
         return m * t if power == 1 else (m * m + self.sigma**2) * t
 
     def mass_outside(self, radius):
-        return math.erfc(radius / (self.sigma * math.sqrt(2.0)))
+        scale = self.sigma * math.sqrt(2.0)
+        return (0.5 * math.erfc((radius - self.drift) / scale)
+                + 0.5 * math.erfc((radius + self.drift) / scale))
 
 
 class LaplaceLine1(Kernel1D):
@@ -702,6 +704,19 @@ def _displacement_coords(n: int, h: float) -> np.ndarray:
     return idx * h
 
 
+def _check_resolution(kernel, h: float) -> None:
+    """Refuse a kernel whose ``effective_scale`` is below the spacing h; warn below 4h."""
+    scale = kernel.effective_scale()
+    if scale < h:
+        raise KernelError(
+            f"kernel scale {scale:.3g} is below the grid spacing {h:.3g}; "
+            "refine the grid (h must not exceed the kernel scale)"
+        )
+    if scale < 4.0 * h:
+        warnings.warn(f"kernel scale {scale:.3g} is marginal against spacing {h:.3g}",
+                      stacklevel=3)
+
+
 def discretize(kernel, grid) -> SampledWeights:
     """Midpoint samples of a kernel on the grid's displacement lattice.
 
@@ -714,24 +729,17 @@ def discretize(kernel, grid) -> SampledWeights:
     if dim != grid.dimension:
         raise KernelError(f"kernel dimension {dim} does not match grid dimension {grid.dimension}")
 
-    scale = kernel.effective_scale()
-    if scale < grid.spacing:
-        raise KernelError(
-            f"kernel scale {scale:.3g} is below the grid spacing {grid.spacing:.3g}; "
-            "refine the grid (h must not exceed the kernel scale)"
-        )
-    if scale < 4.0 * grid.spacing:
-        warnings.warn(
-            f"kernel scale {scale:.3g} is marginal against spacing {grid.spacing:.3g}",
-            stacklevel=2,
-        )
+    _check_resolution(kernel, grid.spacing)
 
     tail = kernel.tail_class
     if tail in (EXP_DECAY_FINITE, EXP_DECAY_INFINITE):
-        outside = kernel.mass_outside(grid.half_length)
+        # a kernel's mass_outside is centred at its offset, a line's at zero; the
+        # lattice [-L, L) holds the ball of radius L - |offset| about the offset
+        offset = 0.0 if is_line else float(np.linalg.norm(kernel.spec.offset_vector))
+        outside = kernel.mass_outside(max(grid.half_length - offset, 0.0))
         if outside > 1e-4:
             suggest = grid.half_length
-            while kernel.mass_outside(suggest) > 1e-4:
+            while kernel.mass_outside(max(suggest - offset, 0.0)) > 1e-4:
                 suggest *= 2.0
             raise KernelError(
                 f"grid covers only {1.0 - outside:.6f} of the kernel mass; "

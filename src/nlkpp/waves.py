@@ -15,15 +15,15 @@ decay rate paired with c.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionReport, char_multiplicity, minimize_G, speed_to_abscissa
+from .dispersion import (DispersionReport, _bisect, char_multiplicity, minimize_G,
+                         speed_to_abscissa)
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
 from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
-from .kernels import Kernel1D, _next_fast_len, _Samples
+from .kernels import Kernel1D, _check_resolution, _next_fast_len, _Samples
 from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
@@ -42,7 +42,11 @@ class LineKernel(_Samples):
 
 
 def sample_line_kernel(k: Kernel1D, h: float, coverage: float = 1e-10) -> LineKernel:
-    """Midpoint samples on displacements up to the coverage radius, sum pinned to 1."""
+    """Midpoint samples on displacements up to the coverage radius, sum pinned to 1.
+
+    Refuses a kernel that h under-resolves, as ``discretize`` does.
+    """
+    _check_resolution(k, h)
     radius = max(4.0 * k.effective_scale(), h)
     while k.mass_outside(radius) > coverage:
         radius *= 1.5
@@ -124,7 +128,9 @@ class WaveProfile:
     """Converged monotone profile with speed, fitted tail data and residual.
 
     ``residual`` is the stationary-frame residual (``profile_residual``) that
-    ``solve_profile`` measured with its own kernel samples.
+    ``solve_profile`` measured with its own kernel samples, ``predicted_lambda``
+    the decay rate ``speed_to_abscissa`` pairs with the speed, and
+    ``r_squared`` the tail fit's (``fit_decay``).
     """
 
     s: np.ndarray
@@ -134,6 +140,8 @@ class WaveProfile:
     fitted_lambda: float | None = None
     fitted_j: int | None = None
     residual: float | None = None
+    predicted_lambda: float | None = None
+    r_squared: float | None = None
 
     def __post_init__(self):
         theta, psi = self.theta, self.psi
@@ -268,65 +276,6 @@ def fit_decay(profile: WaveProfile, expected_j: int) -> tuple[float, float, floa
     return lam, math.exp(const), r2
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
-            rtol: float = 4.0 * sys.float_info.epsilon, maxiter: int = 100) -> float:
-    """Root of f between xa and xb, bitwise equal to ``scipy.optimize.brentq``.
-
-    A step-for-step transcription of scipy's C loop with its defaults.
-    Raises ``ValueError`` when f(xa) and f(xb) have the same sign or f
-    returns NaN, and ``RuntimeError`` after ``maxiter`` iterations.
-    """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf  # C divides to a non-finite step, which bisects
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
 def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
                   wp: LineKernel, wm: LineKernel, abscissa: float) -> float:
     """Rate nu > 0 of theta - psi ~ e^{nu s} as s -> -inf in the discrete equation.
@@ -351,9 +300,9 @@ def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
                 + params.kappa_minus * theta * transform(wm, nu))
 
     lo = 0.0
-    for hi in cap * 2.0 ** -np.arange(40.0, -1.0, -1.0):
+    for hi in (cap * 2.0 ** -np.arange(40.0, -1.0, -1.0)).tolist():
         if linearisation(hi) < 0.0:
-            return _brentq(linearisation, lo, hi)
+            return _bisect(lambda nu: linearisation(nu) > 0.0, lo, hi, 1e-15)
         lo = hi
     raise ConvergenceFailure(
         f"the theta plateau has no decaying mode with rate below {cap:.4g}; "
@@ -497,11 +446,11 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
             f"profile misses 0 at the right end: psi({s[-1]:.6g}) = {psi[-1]:.3g} "
             f"(allowed {band:.3g}); raise s_right (domain_right)"
         )
-    profile = WaveProfile(s=s, psi=psi, speed_c=c, theta=theta)
+    profile = WaveProfile(s=s, psi=psi, speed_c=c, theta=theta, predicted_lambda=lam_c)
     profile.residual = _frame_residual(s, psi, c, params, wp, wm)
     if j is not None:
         try:
-            profile.fitted_lambda, _, _ = fit_decay(profile, expected_j=j)
+            profile.fitted_lambda, _, profile.r_squared = fit_decay(profile, expected_j=j)
             profile.fitted_j = j
         except ValueError:
             pass

@@ -325,6 +325,18 @@ class TestScenarios:
         assert "domain too small" in entries["error"]
         assert entries["error.type"] == "ValueError"
 
+    @pytest.mark.parametrize("sigma", ["0.03", "0.08"])
+    def test_under_resolved_wave_kernel_writes_kernel_error(self, tmp_path, sigma):
+        # the line samples refuse what discretize refuses, before the solver can fail
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text(BASE.replace("sigma = 1.0", f"sigma = {sigma}")
+                            + "\n[wave]\nspacing = 0.1\n")
+        rc = main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        entries = summary_dict(tmp_path / "out")
+        assert "below the grid spacing 0.1" in entries["error"]
+        assert entries["error.type"] == "KernelError"
+
     def test_wave_scenario(self, tmp_path):
         cfg_file = tmp_path / "w.cfg"
         cfg_file.write_text(BASE + "\n[wave]\nspeed_factor = 1.5\nspacing = 0.1\n"

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -88,6 +89,35 @@ class TestMinimizeG:
         assert rep.kernel_class == "W"
         assert rep.lambda_star == kline.lambda0
         assert rep.t_xi_at_lambda0 >= canon.mortality
+
+    def test_w_class_evaluates_the_abscissa_once(self, canon, monkeypatch):
+        kline = line("exppoly", p=1.0, q=4.0, mu=1.0)
+        at_lam0 = collections.Counter()
+        moment = kline._moment
+
+        def counted(lam, power):
+            if lam == kline.lambda0:
+                at_lam0[power] += 1
+            return moment(lam, power)
+
+        monkeypatch.setattr(kline, "_moment", counted)
+        assert minimize_G(canon, kline).kernel_class == "W"
+        assert at_lam0 == {0: 1, 1: 1}  # one transform, one first moment
+
+    # the canonical rates in 1-D; lambda_c is the decay rate at 1.3 c*
+    @pytest.mark.parametrize("family, kw, c_star, lam_star, lam_c", [
+        ("gaussian", dict(sigma=1.0),
+         "0x1.18adcbd6f788bp+1", "0x1.98655a9d444b2p-1", "0x1.a74c8f61e1288p-2"),
+        ("laplace", dict(mu=1.0),
+         "0x1.aa43b0271e79dp+1", "0x1.f18773c56f5ecp-2", "0x1.109e2f7c4b828p-2"),
+        ("exppoly", dict(p=1.0, q=4.0, mu=1.0),
+         "0x1.6dd3463d3e8bcp+0", "0x1.0000000000000p+0", "0x1.3ca2836ed2fdep-1"),
+    ], ids=["gaussian", "laplace", "exppoly-W"])
+    def test_roots_keep_their_bits(self, canon, family, kw, c_star, lam_star, lam_c):
+        kline = line(family, **kw)
+        rep = minimize_G(canon, kline)
+        assert (rep.c_star.hex(), rep.lambda_star.hex()) == (c_star, lam_star)
+        assert speed_to_abscissa(canon, kline, 1.3 * rep.c_star, report=rep).hex() == lam_c
 
     def test_mollison_failure(self, canon):
         with pytest.raises(MollisonFailure):

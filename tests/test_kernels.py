@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
-from nlkpp.kernels import (EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, RadialLine,
-                           _fast_lengths, _irfft, _next_fast_len, _quad, _rfft)
+from nlkpp.kernels import (EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, Kernel1D,
+                           RadialLine, _fast_lengths, _irfft, _next_fast_len, _quad, _rfft)
 
 
 def quad_mass_1d(kernel):
@@ -207,6 +207,27 @@ def test_discretize_rejects_poor_coverage():
     wide = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
     with pytest.raises(KernelError, match="half_length"):
         discretize(wide, grid)
+
+
+@pytest.mark.parametrize("offset", [(5.0,), (3.0, 4.0)], ids=["1d", "2d"])
+def test_discretize_coverage_counts_the_offset(offset):
+    # over 1e-3 of the mass lies beyond the lattice, 3 sigma from the offset
+    grid = Grid(dimension=len(offset), half_length=8.0, points_per_axis=128)
+    shifted = make_kernel(KernelSpec("gaussian", len(offset), sigma=1.0, offset=offset))
+    with pytest.raises(KernelError, match="half_length to at least 16"):
+        discretize(shifted, grid)
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.7, 5.0])
+@pytest.mark.parametrize("radius", [1.0, 4.0, 9.0])
+def test_gaussian_line_mass_outside_counts_the_drift(drift, radius):
+    # the mass outside [-radius, radius], as the base class integrates it
+    shifted = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(drift,)))
+    line = reduce_to_direction(shifted, [1.0])
+    expected = Kernel1D.mass_outside(line, radius)
+    assert line.mass_outside(radius) == pytest.approx(expected, rel=1e-9, abs=1e-13)
+    if drift == 0.0:
+        assert line.mass_outside(radius) == math.erfc(radius / math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

@@ -10,6 +10,7 @@ from nlkpp import (CertificationFailed, ConvergenceFailure, KernelSpec, StepConf
                    stationary_frame_residual)
 from nlkpp import waves
 from nlkpp.evolution import _march
+from nlkpp.kernels import Kernel1D
 from nlkpp.waves import (WaveProfile, LineKernel, half_level_crossing,
                          line_convolve, sample_line_kernel, sample_line_kernels)
 
@@ -121,6 +122,13 @@ class TestLineMachinery:
         lk = sample_line_kernel(gauss_line, 0.05)
         assert lk.weights.sum() == 1.0
 
+    def test_sampled_kernel_covers_an_offset_gaussian(self):
+        # all but 1e-10 of the mass about the offset lies within the samples' reach
+        shifted = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(5.0,)))
+        line = reduce_to_direction(shifted, [1.0])
+        lk = sample_line_kernel(line, 0.1)
+        assert Kernel1D.mass_outside(line, lk.halfwidth * 0.1) <= 1e-10
+
 
 class TestSupersolution:
     def test_paired_speed_closed_form(self, canon, gauss_line):
@@ -209,6 +217,9 @@ class TestSolveProfile:
                                      report=report)
         assert profile_13.fitted_j == 1
         assert abs(profile_13.fitted_lambda - lam_pred) / lam_pred <= 0.01
+        # solve_profile keeps the root and the fit's r^2 it computed
+        assert profile_13.predicted_lambda == lam_pred
+        assert profile_13.r_squared == fit_decay(profile_13, expected_j=1)[2]
 
     # measured spreads: 7.2e-11, 1.6e-9 and 4.4e-10; each bound leaves about 10x
     @pytest.mark.parametrize("spec, factor, bound", [
@@ -242,29 +253,6 @@ class TestSolveProfile:
         assert nu > 0.0
         assert abs(continuous) <= 1e-7
 
-    def test_plateau_rate_root_is_scipy_brentq_bitwise(self, canon, gauss_line, report,
-                                                        monkeypatch):
-        from scipy.optimize import brentq
-        solve, seen = waves._brentq, []
-
-        def checked(f, lo, hi):
-            root = solve(f, lo, hi)
-            assert root.hex() == brentq(f, lo, hi).hex()
-            seen.append(f)
-            return root
-
-        monkeypatch.setattr(waves, "_brentq", checked)
-        for factor in (1.0, 1.3, 2.0):
-            for h in (0.05, 0.1):
-                wp = sample_line_kernel(gauss_line, h)
-                waves._plateau_rate(canon, factor * report.c_star, canon.theta, h, wp, wp,
-                                    math.inf)
-        assert len(seen) == 6
-        # the linearisation is km theta > 0 near nu = 0: both refuse the bracket alike
-        for f in seen:
-            assert _brentq_outcome(solve, f, 0.0, 1e-9) == _brentq_outcome(brentq, f, 0.0, 1e-9)
-            assert _brentq_outcome(solve, f, 0.0, 1e-9)[0] == "ValueError"
-
     def test_speed_consistency(self, canon, gauss_line, profile_13, report):
         c = 1.3 * report.c_star
         measured = measure_profile_speed(profile_13, canon, gauss_line, gauss_line)
@@ -296,42 +284,6 @@ class TestSolveProfile:
             profile_13.s > 0)
         tilted = profile_13.psi[mask] * np.exp(nu * profile_13.s[mask])
         assert np.diff(tilted).min() >= -1e-8 * np.abs(tilted).max()
-
-
-def _brentq_outcome(solver, f, lo, hi, **kw):
-    """The root's bits, or the exception's type and message."""
-    try:
-        return solver(f, lo, hi, **kw).hex()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def test_brentq_matches_scipy_bitwise_on_random_brackets():
-    from scipy.optimize import brentq
-    families = [
-        lambda a, b: lambda x: x**3 - a * x - b,
-        lambda a, b: lambda x: math.tanh(a * (x - b)),
-        lambda a, b: lambda x: math.expm1(a * x) - b,
-        lambda a, b: lambda x: math.sin(3.0 * a * x) + 0.5 * b,
-        lambda a, b: lambda x: math.atan(a * (x - b)) * abs(x - b) ** 0.25,
-        # tiny values: the extrapolation's denominator underflows to 0
-        lambda a, b: lambda x: 1e-120 * (x**3 - a * x - b),
-    ]
-    rng = np.random.default_rng(20)
-    kinds = set()
-    for _ in range(400):
-        for family in families:
-            f = family(float(rng.uniform(0.1, 4.0)), float(rng.uniform(-2.0, 2.0)))
-            lo, hi = (float(v) for v in np.sort(rng.uniform(-3.0, 3.0, 2)))
-            kw = {"maxiter": int(rng.integers(1, 8))} if rng.random() < 0.1 else {}
-            ours = _brentq_outcome(waves._brentq, f, lo, hi, **kw)
-            assert ours == _brentq_outcome(brentq, f, lo, hi, **kw), (lo, hi, kw)
-            kinds.add(ours[0] if isinstance(ours, tuple) else "root")
-    assert kinds == {"root", "ValueError", "RuntimeError"}
-    nan_above = lambda x: math.nan if x > 0.5 else x
-    assert (_brentq_outcome(waves._brentq, nan_above, -1.0, 1.0)
-            == _brentq_outcome(brentq, nan_above, -1.0, 1.0)
-            == ("ValueError", "The function value at x=1.0 is NaN; solver cannot continue."))
 
 
 class TestFitDecay:
