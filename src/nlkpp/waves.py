@@ -4,7 +4,8 @@ Profiles live on a plain (non-periodic) line grid with far-field values
 theta on the left and 0 on the right.  A profile with speed c is computed as
 the solution of the discrete stationary equation
 c psi' + kp (a+ * psi) - m psi - km psi (a- * psi) = 0 by Newton's method,
-with the grid-centre equation replaced by the pin psi(0) = theta/2.  The
+with the grid-centre equation replaced by the pin psi(0) = theta/2; each
+step's banded Jacobian is solved block by block in numpy.  The
 equation is ``evolution._reaction`` with drift c psi', and ``_line_pair``
 makes its convolutions through ``evolution.convolve_pair``.  Values
 beyond the grid follow the linearised far fields: theta + (psi_0 - theta)
@@ -312,19 +313,18 @@ def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
 
 def _newton(psi: np.ndarray, c: float, theta: float, params: ModelParams, h: float,
             wp: LineKernel, wm: LineKernel, nu: float, lam_c: float,
-            target: float) -> np.ndarray:
+            target: float, remedy: str) -> np.ndarray:
     """Newton's method on the pinned stationary equation, from the guess ``psi``.
 
     Rows are the operator at each grid point, with the centre row replaced by
     psi(0) = theta/2.  The k-th value left of the grid is
     theta + (psi_0 - theta) e^{-nu k h} and the k-th right of it
     psi_N e^{-lam_c k h}, so the Jacobian columns of these values fold into
-    the first and last columns and the matrix stays banded.  Stops when the
-    sup norm of the rows is at most ``target``.
+    the first and last columns and the matrix stays banded, of half-width
+    ``reach``.  Each step assembles it into blocks of ``reach`` rows and solves
+    it with ``_block_solve``.  Stops when the sup norm of the rows is at most
+    ``target``; ``remedy`` ends the messages of a divergent or stalled solve.
     """
-    # imported here, not at module level, so that only a wave solve loads scipy.linalg
-    from scipy.linalg.lapack import dgbsv
-
     n, center = len(psi), len(psi) // 2
     reach = max(wp.halfwidth, wm.halfwidth, 2)
     left_decay = np.exp(-nu * h * np.arange(1, reach + 1))
@@ -335,12 +335,28 @@ def _newton(psi: np.ndarray, c: float, theta: float, params: ModelParams, h: flo
                                values[-1] * right_decay[:k]])
 
     kp, km = params.kappa_plus, params.kappa_minus
-    weights_p = np.pad(wp.weights, reach - wp.halfwidth)
-    weights_m = np.pad(wm.weights, reach - wm.halfwidth)
-    difference = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}
-    # LAPACK band storage: entry (i, l) at ab[2 reach + i - l, l]; dgbsv
-    # factors in place and uses the top reach rows as workspace
-    ab = np.zeros((3 * reach + 1, n), order="F")
+    # band[i, reach + d] is the entry (i, i + d); kernel weight j sits at offset reach - j
+    weights_p = np.pad(wp.weights, reach - wp.halfwidth)[::-1]
+    weights_m = np.pad(wm.weights, reach - wm.halfwidth)[::-1]
+    difference = c * np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    # a column past either end is a value beyond the grid: it folds into the
+    # end column with that value's weight in ``pad``
+    columns = np.arange(n)[:, None] + np.arange(-reach, reach + 1)
+    left, right = columns < 0, columns >= n
+    beyond = left | right
+    fold = np.zeros(columns.shape)
+    fold[left] = left_decay[-1 - columns[left]]
+    fold[right] = right_decay[columns[right] - n]
+    ends = np.arange(reach)
+    # block rows for _block_solve: row i = k reach + p of the Jacobian is
+    # flat[i], over the columns (k - 1) reach .. (k + 2) reach - 1, so its
+    # band starts at column p; rows past n are the identity
+    blocks = -(-n // reach)
+    rows_of = np.zeros((blocks, reach, 3 * reach))
+    flat = rows_of.reshape(blocks * reach, 3 * reach)  # a view
+    padding = np.arange(n, blocks * reach)
+    flat[padding, reach + padding % reach] = 1.0
+    band_at = (np.arange(n)[:, None], (np.arange(n) % reach)[:, None] + np.arange(2 * reach + 1))
     for step in range(NEWTON_STEPS + 1):
         rows, conv_m = _operator(psi, pad, c, params, h, wp, wm)
         rows[center] = psi[center] - theta / 2.0
@@ -349,32 +365,62 @@ def _newton(psi: np.ndarray, c: float, theta: float, params: ModelParams, h: flo
             return psi
         if step == NEWTON_STEPS:
             break
-        ab[:] = 0.0
-        for d in range(-reach, reach + 1):  # entries (i, i + d)
-            entry = kp * weights_p[reach - d] - km * weights_m[reach - d] * psi
-            if d == 0:
-                entry -= params.mortality + km * conv_m
-            if d in difference:
-                entry += c * difference[d] / (12.0 * h)
-            entry[center] = 1.0 if d == 0 else 0.0  # the pin row
-            lo, hi = max(0, -d), min(n, n - d)
-            ab[2 * reach - d, lo + d: hi + d] += entry[lo:hi]
-            if d < 0:
-                ab[2 * reach: 2 * reach - d, 0] += entry[:-d] * left_decay[:-d][::-1]
-            elif d > 0:
-                ab[2 * reach - d + 1: 2 * reach + 1, n - 1] += entry[n - d:] * right_decay[:d]
-        *_, delta, info = dgbsv(reach, reach, ab, rows, overwrite_ab=1, overwrite_b=1)
-        if info != 0:
-            raise ConvergenceFailure(
-                f"Newton step {step + 1}: singular Jacobian (dgbsv info {info})")
+        band = kp * weights_p - km * np.outer(psi, weights_m)
+        band[:, reach] -= params.mortality + km * conv_m
+        band[:, reach - 2: reach + 3] += difference
+        band[center] = 0.0  # the pin row
+        band[center, reach] = 1.0
+        folded = band * fold
+        band[beyond] = 0.0
+        band[ends, reach - ends] += folded[:reach].sum(axis=1)  # column 0
+        band[n - 1 - ends, reach + ends] += folded[n - 1 - ends].sum(axis=1)  # column n - 1
+        flat[band_at] = band
+        try:
+            delta = _block_solve(rows_of, rows)
+        except ConvergenceFailure as err:
+            raise ConvergenceFailure(f"Newton step {step + 1}: {err}") from None
         step_size = float(np.max(np.abs(delta)))
         if not step_size <= 1e6 * theta:
-            raise ConvergenceFailure(f"Newton step {step + 1} diverged (size {step_size:.3g})")
+            raise ConvergenceFailure(
+                f"Newton step {step + 1} diverged (size {step_size:.3g}); {remedy}")
         psi = psi - delta
     raise ConvergenceFailure(
         f"Newton solve did not reach residual {target:g} in {NEWTON_STEPS} steps "
-        f"(last {size:.3g})"
+        f"(last {size:.3g}); {remedy}"
     )
+
+
+def _block_solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with J x = rhs, for J of half-bandwidth r held as block rows.
+
+    ``rows[k]`` is [L_k | D_k | U_k]: the r rows of block k over the columns
+    of blocks k - 1, k and k + 1, so J is block tridiagonal; rows past
+    ``len(rhs)`` must be the identity.  Block elimination runs from the last
+    block to the first, the wave's tail to its plateau; the other way round
+    gave backward errors up to 50 times larger on Newton Jacobians of a
+    gaussian wave.  Each Schur complement is solved by ``np.linalg.solve``,
+    which pivots within the block; a singular one raises ``ConvergenceFailure``.
+    """
+    blocks, r, _ = rows.shape
+    y = np.zeros(blocks * r)
+    y[:len(rhs)] = rhs
+    y = y.reshape(blocks, r)
+    couple = np.empty((blocks, r, r))  # S_k^{-1} L_k
+    for k in range(blocks - 1, -1, -1):
+        schur = rows[k, :, r:2 * r]
+        if k < blocks - 1:
+            upper = rows[k, :, 2 * r:]
+            schur = schur - upper @ couple[k + 1]
+            y[k] -= upper @ y[k + 1]
+        try:
+            solved = np.linalg.solve(schur, np.column_stack([rows[k, :, :r], y[k]]))
+        except np.linalg.LinAlgError:
+            raise ConvergenceFailure(
+                f"singular Jacobian (block {k + 1} of {blocks})") from None
+        couple[k], y[k] = solved[:, :r], solved[:, r]
+    for k in range(1, blocks):
+        y[k] -= couple[k] @ y[k - 1]
+    return y.reshape(-1)[:len(rhs)]
 
 
 def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: float,
@@ -433,7 +479,11 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
 
     nu = _plateau_rate(params, c, theta, spacing, wp, wm,
                        min(k_plus.lambda0, k_minus.lambda0))
-    psi = _newton(psi, c, theta, params, spacing, wp, wm, nu, lam_c, residual_target)
+    scale = max(k_plus.effective_scale(), k_minus.effective_scale())
+    remedy = (f"the domain spans {(s_right - s_left) / scale:.4g} kernel scales "
+              f"(effective_scale {scale:.4g}); try a narrower domain (domain_left, "
+              "domain_right)")
+    psi = _newton(psi, c, theta, params, spacing, wp, wm, nu, lam_c, residual_target, remedy)
 
     band = 10 * BC_TOL * theta
     if psi[0] < theta * (1.0 - 10 * BC_TOL):

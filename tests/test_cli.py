@@ -315,15 +315,23 @@ class TestScenarios:
         assert "transform diverges" in entries["error"]
         assert entries["error.type"] == "ValueError"
 
-    def test_wave_domain_too_small_writes_error(self, tmp_path):
+    @pytest.mark.parametrize("text, message, kind", [
+        (BASE + "\n[wave]\nspacing = 0.1\ndomain_left = -5\ndomain_right = 5\n",
+         "domain too small", "ValueError"),
+        # the default [-40, 80] is 1500 kernel scales wide; Newton diverges at its first step
+        (BASE.replace("sigma = 1.0", "sigma = 0.08")
+         + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.02\n",
+         "the domain spans 1500 kernel scales (effective_scale 0.08); try a narrower domain",
+         "ConvergenceFailure"),
+    ], ids=["too-small", "too-wide"])
+    def test_wave_domain_size_writes_error(self, tmp_path, text, message, kind):
         cfg_file = tmp_path / "w.cfg"
-        cfg_file.write_text(BASE + "\n[wave]\nspacing = 0.1\n"
-                            "domain_left = -5\ndomain_right = 5\n")
+        cfg_file.write_text(text)
         rc = main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 1
         entries = summary_dict(tmp_path / "out")
-        assert "domain too small" in entries["error"]
-        assert entries["error.type"] == "ValueError"
+        assert message in entries["error"]
+        assert entries["error.type"] == kind
 
     @pytest.mark.parametrize("sigma", ["0.03", "0.08"])
     def test_under_resolved_wave_kernel_writes_kernel_error(self, tmp_path, sigma):
@@ -605,7 +613,7 @@ FRONT_2D = (BASE.replace("family = gaussian\nsigma = 1.0",
             .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 2.0\nheight = 0.5")
             + "\n[front]\nn_directions = 4\n")
 
-# the scipy subpackages a run may load; scipy.linalg only for the wave's dgbsv
+# the scipy subpackages a run may load
 SCIPY_PARTS = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize",
                "scipy.linalg", "scipy.stats", "scipy.signal")
 
@@ -614,12 +622,14 @@ SCIPY_PARTS = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize"
     ("simulate", BASE, "0 []"),
     ("simulate", LAPLACE, "0 []"),
     ("wave", BASE + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.1\n"
-                    "domain_left = -40\ndomain_right = 80\n", "0 ['scipy.linalg']"),
+                    "domain_left = -40\ndomain_right = 80\n", "0 []"),
+    ("wave", LAPLACE + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.1\n"
+                       "domain_left = -80\ndomain_right = 80\n", "0 []"),
     ("front", FRONT_2D, "0 ['scipy.fft', 'scipy.special']"),
-], ids=["gaussian-simulate", "laplace-simulate", "gaussian-wave", "front-2d"])
+], ids=["gaussian-simulate", "laplace-simulate", "gaussian-wave", "laplace-wave", "front-2d"])
 def test_run_loads_only_the_scipy_it_calls(tmp_path, command, text, loaded):
-    """A 1-D simulate with closed-form kernels needs no scipy, a wave only dgbsv, and
-    a 2-D front with a compact a+ its 2-D transforms and the chord's Bessel functions."""
+    """A 1-D simulate or wave with closed-form kernels needs no scipy, and a 2-D
+    front with a compact a+ its 2-D transforms and the chord's Bessel functions."""
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text)
     argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]

@@ -221,12 +221,14 @@ class TestSolveProfile:
         assert profile_13.predicted_lambda == lam_pred
         assert profile_13.r_squared == fit_decay(profile_13, expected_j=1)[2]
 
-    # measured spreads: 7.2e-11, 1.6e-9 and 4.4e-10; each bound leaves about 10x
+    # measured spreads: 7.0e-11, 1.8e-9, 1.3e-9 and 1.5e-7; each bound leaves
+    # about 10x, except laplace-1.3, whose 5e-9 leaves about 4x
     @pytest.mark.parametrize("spec, factor, bound", [
         (KernelSpec("gaussian", 1, sigma=1.0), 1.3, 1e-9),
         (KernelSpec("gaussian", 1, sigma=1.0), 1.0, 2e-8),
         (KernelSpec("laplace", 1, mu=2.0), 1.3, 5e-9),
-    ], ids=["gaussian-1.3", "gaussian-1.0", "laplace-1.3"])
+        (KernelSpec("laplace", 1, mu=2.0), 1.0, 2e-6),
+    ], ids=["gaussian-1.3", "gaussian-1.0", "laplace-1.3", "laplace-1.0"])
     def test_all_seeds_agree(self, canon, spec, factor, bound):
         # the wave is unique up to shift, and the pin psi(0) = theta/2 fixes the shift
         line = reduce_to_direction(make_kernel(spec), [1.0])
@@ -284,6 +286,70 @@ class TestSolveProfile:
             profile_13.s > 0)
         tilted = profile_13.psi[mask] * np.exp(nu * profile_13.s[mask])
         assert np.diff(tilted).min() >= -1e-8 * np.abs(tilted).max()
+
+
+def _dense(rows: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix that ``waves._block_solve`` block rows hold."""
+    blocks, r, _ = rows.shape
+    full = np.zeros((blocks * r, (blocks + 2) * r))
+    for k in range(blocks):
+        full[k * r:(k + 1) * r, k * r:(k + 3) * r] = rows[k]
+    inner = full[:n, r:r + n]
+    assert np.count_nonzero(full[:n]) == np.count_nonzero(inner)  # none outside the grid
+    return inner
+
+
+def _backward_error(matrix: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
+    residual = np.abs(matrix @ x - rhs).max()
+    return residual / (np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+
+
+class TestBlockSolve:
+    @pytest.fixture(scope="class")
+    def jacobians(self, canon):
+        """(block rows, right-hand side) of the first and last Newton step of each case."""
+        recorded = {}
+        solve = waves._block_solve
+        for spec in (KernelSpec("gaussian", 1, sigma=1.0), KernelSpec("laplace", 1, mu=2.0),
+                     KernelSpec("exppoly", 1, p=2.0, q=1.0, mu=0.5),
+                     KernelSpec("compact_uniform", 1, radius=1.0)):
+            line = reduce_to_direction(make_kernel(spec), [1.0])
+            report = minimize_G(canon, line)
+            for factor in (1.3, 1.0):
+                seen = []
+
+                def record(rows, rhs):
+                    seen.append((rows.copy(), rhs.copy()))
+                    return solve(rows, rhs)
+
+                waves._block_solve = record
+                try:
+                    solve_profile(canon, line, line, factor * report.c_star, h=0.1,
+                                  s_left=-40, s_right=80, report=report)
+                except ConvergenceFailure:
+                    pass  # compact_uniform at c* stalls; its Jacobians still count
+                finally:
+                    waves._block_solve = solve
+                recorded[f"{spec.family}-{factor}"] = [seen[0], seen[-1]]
+        return recorded
+
+    # LAPACK's banded dgbsv, on these same matrices: at most 7.4e-16
+    def test_backward_error_matches_a_dense_solve(self, jacobians):
+        assert len(jacobians) == 8
+        for case, steps in jacobians.items():
+            for rows, rhs in steps:
+                matrix = _dense(rows, len(rhs))
+                x = waves._block_solve(rows, rhs)
+                dense = np.linalg.solve(matrix, rhs)
+                assert _backward_error(matrix, dense, rhs) <= 5e-15, case
+                assert _backward_error(matrix, x, rhs) <= 5e-15, case
+
+    def test_singular_block_is_a_convergence_failure(self, jacobians):
+        rows, rhs = jacobians["gaussian-1.3"][0]
+        rows = rows.copy()
+        rows[len(rows) // 2] = 0.0
+        with pytest.raises(ConvergenceFailure, match=r"singular Jacobian \(block \d+ of \d+\)"):
+            waves._block_solve(rows, rhs)
 
 
 class TestFitDecay:
