@@ -6,9 +6,8 @@ Simulation, traveling-wave dispersion theory, profile solving, and
 front-propagation verification at desk scale.
 """
 from .assumptions import AssumptionReport, check_assumptions, competition_gap
-from .dispersion import (DispersionReport, FrontSet, LaplaceProfile, abscissa,
-                         char_multiplicity, classify, directional_mean,
-                         dispersion_G, front_set, global_mean, laplace_transform,
+from .dispersion import (DispersionReport, FrontSet, char_multiplicity, classify,
+                         directional_mean, dispersion_G, front_set, global_mean,
                          minimize_G, speed_to_abscissa, t_xi)
 from .errors import (CertificationFailed, ConfigError, ConvergenceFailure,
                      GridError, KernelError, MollisonFailure, NlkppError,
@@ -22,8 +21,7 @@ from .kernels import (Kernel, Kernel1D, KernelSpec, SampledWeights, discretize,
                       make_kernel, reduce_to_direction)
 from .params import ModelParams
 from .waves import (WaveProfile, fit_decay, initial_supersolution,
-                    measure_profile_speed, profile_residual, solve_profile,
-                    stationary_frame_residual)
+                    measure_profile_speed, profile_residual, solve_profile)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

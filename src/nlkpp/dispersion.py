@@ -11,7 +11,8 @@ minimizer is located by monotone bisection on
     H(lam) = lam F'(lam) - F(lam) = m - t(lam),
 
 where ``t(lam) = kappa_plus * int (1 - lam s) a(s) e^{lam s} ds`` is strictly
-decreasing; H < 0 left of the minimizer and H > 0 right of it.
+decreasing; H < 0 left of the minimizer and H > 0 right of it.  A wave speed
+is tested against c* in one place, ``_at_minimal_speed``, for either sign of c*.
 """
 from __future__ import annotations
 
@@ -32,15 +33,6 @@ _BOUNDARY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class LaplaceProfile:
-    """Abscissa data of a directional kernel reduction."""
-
-    kernel: Kernel1D
-    abscissa_lambda0: float
-    value_at_abscissa: float  # transform at the abscissa; may be inf
-
-
-@dataclass(frozen=True)
 class DispersionReport:
     """Minimal-speed data for one direction."""
 
@@ -49,25 +41,6 @@ class DispersionReport:
     kernel_class: str
     t_xi_at_lambda0: float | None
     m_xi: float
-
-
-def laplace_transform(k: Kernel1D, lam: float) -> float:
-    """Bilateral transform of the line density; +inf on divergence."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return k.transform(lam)
-
-
-def abscissa(k: Kernel1D) -> LaplaceProfile:
-    """Abscissa of convergence and the one-sided transform value there."""
-    lam0 = k.lambda0
-    if math.isinf(lam0):
-        value = math.inf
-    elif lam0 == 0.0:
-        value = 1.0  # the transform degenerates to the total mass
-    else:
-        value = k.transform(lam0)
-    return LaplaceProfile(kernel=k, abscissa_lambda0=lam0, value_at_abscissa=value)
 
 
 def dispersion_G(params: ModelParams, k: Kernel1D, lam: float) -> float:
@@ -99,12 +72,11 @@ def _t_xi(params: ModelParams, k: Kernel1D, lam: float, value: float) -> float:
 
 
 def _H(params: ModelParams, k: Kernel1D, lam: float) -> float:
-    """H(lam) = m - t(lam); strictly increasing on the convergence interval."""
-    m1 = k.weighted_moment1(lam)
-    value = k.transform(lam)
-    if math.isinf(m1) or math.isinf(value):
-        return math.inf
-    return params.mortality - params.kappa_plus * (value - lam * m1)
+    """H(lam) = m - t(lam); strictly increasing on the convergence interval.
+
+    +inf where the transform diverges, since the first moment diverges there too.
+    """
+    return params.mortality - _t_xi(params, k, lam, k.transform(lam))
 
 
 def _bisect(below, lo: float, hi: float, rtol: float) -> float:
@@ -234,6 +206,19 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
     )
 
 
+def _at_minimal_speed(c: float, report: DispersionReport) -> bool:
+    """Whether the wave speed c counts as the minimal speed c*.
+
+    With tol = max(1, |c*|), c below c* - 1e-9 tol has no wave and is refused,
+    and c up to c* + 1e-12 tol counts as c*, for either sign of c*.
+    """
+    c_star = report.c_star
+    tol = max(1.0, abs(c_star))
+    if c < c_star - 1e-9 * tol:
+        raise ValueError(f"no traveling wave below the minimal speed: c = {c} < c* = {c_star}")
+    return c <= c_star + 1e-12 * tol
+
+
 def speed_to_abscissa(params: ModelParams, k: Kernel1D, c: float,
                       report: DispersionReport | None = None) -> float:
     """The decay exponent of the wave profile with speed c >= c*.
@@ -243,18 +228,15 @@ def speed_to_abscissa(params: ModelParams, k: Kernel1D, c: float,
     """
     if report is None:
         report = minimize_G(params, k)
-    c_star, lam_star = report.c_star, report.lambda_star
-    if c < c_star - 1e-9 * max(1.0, abs(c_star)):
-        raise ValueError(f"no traveling wave below the minimal speed ({c} < {c_star})")
-    if c <= c_star * (1 + 1e-12):
-        return lam_star
+    if _at_minimal_speed(c, report):
+        return report.lambda_star
 
     def h(lam: float) -> float:
         return params.kappa_plus * k.transform(lam) - params.mortality - lam * c
 
     if h(1e-14) <= 0:
         raise RuntimeError("characteristic function not positive near zero")
-    return _bisect(lambda lam: h(lam) > 0, 1e-14, lam_star, 1e-15)
+    return _bisect(lambda lam: h(lam) > 0, 1e-14, report.lambda_star, 1e-15)
 
 
 def char_multiplicity(params: ModelParams, k: Kernel1D, c: float,
@@ -262,10 +244,7 @@ def char_multiplicity(params: ModelParams, k: Kernel1D, c: float,
     """Multiplicity (1 or 2) of the characteristic root at the profile abscissa."""
     if report is None:
         report = minimize_G(params, k)
-    c_star = report.c_star
-    if c < c_star - 1e-9 * max(1.0, abs(c_star)):
-        raise ValueError(f"no traveling wave below the minimal speed ({c} < {c_star})")
-    if c > c_star * (1 + 1e-12):
+    if not _at_minimal_speed(c, report):
         return 1
     if report.kernel_class == V_CLASS:
         return 2

@@ -11,7 +11,8 @@ makes its convolutions through ``evolution.convolve_pair``.  Values
 beyond the grid follow the linearised far fields: theta + (psi_0 - theta)
 e^{nu (s - s_0)} on the left, with nu the decay rate of the linearisation at
 theta, and psi_N e^{-lambda_c (s - s_N)} on the right, with lambda_c the
-decay rate paired with c.
+decay rate paired with c.  ``solve_profile`` refuses a solution that misses
+theta or 0 at an end or rises anywhere, with a ``ConvergenceFailure``.
 """
 from __future__ import annotations
 
@@ -96,15 +97,6 @@ def _line_pair(psi: np.ndarray, pad, wp: LineKernel,
             conv_m[reach + wm.halfwidth: reach + wm.halfwidth + n])
 
 
-def line_convolve(psi: np.ndarray, lk: LineKernel, left: float, right: float) -> np.ndarray:
-    """(a * psi)(s_i) assuming psi = left before the grid and right after it.
-
-    Bitwise equal to ``scipy.signal.fftconvolve(padded, weights, mode="valid")``
-    of psi padded by the kernel halfwidth.
-    """
-    return _line_pair(psi, _constant_pad(left, right), lk, lk)[0]
-
-
 def _line_advance(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.ndarray,
                   cfg: StepConfig) -> np.ndarray:
     """One RK4 step of the line equation with the theta/0 far-field extension."""
@@ -128,6 +120,7 @@ def half_level_crossing(s: np.ndarray, psi: np.ndarray, level: float) -> float:
 class WaveProfile:
     """Converged monotone profile with speed, fitted tail data and residual.
 
+    ``solve_profile`` makes them and checks that psi falls from theta to 0.
     ``residual`` is the stationary-frame residual (``profile_residual``) that
     ``solve_profile`` measured with its own kernel samples, ``predicted_lambda``
     the decay rate ``speed_to_abscissa`` pairs with the speed, and
@@ -143,16 +136,6 @@ class WaveProfile:
     residual: float | None = None
     predicted_lambda: float | None = None
     r_squared: float | None = None
-
-    def __post_init__(self):
-        theta, psi = self.theta, self.psi
-        if psi[0] < theta * (1.0 - 10 * BC_TOL):
-            raise ValueError(f"profile left end {psi[0]} is not near theta = {theta}")
-        if psi[-1] > theta * 10 * BC_TOL:
-            raise ValueError(f"profile right end {psi[-1]} is not near zero")
-        steps = np.diff(psi)
-        if steps.max() > 1e-9 * theta:
-            raise ValueError(f"profile is not non-increasing (max rise {steps.max():.3g})")
 
     @property
     def spacing(self) -> float:
@@ -183,7 +166,7 @@ def initial_supersolution(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel
 def _supersolution(params: ModelParams, k_plus: Kernel1D, wp: LineKernel, wm: LineKernel,
                    s: np.ndarray, mu: float, tol: float) -> tuple[np.ndarray, float]:
     """``initial_supersolution`` with a+ and a- sampled at the spacing of ``s``."""
-    if not 0 < mu < k_plus.lambda0 or math.isinf(k_plus.transform(mu)):
+    if not mu > 0 or math.isinf(k_plus.transform(mu)):
         raise ValueError(f"mu = {mu} must have a finite transform (abscissa {k_plus.lambda0})")
     theta = params.require_carrying_capacity()
     c = (params.kappa_plus * k_plus.transform(mu) - params.mortality) / mu
@@ -223,28 +206,20 @@ def _operator(psi: np.ndarray, pad, c: float, params: ModelParams, h: float,
 
 def _frame_residual(s: np.ndarray, psi: np.ndarray, c: float, params: ModelParams,
                     wp: LineKernel, wm: LineKernel) -> float:
-    """``stationary_frame_residual`` with a+ and a- sampled at the spacing of ``s``."""
+    """Sup norm of c psi' + kp (a+ * psi) - m psi - km psi (a- * psi) on the grid ``s``.
+
+    ``wp`` and ``wm`` are a+ and a- sampled at the spacing of ``s``; psi' uses 4th-order central differences; psi is extended by its end
+    values beyond the grid, and a buffer of 5% of the domain is excluded at each end.
+    """
     pad = _constant_pad(float(psi[0]), float(psi[-1]))
     res, _ = _operator(psi, pad, c, params, float(s[1] - s[0]), wp, wm)
     buf = max(2, int(0.05 * len(s)))
     return float(np.max(np.abs(res[buf:-buf])))
 
 
-def stationary_frame_residual(s: np.ndarray, psi: np.ndarray, c: float, theta: float,
-                              params: ModelParams, k_plus: Kernel1D,
-                              k_minus: Kernel1D) -> float:
-    """Sup norm of c psi' + kp (a+ * psi) - m psi - km psi (a- * psi).
-
-    psi' uses 4th-order central differences; psi is extended by its end
-    values beyond the grid, and a buffer of 5% of the domain is excluded at each end.
-    """
-    lines = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
-    return _frame_residual(s, psi, c, params, *lines)
-
-
 def profile_residual(profile: WaveProfile, params: ModelParams,
                      k_plus: Kernel1D, k_minus: Kernel1D) -> float:
-    """Stationary-frame equation residual of a converged profile."""
+    """Stationary-frame equation residual of a converged profile (``_frame_residual``)."""
     lines = sample_line_kernels(k_plus, k_minus, profile.spacing)
     return _frame_residual(profile.s, profile.psi, profile.speed_c, params, *lines)
 
@@ -436,19 +411,16 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
     ``"critical"`` (1 + lambda s) e^{-lambda s} or a logistic ``"step"``;
     ``"auto"`` takes the critical ramp at a double root.  A solution that
     misses theta at the left end or 0 at the right end by more than
-    ``WaveProfile`` allows raises ``ConvergenceFailure`` naming that end.
+    10 ``BC_TOL`` theta raises ``ConvergenceFailure`` naming that end, and one
+    that rises by more than 1e-9 theta names its largest rise.
     """
     theta = params.require_carrying_capacity()
     if report is None:
         report = minimize_G(params, k_plus)
-    if c < report.c_star - 1e-9 * max(1.0, abs(report.c_star)):
-        raise ValueError(
-            f"no traveling wave below the minimal speed: c = {c} < c* = {report.c_star}"
-        )
+    lam_c = speed_to_abscissa(params, k_plus, c, report=report)  # refuses c < c*
     if abs(c) < 1e-12:
         raise ValueError("zero-speed waves are outside the supported theory")
 
-    lam_c = speed_to_abscissa(params, k_plus, c, report=report)
     n = int(round((s_right - s_left) / h))
     s = s_left + h * np.arange(n)
     s = s - s[n // 2]  # index n//2 carries s = 0 exactly
@@ -495,6 +467,13 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
         raise ConvergenceFailure(
             f"profile misses 0 at the right end: psi({s[-1]:.6g}) = {psi[-1]:.3g} "
             f"(allowed {band:.3g}); raise s_right (domain_right)"
+        )
+    rise = np.diff(psi)
+    worst = int(np.argmax(rise))
+    if rise[worst] > 1e-9 * theta:
+        raise ConvergenceFailure(
+            f"profile is not non-increasing: it rises by {rise[worst]:.3g} from "
+            f"s = {s[worst]:.6g} to {s[worst + 1]:.6g}"
         )
     profile = WaveProfile(s=s, psi=psi, speed_c=c, theta=theta, predicted_lambda=lam_c)
     profile.residual = _frame_residual(s, psi, c, params, wp, wm)

@@ -251,17 +251,22 @@ class TestScenarios:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
 
-    def test_dispersion_summary(self, tmp_path):
+    # a drift of -2 against the direction makes c* negative; the double root stays
+    @pytest.mark.parametrize("offset, lambda_star, c_star, m_xi", [
+        ("", 0.798, 2.193, 0.0),
+        ("\noffset = -2", 0.886, -0.561, -2.0),
+    ], ids=["centred", "offset-2"])
+    def test_dispersion_summary(self, tmp_path, offset, lambda_star, c_star, m_xi):
         cfg_file = tmp_path / "d.cfg"
-        cfg_file.write_text(BASE)
+        cfg_file.write_text(BASE.replace("sigma = 1.0", "sigma = 1.0" + offset, 1))
         rc = main(["dispersion", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 0
         entries = summary_dict(tmp_path / "out")
-        assert float(entries["dispersion.lambda_star"]) == pytest.approx(0.798, abs=2e-3)
-        assert float(entries["dispersion.c_star"]) == pytest.approx(2.193, abs=2e-3)
+        assert float(entries["dispersion.lambda_star"]) == pytest.approx(lambda_star, abs=2e-3)
+        assert float(entries["dispersion.c_star"]) == pytest.approx(c_star, abs=2e-3)
         assert entries["dispersion.class"] == "V"
         assert entries["dispersion.j_at_cstar"] == "2"
-        assert float(entries["dispersion.m_xi"]) == 0.0
+        assert float(entries["dispersion.m_xi"]) == m_xi
         data = np.loadtxt(tmp_path / "out" / "dispersion.csv", delimiter=",", skiprows=1)
         assert data.shape[1] == 2
         assert np.min(data[:, 1]) >= float(entries["dispersion.c_star"]) - 1e-9
@@ -323,7 +328,13 @@ class TestScenarios:
          + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.02\n",
          "the domain spans 1500 kernel scales (effective_scale 0.08); try a narrower domain",
          "ConvergenceFailure"),
-    ], ids=["too-small", "too-wide"])
+        # a+ = a- uniform on [-1, 1] just above c*: Newton converges to a profile
+        # that rises in its tail
+        (BASE.replace("family = gaussian\nsigma = 1.0", "family = compact_uniform\nradius = 1.0")
+         + "\n[wave]\nspeed_factor = 1.01\nspacing = 0.05\n",
+         "profile is not non-increasing: it rises by 7.07e-08 from s = 11.95 to 12",
+         "ConvergenceFailure"),
+    ], ids=["too-small", "too-wide", "non-monotone"])
     def test_wave_domain_size_writes_error(self, tmp_path, text, message, kind):
         cfg_file = tmp_path / "w.cfg"
         cfg_file.write_text(text)

@@ -6,10 +6,9 @@ import pytest
 from scipy import integrate
 
 from nlkpp import (KernelSpec, ModelParams, MollisonFailure, UnsupportedCriticalCase,
-                   abscissa, char_multiplicity, classify, directional_mean,
-                   dispersion_G, front_set, global_mean, laplace_transform,
-                   make_kernel, minimize_G, reduce_to_direction, speed_to_abscissa,
-                   t_xi)
+                   char_multiplicity, classify, directional_mean, dispersion_G,
+                   front_set, global_mean, make_kernel, minimize_G, reduce_to_direction,
+                   speed_to_abscissa, t_xi)
 from nlkpp import dispersion
 
 
@@ -19,25 +18,20 @@ def line(family, **kw):
 
 class TestTransformAndAbscissa:
     def test_gaussian_closed_form(self, gauss_line):
-        assert laplace_transform(gauss_line, 1.0) == pytest.approx(math.exp(0.5), rel=1e-12)
+        assert gauss_line.transform(1.0) == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_laplace_values(self):
         lap = line("laplace", mu=1.0)
-        assert laplace_transform(lap, 0.5) == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert laplace_transform(lap, 1.5) == math.inf
-
-    def test_rejects_nonpositive_lambda(self, gauss_line):
-        with pytest.raises(ValueError):
-            laplace_transform(gauss_line, 0.0)
+        assert lap.transform(0.5) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert lap.transform(1.5) == math.inf
 
     def test_abscissas(self, gauss_line):
-        assert abscissa(gauss_line).abscissa_lambda0 == math.inf
-        prof = abscissa(line("exppoly", p=1.0, q=3.0, mu=2.0))
-        assert prof.abscissa_lambda0 == 2.0
-        assert math.isfinite(prof.value_at_abscissa)  # q > 1: finite at the edge
-        prof_div = abscissa(line("exppoly", p=1.0, q=0.5, mu=2.0))
-        assert prof_div.value_at_abscissa == math.inf
-        assert abscissa(line("power_tail", q=4.0)).abscissa_lambda0 == 0.0
+        assert gauss_line.lambda0 == math.inf
+        kline = line("exppoly", p=1.0, q=3.0, mu=2.0)
+        assert kline.lambda0 == 2.0
+        assert math.isfinite(kline.transform(2.0))  # q > 1: finite at the edge
+        assert line("exppoly", p=1.0, q=0.5, mu=2.0).transform(2.0) == math.inf
+        assert line("power_tail", q=4.0).lambda0 == 0.0
 
 
 class TestDispersionFunction:
@@ -223,10 +217,19 @@ class TestSpeedAbscissaBijection:
 
 
 class TestCharacteristicMultiplicity:
-    def test_gaussian_cases(self, canon, gauss_line):
-        rep = minimize_G(canon, gauss_line)
-        assert char_multiplicity(canon, gauss_line, 1.2 * rep.c_star, report=rep) == 1
-        assert char_multiplicity(canon, gauss_line, rep.c_star, report=rep) == 2
+    # a drift b against the direction lowers c*, below zero from about b = -1.18
+    @pytest.mark.parametrize("offset, c_star", [
+        (0.0, 2.19362), (-1.0, 0.197), (-2.0, -0.5605), (-3.0, -1.0080),
+    ], ids=["b0", "b-1", "b-2", "b-3"])
+    def test_gaussian_cases(self, canon, offset, c_star):
+        kline = line("gaussian", sigma=1.0, offset=(offset,))
+        rep = minimize_G(canon, kline)
+        assert rep.c_star == pytest.approx(c_star, abs=1e-3)
+        above = rep.c_star + 0.2 * abs(rep.c_star)
+        assert char_multiplicity(canon, kline, above, report=rep) == 1
+        assert char_multiplicity(canon, kline, rep.c_star, report=rep) == 2
+        # at c* the decay rate is lambda* itself, for either sign of c*
+        assert speed_to_abscissa(canon, kline, rep.c_star, report=rep) == rep.lambda_star
 
     def test_w_class_below_boundary(self, canon):
         kline = line("exppoly", p=1.0, q=4.0, mu=0.2)

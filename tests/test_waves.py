@@ -6,13 +6,17 @@ from scipy.signal import fftconvolve
 
 from nlkpp import (CertificationFailed, ConvergenceFailure, KernelSpec, StepConfig, fit_decay,
                    initial_supersolution, make_kernel, measure_profile_speed, minimize_G,
-                   profile_residual, reduce_to_direction, solve_profile, speed_to_abscissa,
-                   stationary_frame_residual)
+                   profile_residual, reduce_to_direction, solve_profile, speed_to_abscissa)
 from nlkpp import waves
 from nlkpp.evolution import _march
 from nlkpp.kernels import Kernel1D
 from nlkpp.waves import (WaveProfile, LineKernel, half_level_crossing,
-                         line_convolve, sample_line_kernel, sample_line_kernels)
+                         sample_line_kernel, sample_line_kernels)
+
+
+def _convolve_padded(psi, lk, left, right):
+    """(a * psi)(s_i) with psi = left before the grid and right after it."""
+    return waves._line_pair(psi, waves._constant_pad(left, right), lk, lk)[0]
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +40,7 @@ class TestLineMachinery:
         w /= w.sum()
         lk = LineKernel(weights=w, spacing=h)
         psi = rng.random(20)
-        out = line_convolve(psi, lk, left, right)
+        out = _convolve_padded(psi, lk, left, right)
         half = lk.halfwidth
 
         def extended(i):
@@ -64,7 +68,7 @@ class TestLineMachinery:
             psi = rng.random(n)
             padded = np.concatenate([np.full(half, left), psi, np.full(half, right)])
             expected = fftconvolve(padded, lk.weights, mode="valid")
-            assert np.array_equal(line_convolve(psi, lk, left, right), expected)
+            assert np.array_equal(_convolve_padded(psi, lk, left, right), expected)
 
     def test_line_kernel_spectrum_is_cached_per_length(self, gauss_line):
         lk = sample_line_kernel(gauss_line, 0.1)
@@ -110,7 +114,7 @@ class TestLineMachinery:
             pair = waves._line_pair(psi, pad, wp, wm)
             assert transforms == {"rfft": 1, "irfft": 2}
             for w, result in zip((wp, wm), pair):
-                expected = line_convolve(psi, w, 1.0, 0.0)
+                expected = _convolve_padded(psi, w, 1.0, 0.0)
                 assert np.max(np.abs(result - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_half_level_crossing_interpolates(self):
@@ -142,6 +146,16 @@ class TestSupersolution:
         s = np.linspace(-30, 50, 1600, endpoint=False)
         with pytest.raises(ValueError):
             initial_supersolution(canon, lap, lap, s, mu=1.2)
+
+    def test_w_class_certifies_at_the_abscissa(self, canon):
+        # exp(-|s|) / (1 + s^4) has a finite transform at its abscissa 1 = lambda*
+        kernel = make_kernel(KernelSpec("exppoly", 1, p=1.0, q=4.0, mu=1.0))
+        kline = reduce_to_direction(kernel, [1.0])
+        report = minimize_G(canon, kline)
+        assert report.kernel_class == "W" and report.lambda_star == kline.lambda0
+        s = -40.0 + 0.1 * np.arange(1200)
+        _, c = initial_supersolution(canon, kline, kline, s, mu=kline.lambda0)
+        assert c == report.c_star
 
     def test_minimal_speed_at_lambda_star(self, canon, gauss_line, report):
         s = np.linspace(-30, 50, 1600, endpoint=False)
@@ -177,15 +191,11 @@ class TestSupersolution:
 class TestResidual:
     def test_constant_states_have_zero_residual(self, canon, gauss_line):
         s = np.linspace(-20, 20, 800, endpoint=False)
-        theta = canon.theta
-        # theta plateau: equation residual kp*theta - m*theta - km*theta^2 = 0;
-        # evaluated through the raw-array entry point since the profile type
-        # requires decaying boundary structure
-        res_theta = stationary_frame_residual(
-            s, np.full_like(s, theta), 1.0, theta, canon, gauss_line, gauss_line)
+        lines = sample_line_kernels(gauss_line, gauss_line, float(s[1] - s[0]))
+        # theta plateau: equation residual kp*theta - m*theta - km*theta^2 = 0
+        res_theta = waves._frame_residual(s, np.full_like(s, canon.theta), 1.0, canon, *lines)
         assert res_theta <= 1e-12
-        res_zero = stationary_frame_residual(
-            s, np.zeros_like(s), 1.0, theta, canon, gauss_line, gauss_line)
+        res_zero = waves._frame_residual(s, np.zeros_like(s), 1.0, canon, *lines)
         assert res_zero <= 1e-12
 
     def test_converged_profile_residual(self, canon, gauss_line, profile_13):
