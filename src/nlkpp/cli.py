@@ -94,16 +94,21 @@ def build_initial(cfg: ScenarioConfig, grid: Grid) -> Field:
     return Field(grid, np.tile(line[:, None], (1, grid.points_per_axis)))
 
 
-def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
+def _grid(cfg: ScenarioConfig) -> Grid:
     if cfg.grid is None:
         raise NlkppError("this scenario requires a [grid] section")
+    return cfg.grid
+
+
+def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
+    grid = _grid(cfg)
     kp = make_kernel(cfg.kernel_plus)
     km = make_kernel(cfg.kernel_minus)
-    wp = discretize(kp, cfg.grid)
-    wm = discretize(km, cfg.grid)
+    wp = discretize(kp, grid)
+    wm = discretize(km, grid)
     if np.array_equal(wp.weights, wm.weights):
         wm = wp  # one convolution per right-hand side
-    u0 = build_initial(cfg, cfg.grid)
+    u0 = build_initial(cfg, grid)
     return EvolutionProblem(cfg.params, wp, wm, u0)
 
 
@@ -245,10 +250,6 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
     if cfg.verify_suite != "comparison":
         raise NlkppError(f"unknown verification suite {cfg.verify_suite!r}")
     theta = cfg.params.require_carrying_capacity()
-    problem = _problem(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid
-
     if cfg.verify_necessity:
         # counterexample mode: domination deliberately violated near the origin
         worst_overshoot = _necessity_counterexample(cfg)
@@ -259,6 +260,9 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
             "verify.violations": 0 if worst_overshoot > 1e-4 else 1,
         }
 
+    problem = _problem(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    grid = cfg.grid
     worst = 0.0
     worst_strip = 0.0
     envelopes_ok = True
@@ -287,15 +291,13 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _necessity_counterexample(cfg: ScenarioConfig) -> float:
-    """Local domination failure: a competition spike makes u overshoot theta."""
+    """Local domination failure: a competition spike a- makes u overshoot theta; only a+ is read."""
     params = cfg.params
     theta = params.require_carrying_capacity()
-    grid = cfg.grid
-    kp = make_kernel(cfg.kernel_plus)
-    km_spec = KernelSpec(family="gaussian", dimension=grid.dimension, sigma=0.2)
-    km = make_kernel(km_spec)
-    wp = discretize(kp, grid)
-    wm = discretize(km, grid)
+    grid = _grid(cfg)
+    wp = discretize(make_kernel(cfg.kernel_plus), grid)
+    spike = KernelSpec(family="gaussian", dimension=grid.dimension, sigma=0.2)
+    wm = discretize(make_kernel(spike), grid)
     # dent the state below theta near the spike, offset from the origin
     u0 = constant_field(grid, theta)
     dent = bump_field(grid, 0.18 if grid.dimension == 1 else (0.18, 0.0), 0.09, 0.8 * theta)

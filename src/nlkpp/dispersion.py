@@ -129,15 +129,7 @@ def directional_mean(kernel: Kernel, xi) -> float:
 
 def global_mean(kernel: Kernel) -> np.ndarray:
     """First moment vector int x a(x) dx."""
-    d = kernel.dimension
-    out = np.zeros(d)
-    for i in range(d):
-        xi = np.zeros(d)
-        xi[i] = 1.0
-        out[i] = directional_mean(kernel, xi if d > 1 else np.array([1.0]))
-        if d == 1:
-            break
-    return out
+    return np.array([directional_mean(kernel, xi) for xi in np.eye(kernel.dimension)])
 
 
 def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
@@ -308,8 +300,8 @@ class FrontSet:
 def front_set(params: ModelParams, kernel: Kernel, n_directions: int = 32) -> FrontSet:
     """Minimal speeds over a uniform direction sample and the resulting set.
 
-    A kernel without an offset is isotropic: its minimal speed is solved once
-    and shared by every direction.
+    A radial kernel is isotropic: its minimal speed is solved once and shared
+    by every direction.
 
     Raises MollisonFailure when any direction lacks an exponential moment
     (the front is unbounded; propagation accelerates).
@@ -322,8 +314,8 @@ def front_set(params: ModelParams, kernel: Kernel, n_directions: int = 32) -> Fr
     else:
         angles = 2.0 * math.pi * np.arange(n_directions) / n_directions
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    if kernel.spec.offset is None:
-        # every family is radial, so each direction reduces to the same line density
+    if kernel.radial:
+        # each direction reduces to the same line density
         reports = [minimize_G(params, reduce_to_direction(kernel, dirs[0]))] * len(dirs)
     else:
         reports = [minimize_G(params, reduce_to_direction(kernel, xi)) for xi in dirs]

@@ -464,7 +464,7 @@ def _hypercube_sup_sum(kernel: Kernel, q: float) -> float:
     the density at its point closest to the origin.
     """
     d = kernel.dimension
-    if kernel.tail_class == "heavy_tail":
+    if kernel.abscissa == 0.0:  # a heavy tail
         z_max = 4000 if d == 1 else 700
     else:
         span = 60.0 * max(kernel.effective_scale(), 1.0)

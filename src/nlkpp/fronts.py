@@ -242,8 +242,7 @@ class ComparisonResult:
 
 
 def comparison_harness(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-                       u0: Field, v0: Field, horizon: float, cfg: StepConfig,
-                       allow_violated_domination: bool = False) -> ComparisonResult:
+                       u0: Field, v0: Field, horizon: float, cfg: StepConfig) -> ComparisonResult:
     """Co-evolve ordered initial data and record any order or strip violation.
 
     With a positive infimum beta of u0, also checks the logistic lower
@@ -251,10 +250,9 @@ def comparison_harness(params: ModelParams, wplus: SampledWeights, wminus: Sampl
     final gap min(v - u) measures how far distinct ordered data stay apart.
     """
     theta = params.require_carrying_capacity()
-    if not allow_violated_domination and not _discrete_domination_holds(params, wplus, wminus):
+    if not _discrete_domination_holds(params, wplus, wminus):
         raise CertificationFailed(
-            "kernel domination fails on the grid; the comparison principle is "
-            "not guaranteed (pass allow_violated_domination=True to run anyway)"
+            "kernel domination fails on the grid; the comparison principle is not guaranteed"
         )
     if np.any(u0.values > v0.values + 1e-15):
         raise ValueError("initial data must satisfy u0 <= v0 pointwise")

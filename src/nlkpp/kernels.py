@@ -8,9 +8,9 @@ Five analytic families are supported, all nonnegative and integrable:
 * ``compact_uniform``  indicator of the ball of given radius
 * ``power_tail``       1 / (1 + |x|^q), q > dimension
 
-Each family carries a tail class that fixes the abscissa of convergence of
-the bilateral transform of its one-dimensional directional reduction: the
-whole traveling-wave theory hangs on that abscissa.
+Each family fixes the abscissa of convergence of the bilateral transform of
+its one-dimensional directional reduction: the whole traveling-wave theory
+hangs on that abscissa.
 """
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ import numpy as np
 from .errors import KernelError
 
 FAMILIES = ("gaussian", "laplace", "exppoly", "compact_uniform", "power_tail")
-
-EXP_DECAY_FINITE = "exp_decay_finite"
-EXP_DECAY_INFINITE = "exp_decay_infinite"
-HEAVY_TAIL = "heavy_tail"
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 
@@ -122,22 +118,14 @@ def _radial_shape(spec: KernelSpec):
     raise KernelError(f"unhandled family {spec.family!r}")
 
 
-def _tail_class(spec: KernelSpec) -> tuple[str, float]:
-    """Tail class and abscissa lambda_0 of the directional reduction."""
-    if spec.family == "gaussian":
-        return EXP_DECAY_INFINITE, math.inf
-    if spec.family == "laplace":
-        return EXP_DECAY_FINITE, spec.mu
-    if spec.family == "exppoly":
-        if spec.p > 1:
-            return EXP_DECAY_INFINITE, math.inf
-        if spec.p == 1:
-            return EXP_DECAY_FINITE, spec.mu
-        # p in [0, 1): sub-exponential decay, no positive exponential moment
-        return HEAVY_TAIL, 0.0
-    if spec.family == "compact_uniform":
-        return EXP_DECAY_INFINITE, math.inf
-    return HEAVY_TAIL, 0.0
+def _abscissa(spec: KernelSpec) -> float:
+    """Abscissa lambda_0 of the directional reduction: 0 for a heavy tail."""
+    if spec.family == "laplace" or (spec.family == "exppoly" and spec.p == 1):
+        return spec.mu
+    if spec.family in ("gaussian", "compact_uniform") or (spec.family == "exppoly" and spec.p > 1):
+        return math.inf
+    # power_tail, and exppoly with p in [0, 1): no positive exponential moment
+    return 0.0
 
 
 def _normalizer(spec: KernelSpec) -> float:
@@ -173,12 +161,16 @@ class Kernel:
 
     spec: KernelSpec
     normalizer_alpha: float
-    tail_class: str
     abscissa: float
 
     @property
     def dimension(self) -> int:
         return self.spec.dimension
+
+    @property
+    def radial(self) -> bool:
+        """Whether the density depends on |x| alone: every family is, unless offset."""
+        return self.spec.offset is None
 
     def eval(self, x) -> np.ndarray:
         """Density at points; x has shape (..., d), or (...,) when d = 1."""
@@ -231,9 +223,7 @@ class Kernel:
 
 def make_kernel(spec: KernelSpec) -> Kernel:
     """Build a normalized kernel; rejects non-integrable specifications."""
-    alpha = _normalizer(spec)
-    tail, lam0 = _tail_class(spec)
-    return Kernel(spec=spec, normalizer_alpha=alpha, tail_class=tail, abscissa=lam0)
+    return Kernel(spec=spec, normalizer_alpha=_normalizer(spec), abscissa=_abscissa(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +234,8 @@ def make_kernel(spec: KernelSpec) -> Kernel:
 class Kernel1D:
     """Directional reduction of a kernel: density on the line plus transform data.
 
+    A view of ``kernel`` along ``xi`` that only ``reduce_to_direction`` builds: its
+    abscissa ``lambda0``, length scale and family parameters are the kernel's.
     ``transform(lam)`` is the bilateral Laplace transform int a(s) e^{lam s} ds,
     ``weighted_moment1/2`` the companions with factors s and s^2.  All three
     go through ``_moment`` and return ``math.inf`` on analytic divergence
@@ -251,12 +243,13 @@ class Kernel1D:
     ``_integral``, in closed form except for ``RadialLine``.
     """
 
-    lambda0: float
-    tail_class: str
     # algebraic decay rate of a(s) e^{lambda0 s}: the moment of power k at the
     # abscissa is finite exactly when tail_power > k + 1
     tail_power: float = math.inf
-    source: tuple[Kernel, tuple[float, ...]] | None = None
+
+    def __init__(self, kernel: Kernel, xi: np.ndarray):
+        self.kernel = kernel
+        self.lambda0 = kernel.abscissa
 
     def eval(self, s) -> np.ndarray:
         raise NotImplementedError
@@ -293,9 +286,7 @@ class Kernel1D:
         return _quad(self.eval, radius, np.inf) + _quad(self.eval, -np.inf, -radius)
 
     def effective_scale(self) -> float:
-        if self.source is not None:
-            return self.source[0].effective_scale()
-        return 1.0
+        return self.kernel.effective_scale()
 
 
 def _fused_quad(lam: float, power: int, decay, factor, lo: float, hi: float) -> float:
@@ -312,31 +303,30 @@ def _fused_quad(lam: float, power: int, decay, factor, lo: float, hi: float) -> 
 
 
 class GaussianLine(Kernel1D):
-    """1-D gaussian with optional drift of the center."""
+    """1-D gaussian, its center drifted by offset . xi."""
 
-    def __init__(self, sigma: float, drift: float = 0.0, source=None):
-        self.sigma = sigma
-        self.drift = drift
-        self.lambda0 = math.inf
-        self.tail_class = EXP_DECAY_INFINITE
-        self.source = source
+    def __init__(self, kernel: Kernel, xi: np.ndarray):
+        super().__init__(kernel, xi)
+        self.drift = float(np.dot(kernel.spec.offset_vector, xi))
 
     def eval(self, s):
-        z = (np.asarray(s, dtype=float) - self.drift) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        sigma = self.kernel.spec.sigma
+        z = (np.asarray(s, dtype=float) - self.drift) / sigma
+        return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
     def _integral(self, lam, power):
-        arg = lam * self.drift + 0.5 * lam * lam * self.sigma**2
+        sigma = self.kernel.spec.sigma
+        arg = lam * self.drift + 0.5 * lam * lam * sigma**2
         if not arg < 700:
             return math.inf
         t = math.exp(arg)
         if power == 0:
             return t
-        m = self.drift + lam * self.sigma**2
-        return m * t if power == 1 else (m * m + self.sigma**2) * t
+        m = self.drift + lam * sigma**2
+        return m * t if power == 1 else (m * m + sigma**2) * t
 
     def mass_outside(self, radius):
-        scale = self.sigma * math.sqrt(2.0)
+        scale = self.kernel.spec.sigma * math.sqrt(2.0)
         return (0.5 * math.erfc((radius - self.drift) / scale)
                 + 0.5 * math.erfc((radius + self.drift) / scale))
 
@@ -346,17 +336,12 @@ class LaplaceLine1(Kernel1D):
 
     tail_power = 0.0
 
-    def __init__(self, mu: float, source=None):
-        self.mu = mu
-        self.lambda0 = mu
-        self.tail_class = EXP_DECAY_FINITE
-        self.source = source
-
     def eval(self, s):
-        return 0.5 * self.mu * np.exp(-self.mu * np.abs(np.asarray(s, dtype=float)))
+        mu = self.kernel.spec.mu
+        return 0.5 * mu * np.exp(-mu * np.abs(np.asarray(s, dtype=float)))
 
     def _integral(self, lam, power):
-        m2 = self.mu**2
+        m2 = self.kernel.spec.mu**2
         if power == 0:
             return m2 / (m2 - lam**2)
         if power == 1:
@@ -364,7 +349,7 @@ class LaplaceLine1(Kernel1D):
         return 2.0 * m2 * (m2 + 3.0 * lam**2) / (m2 - lam**2) ** 3
 
     def mass_outside(self, radius):
-        return math.exp(-self.mu * radius)
+        return math.exp(-self.kernel.spec.mu * radius)
 
 
 class LaplaceLine2(Kernel1D):
@@ -372,28 +357,24 @@ class LaplaceLine2(Kernel1D):
 
     tail_power = -0.5
 
-    def __init__(self, mu: float, source=None):
-        self.mu = mu
-        self.lambda0 = mu
-        self.tail_class = EXP_DECAY_FINITE
-        self.source = source
-
     def eval(self, s):
         from scipy.special import k1
 
+        mu = self.kernel.spec.mu
         s = np.abs(np.asarray(s, dtype=float))
-        out = np.full_like(s, self.mu / math.pi)
+        out = np.full_like(s, mu / math.pi)
         nz = s > 0
-        out[nz] = (self.mu**2 / math.pi) * s[nz] * k1(self.mu * s[nz])
+        out[nz] = (mu**2 / math.pi) * s[nz] * k1(mu * s[nz])
         return out
 
     def _integral(self, lam, power):
-        m2 = self.mu**2
+        mu = self.kernel.spec.mu
+        m2 = mu**2
         if power == 0:
-            return self.mu**3 / (m2 - lam**2) ** 1.5
+            return mu**3 / (m2 - lam**2) ** 1.5
         if power == 1:
-            return 3.0 * self.mu**3 * lam / (m2 - lam**2) ** 2.5
-        return 3.0 * self.mu**3 * (m2 + 4.0 * lam**2) / (m2 - lam**2) ** 3.5
+            return 3.0 * mu**3 * lam / (m2 - lam**2) ** 2.5
+        return 3.0 * mu**3 * (m2 + 4.0 * lam**2) / (m2 - lam**2) ** 3.5
 
 
 # |lam R| from which the compact lines' moments count as infinite, as GaussianLine's do:
@@ -405,55 +386,47 @@ class UniformLine(Kernel1D):
     """Uniform density on [-R, R]; with x = lam R its moments are sinh(x)/x,
     R (x cosh x - sinh x)/x^2 and R^2 ((x^2 + 2) sinh x - 2 x cosh x)/x^3."""
 
-    def __init__(self, radius: float, source=None):
-        self.radius = radius
-        self.lambda0 = math.inf
-        self.tail_class = EXP_DECAY_INFINITE
-        self.source = source
-
     def eval(self, s):
+        r = self.kernel.spec.radius
         s = np.asarray(s, dtype=float)
-        return np.where(np.abs(s) <= self.radius, 1.0 / (2.0 * self.radius), 0.0)
+        return np.where(np.abs(s) <= r, 1.0 / (2.0 * r), 0.0)
 
     def _integral(self, lam, power):
-        x = lam * self.radius
+        r = self.kernel.spec.radius
+        x = lam * r
         if not abs(x) < _OVERFLOW:
             return math.inf
         if power == 0:
             return 1.0 + x * x / 6.0 if abs(x) < 1e-6 else math.sinh(x) / x
         if abs(x) < 1.0:
             # the closed forms cancel here; int_{-1}^{1} t^power e^{x t} dt / 2 as a series
-            return self.radius**power * sum(x**n / (math.factorial(n) * (n + power + 1))
-                                            for n in range(power % 2, 20, 2))
+            return r**power * sum(x**n / (math.factorial(n) * (n + power + 1))
+                                  for n in range(power % 2, 20, 2))
         # the closed forms divided through by x, so that no product overflows before sinh
         sinh, cosh = math.sinh(x), math.cosh(x)
         if power == 1:
-            return self.radius * (cosh - sinh / x) / x
-        return self.radius**2 * ((1.0 + 2.0 / (x * x)) * sinh - 2.0 * cosh / x) / x
+            return r * (cosh - sinh / x) / x
+        return r**2 * ((1.0 + 2.0 / (x * x)) * sinh - 2.0 * cosh / x) / x
 
     def mass_outside(self, radius):
-        return 0.0 if radius >= self.radius else 1.0 - radius / self.radius
+        r = self.kernel.spec.radius
+        return 0.0 if radius >= r else 1.0 - radius / r
 
 
 class ChordLine(Kernel1D):
     """Marginal of the uniform disk: 2 sqrt(R^2 - s^2) / (pi R^2); with x = lam R its
     moments are 2 I_1(x)/x, 2 R I_2(x)/x and 2 R^2 (I_3(x)/x + I_2(x)/x^2)."""
 
-    def __init__(self, radius: float, source=None):
-        self.radius = radius
-        self.lambda0 = math.inf
-        self.tail_class = EXP_DECAY_INFINITE
-        self.source = source
-
     def eval(self, s):
+        r = self.kernel.spec.radius
         s = np.asarray(s, dtype=float)
-        inside = np.abs(s) <= self.radius
+        inside = np.abs(s) <= r
         out = np.zeros_like(s)
-        out[inside] = 2.0 * np.sqrt(self.radius**2 - s[inside] ** 2) / (math.pi * self.radius**2)
+        out[inside] = 2.0 * np.sqrt(r**2 - s[inside] ** 2) / (math.pi * r**2)
         return out
 
     def _integral(self, lam, power):
-        r = self.radius
+        r = self.kernel.spec.radius
         x = lam * r
         if not abs(x) < _OVERFLOW:
             return math.inf
@@ -468,9 +441,10 @@ class ChordLine(Kernel1D):
         return 2.0 * r * r * (float(iv(3, x)) / x + float(iv(2, x)) / (x * x))
 
     def mass_outside(self, radius):
-        if radius >= self.radius:
+        r = self.kernel.spec.radius
+        if radius >= r:
             return 0.0
-        t = radius / self.radius
+        t = radius / r
         return 1.0 - (2.0 / math.pi) * (t * math.sqrt(1 - t * t) + math.asin(t))
 
 
@@ -484,11 +458,9 @@ class RadialLine(Kernel1D):
     for the transform.
     """
 
-    def __init__(self, kernel: Kernel, source=None):
+    def __init__(self, kernel: Kernel, xi: np.ndarray):
+        super().__init__(kernel, xi)
         spec = kernel.spec
-        self.kernel = kernel
-        self.tail_class, self.lambda0 = kernel.tail_class, kernel.abscissa
-        self.source = source
         d = spec.dimension
         p, mu = (spec.p, spec.mu) if spec.family == "exppoly" else (0.0, 0.0)
         # a(s) e^{lambda0 s} decays like s^{-q} times s^{(d-1)/2} (p = 1) or
@@ -538,6 +510,12 @@ class RadialLine(Kernel1D):
         return self.kernel.mass_outside(radius)
 
 
+# family -> (its line class in d = 1, in d = 2)
+_LINES = {"gaussian": (GaussianLine, GaussianLine), "laplace": (LaplaceLine1, LaplaceLine2),
+          "exppoly": (RadialLine, RadialLine), "compact_uniform": (UniformLine, ChordLine),
+          "power_tail": (RadialLine, RadialLine)}
+
+
 def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
     """Marginal density of ``kernel`` along the unit vector ``xi``.
 
@@ -551,20 +529,7 @@ def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
     norm = float(np.linalg.norm(xi))
     if abs(norm - 1.0) > 1e-12:
         raise KernelError(f"direction must be a unit vector, |xi| = {norm}")
-    spec = kernel.spec
-    source = (kernel, tuple(float(c) for c in xi))
-    drift = float(np.dot(spec.offset_vector, xi))
-    if spec.family == "gaussian":
-        return GaussianLine(spec.sigma, drift=drift, source=source)
-    if spec.family == "laplace":
-        if kernel.dimension == 1:
-            return LaplaceLine1(spec.mu, source=source)
-        return LaplaceLine2(spec.mu, source=source)
-    if spec.family == "compact_uniform":
-        if kernel.dimension == 1:
-            return UniformLine(spec.radius, source=source)
-        return ChordLine(spec.radius, source=source)
-    return RadialLine(kernel, source=source)
+    return _LINES[kernel.spec.family][kernel.dimension - 1](kernel, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -717,25 +682,31 @@ def _check_resolution(kernel, h: float) -> None:
                       stacklevel=3)
 
 
-def discretize(kernel, grid) -> SampledWeights:
+def _unit_sum(weights: np.ndarray, pin: int | None = None) -> np.ndarray:
+    """``weights`` scaled to sum to exactly one, the rounding remainder added at the
+    flat index ``pin``: by default that of the largest weight."""
+    out = weights / weights.sum()
+    flat = out.reshape(-1)
+    flat[int(np.argmax(flat)) if pin is None else pin] += 1.0 - flat.sum()
+    return out
+
+
+def discretize(kernel: Kernel, grid) -> SampledWeights:
     """Midpoint samples of a kernel on the grid's displacement lattice.
 
-    ``kernel`` may be a ``Kernel`` matching the grid dimension or a
-    ``Kernel1D`` on a 1-D grid.  Rejects under-resolved kernels and, for
-    exponential tails, grids covering less than 99.99% of the mass.
+    Rejects under-resolved kernels and, for exponential tails, grids covering
+    less than 99.99% of the mass.
     """
-    is_line = isinstance(kernel, Kernel1D)
-    dim = 1 if is_line else kernel.dimension
+    dim = kernel.dimension
     if dim != grid.dimension:
         raise KernelError(f"kernel dimension {dim} does not match grid dimension {grid.dimension}")
 
     _check_resolution(kernel, grid.spacing)
 
-    tail = kernel.tail_class
-    if tail in (EXP_DECAY_FINITE, EXP_DECAY_INFINITE):
-        # a kernel's mass_outside is centred at its offset, a line's at zero; the
-        # lattice [-L, L) holds the ball of radius L - |offset| about the offset
-        offset = 0.0 if is_line else float(np.linalg.norm(kernel.spec.offset_vector))
+    light = kernel.abscissa > 0  # an exponential tail
+    if light:
+        # the lattice [-L, L) holds the ball of radius L - |offset| about the offset
+        offset = float(np.linalg.norm(kernel.spec.offset_vector))
         outside = kernel.mass_outside(max(grid.half_length - offset, 0.0))
         if outside > 1e-4:
             suggest = grid.half_length
@@ -754,12 +725,9 @@ def discretize(kernel, grid) -> SampledWeights:
         pts = np.stack([gx, gy], axis=-1)
         values = np.asarray(kernel.eval(pts), dtype=float)
     weights = values * grid.spacing**dim
-    mass = float(weights.sum())
 
-    if tail in (EXP_DECAY_FINITE, EXP_DECAY_INFINITE):
-        weights = weights / mass
-        flat = weights.reshape(-1)
-        k = int(np.argmax(flat))
-        flat[k] += 1.0 - flat.sum()  # pin the sum to exactly one
-        return SampledWeights(weights=weights, spacing=grid.spacing, mass=1.0, renormalized=True)
-    return SampledWeights(weights=weights, spacing=grid.spacing, mass=mass, renormalized=False)
+    if light:
+        return SampledWeights(weights=_unit_sum(weights), spacing=grid.spacing, mass=1.0,
+                              renormalized=True)
+    return SampledWeights(weights=weights, spacing=grid.spacing, mass=float(weights.sum()),
+                          renormalized=False)

@@ -25,13 +25,15 @@ from .dispersion import (DispersionReport, _bisect, char_multiplicity, minimize_
                          speed_to_abscissa)
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
 from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
-from .kernels import Kernel1D, _check_resolution, _next_fast_len, _Samples
+from .kernels import Kernel1D, _check_resolution, _next_fast_len, _Samples, _unit_sum
 from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
 BC_TOL = 1e-8
 # Newton steps allowed before the solve counts as divergent
 NEWTON_STEPS = 30
+# kernel mass a line kernel's samples may leave beyond their half-width
+COVERAGE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,23 +45,21 @@ class LineKernel(_Samples):
         return (len(self.weights) - 1) // 2
 
 
-def sample_line_kernel(k: Kernel1D, h: float, coverage: float = 1e-10) -> LineKernel:
-    """Midpoint samples on displacements up to the coverage radius, sum pinned to 1.
+def sample_line_kernel(k: Kernel1D, h: float) -> LineKernel:
+    """Midpoint samples on displacements up to the ``COVERAGE`` radius, sum pinned to 1.
 
     Refuses a kernel that h under-resolves, as ``discretize`` does.
     """
     _check_resolution(k, h)
     radius = max(4.0 * k.effective_scale(), h)
-    while k.mass_outside(radius) > coverage:
+    while k.mass_outside(radius) > COVERAGE:
         radius *= 1.5
         if radius > 1e6:
             raise ValueError("kernel mass does not concentrate; cannot sample for line use")
     half = int(math.ceil(radius / h))
     tau = (np.arange(2 * half + 1) - half) * h
     w = np.asarray(k.eval(tau), dtype=float) * h
-    w /= w.sum()
-    w[half] += 1.0 - w.sum()
-    return LineKernel(weights=w, spacing=h)
+    return LineKernel(weights=_unit_sum(w, pin=half), spacing=h)
 
 
 def sample_line_kernels(k_plus: Kernel1D, k_minus: Kernel1D,

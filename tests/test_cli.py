@@ -666,6 +666,50 @@ class TestMoreScenarios:
         entries = summary_dict(tmp_path / "out")
         assert float(entries["verify.max_overshoot_above_theta"]) > 1e-4
 
+    def test_verify_necessity_samples_only_kernel_plus(self, tmp_path):
+        # a- is the run's own spike: a [kernel_minus] the grid cannot resolve is never sampled
+        text = (BASE.replace("points = 128", "points = 256")
+                .replace("sigma = 1.0\n\n[grid]", "sigma = 0.05\n\n[grid]")
+                + "\n[verify]\nnecessity = true\n")
+        assert "sigma = 0.05" in text
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text(text)
+        rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        entries = summary_dict(tmp_path / "out")
+        assert rc == 0, entries.get("error")
+        assert entries["verify.suite"] == "comparison-necessity"
+        assert "error" not in entries
+
+    def test_verify_necessity_requires_a_grid(self, tmp_path):
+        grid = "[grid]\ndimension = 1\nhalf_length = 20.0\npoints = 128\n"
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text(BASE.replace(grid, "") + "\n[verify]\nnecessity = true\n")
+        rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        entries = summary_dict(tmp_path / "out")
+        assert entries["error"] == "this scenario requires a [grid] section"
+        assert entries["error.type"] == "NlkppError"
+
+    def test_split_snapshots_hold_the_rows_of_snapshots_csv(self, tmp_path):
+        cfg_file = tmp_path / "s.cfg"
+        for split in ("false", "true"):
+            cfg_file.write_text(BASE + f"\n[output]\nsplit_snapshots = {split}\n")
+            out = tmp_path / split
+            assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
+        whole = (tmp_path / "false" / "snapshots.csv").read_text().splitlines()
+        parts = sorted((tmp_path / "true").glob("snapshot_*.csv"))
+        # snapshots at steps 0, 125 and 250 of the 250-step run
+        assert [p.name for p in parts] == [f"snapshot_{i:04d}.csv" for i in range(3)]
+        assert not (tmp_path / "true" / "snapshots.csv").exists()
+        split_rows = []
+        for part in parts:
+            header, *rows = part.read_text().splitlines()
+            assert header == whole[0]
+            split_rows += rows
+        assert split_rows == whole[1:]
+        assert ((tmp_path / "true" / "summary.txt").read_bytes()
+                == (tmp_path / "false" / "summary.txt").read_bytes())
+
     def test_two_dimensional_simulation(self, tmp_path):
         text = BASE.replace("dimension = 1", "dimension = 2")
         text = text.replace("points = 128", "points = 32").replace(

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
-from nlkpp.kernels import (EXP_DECAY_FINITE, EXP_DECAY_INFINITE, HEAVY_TAIL, Kernel1D,
-                           RadialLine, _fast_lengths, _irfft, _next_fast_len, _quad, _rfft)
+from nlkpp.kernels import (Kernel1D, RadialLine, _fast_lengths, _irfft, _next_fast_len, _quad,
+                           _rfft)
 
 
 def quad_mass_1d(kernel):
@@ -59,7 +59,7 @@ def test_normalization_2d(spec):
 def test_gaussian_normalizer_closed_form():
     kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
     assert kernel.normalizer_alpha == pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-14)
-    assert kernel.tail_class == EXP_DECAY_INFINITE
+    assert kernel.abscissa == math.inf
 
 
 def test_exppoly_normalizer_against_oracle():
@@ -68,7 +68,6 @@ def test_exppoly_normalizer_against_oracle():
     body, _ = integrate.quad(lambda s: math.exp(-abs(s)) / (1 + abs(s) ** 3),
                              -50, 50, limit=400, epsabs=1e-14)
     assert abs(kernel.normalizer_alpha * body - 1.0) < 1e-10 + math.exp(-50)
-    assert kernel.tail_class == EXP_DECAY_FINITE
     assert kernel.abscissa == 1.0
 
 
@@ -76,7 +75,6 @@ def test_power_tail_normalizer():
     kernel = make_kernel(KernelSpec("power_tail", 1, q=4.0))
     # integral of 1/(1+s^4) over R is pi/sqrt(2)
     assert kernel.normalizer_alpha == pytest.approx(math.sqrt(2.0) / math.pi, rel=1e-10)
-    assert kernel.tail_class == HEAVY_TAIL
     assert kernel.abscissa == 0.0
 
 
@@ -122,6 +120,33 @@ def test_reduction_mass_is_one():
         assert 2.0 * half == pytest.approx(1.0, abs=1e-8), spec.family
 
 
+LINE_VIEW_SPECS = [
+    KernelSpec("gaussian", 1, sigma=0.7),
+    KernelSpec("gaussian", 2, sigma=0.7),
+    KernelSpec("gaussian", 1, sigma=0.7, offset=(0.5,)),
+    KernelSpec("gaussian", 2, sigma=0.7, offset=(0.5, -0.25)),
+    KernelSpec("laplace", 1, mu=1.3),
+    KernelSpec("laplace", 2, mu=1.3),
+    KernelSpec("compact_uniform", 1, radius=1.5),
+    KernelSpec("compact_uniform", 2, radius=1.5),
+    KernelSpec("power_tail", 1, q=4.0),
+    KernelSpec("power_tail", 2, q=4.0),
+] + [KernelSpec("exppoly", d, p=p, q=3.0, mu=2.0) for p in (0.5, 1.0, 2.0) for d in (1, 2)]
+
+
+@pytest.mark.parametrize("spec", LINE_VIEW_SPECS,
+                         ids=lambda s: f"{s.family}-{s.dimension}d"
+                         + (f"-p{s.p:g}" if s.p is not None else "")
+                         + ("-offset" if s.offset else ""))
+def test_line_is_a_view_of_its_kernel(spec):
+    kernel = make_kernel(spec)
+    directions = [[1.0], [-1.0]] if spec.dimension == 1 else [[1.0, 0.0], [0.6, -0.8]]
+    for xi in directions:
+        line = reduce_to_direction(kernel, xi)
+        assert line.lambda0 == kernel.abscissa
+        assert line.effective_scale() == kernel.effective_scale()
+
+
 def test_uniform_disk_chord_reduction():
     kernel = make_kernel(KernelSpec("compact_uniform", 2, radius=1.0))
     line = reduce_to_direction(kernel, [1.0, 0.0])
@@ -141,7 +166,8 @@ def test_uniform_disk_chord_reduction():
 def compact_moment_reference(line, lam, power):
     """Moment of a compact line by quadrature of its array ``eval``, one point at a time."""
     f = lambda s: (s**power) * math.exp(lam * s) * float(line.eval(s))
-    return _quad(f, -line.radius, line.radius, epsabs=0.0, epsrel=1e-13)
+    radius = line.kernel.spec.radius
+    return _quad(f, -radius, radius, epsabs=0.0, epsrel=1e-13)
 
 
 @pytest.mark.parametrize("dimension", [1, 2], ids=["uniform", "chord"])
@@ -288,13 +314,6 @@ def test_laplace_transform_closed_form(mu, frac):
     lam = frac * mu
     line = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=mu)), [1.0])
     assert line.transform(lam) == pytest.approx(mu**2 / (mu**2 - lam**2), rel=1e-12)
-
-
-def test_discretize_accepts_line_kernels(gauss_line):
-    grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
-    w = discretize(gauss_line, grid)
-    assert w.weights.sum() == 1.0
-    assert w.weights.shape == grid.shape
 
 
 def test_exppoly_without_power_has_unit_scale():

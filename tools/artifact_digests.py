@@ -1,0 +1,149 @@
+"""SHA-256 digests of the CLI artifacts of a fixed config matrix.
+
+Runs every ``nlkpp`` command over a fixed set of configs, each in a fresh
+``python -m nlkpp.cli`` process and its own output directory under a
+temporary directory, and prints ``sha256  relative-path`` for every file
+written, ``summary.txt`` included, in path order.  The matrix covers
+``dispersion`` for every kernel family in one and two dimensions (the offset
+gaussian and exppoly with p = 0.5, 1 and 2 among them), waves at 1.0 and
+1.3 c* on 1-D and 2-D kernels, ``simulate`` (split snapshots too), 1-D and
+2-D ``front`` runs and both ``verify`` modes.
+
+Usage::
+
+    python tools/artifact_digests.py [CHECKOUT]
+
+``CHECKOUT`` is the repository whose ``src`` is run; it defaults to the one
+holding this script.  To check that a change leaves every artifact
+byte-identical, check out the parent commit elsewhere (``git worktree add``)
+and compare::
+
+    python tools/artifact_digests.py /path/to/parent > parent.txt
+    python tools/artifact_digests.py > change.txt
+    diff parent.txt change.txt
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODEL = {"kappa_plus": 2.0, "kappa_minus": 1.0, "mortality": 1.0}
+GAUSSIAN = {"family": "gaussian", "sigma": 1.0}
+
+# kernel keys without the dimension; each kernel runs in d = 1 and d = 2
+KERNELS = {
+    "gaussian": GAUSSIAN,
+    "gaussian-offset": dict(GAUSSIAN, offset=(0.5, -0.25)),
+    "laplace": {"family": "laplace", "mu": 1.0},
+    "exppoly-p0.5": {"family": "exppoly", "p": 0.5, "q": 3.0, "mu": 1.0},
+    "exppoly-p1": {"family": "exppoly", "p": 1.0, "q": 3.0, "mu": 1.0},
+    "exppoly-p2": {"family": "exppoly", "p": 2.0, "q": 1.0, "mu": 0.5},
+    "compact_uniform": {"family": "compact_uniform", "radius": 1.0},
+    "power_tail": {"family": "power_tail", "q": 4.0},
+}
+# wave kernels and their (domain_left, domain_right): the laplace profile needs a
+# long left end to reach theta, the compact one a short domain for Newton to converge
+WAVE_DOMAINS = {"gaussian": (-40.0, 80.0), "laplace": (-100.0, 80.0),
+                "exppoly-p1": (-40.0, 80.0), "compact_uniform": (-30.0, 40.0)}
+
+
+def _kernel(keys: dict, dimension: int) -> dict:
+    out = {"dimension": dimension}
+    for key, value in keys.items():
+        out[key] = " ".join(str(v) for v in value[:dimension]) if key == "offset" else value
+    return out
+
+
+def _render(sections: dict) -> str:
+    lines = []
+    for section, entries in sections.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value}" for key, value in entries.items())
+    return "\n".join(lines) + "\n"
+
+
+def _evolution(dimension: int, points: int, half_length: float, horizon: float,
+               kernel_plus: dict = GAUSSIAN, kernel_minus: dict = GAUSSIAN, **extra) -> dict:
+    return {
+        "scenario": {"seed": 7},
+        "model": MODEL,
+        "kernel_plus": _kernel(kernel_plus, dimension),
+        "kernel_minus": _kernel(kernel_minus, dimension),
+        "grid": {"dimension": dimension, "half_length": half_length, "points": points},
+        "time": {"dt": 0.01, "horizon": horizon, "snapshot_stride": 25},
+        "initial": {"kind": "bump", "center": " ".join(["0.3"] * dimension),
+                    "width": 2.0, "height": 0.5},
+        **extra,
+    }
+
+
+def matrix() -> list[tuple[str, str, dict]]:
+    """(run name, command, config sections) for every run."""
+    runs = []
+    for name, keys in KERNELS.items():
+        for d in (1, 2):
+            kernel = _kernel(keys, d)
+            runs.append((f"dispersion-{name}-{d}d", "dispersion",
+                         {"model": MODEL, "kernel_plus": kernel, "kernel_minus": kernel,
+                          "dispersion": {"lambda_count": 50}}))
+    runs.append(("dispersion-gaussian-offset-2d-oblique", "dispersion",
+                 {"model": MODEL, "kernel_plus": _kernel(KERNELS["gaussian-offset"], 2),
+                  "kernel_minus": _kernel(GAUSSIAN, 2),
+                  "dispersion": {"direction": "0.6 0.8", "lambda_count": 50}}))
+    for name, (left, right) in WAVE_DOMAINS.items():
+        for d in (1, 2):
+            for factor in (1.0, 1.3):
+                kernel = _kernel(KERNELS[name], d)
+                runs.append((f"wave-{name}-{d}d-{factor}", "wave",
+                             {"model": MODEL, "kernel_plus": kernel, "kernel_minus": kernel,
+                              "wave": {"speed_factor": factor, "spacing": 0.1,
+                                       "domain_left": left, "domain_right": right}}))
+    laplace = KERNELS["laplace"]
+    runs += [
+        ("wave-laplace-gaussian-1d", "wave",
+         {"model": MODEL, "kernel_plus": _kernel(laplace, 1),
+          "kernel_minus": _kernel(GAUSSIAN, 1),
+          "wave": {"speed_factor": 1.3, "spacing": 0.1, "domain_left": -100.0}}),
+        ("simulate-1d", "simulate", _evolution(1, 256, 20.0, 1.0)),
+        ("simulate-1d-split", "simulate",
+         _evolution(1, 256, 20.0, 1.0, output={"split_snapshots": "true"})),
+        ("simulate-1d-power_tail", "simulate",
+         _evolution(1, 256, 20.0, 1.0, kernel_plus=KERNELS["power_tail"])),
+        ("simulate-2d", "simulate", _evolution(2, 64, 20.0, 0.5, kernel_minus=laplace)),
+        ("front-1d", "front", _evolution(1, 512, 40.0, 4.0)),
+        ("front-2d", "front",
+         _evolution(2, 64, 16.0, 2.0, kernel_plus=KERNELS["compact_uniform"],
+                     front={"n_directions": 8})),
+        ("verify-comparison", "verify", _evolution(1, 128, 20.0, 0.5, verify={"pairs": 2})),
+        ("verify-necessity", "verify",
+         _evolution(1, 1024, 10.0, 0.5, verify={"necessity": "true"})),
+    ]
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, command, sections in matrix():
+            cfg = root / "configs" / f"{name}.cfg"
+            cfg.parent.mkdir(exist_ok=True)
+            cfg.write_text(_render(sections))
+            subprocess.run([sys.executable, "-m", "nlkpp.cli", command, "--config", str(cfg),
+                            "--out", str(root / "out" / name)],
+                           env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL, check=False)
+        out = root / "out"
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
