@@ -40,8 +40,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    row_format = ",".join(["%.17g"] * len(header))  # the float format of _fmt
+def _write_csv(path: Path, header: list[str], rows, row_format: str | None = None) -> None:
+    """One line per row, each ``row_format % row``: by default "%.17g" per column."""
+    if row_format is None:
+        row_format = ",".join(["%.17g"] * len(header))  # the float format of _fmt
     lines = [",".join(header)]
     lines.extend(row_format % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
@@ -112,16 +114,18 @@ def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
     return EvolutionProblem(cfg.params, wp, wm, u0)
 
 
+_SNAPSHOT_ROW = "%s%.17g"  # the row format of a (prefix, u) from _snapshot_rows
+
+
 def _snapshot_rows(traj, grid: Grid):
-    x = grid.axis_coords().tolist()
+    """(prefix, u) for every grid point of every snapshot; the "t,x1," or "t,x1,x2,"
+    prefix is formatted once per file and snapshot time, not once per row."""
+    points = ["%.17g," % x for x in grid.axis_coords().tolist()]
+    if grid.dimension == 2:
+        points = [x1 + x2 for x1 in points for x2 in points]
     for f in traj.snapshots:
-        if grid.dimension == 1:
-            for xi, value in zip(x, f.values.tolist()):
-                yield (f.time, xi, value)
-        else:
-            for xi, row in zip(x, f.values.tolist()):
-                for xj, value in zip(x, row):
-                    yield (f.time, xi, xj, value)
+        t = "%.17g," % f.time
+        yield from zip([t + x for x in points], f.values.ravel().tolist())
 
 
 def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
@@ -133,9 +137,10 @@ def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
         for idx, f in enumerate(traj.snapshots):
             sub = type(traj)()
             sub.append(f)
-            _write_csv(out / f"snapshot_{idx:04d}.csv", header, _snapshot_rows(sub, grid))
+            _write_csv(out / f"snapshot_{idx:04d}.csv", header, _snapshot_rows(sub, grid),
+                       _SNAPSHOT_ROW)
     else:
-        _write_csv(out / "snapshots.csv", header, _snapshot_rows(traj, grid))
+        _write_csv(out / "snapshots.csv", header, _snapshot_rows(traj, grid), _SNAPSHOT_ROW)
     theta = max(cfg.params.theta, 0.0)
     return {
         "scenario.command": "simulate",

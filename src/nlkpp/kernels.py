@@ -349,7 +349,7 @@ class LaplaceLine1(Kernel1D):
         return 2.0 * m2 * (m2 + 3.0 * lam**2) / (m2 - lam**2) ** 3
 
     def mass_outside(self, radius):
-        return math.exp(-self.kernel.spec.mu * radius)
+        return self.kernel.mass_outside(radius)
 
 
 class LaplaceLine2(Kernel1D):
@@ -409,8 +409,24 @@ class UniformLine(Kernel1D):
         return r**2 * ((1.0 + 2.0 / (x * x)) * sinh - 2.0 * cosh / x) / x
 
     def mass_outside(self, radius):
-        r = self.kernel.spec.radius
-        return 0.0 if radius >= r else 1.0 - radius / r
+        return self.kernel.mass_outside(radius)
+
+
+def _bessel_i(n: int, x: float) -> float:
+    """Modified Bessel function I_n(x) by its power series sum_k (x/2)^{2k+n} / (k! (k+n)!).
+
+    The terms share one sign, so the sum loses nothing to cancellation; it stops
+    when a term no longer changes it, after at most 464 terms for |x| < 700.
+    """
+    term = (0.5 * x) ** n / math.factorial(n)
+    quarter_x2 = 0.25 * x * x
+    total, k = term, 0
+    while True:
+        k += 1
+        term *= quarter_x2 / (k * (k + n))
+        if total + term == total:
+            return total
+        total += term
 
 
 class ChordLine(Kernel1D):
@@ -432,13 +448,11 @@ class ChordLine(Kernel1D):
             return math.inf
         if abs(x) < 1e-6:
             return (1.0 + x * x / 8.0, r * x / 4.0, r * r * (0.25 + x * x / 16.0))[power]
-        from scipy.special import iv
-
         if power == 0:
-            return 2.0 * float(iv(1, x)) / x
+            return 2.0 * _bessel_i(1, x) / x
         if power == 1:
-            return 2.0 * r * float(iv(2, x)) / x
-        return 2.0 * r * r * (float(iv(3, x)) / x + float(iv(2, x)) / (x * x))
+            return 2.0 * r * _bessel_i(2, x) / x
+        return 2.0 * r * r * (_bessel_i(3, x) / x + _bessel_i(2, x) / (x * x))
 
     def mass_outside(self, radius):
         r = self.kernel.spec.radius
@@ -562,31 +576,45 @@ def _next_fast_len(n: int) -> int:
 def _on_numpy(shape: tuple[int, ...]) -> bool:
     """Whether a real transform of ``shape`` goes through numpy's pocketfft.
 
-    One axis of 5-smooth length does: there numpy's transforms have scipy.fft's
-    bits and skip its n-D wrapper.  Two axes stay on scipy.fft, whose 2-D
-    forward transform is twice as fast as numpy's, and so do lengths with a
-    larger prime factor, where pocketfft may switch to Bluestein's algorithm
-    and the two libraries round the inverse's 1/n scaling differently.
+    It does when every axis has a 5-smooth length: there numpy's one-axis passes
+    give scipy.fft's bits.  Lengths with a larger prime factor stay on scipy.fft,
+    since pocketfft may switch to Bluestein's algorithm there and the two
+    libraries round the inverse's 1/n scaling differently.
     """
-    return len(shape) == 1 and _next_fast_len(shape[0]) == shape[0]
+    return all(_next_fast_len(n) == n for n in shape)
 
 
 def _rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Real FFT over the trailing ``len(shape)`` axes of ``values``, zero-filled to ``shape``.
 
-    Leading axes are a batch.  The one forward transform the package makes.
+    Leading axes are a batch.  The one forward transform the package makes.  On
+    numpy it is scipy.fft's order of passes: the real pass on the last axis, then
+    a complex pass on each other axis.
     """
     if _on_numpy(shape):
-        return np.fft.rfft(values, shape[0])
+        spectrum = np.fft.rfft(values, shape[-1])
+        for axis in range(-len(shape), -1):
+            spectrum = np.fft.fft(spectrum, shape[axis], axis=axis)
+        return spectrum
     from scipy import fft
 
     return fft.rfftn(values, shape, axes=tuple(range(-len(shape), 0)))
 
 
 def _irfft(spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_rfft``: real values of ``shape`` on the trailing axes."""
+    """Inverse of ``_rfft``: real values of ``shape`` on the trailing axes.
+
+    On numpy the passes are unnormalised and the result is scaled once by
+    1 / prod(shape), as scipy.fft's last pass scales it.
+    """
     if _on_numpy(shape):
-        return np.fft.irfft(spectrum, shape[0])
+        if len(shape) == 1:
+            return np.fft.irfft(spectrum, shape[0])
+        for axis in range(-len(shape), -1):
+            spectrum = np.fft.ifft(spectrum, shape[axis], axis=axis, norm="forward")
+        values = np.fft.irfft(spectrum, shape[-1], norm="forward")
+        values *= 1.0 / math.prod(shape)
+        return values
     from scipy import fft
 
     return fft.irfftn(spectrum, shape, axes=tuple(range(-len(shape), 0)))

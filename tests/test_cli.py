@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlkpp
-from nlkpp import ConfigError, ConvergenceFailure, StepConfig, fronts, waves
+from nlkpp import ConfigError, ConvergenceFailure, StepConfig, fronts, simulate, waves
 from nlkpp.cli import _problem, main
 from nlkpp.config import COMMANDS, parse_config
 
@@ -614,13 +614,15 @@ def test_cli_import_loads_no_scipy():
     assert _run_python(code) == "[]"
 
 
-# front-2d at a small size: compact_uniform a+, gaussian a-, 2-D
-FRONT_2D = (BASE.replace("family = gaussian\nsigma = 1.0",
-                         "family = compact_uniform\nradius = 2.0", 1)
-            .replace("dimension = 1", "dimension = 2").replace("points = 128", "points = 64")
-            .replace("half_length = 20.0", "half_length = 16.0")
-            .replace("dt = 2e-3\nhorizon = 0.5", "dt = 0.05\nhorizon = 1.0")
-            .replace("snapshot_stride = 125", "snapshot_stride = 10")
+# a 2-D gaussian simulate at a small size
+GAUSSIAN_2D = (BASE.replace("dimension = 1", "dimension = 2").replace("points = 128", "points = 64")
+               .replace("half_length = 20.0", "half_length = 16.0")
+               .replace("dt = 2e-3\nhorizon = 0.5", "dt = 0.05\nhorizon = 1.0")
+               .replace("snapshot_stride = 125", "snapshot_stride = 10"))
+
+# front-2d at that size: compact_uniform a+, gaussian a-
+FRONT_2D = (GAUSSIAN_2D.replace("family = gaussian\nsigma = 1.0",
+                                "family = compact_uniform\nradius = 2.0", 1)
             .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 2.0\nheight = 0.5")
             + "\n[front]\nn_directions = 4\n")
 
@@ -636,11 +638,13 @@ SCIPY_PARTS = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize"
                     "domain_left = -40\ndomain_right = 80\n", "0 []"),
     ("wave", LAPLACE + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.1\n"
                        "domain_left = -80\ndomain_right = 80\n", "0 []"),
-    ("front", FRONT_2D, "0 ['scipy.fft', 'scipy.special']"),
-], ids=["gaussian-simulate", "laplace-simulate", "gaussian-wave", "laplace-wave", "front-2d"])
+    ("simulate", GAUSSIAN_2D, "0 []"),
+    ("front", FRONT_2D, "0 []"),
+], ids=["gaussian-simulate", "laplace-simulate", "gaussian-wave", "laplace-wave",
+        "gaussian-simulate-2d", "front-2d"])
 def test_run_loads_only_the_scipy_it_calls(tmp_path, command, text, loaded):
-    """A 1-D simulate or wave with closed-form kernels needs no scipy, and a 2-D
-    front with a compact a+ its 2-D transforms and the chord's Bessel functions."""
+    """A simulate, wave or front with closed-form kernels needs no scipy: the 2-D
+    transforms of 5-smooth planes run on numpy, and so do the chord's Bessel series."""
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text)
     argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]
@@ -709,6 +713,20 @@ class TestMoreScenarios:
         assert split_rows == whole[1:]
         assert ((tmp_path / "true" / "summary.txt").read_bytes()
                 == (tmp_path / "false" / "summary.txt").read_bytes())
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_snapshot_rows_are_each_field_in_17_digits(self, tmp_path, dimension):
+        text = BASE if dimension == 1 else GAUSSIAN_2D
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(text)
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        cfg = parse_config(text)
+        traj = simulate(_problem(cfg), cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
+        x = cfg.grid.axis_coords()
+        # the reference: every field of every row formatted on its own, as _fmt formats a float
+        expected = [",".join("%.17g" % v for v in (f.time, *x[list(idx)], f.values[idx]))
+                    for f in traj.snapshots for idx in np.ndindex(f.values.shape)]
+        assert (tmp_path / "out" / "snapshots.csv").read_text().splitlines()[1:] == expected
 
     def test_two_dimensional_simulation(self, tmp_path):
         text = BASE.replace("dimension = 1", "dimension = 2")

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
-from nlkpp.kernels import (Kernel1D, RadialLine, _fast_lengths, _irfft, _next_fast_len, _quad,
-                           _rfft)
+from nlkpp.kernels import (Kernel1D, RadialLine, _bessel_i, _fast_lengths, _irfft,
+                           _next_fast_len, _on_numpy, _quad, _rfft)
 
 
 def quad_mass_1d(kernel):
@@ -191,6 +191,37 @@ def test_compact_moments_past_overflow_are_infinite(dimension):
         assert math.isfinite(getattr(line, name)(349.0))
         assert getattr(line, name)(350.0) == math.inf
         assert getattr(line, name)(400.0) == math.inf
+
+
+def chord_moment_reference(radius, lam, power):
+    """int s^power e^{lam s} 2 sqrt(R^2 - s^2) / (pi R^2) ds by quadrature over [0, R], with
+    the even or odd part of e^{lam s} as cosh or sinh, so that no two terms cancel."""
+    part = math.cosh if power % 2 == 0 else math.sinh
+    f = lambda s: (4.0 * math.sqrt(radius**2 - s * s) / (math.pi * radius**2)
+                   * s**power * part(lam * s))
+    return _quad(f, 0.0, radius, epsabs=0.0, epsrel=1e-13)
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_chord_moments_match_the_disk_marginal(radius):
+    # x = lam R from just past the small-x expansion to just below the overflow cut at 700
+    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", 2, radius=radius)),
+                               [1.0, 0.0])
+    for x in (1e-5, 1e-3, 0.5, 3.0, 40.0, 300.0, 699.0):
+        for lam in (x / radius, -x / radius):
+            for power, name in enumerate(MOMENTS):
+                expected = chord_moment_reference(radius, lam, power)
+                assert getattr(line, name)(lam) == pytest.approx(expected, rel=1e-12), (lam, name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bessel_series_is_scipy_iv(n):
+    from scipy.special import iv
+
+    x = np.geomspace(1e-6, 699.999, 2000)
+    x = np.concatenate([-x, x])
+    np.testing.assert_allclose([_bessel_i(n, float(v)) for v in x], iv(n, x), rtol=1e-13,
+                               atol=0.0)
 
 
 def test_gaussian_offset_shifts_reduction():
@@ -474,6 +505,23 @@ class TestFftPair:
         rng = np.random.default_rng(n)
         self.assert_pair_is_scipy(rng.random((n, n)), (n, n))
         self.assert_pair_is_scipy(rng.random((2, n, n)), (n, n))
+
+    @pytest.mark.parametrize("shape, on_numpy", [((96, 160), True), ((250, 243), True),
+                                                 ((97, 128), False)],
+                             ids=["96x160", "250x243", "97x128"])
+    def test_rectangular_planes(self, shape, on_numpy):
+        # 97 is prime, so that plane stays on scipy.fft
+        assert _on_numpy(shape) == on_numpy
+        rng = np.random.default_rng(shape)
+        self.assert_pair_is_scipy(rng.random(shape), shape)
+        self.assert_pair_is_scipy(rng.random((3, *shape)), shape)
+
+    def test_zero_filled_planes(self):
+        rng = np.random.default_rng(23)
+        for width, shape in (((21, 33), (64, 64)), ((101, 90), (250, 243)),
+                             ((40, 40), (97, 128))):
+            self.assert_pair_is_scipy(rng.random(width), shape)
+            self.assert_pair_is_scipy(rng.random((2, *width)), shape)
 
     def test_next_fast_len_is_scipy(self):
         from scipy import fft as sp_fft
