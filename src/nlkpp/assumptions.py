@@ -6,8 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import lattice
 from .kernels import Kernel
 from .params import ModelParams
+
+# points per axis, by dimension, of the lattices near the origin: the dense
+# patch added to the A2 sample and the A4 ball
+_PATCH_POINTS = {1: 501, 2: 41}
+_BALL_POINTS = {1: 201, 2: 31}
 
 
 @dataclass(frozen=True)
@@ -59,20 +65,23 @@ def _halton(dimension: int, count: int) -> np.ndarray:
     return np.stack([_radical_inverse(count, base) for base in (2, 3)[:dimension]], axis=-1)
 
 
+def _in_ball(pts: np.ndarray, radius: float) -> np.ndarray:
+    """The points (n, d) that lie in the closed ball of the given radius."""
+    return pts[np.linalg.norm(pts, axis=1) <= radius]
+
+
+def _cube_lattice(dimension: int, half_width: float, per_axis: int) -> np.ndarray:
+    """The per_axis^d lattice points (n, d) that span [-half_width, half_width]^d."""
+    t = np.linspace(-half_width, half_width, per_axis)
+    return lattice(t, dimension).reshape(-1, dimension)
+
+
 def _sample_points(dimension: int, radius: float, count: int) -> np.ndarray:
-    """Deterministic quasi-random points in the ball plus a dense origin patch."""
+    """Deterministic quasi-random points in the ball plus a dense origin patch, (n, d)."""
     cube = _halton(dimension, count)  # in [0, 1)^d
-    pts = (2.0 * cube - 1.0) * radius
-    if dimension == 1:
-        pts = pts.reshape(-1)
-        near = np.linspace(-radius / 50.0, radius / 50.0, 501)
-        return np.concatenate([pts, near])
-    inside = np.linalg.norm(pts, axis=1) <= radius
-    pts = pts[inside]
-    t = np.linspace(-radius / 50.0, radius / 50.0, 41)
-    gx, gy = np.meshgrid(t, t, indexing="ij")
-    near = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    return np.concatenate([pts, near], axis=0)
+    pts = _in_ball((2.0 * cube - 1.0) * radius, radius)
+    near = _cube_lattice(dimension, radius / 50.0, _PATCH_POINTS[dimension])
+    return np.concatenate([pts, near])
 
 
 def competition_gap(params: ModelParams, a_plus: Kernel, a_minus: Kernel, q: float):
@@ -110,10 +119,7 @@ def check_assumptions(
     margin = lhs - rhs
     worst = int(np.argmin(margin))
     a2 = bool(margin[worst] >= -1e-14)
-    worst_point = pts[worst]
-    worst_point = (float(worst_point),) if a_plus.dimension == 1 else tuple(
-        float(c) for c in worst_point
-    )
+    worst_point = tuple(float(c) for c in pts[worst])
 
     # A3 / radial moment: finiteness is an analytic property of the family.
     if a_plus.abscissa > 0:
@@ -128,14 +134,8 @@ def check_assumptions(
     if a1 and a2:
         gap = competition_gap(params, a_plus, a_minus, params.theta)
         for delta in (sample_radius / 4.0, sample_radius / 16.0, sample_radius / 64.0):
-            if a_plus.dimension == 1:
-                ball = np.linspace(-delta, delta, 201)
-            else:
-                t = np.linspace(-delta, delta, 31)
-                gx, gy = np.meshgrid(t, t, indexing="ij")
-                ball = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-                ball = ball[np.linalg.norm(ball, axis=1) <= delta]
-            rho = float(np.min(gap(ball)))
+            ball = _cube_lattice(a_plus.dimension, delta, _BALL_POINTS[a_plus.dimension])
+            rho = float(np.min(gap(_in_ball(ball, delta))))
             if rho > 0:
                 a4 = (rho, float(delta))
                 break

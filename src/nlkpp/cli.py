@@ -9,6 +9,7 @@ output.  ``--threads`` is accepted for symmetry but never changes results
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -22,8 +23,8 @@ from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
                          reduce_to_direction)
 from .errors import ConfigError, MollisonFailure, NlkppError
 from .evolution import EvolutionProblem, _advance, _march, simulate
-from .grids import Field, Grid, bump_field, constant_field, step_field
-from .kernels import KernelSpec, discretize, make_kernel
+from .grids import Field, Grid, along_first_axis, bump_field, constant_field, step_field
+from .kernels import KernelSpec, _shared_if_equal, discretize, make_kernel
 
 
 def _fmt(x) -> str:
@@ -91,9 +92,7 @@ def build_initial(cfg: ScenarioConfig, grid: Grid) -> Field:
     s, psi = data[:, 0], data[:, 1]
     x = grid.axis_coords() - (spec.shift if spec.kind == "shifted-profile" else 0.0)
     line = np.interp(x, s, psi, left=psi[0], right=psi[-1])
-    if grid.dimension == 1:
-        return Field(grid, line)
-    return Field(grid, np.tile(line[:, None], (1, grid.points_per_axis)))
+    return Field(grid, along_first_axis(line, grid.dimension))
 
 
 def _grid(cfg: ScenarioConfig) -> Grid:
@@ -106,10 +105,7 @@ def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
     grid = _grid(cfg)
     kp = make_kernel(cfg.kernel_plus)
     km = make_kernel(cfg.kernel_minus)
-    wp = discretize(kp, grid)
-    wm = discretize(km, grid)
-    if np.array_equal(wp.weights, wm.weights):
-        wm = wp  # one convolution per right-hand side
+    wp, wm = _shared_if_equal(discretize(kp, grid), discretize(km, grid))
     u0 = build_initial(cfg, grid)
     return EvolutionProblem(cfg.params, wp, wm, u0)
 
@@ -118,11 +114,10 @@ _SNAPSHOT_ROW = "%s%.17g"  # the row format of a (prefix, u) from _snapshot_rows
 
 
 def _snapshot_rows(traj, grid: Grid):
-    """(prefix, u) for every grid point of every snapshot; the "t,x1," or "t,x1,x2,"
-    prefix is formatted once per file and snapshot time, not once per row."""
-    points = ["%.17g," % x for x in grid.axis_coords().tolist()]
-    if grid.dimension == 2:
-        points = [x1 + x2 for x1 in points for x2 in points]
+    """(prefix, u) for every grid point of every snapshot; the "t,x1,...,xd," prefix
+    is formatted once per file and snapshot time, not once per row."""
+    axis = ["%.17g," % x for x in grid.axis_coords().tolist()]
+    points = ["".join(x) for x in itertools.product(axis, repeat=grid.dimension)]
     for f in traj.snapshots:
         t = "%.17g," % f.time
         yield from zip([t + x for x in points], f.values.ravel().tolist())
@@ -132,7 +127,7 @@ def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
     problem = _problem(cfg)
     traj = simulate(problem, cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
     grid = cfg.grid
-    header = ["t", "x1", "u"] if grid.dimension == 1 else ["t", "x1", "x2", "u"]
+    header = ["t", *(f"x{i}" for i in range(1, grid.dimension + 1)), "u"]
     if cfg.split_snapshots:
         for idx, f in enumerate(traj.snapshots):
             sub = type(traj)()
@@ -178,7 +173,7 @@ def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
 
 def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
     kp = make_kernel(cfg.kernel_plus)
-    xi = np.array([1.0]) if kp.dimension == 1 else np.array([1.0, 0.0])
+    xi = np.eye(kp.dimension)[0]
     line_p = reduce_to_direction(kp, xi)
     if cfg.kernel_minus == cfg.kernel_plus:
         line_m = line_p  # sampled once for both
@@ -224,9 +219,7 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     level = cfg.front_level if cfg.front_level is not None else theta / 2.0
     problem = _problem(cfg)
     traj = simulate(problem, cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
-    d = cfg.grid.dimension
-    xi = np.array([1.0]) if d == 1 else np.array([1.0, 0.0])
-    trace = fronts.track_level(traj, level, xi)
+    trace = fronts.track_level(traj, level, np.eye(cfg.grid.dimension)[0])
     _write_csv(out / "front_trace.csv", ["t", "position"],
                zip(trace.times.tolist(), trace.positions.tolist()))
     entries = {"scenario.command": "front", "front.level": level}
@@ -305,7 +298,7 @@ def _necessity_counterexample(cfg: ScenarioConfig) -> float:
     wm = discretize(make_kernel(spike), grid)
     # dent the state below theta near the spike, offset from the origin
     u0 = constant_field(grid, theta)
-    dent = bump_field(grid, 0.18 if grid.dimension == 1 else (0.18, 0.0), 0.09, 0.8 * theta)
+    dent = bump_field(grid, 0.18 * np.eye(grid.dimension)[0], 0.09, 0.8 * theta)
     u0 = Field(grid, np.maximum(u0.values - dent.values, 0.0))
     peak = u0.max
 

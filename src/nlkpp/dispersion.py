@@ -259,7 +259,6 @@ class FrontSet:
     directions: np.ndarray  # (n, d) unit vectors
     speeds: np.ndarray  # (n,) minimal speeds
     lambda_stars: np.ndarray  # (n,) minimizers, for decay envelopes
-    interior_point: np.ndarray  # kappa_plus * first-moment vector
 
     @property
     def dimension(self) -> int:
@@ -273,11 +272,19 @@ class FrontSet:
         minus = float(self.speeds[np.argmin(self.directions[:, 0])])
         return (-minus, plus)
 
+    def membership(self, x):
+        """``scale -> mask`` of the points x, shape (..., d), in scale * front set.
+
+        The points are projected once, so one call serves every scale.
+        """
+        x = np.asarray(x, dtype=float)
+        proj = x.reshape(-1, self.dimension) @ self.directions.T
+        return lambda scale: np.all(proj <= scale * self.speeds + 1e-12,
+                                    axis=1).reshape(x.shape[:-1])
+
     def contains(self, x, scale: float = 1.0) -> np.ndarray:
-        """Membership of points in scale * front set."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        proj = x @ self.directions.T
-        return np.all(proj <= scale * self.speeds[None, :] + 1e-12, axis=1)
+        """Membership of the points x, shape (..., d), in scale * front set."""
+        return self.membership(x)(scale)
 
     def outer_vertices(self) -> np.ndarray:
         """Vertices of the outer polygon (d = 2, equi-angular directions)."""
@@ -322,8 +329,7 @@ def front_set(params: ModelParams, kernel: Kernel, n_directions: int = 32) -> Fr
     speeds = np.array([rep.c_star for rep in reports])
     lams = np.array([rep.lambda_star for rep in reports])
     mean = global_mean(kernel)
-    interior = params.kappa_plus * mean
-    proj = dirs @ interior
+    proj = dirs @ (params.kappa_plus * mean)
     if not np.all(proj < speeds):
         raise RuntimeError("kappa_plus * mean is not strictly interior to the front set")
-    return FrontSet(directions=dirs, speeds=speeds, lambda_stars=lams, interior_point=interior)
+    return FrontSet(directions=dirs, speeds=speeds, lambda_stars=lams)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationFailed, ConvergenceFailure, GridError
-from .grids import Field, Grid
-from .kernels import (Kernel, SampledWeights, _displacement_coords, _irfft, _next_fast_len, _rfft,
+from .grids import Field, Grid, lattice
+from .kernels import (Kernel, SampledWeights, _displacements, _irfft, _next_fast_len, _rfft,
                       _Samples)
 from .params import ModelParams
 
@@ -425,13 +425,7 @@ def truncated_problem(problem: EvolutionProblem, radius: float) -> tuple[float, 
     a problem whose solution runs below the untruncated one.
     """
     grid = problem.u.grid
-    coords = _displacement_coords(grid.points_per_axis, grid.spacing)
-    if grid.dimension == 1:
-        r = np.abs(coords)
-    else:
-        gx, gy = np.meshgrid(coords, coords, indexing="ij")
-        r = np.hypot(gx, gy)
-    mask = r <= radius
+    mask = np.hypot.reduce(np.abs(_displacements(grid)), axis=-1) <= radius
 
     params = problem.params
     wp = problem.a_plus_w.weights * mask
@@ -447,8 +441,8 @@ def truncated_problem(problem: EvolutionProblem, radius: float) -> tuple[float, 
     theta_r = (params.kappa_plus * a_plus_mass - params.mortality) / (
         params.kappa_minus * a_minus_mass
     )
-    wp_s = SampledWeights(wp, grid.spacing, a_plus_mass, renormalized=False)
-    wm_s = SampledWeights(wm, grid.spacing, a_minus_mass, renormalized=False)
+    wp_s = SampledWeights(wp, grid.spacing, a_plus_mass)
+    wm_s = SampledWeights(wm, grid.spacing, a_minus_mass)
     truncated = EvolutionProblem(params, wp_s, wm_s, problem.u)
     return theta_r, truncated
 
@@ -465,19 +459,13 @@ def _hypercube_sup_sum(kernel: Kernel, q: float) -> float:
     """
     d = kernel.dimension
     if kernel.abscissa == 0.0:  # a heavy tail
-        z_max = 4000 if d == 1 else 700
+        z_max = {1: 4000, 2: 700}[d]
     else:
         span = 60.0 * max(kernel.effective_scale(), 1.0)
         z_max = int(span / (2.0 * q)) + 2
     z = np.arange(-z_max, z_max + 1)
-    if d == 1:
-        nearest = np.maximum(np.abs(2.0 * q * z) - q, 0.0)
-        return float(np.sum(kernel.eval(nearest)))
-    gx, gy = np.meshgrid(z, z, indexing="ij")
-    nx = np.maximum(np.abs(2.0 * q * gx) - q, 0.0)
-    ny = np.maximum(np.abs(2.0 * q * gy) - q, 0.0)
-    pts = np.stack([nx, ny], axis=-1)
-    return float(np.sum(kernel.eval(pts)))
+    nearest = np.maximum(np.abs(2.0 * q * z) - q, 0.0)
+    return float(np.sum(kernel.eval(lattice(nearest, d))))
 
 
 def uniform_bound(params: ModelParams, a_plus: Kernel, a_minus: Kernel,
@@ -499,9 +487,7 @@ def uniform_bound(params: ModelParams, a_plus: Kernel, a_minus: Kernel,
 
     d = a_minus.dimension
     r0 = a_minus.effective_scale()
-    alpha = float(np.min(a_minus.eval(
-        np.array([r0]) if d == 1 else np.array([[r0, 0.0]])
-    )))
+    alpha = float(np.min(a_minus.eval(r0 * np.eye(d)[:1])))
     if not alpha > 0:
         raise ValueError("competition kernel has no positive floor near the origin")
     q = r0 / (2.0 * math.sqrt(d))
@@ -525,15 +511,9 @@ def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: Sam
     if not (q > 0 and alpha > 0 and t > 0):
         raise ValueError("q, alpha and t must be positive")
     mean = np.zeros(grid.dimension) if mean_vector is None else np.asarray(mean_vector, float)
-    coords = grid.coords()
-    if grid.dimension == 1:
-        diff = coords - t * mean[0]
-        sq = diff * diff
-        drift_term = diff * mean[0]
-    else:
-        diff = coords - t * mean
-        sq = np.sum(diff * diff, axis=-1)
-        drift_term = np.sum(diff * mean, axis=-1)
+    diff = grid.coords() - t * mean
+    sq = np.sum(diff * diff, axis=-1)
+    drift_term = np.sum(diff * mean, axis=-1)
     w = q * np.exp(-sq / (alpha * t))
     dw_dt = w * (2.0 * drift_term / (alpha * t) + sq / (alpha * t * t))
 

@@ -38,21 +38,16 @@ class LevelTrace:
 class SpeedEstimate:
     c_hat: float
     stderr: float
-    window: tuple[float, float]
 
 
 def _line_values(field: Field, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """State values along the grid line through the origin in direction xi."""
     grid = field.grid
-    x = grid.axis_coords()
-    if grid.dimension == 1:
-        sign = 1.0 if xi[0] > 0 else -1.0
-        return sign * x, field.values
-    if abs(xi[0]) >= abs(xi[1]):
-        sign = 1.0 if xi[0] > 0 else -1.0
-        return sign * x, field.values[:, grid.points_per_axis // 2]
-    sign = 1.0 if xi[1] > 0 else -1.0
-    return sign * x, field.values[grid.points_per_axis // 2, :]
+    axis = int(np.argmax(np.abs(xi)))  # the grid axis closest to xi, the first on a tie
+    sign = 1.0 if xi[axis] > 0 else -1.0
+    line = tuple(slice(None) if a == axis else grid.points_per_axis // 2
+                 for a in range(grid.dimension))
+    return sign * grid.axis_coords(), field.values[line]
 
 
 def track_level(traj: Trajectory, level: float, xi) -> LevelTrace:
@@ -102,17 +97,7 @@ def estimate_speed(trace: LevelTrace, transient_fraction: float = 0.25) -> Speed
     var = float(np.sum(resid**2)) / dof
     t_center = t - t.mean()
     stderr = math.sqrt(var / float(np.sum(t_center**2))) if np.any(t_center) else math.inf
-    return SpeedEstimate(c_hat=float(coef[0]), stderr=stderr,
-                         window=(float(t[0]), float(t[-1])))
-
-
-def _scaled_membership(grid, front: FrontSet):
-    """``scale -> mask`` of the grid points in scale * front, projecting the grid once.
-
-    Same operands in the same order as ``FrontSet.contains``, so the masks keep its bits.
-    """
-    proj = grid.coords().reshape(-1, grid.dimension) @ front.directions.T
-    return lambda scale: np.all(proj <= scale * front.speeds + 1e-12, axis=1).reshape(grid.shape)
+    return SpeedEstimate(c_hat=float(coef[0]), stderr=stderr)
 
 
 def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta: float
@@ -129,7 +114,7 @@ def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta
             continue
         if shrink * t * float(np.max(front.speeds)) > grid.half_length:
             break
-        inside = inside or _scaled_membership(grid, front)
+        inside = inside or front.membership(grid.coords())
         mask = inside(shrink * t)
         if not np.any(mask):
             continue
@@ -141,11 +126,7 @@ def interior_convergence(traj: Trajectory, front: FrontSet, shrink: float, theta
 def weighted_norm(field: Field, lam: float, xi) -> float:
     """sup over the grid of u(x) e^{lam x . xi}."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    grid = field.grid
-    if grid.dimension == 1:
-        proj = xi[0] * grid.axis_coords()
-    else:
-        proj = grid.coords() @ xi
+    proj = field.grid.coords() @ xi
     return float(np.max(field.values * np.exp(lam * proj)))
 
 
@@ -175,7 +156,7 @@ def exterior_decay(traj: Trajectory, front: FrontSet, inflate: float,
         t = f.time
         if t <= 0.0:
             continue
-        inside = inside or _scaled_membership(f.grid, front)
+        inside = inside or front.membership(f.grid.coords())
         outside = ~inside(inflate * t)
         if not np.any(outside):
             break

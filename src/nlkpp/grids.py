@@ -1,4 +1,8 @@
-"""Uniform periodic lattices and real-valued states sampled on them."""
+"""Uniform periodic lattices and real-valued states sampled on them.
+
+A point array has shape ``(..., d)`` in every dimension, 1-D included: the
+last axis holds the coordinates.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -10,6 +14,17 @@ from .errors import GridError
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def lattice(values: np.ndarray, d: int) -> np.ndarray:
+    """The points of the product lattice ``values``^d, shape ``(n,) * d + (d,)``."""
+    return np.stack(np.meshgrid(*[values] * d, indexing="ij"), axis=-1)
+
+
+def along_first_axis(profile: np.ndarray, d: int) -> np.ndarray:
+    """A 1-D profile on the first of d axes, constant along the other d - 1."""
+    n = len(profile)
+    return np.broadcast_to(profile.reshape((n,) + (1,) * (d - 1)), (n,) * d).copy()
 
 
 @dataclass(frozen=True)
@@ -43,17 +58,11 @@ class Grid:
         return -self.half_length + self.spacing * np.arange(n)
 
     def coords(self) -> np.ndarray:
-        """Point coordinates; shape (N,) for d=1, (N, N, 2) for d=2."""
-        x = self.axis_coords()
-        if self.dimension == 1:
-            return x
-        gx, gy = np.meshgrid(x, x, indexing="ij")
-        return np.stack([gx, gy], axis=-1)
+        """Point coordinates, shape ``shape + (d,)``."""
+        return lattice(self.axis_coords(), self.dimension)
 
     def radii(self) -> np.ndarray:
         """Distance from the origin at every grid point."""
-        if self.dimension == 1:
-            return np.abs(self.axis_coords())
         return np.linalg.norm(self.coords(), axis=-1)
 
 
@@ -95,10 +104,7 @@ def constant_field(grid: Grid, value: float, time: float = 0.0) -> Field:
 
 def bump_field(grid: Grid, center, width: float, height: float, time: float = 0.0) -> Field:
     """Smooth compactly supported bump: height * exp(1 - 1/(1 - r^2/w^2)) inside r < w."""
-    if grid.dimension == 1:
-        r = np.abs(grid.axis_coords() - float(np.atleast_1d(center)[0]))
-    else:
-        r = np.linalg.norm(grid.coords() - np.asarray(center, dtype=float), axis=-1)
+    r = np.linalg.norm(grid.coords() - np.asarray(center, dtype=float), axis=-1)
     z = np.square(r / width)
     values = np.zeros(grid.shape)
     inside = z < 1.0
@@ -110,6 +116,4 @@ def step_field(grid: Grid, theta: float, direction: int = 1, time: float = 0.0) 
     """Smoothed step: theta on one half of the first axis, 0 on the other."""
     x = grid.axis_coords()
     profile = theta / (1.0 + np.exp(np.clip(2.0 * direction * x, -500.0, 500.0)))
-    if grid.dimension == 1:
-        return Field(grid, profile, time)
-    return Field(grid, np.tile(profile[:, None], (1, grid.points_per_axis)), time)
+    return Field(grid, along_first_axis(profile, grid.dimension), time)

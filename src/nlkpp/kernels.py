@@ -23,6 +23,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import KernelError
+from .grids import lattice
 
 FAMILIES = ("gaussian", "laplace", "exppoly", "compact_uniform", "power_tail")
 
@@ -173,16 +174,12 @@ class Kernel:
         return self.spec.offset is None
 
     def eval(self, x) -> np.ndarray:
-        """Density at points; x has shape (..., d), or (...,) when d = 1."""
+        """Density at points x of shape (..., d), in 1-D too; the result has shape (...)."""
         x = np.asarray(x, dtype=float)
         d = self.dimension
-        if d == 1:
-            r = np.abs(x - self.spec.offset_vector[0]) if self.spec.offset else np.abs(x)
-        else:
-            if x.shape[-1] != d:
-                raise KernelError(f"points must have {d} components, got shape {x.shape}")
-            diff = x - self.spec.offset_vector
-            r = np.sqrt(np.sum(np.square(diff), axis=-1))
+        if x.ndim == 0 or x.shape[-1] != d:
+            raise KernelError(f"points must have {d} components, got shape {x.shape}")
+        r = np.sqrt(np.sum(np.square(x - self.spec.offset_vector), axis=-1))
         return self.normalizer_alpha * _radial_shape(self.spec)(r)
 
     def mass_outside(self, radius: float) -> float:
@@ -491,7 +488,7 @@ class RadialLine(Kernel1D):
 
     def eval(self, s):
         if self.kernel.dimension == 1:
-            return self.kernel.eval(s)
+            return self.kernel.eval(np.asarray(s, dtype=float)[..., None])
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(s)
         for i, si in enumerate(s.ravel()):
@@ -651,7 +648,6 @@ class SampledWeights(_Samples):
     """
 
     mass: float
-    renormalized: bool
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -688,13 +684,21 @@ class SampledWeights(_Samples):
         return out
 
 
-def _displacement_coords(n: int, h: float) -> np.ndarray:
-    """Signed displacements in FFT order: 0, h, ..., -2h, -h."""
+def _displacements(grid) -> np.ndarray:
+    """The grid's displacement lattice in FFT order (0, h, ..., -2h, -h per axis),
+    shape ``grid.shape + (d,)``."""
+    n = grid.points_per_axis
     idx = np.arange(n)
     idx = np.where(idx <= n // 2 - 1, idx, idx - n) if n % 2 == 0 else np.where(
         idx <= n // 2, idx, idx - n
     )
-    return idx * h
+    return lattice(idx * grid.spacing, grid.dimension)
+
+
+def _shared_if_equal(wp: _Samples, wm: _Samples) -> tuple[_Samples, _Samples]:
+    """(wp, wp) when the two samples have equal weights, so that callers testing
+    ``wm is wp`` convolve once per right-hand side; (wp, wm) otherwise."""
+    return (wp, wp) if np.array_equal(wp.weights, wm.weights) else (wp, wm)
 
 
 def _check_resolution(kernel, h: float) -> None:
@@ -745,17 +749,8 @@ def discretize(kernel: Kernel, grid) -> SampledWeights:
                 f"increase half_length to at least {suggest:g}"
             )
 
-    coords = _displacement_coords(grid.points_per_axis, grid.spacing)
-    if dim == 1:
-        values = np.asarray(kernel.eval(coords), dtype=float)
-    else:
-        gx, gy = np.meshgrid(coords, coords, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
-        values = np.asarray(kernel.eval(pts), dtype=float)
-    weights = values * grid.spacing**dim
+    weights = kernel.eval(_displacements(grid)) * grid.spacing**dim
 
     if light:
-        return SampledWeights(weights=_unit_sum(weights), spacing=grid.spacing, mass=1.0,
-                              renormalized=True)
-    return SampledWeights(weights=weights, spacing=grid.spacing, mass=float(weights.sum()),
-                          renormalized=False)
+        return SampledWeights(weights=_unit_sum(weights), spacing=grid.spacing, mass=1.0)
+    return SampledWeights(weights=weights, spacing=grid.spacing, mass=float(weights.sum()))

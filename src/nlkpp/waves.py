@@ -25,7 +25,8 @@ from .dispersion import (DispersionReport, _bisect, char_multiplicity, minimize_
                          speed_to_abscissa)
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
 from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
-from .kernels import Kernel1D, _check_resolution, _next_fast_len, _Samples, _unit_sum
+from .kernels import (Kernel1D, _check_resolution, _next_fast_len, _Samples, _shared_if_equal,
+                      _unit_sum)
 from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
@@ -71,8 +72,7 @@ def sample_line_kernels(k_plus: Kernel1D, k_minus: Kernel1D,
     wp = sample_line_kernel(k_plus, h)
     if k_minus is k_plus:
         return wp, wp
-    wm = sample_line_kernel(k_minus, h)
-    return (wp, wp) if np.array_equal(wp.weights, wm.weights) else (wp, wm)
+    return _shared_if_equal(wp, sample_line_kernel(k_minus, h))
 
 
 def _constant_pad(left: float, right: float):

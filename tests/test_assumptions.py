@@ -35,7 +35,7 @@ def test_narrow_competition_kernel_breaks_domination(canon, gauss1):
     # the violation sits near the origin where the spike dominates
     assert abs(report.A2_worst_point[0]) < 0.5
     # direct check at x = 0: (2 pi 0.04)^{-1/2} > (2 pi)^{-1/2}
-    assert spike.eval(np.array([0.0]))[0] > gauss1.eval(np.array([0.0]))[0]
+    assert spike.eval(np.array([[0.0]]))[0] > gauss1.eval(np.array([[0.0]]))[0]
 
 
 def test_heavy_tail_has_no_mollison_witness(canon, gauss1):
@@ -48,21 +48,21 @@ def test_heavy_tail_has_no_mollison_witness(canon, gauss1):
 def test_gap_kernel_equal_kernel_algebra(canon, gauss1):
     theta = canon.theta
     gap = competition_gap(canon, gauss1, gauss1, q=theta)
-    x = np.linspace(-5, 5, 101)
+    x = np.linspace(-5, 5, 101)[:, None]
     # J_theta = (kp - (kp - m)) a = m a for equal kernels
     np.testing.assert_allclose(gap(x), canon.mortality * gauss1.eval(x), rtol=1e-13)
-    assert gap(np.array([0.0]))[0] == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-10)
+    assert gap(np.array([[0.0]]))[0] == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-10)
 
 
 def test_gap_kernel_integrates_to_mortality(canon, gauss1):
     gap = competition_gap(canon, gauss1, gauss1, q=canon.theta)
-    total, _ = integrate.quad(lambda x: gap(np.array([x]))[0], -60, 60, limit=400)
+    total, _ = integrate.quad(lambda x: gap(np.array([[x]]))[0], -60, 60, limit=400)
     assert total == pytest.approx(canon.mortality, abs=1e-8)
 
 
 def test_gap_kernel_small_q_limit(canon, gauss1):
     gap = competition_gap(canon, gauss1, gauss1, q=1e-12)
-    x = np.linspace(-3, 3, 31)
+    x = np.linspace(-3, 3, 31)[:, None]
     np.testing.assert_allclose(gap(x), canon.kappa_plus * gauss1.eval(x), rtol=1e-9)
 
 

@@ -8,11 +8,11 @@ from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
 from nlkpp.kernels import (Kernel1D, RadialLine, _bessel_i, _fast_lengths, _irfft,
-                           _next_fast_len, _on_numpy, _quad, _rfft)
+                           _next_fast_len, _on_numpy, _quad, _radial_shape, _rfft)
 
 
 def quad_mass_1d(kernel):
-    val, _ = integrate.quad(lambda x: float(kernel.eval(np.array([x]))[0]),
+    val, _ = integrate.quad(lambda x: float(kernel.eval(np.array([[x]]))[0]),
                             0.0, np.inf, limit=800, epsabs=1e-14, epsrel=1e-12)
     return 2.0 * val
 
@@ -92,12 +92,39 @@ def test_invalid_specs_rejected(bad):
         KernelSpec(**bad)
 
 
+@pytest.mark.parametrize("spec", SPECS_1D + [KernelSpec("gaussian", 1, sigma=0.7, offset=(0.3,))],
+                         ids=lambda s: s.family + ("-offset" if s.offset else ""))
+def test_eval_1d_is_the_shape_of_the_distance(spec):
+    # sqrt(x^2) is |x| in binary64, so the one distance path keeps the 1-D bits
+    kernel = make_kernel(spec)
+    x = Grid(dimension=1, half_length=20.0, points_per_axis=256).axis_coords()
+    expected = kernel.normalizer_alpha * _radial_shape(spec)(np.abs(x - spec.offset_vector[0]))
+    assert np.array_equal(kernel.eval(x[:, None]), expected)
+
+
+@pytest.mark.parametrize("dimension, points", [(1, np.zeros(4)), (1, np.zeros((4, 2))),
+                                               (2, np.zeros((4, 1))), (2, np.float64(0.0))],
+                         ids=["bare-1d", "2-components-1d", "1-component-2d", "scalar-2d"])
+def test_eval_refuses_points_without_d_components(dimension, points):
+    kernel = make_kernel(KernelSpec("gaussian", dimension, sigma=1.0))
+    with pytest.raises(KernelError, match="components"):
+        kernel.eval(points)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_grid_points_carry_their_coordinate_axis(dimension):
+    grid = Grid(dimension=dimension, half_length=4.0, points_per_axis=16)
+    coords = grid.coords()
+    assert coords.shape == grid.shape + (dimension,)
+    assert np.array_equal(coords[(slice(None),) + (0,) * dimension], grid.axis_coords())
+
+
 def test_reduction_identity_in_1d(gauss1):
     line = reduce_to_direction(gauss1, [1.0])
     s = np.linspace(-3, 3, 11)
-    np.testing.assert_allclose(line.eval(s), gauss1.eval(s), rtol=1e-14)
+    np.testing.assert_allclose(line.eval(s), gauss1.eval(s[:, None]), rtol=1e-14)
     flipped = reduce_to_direction(gauss1, [-1.0])
-    np.testing.assert_allclose(flipped.eval(s), gauss1.eval(-s), rtol=1e-14)
+    np.testing.assert_allclose(flipped.eval(s), gauss1.eval(-s[:, None]), rtol=1e-14)
 
 
 def test_reduction_direction_independent_for_isotropic():
@@ -239,14 +266,14 @@ def test_non_unit_direction_rejected(gauss1):
 
 def test_discretize_sums_to_exactly_one(gauss_weights):
     assert gauss_weights.weights.sum() == 1.0
-    assert gauss_weights.renormalized
+    assert gauss_weights.mass == 1.0
 
 
 def test_discretize_heavy_tail_keeps_truncated_mass():
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=1024)
     kernel = make_kernel(KernelSpec("power_tail", 1, q=4.0))
     w = discretize(kernel, grid)
-    assert not w.renormalized
+    assert w.mass == float(w.weights.sum())
     tail, _ = integrate.quad(lambda s: kernel.normalizer_alpha / (1 + s**4), 20.0, np.inf)
     assert w.mass == pytest.approx(1.0 - 2.0 * tail, abs=1e-4)
     assert w.mass < 1.0
@@ -358,7 +385,7 @@ def test_exppoly_without_power_has_unit_scale():
     kernel = make_kernel(KernelSpec("exppoly", 1, p=0.0, q=3.0, mu=10.0))
     with pytest.warns(UserWarning, match="marginal"):
         w = discretize(kernel, grid)
-    assert not w.renormalized
+    assert w.mass == float(w.weights.sum()) < 1.0
 
 
 # (spec, oracle half-width, powers whose moment diverges at a finite abscissa)

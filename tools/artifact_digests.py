@@ -6,8 +6,9 @@ temporary directory, and prints ``sha256  relative-path`` for every file
 written, ``summary.txt`` included, in path order.  The matrix covers
 ``dispersion`` for every kernel family in one and two dimensions (the offset
 gaussian and exppoly with p = 0.5, 1 and 2 among them), waves at 1.0 and
-1.3 c* on 1-D and 2-D kernels, ``simulate`` (split snapshots too), 1-D and
-2-D ``front`` runs and both ``verify`` modes.
+1.3 c* on 1-D and 2-D kernels, ``simulate`` (split snapshots too; the offset
+gaussian in both dimensions, a 2-D step start and a 2-D exppoly), 1-D and
+2-D ``front`` runs and both ``verify`` modes (necessity in 2-D too).
 
 Usage::
 
@@ -114,6 +115,13 @@ def matrix() -> list[tuple[str, str, dict]]:
         ("simulate-1d-power_tail", "simulate",
          _evolution(1, 256, 20.0, 1.0, kernel_plus=KERNELS["power_tail"])),
         ("simulate-2d", "simulate", _evolution(2, 64, 20.0, 0.5, kernel_minus=laplace)),
+        ("simulate-1d-gaussian-offset", "simulate",
+         _evolution(1, 256, 20.0, 1.0, kernel_plus=KERNELS["gaussian-offset"])),
+        ("simulate-2d-gaussian-offset", "simulate",
+         _evolution(2, 64, 20.0, 0.5, kernel_plus=KERNELS["gaussian-offset"])),
+        ("simulate-2d-step", "simulate", _evolution(2, 64, 20.0, 0.5, initial={"kind": "step"})),
+        ("simulate-2d-exppoly-p1", "simulate",
+         _evolution(2, 64, 20.0, 0.5, kernel_plus=KERNELS["exppoly-p1"])),
         ("front-1d", "front", _evolution(1, 512, 40.0, 4.0)),
         ("front-2d", "front",
          _evolution(2, 64, 16.0, 2.0, kernel_plus=KERNELS["compact_uniform"],
@@ -121,6 +129,8 @@ def matrix() -> list[tuple[str, str, dict]]:
         ("verify-comparison", "verify", _evolution(1, 128, 20.0, 0.5, verify={"pairs": 2})),
         ("verify-necessity", "verify",
          _evolution(1, 1024, 10.0, 0.5, verify={"necessity": "true"})),
+        ("verify-necessity-2d", "verify",
+         _evolution(2, 128, 5.0, 0.5, verify={"necessity": "true"})),
     ]
     return runs
 
