@@ -3,8 +3,11 @@
 Subcommands: ``simulate``, ``dispersion``, ``wave``, ``front``,
 ``verify <suite>``.  All artifacts are plain CSV plus a ``summary.txt`` of
 ``key = value`` lines; identical configuration and seed produce byte-identical
-output.  ``--threads`` is accepted for symmetry but never changes results
-(all computation is single-threaded with a fixed summation order).
+output.  ``--threads`` is accepted for symmetry and never read.  Computation
+is single-threaded with a fixed summation order, except the LAPACK solves of
+``wave``'s Newton steps, which run on numpy's BLAS threads: a wave's artifacts
+can differ in the last bits between BLAS thread counts, so runs to be compared
+byte for byte pin one, e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 
@@ -193,15 +196,11 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
     )
     _write_csv(out / "profile.csv", ["s", "psi"],
                zip(profile.s.tolist(), profile.psi.tolist()))
-    fit_lines = [
-        f"speed_c = {_fmt(c)}",
-        f"lambda_fit = {_fmt(profile.fitted_lambda)}",
-        f"j = {_fmt(profile.fitted_j)}",
-        f"r_squared = {_fmt(profile.r_squared)}",
-        f"lambda_predicted = {_fmt(profile.predicted_lambda)}",
-        f"residual_sup = {_fmt(profile.residual)}",
-    ]
-    (out / "fit.txt").write_text("\n".join(fit_lines) + "\n")
+    _write_summary(out / "fit.txt", {
+        "speed_c": c, "lambda_fit": profile.fitted_lambda, "j": profile.fitted_j,
+        "r_squared": profile.r_squared, "lambda_predicted": profile.predicted_lambda,
+        "residual_sup": profile.residual,
+    })
     return {
         "scenario.command": "wave",
         "wave.speed": c,

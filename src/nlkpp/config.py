@@ -59,7 +59,7 @@ _nonnegative = _checked(float, lambda value: 0 <= value < math.inf,
 _open_unit = _checked(float, lambda value: 0 < value < 1, "must lie in (0, 1)")
 _direction = _checked(_as_floats, lambda xi: all(map(math.isfinite, xi)) and any(xi),
                       "must be finite and not all zero")
-_grid_dimension = _checked(int, (1, 2).__contains__, "grid dimension must be 1 or 2")
+_dimension = _checked(int, (1, 2).__contains__, "must be 1 or 2")
 _grid_points = _checked(int, lambda n: n >= 16 and not n & (n - 1),
                         "must be a power of two, at least 16")
 
@@ -72,7 +72,7 @@ _REQUIRED = object()  # the default of a key that must be given
 
 _KERNEL_KEYS = {
     "family": (_family, _REQUIRED),
-    "dimension": (int, None),  # None: the grid's dimension, 1 without a grid
+    "dimension": (_dimension, None),  # None: the grid's dimension, 1 without a grid
     "sigma": (float, None), "mu": (float, None), "p": (float, None), "q": (float, None),
     "radius": (float, None), "offset": (_as_floats, None),
 }
@@ -86,7 +86,7 @@ _KEYS = {
               "mortality": (_positive, _REQUIRED)},
     "kernel_plus": _KERNEL_KEYS,
     "kernel_minus": _KERNEL_KEYS,
-    "grid": {"dimension": (_grid_dimension, 1), "half_length": (_positive, _REQUIRED),
+    "grid": {"dimension": (_dimension, 1), "half_length": (_positive, _REQUIRED),
              "points": (_grid_points, _REQUIRED)},
     "time": {"dt": (_positive, 1e-3), "horizon": (_positive, 1.0),
              "method": (_one_of(METHODS, "method"), "rk4"),

@@ -58,8 +58,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise KernelError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if self.dimension < 1:
-            raise KernelError("dimension must be >= 1")
+        if self.dimension not in (1, 2):
+            raise KernelError(f"dimension must be 1 or 2, got {self.dimension}")
         needed = {
             "gaussian": ("sigma",),
             "laplace": ("mu",),
@@ -147,10 +147,8 @@ def _normalizer(spec: KernelSpec) -> float:
     shape = _radial_shape(spec)
     if d == 1:
         total = 2.0 * _quad(shape, 0.0, np.inf)
-    elif d == 2:
-        total = 2.0 * math.pi * _quad(lambda r: shape(r) * r, 0.0, np.inf)
     else:
-        raise KernelError("only dimensions 1 and 2 are supported")
+        total = 2.0 * math.pi * _quad(lambda r: shape(r) * r, 0.0, np.inf)
     if not total > 0 or not math.isfinite(total):
         raise KernelError(f"kernel {spec} is not integrable (mass {total})")
     return 1.0 / total
@@ -233,6 +231,10 @@ class Kernel1D:
 
     A view of ``kernel`` along ``xi`` that only ``reduce_to_direction`` builds: its
     abscissa ``lambda0``, length scale and family parameters are the kernel's.
+    So are its density, where the kernel is 1-D, and its ``mass_outside``: the
+    mass outside a ball bounds that outside [-radius, radius] on a radial
+    kernel's line, and equals it in 1-D.  Only the drifted ``GaussianLine``,
+    no radial marginal, states its own.
     ``transform(lam)`` is the bilateral Laplace transform int a(s) e^{lam s} ds,
     ``weighted_moment1/2`` the companions with factors s and s^2.  All three
     go through ``_moment`` and return ``math.inf`` on analytic divergence
@@ -249,7 +251,7 @@ class Kernel1D:
         self.lambda0 = kernel.abscissa
 
     def eval(self, s) -> np.ndarray:
-        raise NotImplementedError
+        return self.kernel.eval(np.asarray(s, dtype=float)[..., None])
 
     def transform(self, lam: float) -> float:
         return self._moment(lam, 0)
@@ -280,7 +282,7 @@ class Kernel1D:
         raise NotImplementedError
 
     def mass_outside(self, radius: float) -> float:
-        return _quad(self.eval, radius, np.inf) + _quad(self.eval, -np.inf, -radius)
+        return self.kernel.mass_outside(radius)
 
     def effective_scale(self) -> float:
         return self.kernel.effective_scale()
@@ -333,10 +335,6 @@ class LaplaceLine1(Kernel1D):
 
     tail_power = 0.0
 
-    def eval(self, s):
-        mu = self.kernel.spec.mu
-        return 0.5 * mu * np.exp(-mu * np.abs(np.asarray(s, dtype=float)))
-
     def _integral(self, lam, power):
         m2 = self.kernel.spec.mu**2
         if power == 0:
@@ -344,9 +342,6 @@ class LaplaceLine1(Kernel1D):
         if power == 1:
             return 2.0 * lam * m2 / (m2 - lam**2) ** 2
         return 2.0 * m2 * (m2 + 3.0 * lam**2) / (m2 - lam**2) ** 3
-
-    def mass_outside(self, radius):
-        return self.kernel.mass_outside(radius)
 
 
 class LaplaceLine2(Kernel1D):
@@ -383,11 +378,6 @@ class UniformLine(Kernel1D):
     """Uniform density on [-R, R]; with x = lam R its moments are sinh(x)/x,
     R (x cosh x - sinh x)/x^2 and R^2 ((x^2 + 2) sinh x - 2 x cosh x)/x^3."""
 
-    def eval(self, s):
-        r = self.kernel.spec.radius
-        s = np.asarray(s, dtype=float)
-        return np.where(np.abs(s) <= r, 1.0 / (2.0 * r), 0.0)
-
     def _integral(self, lam, power):
         r = self.kernel.spec.radius
         x = lam * r
@@ -404,9 +394,6 @@ class UniformLine(Kernel1D):
         if power == 1:
             return r * (cosh - sinh / x) / x
         return r**2 * ((1.0 + 2.0 / (x * x)) * sinh - 2.0 * cosh / x) / x
-
-    def mass_outside(self, radius):
-        return self.kernel.mass_outside(radius)
 
 
 def _bessel_i(n: int, x: float) -> float:
@@ -451,13 +438,6 @@ class ChordLine(Kernel1D):
             return 2.0 * r * _bessel_i(2, x) / x
         return 2.0 * r * r * (_bessel_i(3, x) / x + _bessel_i(2, x) / (x * x))
 
-    def mass_outside(self, radius):
-        r = self.kernel.spec.radius
-        if radius >= r:
-            return 0.0
-        t = radius / r
-        return 1.0 - (2.0 / math.pi) * (t * math.sqrt(1 - t * t) + math.asin(t))
-
 
 class RadialLine(Kernel1D):
     """Directional reduction of an ``exppoly`` or ``power_tail`` kernel.
@@ -488,7 +468,7 @@ class RadialLine(Kernel1D):
 
     def eval(self, s):
         if self.kernel.dimension == 1:
-            return self.kernel.eval(np.asarray(s, dtype=float)[..., None])
+            return super().eval(s)
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(s)
         for i, si in enumerate(s.ravel()):
@@ -516,9 +496,6 @@ class RadialLine(Kernel1D):
         else:
             weight = lambda r: factor(r) * (i0e(lam * r) - i1e(lam * r) / (lam * r))
         return 2.0 * math.pi * _fused_quad(lam, power + 1, decay, weight, 0.0, np.inf)
-
-    def mass_outside(self, radius):
-        return self.kernel.mass_outside(radius)
 
 
 # family -> (its line class in d = 1, in d = 2)
@@ -689,9 +666,7 @@ def _displacements(grid) -> np.ndarray:
     shape ``grid.shape + (d,)``."""
     n = grid.points_per_axis
     idx = np.arange(n)
-    idx = np.where(idx <= n // 2 - 1, idx, idx - n) if n % 2 == 0 else np.where(
-        idx <= n // 2, idx, idx - n
-    )
+    idx = np.where(idx < n // 2, idx, idx - n)
     return lattice(idx * grid.spacing, grid.dimension)
 
 

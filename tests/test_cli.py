@@ -190,26 +190,9 @@ class TestParsing:
             assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("grid, dimensions, cited", [
-        (1, {"kernel_minus": 2}, "kernel_minus"),
-        (2, {"kernel_plus": 3, "kernel_minus": 2}, "kernel_plus"),
-        (2, {"kernel_plus": 1, "kernel_minus": 1}, "kernel_plus"),
-        (None, {"kernel_plus": 2}, "kernel_plus"),
-        (None, {"kernel_minus": 2}, "kernel_minus"),
-    ])
-    @pytest.mark.parametrize("command", ["dispersion", "simulate"])
-    def test_kernel_dimensions_must_agree(self, tmp_path, capsys, command, grid, dimensions,
-                                          cited):
-        text = BASE
-        for section, dimension in dimensions.items():
-            text = text.replace(f"[{section}]\n", f"[{section}]\ndimension = {dimension}\n")
-        grid_section = "[grid]\ndimension = 1\nhalf_length = 20.0\npoints = 128\n"
-        text = text.replace(grid_section, "" if grid is None else grid_section.replace(
-            "dimension = 1", f"dimension = {grid}"))
-        lines = text.splitlines()
-        lineno = lines.index(f"dimension = {dimensions[cited]}",
-                             lines.index(f"[{cited}]")) + 1
-        with pytest.raises(ConfigError, match=f"line {lineno}: \\[kernel_.*differs"):
+    def _refused_at(self, tmp_path, capsys, command, text, lineno, message):
+        """``text`` is refused at ``lineno`` with ``message``, and ``command`` exits 2."""
+        with pytest.raises(ConfigError, match=f"line {lineno}: {message}"):
             parse_config(text)
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)
@@ -217,6 +200,44 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _with_dimensions(text, grid, dimensions, cited):
+        """``text`` with the kernel ``dimensions`` and a ``grid``-dimensional [grid] (None:
+        none), and the line number of [``cited``]'s ``dimension``."""
+        for section, dimension in dimensions.items():
+            text = text.replace(f"[{section}]\n", f"[{section}]\ndimension = {dimension}\n")
+        grid_section = "[grid]\ndimension = 1\nhalf_length = 20.0\npoints = 128\n"
+        text = text.replace(grid_section, "" if grid is None else grid_section.replace(
+            "dimension = 1", f"dimension = {grid}"))
+        lines = text.splitlines()
+        lineno = lines.index(f"dimension = {dimensions[cited]}", lines.index(f"[{cited}]")) + 1
+        return text, lineno
+
+    @pytest.mark.parametrize("grid, dimensions, cited", [
+        (1, {"kernel_minus": 2}, "kernel_minus"),
+        (2, {"kernel_plus": 1, "kernel_minus": 1}, "kernel_plus"),
+        (None, {"kernel_plus": 2}, "kernel_plus"),
+        (None, {"kernel_minus": 2}, "kernel_minus"),
+    ])
+    @pytest.mark.parametrize("command", ["dispersion", "simulate"])
+    def test_kernel_dimensions_must_agree(self, tmp_path, capsys, command, grid, dimensions,
+                                          cited):
+        text, lineno = self._with_dimensions(BASE, grid, dimensions, cited)
+        self._refused_at(tmp_path, capsys, command, text, lineno, "\\[kernel_.*differs")
+
+    @pytest.mark.parametrize("grid, dimensions", [
+        (None, {"kernel_plus": 3, "kernel_minus": 3}),
+        (2, {"kernel_plus": 3, "kernel_minus": 2}),
+    ])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("command", ["dispersion", "front", "simulate"])
+    def test_kernel_dimension_must_be_1_or_2(self, tmp_path, capsys, command, family, grid,
+                                             dimensions):
+        base = {"gaussian": BASE, "laplace": LAPLACE}[family]
+        text, lineno = self._with_dimensions(base, grid, dimensions, "kernel_plus")
+        self._refused_at(tmp_path, capsys, command, text, lineno,
+                         "bad value for 'dimension': '3' \\(must be 1 or 2\\)")
 
     def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
         text = BASE + "\n[front]\ninflate = 1.2\n"
@@ -640,11 +661,16 @@ SCIPY_PARTS = ("scipy.fft", "scipy.special", "scipy.integrate", "scipy.optimize"
                        "domain_left = -80\ndomain_right = 80\n", "0 []"),
     ("simulate", GAUSSIAN_2D, "0 []"),
     ("front", FRONT_2D, "0 []"),
+    ("wave", LAPLACE.replace("dimension = 1", "dimension = 2")
+     + "\n[wave]\nspeed_factor = 1.3\nspacing = 0.1\ndomain_left = -100\ndomain_right = 80\n",
+     "0 ['scipy.special']"),
 ], ids=["gaussian-simulate", "laplace-simulate", "gaussian-wave", "laplace-wave",
-        "gaussian-simulate-2d", "front-2d"])
+        "gaussian-simulate-2d", "front-2d", "laplace-wave-2d"])
 def test_run_loads_only_the_scipy_it_calls(tmp_path, command, text, loaded):
     """A simulate, wave or front with closed-form kernels needs no scipy: the 2-D
-    transforms of 5-smooth planes run on numpy, and so do the chord's Bessel series."""
+    transforms of 5-smooth planes run on numpy, and so do the chord's Bessel series.
+    A 2-D laplace wave loads ``scipy.special`` alone, for its marginal's K_1: the
+    marginal's tail is the kernel's closed form, no quadrature."""
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text)
     argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
-from nlkpp.kernels import (Kernel1D, RadialLine, _bessel_i, _fast_lengths, _irfft,
-                           _next_fast_len, _on_numpy, _quad, _radial_shape, _rfft)
+from nlkpp.kernels import (RadialLine, _bessel_i, _fast_lengths, _irfft, _next_fast_len,
+                           _on_numpy, _quad, _radial_shape, _rfft)
+from nlkpp.waves import sample_line_kernel
 
 
 def quad_mass_1d(kernel):
@@ -90,6 +91,12 @@ def test_power_tail_normalizer():
 def test_invalid_specs_rejected(bad):
     with pytest.raises(KernelError):
         KernelSpec(**bad)
+
+
+@pytest.mark.parametrize("dimension", [0, 3])
+def test_dimensions_other_than_1_or_2_are_refused(dimension):
+    with pytest.raises(KernelError, match=f"dimension must be 1 or 2, got {dimension}"):
+        KernelSpec("gaussian", dimension, sigma=1.0)
 
 
 @pytest.mark.parametrize("spec", SPECS_1D + [KernelSpec("gaussian", 1, sigma=0.7, offset=(0.3,))],
@@ -302,16 +309,53 @@ def test_discretize_coverage_counts_the_offset(offset):
         discretize(shifted, grid)
 
 
+def line_tail(line, radius):
+    """Mass of ``line`` outside [-radius, radius], by quadrature of its density."""
+    return _quad(line.eval, radius, np.inf) + _quad(line.eval, -np.inf, -radius)
+
+
 @pytest.mark.parametrize("drift", [0.0, 0.7, 5.0])
 @pytest.mark.parametrize("radius", [1.0, 4.0, 9.0])
 def test_gaussian_line_mass_outside_counts_the_drift(drift, radius):
-    # the mass outside [-radius, radius], as the base class integrates it
     shifted = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(drift,)))
     line = reduce_to_direction(shifted, [1.0])
-    expected = Kernel1D.mass_outside(line, radius)
+    expected = line_tail(line, radius)
     assert line.mass_outside(radius) == pytest.approx(expected, rel=1e-9, abs=1e-13)
     if drift == 0.0:
         assert line.mass_outside(radius) == math.erfc(radius / math.sqrt(2.0))
+
+
+# kernel keys and the half-width, in cells, of the line samples at spacing 0.1, in
+# 1-D and 2-D alike; power_tail's samples are too wide to take
+LINE_TAILS = [
+    (dict(family="gaussian", sigma=1.0), 90),
+    (dict(family="laplace", mu=1.0), 304),
+    (dict(family="laplace", mu=2.7), 113),
+    (dict(family="exppoly", p=1.0, q=3.0, mu=1.0), 203),
+    (dict(family="exppoly", p=2.0, q=1.0, mu=0.5), 90),
+    (dict(family="compact_uniform", radius=1.0), 40),
+    (dict(family="power_tail", q=4.0), None),
+]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.filterwarnings("ignore:kernel scale .* is marginal")
+@pytest.mark.parametrize("keys, halfwidth", LINE_TAILS,
+                         ids=["gaussian", "laplace-mu1", "laplace-mu2.7", "exppoly-p1",
+                              "exppoly-p2", "compact_uniform", "power_tail"])
+def test_ball_tail_bounds_the_line_tail(keys, halfwidth, dimension):
+    # the line's tail sizes its samples; the kernel's ball tail bounds it, and equals it in 1-D
+    kernel = make_kernel(KernelSpec(dimension=dimension, **keys))
+    line = reduce_to_direction(kernel, [1.0] + [0.0] * (dimension - 1))
+    for radius in (4.0, 9.0, 20.0):
+        radius *= kernel.effective_scale()
+        tail = line_tail(line, radius)
+        assert tail <= line.mass_outside(radius) * (1.0 + 1e-9) + 1e-13, radius
+        assert line.mass_outside(radius) <= kernel.mass_outside(radius), radius
+        if dimension == 1:
+            assert line.mass_outside(radius) == pytest.approx(tail, rel=1e-9, abs=1e-13)
+    if halfwidth is not None:
+        assert sample_line_kernel(line, 0.1).halfwidth == halfwidth
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

@@ -15,9 +15,14 @@ Usage::
     python tools/artifact_digests.py [CHECKOUT]
 
 ``CHECKOUT`` is the repository whose ``src`` is run; it defaults to the one
-holding this script.  To check that a change leaves every artifact
-byte-identical, check out the parent commit elsewhere (``git worktree add``)
-and compare::
+holding this script.  Every run gets ``OPENBLAS_NUM_THREADS=1``, so that
+the digests do not depend on the host's core count: the LAPACK solves of a
+wave's Newton steps run on numpy's BLAS threads, and at two threads instead
+of one, 27 of the 110 digest lines differed on a 2-vCPU x86-64 host (every
+file of the laplace, exppoly-p1 and laplace/gaussian wave runs).
+
+To check that a change leaves every artifact byte-identical, check out the
+parent commit elsewhere (``git worktree add``) and compare::
 
     python tools/artifact_digests.py /path/to/parent > parent.txt
     python tools/artifact_digests.py > change.txt
@@ -137,7 +142,8 @@ def matrix() -> list[tuple[str, str, dict]]:
 
 def main(argv: list[str]) -> int:
     checkout = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"),
+               OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, command, sections in matrix():
