@@ -128,10 +128,11 @@ def _snapshot_rows(traj, grid: Grid):
 
 def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
     problem = _problem(cfg)
-    traj = simulate(problem, cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
+    traj = simulate(problem, cfg.step, cfg.time.horizon,
+                    snapshot_stride=cfg.time.snapshot_stride)
     grid = cfg.grid
     header = ["t", *(f"x{i}" for i in range(1, grid.dimension + 1)), "u"]
-    if cfg.split_snapshots:
+    if cfg.output.split_snapshots:
         for idx, f in enumerate(traj.snapshots):
             sub = type(traj)()
             sub.append(f)
@@ -153,13 +154,14 @@ def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
 
 def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
     kernel = make_kernel(cfg.kernel_plus)
-    xi = np.asarray(cfg.direction, dtype=float)  # one component per kernel axis
+    spec = cfg.dispersion
+    xi = np.eye(kernel.dimension)[0] if spec.direction is None else np.asarray(spec.direction)
     xi = xi / np.linalg.norm(xi)
     line = reduce_to_direction(kernel, xi)
     report = minimize_G(cfg.params, line)
-    lo, hi, count = cfg.lambda_grid
+    hi = spec.lambda_max
     hi = min(hi, line.lambda0 * (1 - 1e-9)) if math.isfinite(line.lambda0) else hi
-    lams = np.linspace(lo, hi, count)
+    lams = np.linspace(spec.lambda_min, hi, spec.lambda_count)
     rows = [(lam, dispersion_G(cfg.params, line, lam)) for lam in lams]
     _write_csv(out / "dispersion.csv", ["lambda", "G"], rows)
     j = char_multiplicity(cfg.params, line, report.c_star, report=report)
@@ -183,16 +185,16 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
     else:
         line_m = reduce_to_direction(make_kernel(cfg.kernel_minus), xi)
     report = minimize_G(cfg.params, line_p)
-    if cfg.wave_speed is not None:
-        c = cfg.wave_speed
-    elif cfg.wave_speed_factor is not None:
-        c = cfg.wave_speed_factor * report.c_star
+    wave = cfg.wave
+    if wave.speed is not None:
+        c = wave.speed
+    elif wave.speed_factor is not None:
+        c = wave.speed_factor * report.c_star
     else:
         c = report.c_star
     profile = waves.solve_profile(
         cfg.params, line_p, line_m, c,
-        h=cfg.wave_spacing, s_left=cfg.wave_domain[0], s_right=cfg.wave_domain[1],
-        report=report,
+        h=wave.spacing, s_left=wave.domain_left, s_right=wave.domain_right, report=report,
     )
     _write_csv(out / "profile.csv", ["s", "psi"],
                zip(profile.s.tolist(), profile.psi.tolist()))
@@ -215,16 +217,17 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
 def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     kernel_plus = make_kernel(cfg.kernel_plus)
     theta = cfg.params.require_carrying_capacity()
-    level = cfg.front_level if cfg.front_level is not None else theta / 2.0
+    level = cfg.front.level if cfg.front.level is not None else theta / 2.0
     problem = _problem(cfg)
-    traj = simulate(problem, cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
+    traj = simulate(problem, cfg.step, cfg.time.horizon,
+                    snapshot_stride=cfg.time.snapshot_stride)
     trace = fronts.track_level(traj, level, np.eye(cfg.grid.dimension)[0])
     _write_csv(out / "front_trace.csv", ["t", "position"],
                zip(trace.times.tolist(), trace.positions.tolist()))
     entries = {"scenario.command": "front", "front.level": level}
     try:
-        fset = front_set(cfg.params, kernel_plus, n_directions=cfg.front_n_directions)
-        times, deficits = fronts.interior_convergence(traj, fset, cfg.front_shrink, theta)
+        fset = front_set(cfg.params, kernel_plus, n_directions=cfg.front.n_directions)
+        times, deficits = fronts.interior_convergence(traj, fset, cfg.front.shrink, theta)
         _write_csv(out / "interior_deficit.csv", ["t", "deviation"],
                    zip(times.tolist(), deficits.tolist()))
         entries["front.c_star_max"] = float(np.max(fset.speeds))
@@ -244,10 +247,10 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
-    if cfg.verify_suite != "comparison":
-        raise NlkppError(f"unknown verification suite {cfg.verify_suite!r}")
+    if cfg.verify.suite != "comparison":
+        raise NlkppError(f"unknown verification suite {cfg.verify.suite!r}")
     theta = cfg.params.require_carrying_capacity()
-    if cfg.verify_necessity:
+    if cfg.verify.necessity:
         # counterexample mode: domination deliberately violated near the origin
         worst_overshoot = _necessity_counterexample(cfg)
         return {
@@ -258,19 +261,19 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
         }
 
     problem = _problem(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.scenario.seed)
     grid = cfg.grid
     worst = 0.0
     worst_strip = 0.0
     envelopes_ok = True
-    for _ in range(cfg.verify_pairs):
+    for _ in range(cfg.verify.pairs):
         base = theta * rng.random(grid.shape)
         gap = theta * rng.random(grid.shape)
         v0 = np.minimum(base + gap, theta)
         u0 = base
         result = fronts.comparison_harness(
             cfg.params, problem.a_plus_w, problem.a_minus_w,
-            Field(grid, u0), Field(grid, v0), cfg.horizon, cfg.step,
+            Field(grid, u0), Field(grid, v0), cfg.time.horizon, cfg.step,
         )
         worst = max(worst, result.max_violation)
         worst_strip = max(worst_strip, result.strip_violation)
@@ -279,7 +282,7 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
     return {
         "scenario.command": "verify",
         "verify.suite": "comparison",
-        "verify.pairs": cfg.verify_pairs,
+        "verify.pairs": cfg.verify.pairs,
         "verify.max_order_violation": worst,
         "verify.max_strip_violation": worst_strip,
         "verify.lower_envelope_ok": envelopes_ok,
@@ -305,7 +308,7 @@ def _necessity_counterexample(cfg: ScenarioConfig) -> float:
         nonlocal peak
         peak = max(peak, float(values.max()))
 
-    _march(_advance, params, wp, wm, u0.values, cfg.step, cfg.horizon, running_max)
+    _march(_advance, params, wp, wm, u0.values, cfg.step, cfg.time.horizon, running_max)
     return peak - theta
 
 
@@ -315,19 +318,21 @@ _RUNNERS = {name: globals()[f"run_{name}"] for name in COMMANDS}
 
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Execute one scenario; returns the process exit status."""
-    out = Path(cfg.out_dir)
+    out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     # thread count is deliberately not echoed: results must not depend on it
-    entries = {"seed": cfg.seed}
+    entries = {"seed": cfg.scenario.seed}
     status = 0
-    try:
-        entries.update(_RUNNERS[cfg.command](cfg, out))
-    except (NlkppError, ValueError, RuntimeError) as exc:
-        # numerical code raises ValueError/RuntimeError for rejected inputs too
-        entries["error"] = str(exc)
-        entries["error.type"] = type(exc).__name__
-        status = 1
-    entries.update(_assumption_entries(cfg))
+    for step in (lambda: _RUNNERS[cfg.scenario.command](cfg, out),
+                 lambda: _assumption_entries(cfg)):
+        try:
+            entries.update(step())
+        except (NlkppError, ValueError, RuntimeError) as exc:
+            # numerical code raises ValueError/RuntimeError for rejected inputs too;
+            # the first error is the one reported
+            entries.setdefault("error", str(exc))
+            entries.setdefault("error.type", type(exc).__name__)
+            status = 1
     if entries.get("verify.violations", 0):
         status = 1
     if entries.get("simulate.strip_ok") is False:
@@ -355,16 +360,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg.output.directory = args.out
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.scenario.seed = args.seed
     if getattr(args, "suite", None):
-        cfg.verify_suite = args.suite
-    try:
-        return run_scenario(cfg)
-    except NlkppError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cfg.verify.suite = args.suite
+    return run_scenario(cfg)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:

@@ -4,12 +4,21 @@ The format is deliberately plain: ``[section]`` headers, ``key = value``
 lines, ``#`` comments.  Unknown sections or keys are hard errors (silent
 typos in a twenty-parameter scenario are worse than a crash), and every
 error message carries the offending line number.
+
+``_KEYS`` states each key once: its converter, which range-checks it, and
+its default.  ``[model]``, ``[kernel_plus]``, ``[kernel_minus]`` and
+``[grid]`` build domain objects, and ``[time]`` a ``StepConfig``; ``[time]``
+and every other section reach the runners as a namespace of their converted
+keys under the table's own names, such as ``cfg.wave.speed_factor`` or
+``cfg.output.directory``.  A new key is one ``_KEYS`` entry plus the code
+that reads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import ConfigError, KernelError
 from .evolution import METHODS, StepConfig
@@ -53,12 +62,13 @@ def _int_at_least(low: int):
 
 
 _finite = _checked(float, math.isfinite, "must be finite")
+_finite_floats = _checked(_as_floats, lambda values: all(map(math.isfinite, values)),
+                          "must be finite")
 _positive = _checked(float, lambda value: 0 < value < math.inf, "must be positive and finite")
 _nonnegative = _checked(float, lambda value: 0 <= value < math.inf,
                         "must be nonnegative and finite")
 _open_unit = _checked(float, lambda value: 0 < value < 1, "must lie in (0, 1)")
-_direction = _checked(_as_floats, lambda xi: all(map(math.isfinite, xi)) and any(xi),
-                      "must be finite and not all zero")
+_direction = _checked(_finite_floats, any, "must not be all zero")
 _dimension = _checked(int, (1, 2).__contains__, "must be 1 or 2")
 _grid_points = _checked(int, lambda n: n >= 16 and not n & (n - 1),
                         "must be a power of two, at least 16")
@@ -73,8 +83,9 @@ _REQUIRED = object()  # the default of a key that must be given
 _KERNEL_KEYS = {
     "family": (_family, _REQUIRED),
     "dimension": (_dimension, None),  # None: the grid's dimension, 1 without a grid
-    "sigma": (float, None), "mu": (float, None), "p": (float, None), "q": (float, None),
-    "radius": (float, None), "offset": (_as_floats, None),
+    # sign rules are KernelSpec's, per family
+    "sigma": (_finite, None), "mu": (_finite, None), "p": (_finite, None), "q": (_finite, None),
+    "radius": (_finite, None), "offset": (_finite_floats, None),
 }
 
 # section -> key -> (converter, default): the only statement of each key, and
@@ -92,16 +103,16 @@ _KEYS = {
              "method": (_one_of(METHODS, "method"), "rk4"),
              "snapshot_stride": (_int_at_least(1), 100), "floor": (_nonnegative, 0.0)},
     "initial": {"kind": (_one_of(_INITIAL_KINDS, "initial kind"), _REQUIRED),
-                "value": (float, None),
-                "center": (_as_floats, None),  # one coordinate per grid axis
-                "width": (float, None), "height": (float, None), "direction": (int, 1),
-                "path": (str, None), "shift": (float, 0.0)},
+                "value": (_finite, None),
+                "center": (_finite_floats, None),  # one coordinate per grid axis; None: 0
+                "width": (_positive, None), "height": (_finite, None), "direction": (int, 1),
+                "path": (str, None), "shift": (_finite, 0.0)},
     "output": {"directory": (str, "out"), "split_snapshots": (_as_bool, False)},
     "dispersion": {"direction": (_direction, None),  # one per kernel_plus axis; None: e1
-                   "lambda_min": (float, 1e-3), "lambda_max": (float, 3.0),
+                   "lambda_min": (_positive, 1e-3), "lambda_max": (_positive, 3.0),
                    "lambda_count": (_int_at_least(2), 200)},
     "wave": {"speed": (_finite, None), "speed_factor": (_finite, None),
-             "domain_left": (float, -40.0), "domain_right": (float, 80.0),
+             "domain_left": (_finite, -40.0), "domain_right": (_finite, 80.0),
              "spacing": (_positive, 0.05)},
     "front": {"level": (_finite, None),  # None: theta / 2
               "shrink": (_open_unit, 0.5), "n_directions": (_int_at_least(1), 32)},
@@ -168,44 +179,27 @@ def _line(sections, section, key) -> int | None:
 
 
 @dataclass
-class InitialSpec:
-    kind: str
-    value: float | None
-    center: tuple[float, ...] | None
-    width: float | None
-    height: float | None
-    direction: int
-    path: str | None
-    shift: float
-
-
-@dataclass
 class ScenarioConfig:
-    command: str
+    """The domain objects of a scenario, and its other sections as namespaces.
+
+    ``time`` holds every ``[time]`` key, the three of ``step`` too;
+    ``scenario.command`` is the effective command and ``initial`` is None
+    without an ``[initial]`` section.
+    """
+
     params: ModelParams
     kernel_plus: KernelSpec
     kernel_minus: KernelSpec
     grid: Grid | None
     step: StepConfig
-    horizon: float
-    snapshot_stride: int
-    initial: InitialSpec | None
-    out_dir: str
-    split_snapshots: bool
-    seed: int
-    # subcommand extras
-    direction: tuple[float, ...]
-    lambda_grid: tuple[float, float, int]
-    wave_speed: float | None
-    wave_speed_factor: float | None
-    wave_domain: tuple[float, float]
-    wave_spacing: float
-    front_level: float | None
-    front_shrink: float
-    front_n_directions: int
-    verify_suite: str
-    verify_pairs: int
-    verify_necessity: bool
+    initial: SimpleNamespace | None
+    scenario: SimpleNamespace
+    time: SimpleNamespace
+    output: SimpleNamespace
+    dispersion: SimpleNamespace
+    wave: SimpleNamespace
+    front: SimpleNamespace
+    verify: SimpleNamespace
 
 
 def _kernel_spec(sections, section: str, grid_dimension: int) -> KernelSpec:
@@ -232,8 +226,8 @@ def _check_dimensions(sections, kplus: KernelSpec, kminus: KernelSpec, grid: Gri
                               f"{source} dimension {expected}", line)
 
 
-def _initial(sections, grid_dimension: int) -> InitialSpec:
-    initial = InitialSpec(**_section(sections, "initial", center=grid_dimension))
+def _initial(sections, grid_dimension: int) -> SimpleNamespace:
+    initial = SimpleNamespace(**_section(sections, "initial", center=grid_dimension))
     kind, kind_line = initial.kind, _line(sections, "initial", "kind")
     if kind == "constant" and initial.value is None:
         raise ConfigError("initial kind 'constant' requires 'value'", kind_line)
@@ -248,59 +242,43 @@ def _initial(sections, grid_dimension: int) -> InitialSpec:
     return initial
 
 
+def _ordered(sections, section: str, keys: dict, low: str, high: str) -> None:
+    """Refuse ``keys[low] >= keys[high]``, citing the later of the two keys' lines."""
+    if not keys[low] < keys[high]:
+        line = max(_line(sections, section, key) or 0 for key in (low, high))
+        raise ConfigError(f"need {low} < {high}, got {keys[low]} and {keys[high]}", line)
+
+
 def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     """Parse a scenario configuration; unknown keys are hard errors.
 
     A missing ``[grid]`` or ``[initial]`` section means none; any other
-    missing section takes the table's defaults.
+    missing section takes the table's defaults.  ``command`` overrides
+    ``[scenario] command``.
     """
     sections = _parse_lines(text)
     params = ModelParams(**_section(sections, "model"))
     grid = None
     if "grid" in sections:
-        grid_keys = _section(sections, "grid")
-        grid = Grid(grid_keys["dimension"], grid_keys["half_length"], grid_keys["points"])
+        keys = _section(sections, "grid")
+        grid = Grid(keys["dimension"], keys["half_length"], keys["points"])
     grid_dimension = 1 if grid is None else grid.dimension
     kplus = _kernel_spec(sections, "kernel_plus", grid_dimension)
     kminus = _kernel_spec(sections, "kernel_minus", grid_dimension)
     _check_dimensions(sections, kplus, kminus, grid)
     initial = _initial(sections, grid_dimension) if "initial" in sections else None
 
-    scenario, time, output, wave, front, verify = (
-        _section(sections, name) for name in ("scenario", "time", "output", "wave", "front",
-                                               "verify"))
-    dispersion = _section(sections, "dispersion", direction=kplus.dimension)
-    wave_domain = (wave["domain_left"], wave["domain_right"])
-    if not -math.inf < wave_domain[0] < wave_domain[1] < math.inf:
-        line = max(entry[1] for key, entry in sections["wave"].items() if "domain" in key)
-        raise ConfigError(f"need finite domain_left < domain_right: {wave_domain}", line)
+    spaces = {name: _section(sections, name)
+              for name in ("scenario", "time", "output", "wave", "front", "verify")}
+    spaces["dispersion"] = _section(sections, "dispersion", direction=kplus.dimension)
+    _ordered(sections, "dispersion", spaces["dispersion"], "lambda_min", "lambda_max")
+    _ordered(sections, "wave", spaces["wave"], "domain_left", "domain_right")
+    spaces["scenario"]["command"] = command or spaces["scenario"]["command"]
+    time = spaces["time"]
     return ScenarioConfig(
-        command=command or scenario["command"],
-        params=params,
-        kernel_plus=kplus,
-        kernel_minus=kminus,
-        grid=grid,
+        params=params, kernel_plus=kplus, kernel_minus=kminus, grid=grid,
         step=StepConfig(dt=time["dt"], method=time["method"], floor=time["floor"]),
-        horizon=time["horizon"],
-        snapshot_stride=time["snapshot_stride"],
-        initial=initial,
-        out_dir=output["directory"],
-        split_snapshots=output["split_snapshots"],
-        seed=scenario["seed"],
-        direction=dispersion["direction"] or (1.0,) + (0.0,) * (kplus.dimension - 1),
-        lambda_grid=(dispersion["lambda_min"], dispersion["lambda_max"],
-                     dispersion["lambda_count"]),
-        wave_speed=wave["speed"],
-        wave_speed_factor=wave["speed_factor"],
-        wave_domain=wave_domain,
-        wave_spacing=wave["spacing"],
-        front_level=front["level"],
-        front_shrink=front["shrink"],
-        front_n_directions=front["n_directions"],
-        verify_suite=verify["suite"],
-        verify_pairs=verify["pairs"],
-        verify_necessity=verify["necessity"],
-    )
+        initial=initial, **{name: SimpleNamespace(**keys) for name, keys in spaces.items()})
 
 
 def load_config(path: str | Path, command: str | None = None) -> ScenarioConfig:

@@ -441,9 +441,8 @@ def truncated_problem(problem: EvolutionProblem, radius: float) -> tuple[float, 
     theta_r = (params.kappa_plus * a_plus_mass - params.mortality) / (
         params.kappa_minus * a_minus_mass
     )
-    wp_s = SampledWeights(wp, grid.spacing, a_plus_mass)
-    wm_s = SampledWeights(wm, grid.spacing, a_minus_mass)
-    truncated = EvolutionProblem(params, wp_s, wm_s, problem.u)
+    truncated = EvolutionProblem(params, SampledWeights(wp, grid.spacing),
+                                 SampledWeights(wm, grid.spacing), problem.u)
     return theta_r, truncated
 
 

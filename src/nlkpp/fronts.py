@@ -28,8 +28,6 @@ from .waves import half_level_crossing
 class LevelTrace:
     """Rightmost level-crossing positions along a direction, per snapshot."""
 
-    level: float
-    direction: np.ndarray
     times: np.ndarray
     positions: np.ndarray
 
@@ -77,8 +75,7 @@ def track_level(traj: Trajectory, level: float, xi) -> LevelTrace:
             break
         times.append(f.time)
         positions.append(pos)
-    return LevelTrace(level=level, direction=xi,
-                      times=np.asarray(times), positions=np.asarray(positions))
+    return LevelTrace(times=np.asarray(times), positions=np.asarray(positions))
 
 
 def estimate_speed(trace: LevelTrace, transient_fraction: float = 0.25) -> SpeedEstimate:

@@ -624,8 +624,6 @@ class SampledWeights(_Samples):
     theory applies verbatim.
     """
 
-    mass: float
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.weights.shape
@@ -727,5 +725,5 @@ def discretize(kernel: Kernel, grid) -> SampledWeights:
     weights = kernel.eval(_displacements(grid)) * grid.spacing**dim
 
     if light:
-        return SampledWeights(weights=_unit_sum(weights), spacing=grid.spacing, mass=1.0)
-    return SampledWeights(weights=weights, spacing=grid.spacing, mass=float(weights.sum()))
+        weights = _unit_sum(weights)
+    return SampledWeights(weights=weights, spacing=grid.spacing)

@@ -59,9 +59,9 @@ class TestParsing:
         cfg = parse_config(BASE.replace("dt = 2e-3", "").replace(
             "snapshot_stride = 125", ""))
         assert cfg.step == StepConfig(dt=1e-3, method="rk4", floor=0.0)
-        assert cfg.snapshot_stride == 100
-        assert cfg.command == "simulate"
-        assert cfg.seed == 11
+        assert cfg.time.snapshot_stride == 100
+        assert cfg.scenario.command == "simulate"
+        assert cfg.scenario.seed == 11
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
@@ -132,6 +132,24 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\n\n[front]\nlevel = inf"),
         ("value = 0.5", "value = 0.5\n\n[front]\nshrink = 1.5"),
         ("value = 0.5", "value = 0.5\n\n[front]\nshrink = 0"),
+        ("sigma = 1.0", "sigma = inf"),
+        ("sigma = 1.0", "sigma = 1.0\noffset = nan"),
+        ("sigma = 1.0", "sigma = 1.0\nmu = inf"),
+        ("sigma = 1.0", "sigma = 1.0\np = nan"),
+        ("sigma = 1.0", "sigma = 1.0\nq = -inf"),
+        ("sigma = 1.0", "sigma = 1.0\nradius = nan"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_max = nan"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_max = inf"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_min = 0"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_min = 2\nlambda_max = 1"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_max = 1\nlambda_min = 1"),
+        ("value = 0.5", "value = 0.5\n\n[dispersion]\nlambda_min = 5"),
+        ("value = 0.5", "value = nan"),
+        ("value = 0.5", "value = 0.5\ncenter = nan"),
+        ("value = 0.5", "value = 0.5\nwidth = inf"),
+        ("value = 0.5", "value = 0.5\nwidth = -2"),
+        ("value = 0.5", "value = 0.5\nheight = nan"),
+        ("value = 0.5", "value = 0.5\nshift = inf"),
     ])
     def test_rejects_out_of_range_values_with_line(self, old, new):
         text = BASE.replace(old, new)
@@ -139,6 +157,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"line {lineno}:") as info:
             parse_config(text)
         assert info.value.line == lineno
+
+    @pytest.mark.parametrize("text, cited, message", [
+        (BASE + "\n[model]\nkappa_plus\n", "kappa_plus",
+         "expected 'key = value', got 'kappa_plus'"),
+        ("seed = 3\n" + BASE, "seed = 3", "key outside of any \\[section\\]"),
+        (BASE + "\n[output]\nsplit_snapshots = maybe\n", "split_snapshots = maybe",
+         "bad value for 'split_snapshots': 'maybe' \\(expected a boolean, got 'maybe'\\)"),
+    ])
+    def test_malformed_lines_are_refused_with_line(self, text, cited, message):
+        lineno = text.splitlines().index(cited) + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: {message}") as info:
+            parse_config(text)
+        assert info.value.line == lineno
+
+    def test_missing_required_key(self):
+        with pytest.raises(ConfigError, match="missing required key 'mortality' in "
+                                              "section \\[model\\]"):
+            parse_config(BASE.replace("mortality = 1.0", ""))
 
     @pytest.mark.parametrize("old, new, cited", [
         ("kind = constant", "kind = blob", "kind = blob"),
@@ -747,7 +783,8 @@ class TestMoreScenarios:
         cfg_file.write_text(text)
         assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
         cfg = parse_config(text)
-        traj = simulate(_problem(cfg), cfg.step, cfg.horizon, snapshot_stride=cfg.snapshot_stride)
+        traj = simulate(_problem(cfg), cfg.step, cfg.time.horizon,
+                        snapshot_stride=cfg.time.snapshot_stride)
         x = cfg.grid.axis_coords()
         # the reference: every field of every row formatted on its own, as _fmt formats a float
         expected = [",".join("%.17g" % v for v in (f.time, *x[list(idx)], f.values[idx]))
@@ -764,6 +801,84 @@ class TestMoreScenarios:
         assert rc == 0
         data = np.loadtxt(tmp_path / "out" / "snapshots.csv", delimiter=",", skiprows=1)
         assert data.shape[1] == 4  # t, x1, x2, u
+
+
+class TestOverridesAndExitStatus:
+    """The command-line overrides of the config, and the exits that no error causes."""
+
+    def _run(self, tmp_path, argv, text, name="out"):
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / name
+        rc = main([*argv, "--config", str(cfg_file), "--out", str(out)])
+        return rc, summary_dict(out), out
+
+    def test_seed_option_overrides_the_config(self, tmp_path):
+        text = BASE + "\n[verify]\npairs = 2\n"
+        rc_option, entries, by_option = self._run(tmp_path, ["verify", "--seed", "5"], text,
+                                                  "option")
+        rc_config, _, by_config = self._run(tmp_path, ["verify"],
+                                            text.replace("seed = 11", "seed = 5"), "config")
+        assert rc_option == rc_config == 0
+        assert entries["seed"] == "5"
+        assert ((by_option / "summary.txt").read_bytes()
+                == (by_config / "summary.txt").read_bytes())
+
+    def test_suite_argument_overrides_the_config(self, tmp_path):
+        text = BASE + "\n[verify]\nsuite = bogus\npairs = 2\n"
+        rc, entries, _ = self._run(tmp_path, ["verify", "comparison"], text, "given")
+        assert rc == 0 and entries["verify.suite"] == "comparison"
+        rc, entries, _ = self._run(tmp_path, ["verify", "mystery"], BASE, "unknown")
+        assert rc == 1
+        assert entries["error"] == "unknown verification suite 'mystery'"
+
+    def test_necessity_without_overshoot_exits_1(self, tmp_path):
+        # one step of 1e-3 overshoots theta by 8.4e-5, short of the 1e-4 it must show
+        text = (BASE.replace("points = 128", "points = 1024")
+                .replace("half_length = 20.0", "half_length = 10.0")
+                .replace("dt = 2e-3\nhorizon = 0.5", "dt = 1e-3\nhorizon = 1e-3")
+                + "\n[verify]\nnecessity = true\n")
+        rc, entries, _ = self._run(tmp_path, ["verify"], text)
+        assert rc == 1
+        assert entries["verify.violations"] == "1"
+        assert 0 < float(entries["verify.max_overshoot_above_theta"]) < 1e-4
+        assert "error" not in entries
+
+    def test_start_outside_the_strip_exits_1(self, tmp_path):
+        # theta = 1: a constant start at 2 theta decays toward theta from above
+        rc, entries, _ = self._run(tmp_path, ["simulate"], BASE.replace("value = 0.5",
+                                                                        "value = 2.0"))
+        assert rc == 1
+        assert entries["simulate.strip_ok"] == "false"
+        assert entries["simulate.global_max"] == "2"
+        assert "error" not in entries
+
+    def test_no_initial_section_starts_at_half_theta(self, tmp_path):
+        text = BASE[:BASE.index("[initial]")]
+        rc, entries, out = self._run(tmp_path, ["simulate"], text)
+        assert rc == 0
+        data = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+        assert np.all(data[data[:, 0] == 0.0, 2] == 0.5)
+        assert entries["simulate.global_min"] == "0.5"
+
+    def test_front_with_a_heavy_tail_has_no_front_set(self, tmp_path):
+        text = (BASE.replace("family = gaussian\nsigma = 1.0", "family = power_tail\nq = 4.0", 1)
+                .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 2.0\nheight = 0.5"))
+        rc, entries, out = self._run(tmp_path, ["front"], text)
+        assert rc == 0
+        assert entries["front.c_star_max"] == entries["front.c_star_min"] == "inf"
+        assert (out / "front_trace.csv").exists()
+        assert not (out / "interior_deficit.csv").exists()
+
+    @pytest.mark.parametrize("command", ["dispersion", "wave"])
+    def test_kernel_refused_at_sampling_writes_a_summary(self, tmp_path, command):
+        # the parser accepts this spec; make_kernel finds its normalizer not finite
+        text = BASE.replace("family = gaussian\nsigma = 1.0",
+                            "family = exppoly\np = 0.5\nq = 0\nmu = 1e-300", 1)
+        rc, entries, _ = self._run(tmp_path, [command], text)
+        assert rc == 1
+        assert entries["error.type"] == "KernelError"
+        assert "is not integrable" in entries["error"]
 
 
 class TestProfileFileWorkflow:

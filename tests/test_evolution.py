@@ -113,7 +113,7 @@ class TestSharedKernel:
     @pytest.fixture
     def twin(self, gauss_weights):
         w = gauss_weights
-        return SampledWeights(w.weights.copy(), w.spacing, w.mass)
+        return SampledWeights(w.weights.copy(), w.spacing)
 
     @pytest.fixture
     def calls(self, transforms):

@@ -55,14 +55,14 @@ class TestEstimateSpeed:
         rng = np.random.default_rng(9)
         t = np.linspace(0, 40, 80)
         x = 2.19 * t + rng.normal(scale=0.01, size=t.shape)
-        est = estimate_speed(LevelTrace(0.5, np.array([1.0]), t, x))
+        est = estimate_speed(LevelTrace(t, x))
         assert est.c_hat == pytest.approx(2.19, abs=0.01)
         assert est.stderr < 0.01
 
     def test_too_few_points(self):
         t = np.linspace(0, 5, 5)
         with pytest.raises(ValueError):
-            estimate_speed(LevelTrace(0.5, np.array([1.0]), t, 2 * t))
+            estimate_speed(LevelTrace(t, 2 * t))
 
 
 class TestInteriorExterior:
@@ -123,15 +123,15 @@ class TestInteriorExterior:
 class TestAcceleration:
     def test_synthetic_verdicts(self):
         t = np.linspace(1, 40, 120)
-        linear = LevelTrace(0.5, np.array([1.0]), t, 2.19 * t)
+        linear = LevelTrace(t, 2.19 * t)
         assert acceleration_test(linear) == "ballistic"
-        quadratic = LevelTrace(0.5, np.array([1.0]), t, t**2)
+        quadratic = LevelTrace(t, t**2)
         assert acceleration_test(quadratic) == "superlinear"
 
     def test_short_trace_rejected(self):
         t = np.linspace(10, 20, 30)
         with pytest.raises(ValueError):
-            acceleration_test(LevelTrace(0.5, np.array([1.0]), t, 2 * t))
+            acceleration_test(LevelTrace(t, 2 * t))
 
 
 class TestComparison:

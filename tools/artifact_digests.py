@@ -3,12 +3,17 @@
 Runs every ``nlkpp`` command over a fixed set of configs, each in a fresh
 ``python -m nlkpp.cli`` process and its own output directory under a
 temporary directory, and prints ``sha256  relative-path`` for every file
-written, ``summary.txt`` included, in path order.  The matrix covers
-``dispersion`` for every kernel family in one and two dimensions (the offset
-gaussian and exppoly with p = 0.5, 1 and 2 among them), waves at 1.0 and
-1.3 c* on 1-D and 2-D kernels, ``simulate`` (split snapshots too; the offset
-gaussian in both dimensions, a 2-D step start and a 2-D exppoly), 1-D and
-2-D ``front`` runs and both ``verify`` modes (necessity in 2-D too).
+written, ``summary.txt`` included, in path order, then ``exit N  run`` for
+every run, in matrix order (a config the parser refuses writes no file, so
+only its exit status shows it).  The matrix covers ``dispersion`` for every
+kernel family in one and two dimensions (the offset gaussian and exppoly
+with p = 0.5, 1 and 2 among them), waves at 1.0 and 1.3 c* on 1-D and 2-D
+kernels, ``simulate`` (split snapshots too; the offset gaussian in both
+dimensions, a 2-D step start and a 2-D exppoly), 1-D and 2-D ``front`` runs
+and both ``verify`` modes (necessity in 2-D too).  Short 1-D runs give every
+key that a runner reads a value other than its default somewhere, every
+``[initial]`` kind and none, and exercise ``--seed``, the ``verify`` suite
+argument and an ``[output] directory`` without ``--out``.
 
 Usage::
 
@@ -18,7 +23,7 @@ Usage::
 holding this script.  Every run gets ``OPENBLAS_NUM_THREADS=1``, so that
 the digests do not depend on the host's core count: the LAPACK solves of a
 wave's Newton steps run on numpy's BLAS threads, and at two threads instead
-of one, 27 of the 110 digest lines differed on a 2-vCPU x86-64 host (every
+of one, 27 of the then 110 digest lines differed on a 2-vCPU x86-64 host (every
 file of the laplace, exppoly-p1 and laplace/gaussian wave runs).
 
 To check that a change leaves every artifact byte-identical, check out the
@@ -31,6 +36,7 @@ parent commit elsewhere (``git worktree add``) and compare::
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +61,12 @@ KERNELS = {
 # long left end to reach theta, the compact one a short domain for Newton to converge
 WAVE_DOMAINS = {"gaussian": (-40.0, 80.0), "laplace": (-100.0, 80.0),
                 "exppoly-p1": (-40.0, 80.0), "compact_uniform": (-30.0, 40.0)}
+
+
+# a 1-D start for the profile-file kinds, from theta = 1 on the left to 0 on the right;
+# runs read it as profile.csv in their working directory
+PROFILE = "s,psi\n" + "".join(f"{s},{0.5 - 0.5 * math.tanh(s / 2.0)!r}\n"
+                              for s in range(-20, 21))
 
 
 def _kernel(keys: dict, dimension: int) -> dict:
@@ -87,8 +99,48 @@ def _evolution(dimension: int, points: int, half_length: float, horizon: float,
     }
 
 
-def matrix() -> list[tuple[str, str, dict]]:
-    """(run name, command, config sections) for every run."""
+def _keyed_runs() -> list[tuple[str, list[str], dict]]:
+    """Short 1-D runs that set the keys and options the rest of the matrix leaves at
+    their defaults."""
+    gaussian = _kernel(GAUSSIAN, 1)
+    line = {"model": MODEL, "kernel_plus": gaussian, "kernel_minus": gaussian}
+    time = {"dt": 0.01, "horizon": 1.0, "snapshot_stride": 25}
+
+    def simulate(initial: dict | None, **extra) -> dict:
+        sections = _evolution(1, 128, 20.0, 1.0, initial=initial, **extra)
+        if initial is None:
+            del sections["initial"]
+        return sections
+
+    return [
+        ("keys-wave-speed", ["wave"],
+         dict(line, wave={"speed": 2.5, "spacing": 0.1})),
+        ("keys-dispersion-lambda", ["dispersion"],
+         dict(line, dispersion={"lambda_min": 0.1, "lambda_max": 2.0, "lambda_count": 20})),
+        ("keys-front-level-shrink", ["front"],
+         _evolution(1, 256, 20.0, 2.0, front={"level": 0.3, "shrink": 0.7})),
+        ("keys-time-exp_euler-floor", ["simulate"],
+         simulate({"kind": "bump", "width": 2.0, "height": 0.5},
+                  time=dict(time, method="exp_euler", floor=1e-12))),
+        ("keys-initial-constant", ["simulate"], simulate({"kind": "constant", "value": 0.25})),
+        ("keys-initial-profile-file", ["simulate"],
+         simulate({"kind": "profile-file", "path": "profile.csv"})),
+        ("keys-initial-shifted-profile", ["simulate"],
+         simulate({"kind": "shifted-profile", "path": "profile.csv", "shift": -3.5})),
+        ("keys-initial-step-left", ["simulate"], simulate({"kind": "step", "direction": -1})),
+        ("keys-initial-none", ["simulate"], simulate(None)),
+        ("keys-output-directory", ["simulate"],
+         simulate({"kind": "constant", "value": 0.25},
+                  output={"directory": "out/keys-output-directory"})),
+        ("keys-seed-option", ["verify", "--seed", "3"],
+         _evolution(1, 128, 20.0, 0.5, verify={"pairs": 2})),
+        ("keys-verify-suite-argument", ["verify", "comparison"],
+         _evolution(1, 128, 20.0, 0.5, verify={"suite": "none-such", "pairs": 2})),
+    ]
+
+
+def matrix() -> list[tuple[str, list[str], dict]]:
+    """(run name, command and options, config sections) for every run."""
     runs = []
     for name, keys in KERNELS.items():
         for d in (1, 2):
@@ -137,7 +189,8 @@ def matrix() -> list[tuple[str, str, dict]]:
         ("verify-necessity-2d", "verify",
          _evolution(2, 128, 5.0, 0.5, verify={"necessity": "true"})),
     ]
-    return runs
+    runs = [(name, [command], sections) for name, command, sections in runs]
+    return runs + _keyed_runs()
 
 
 def main(argv: list[str]) -> int:
@@ -146,18 +199,23 @@ def main(argv: list[str]) -> int:
                OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, command, sections in matrix():
+        (root / "configs").mkdir()
+        (root / "profile.csv").write_text(PROFILE)
+        exits = []
+        for name, args, sections in matrix():
             cfg = root / "configs" / f"{name}.cfg"
-            cfg.parent.mkdir(exist_ok=True)
             cfg.write_text(_render(sections))
-            subprocess.run([sys.executable, "-m", "nlkpp.cli", command, "--config", str(cfg),
-                            "--out", str(root / "out" / name)],
-                           env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL, check=False)
+            out = [] if "directory" in sections.get("output", {}) else ["--out", f"out/{name}"]
+            run = subprocess.run([sys.executable, "-m", "nlkpp.cli", *args, "--config", str(cfg),
+                                  *out], cwd=root, env=env, stdin=subprocess.DEVNULL,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                 check=False)
+            exits.append(f"exit {run.returncode}  {name}")
         out = root / "out"
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
+        print("\n".join(exits))
     return 0
 
 
