@@ -218,6 +218,8 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     kernel_plus = make_kernel(cfg.kernel_plus)
     theta = cfg.params.require_carrying_capacity()
     level = cfg.front.level if cfg.front.level is not None else theta / 2.0
+    if not 0.0 < level < theta:
+        raise ValueError(f"front level {level:g} must lie in (0, theta) = (0, {theta:g})")
     problem = _problem(cfg)
     traj = simulate(problem, cfg.step, cfg.time.horizon,
                     snapshot_stride=cfg.time.snapshot_stride)

@@ -70,6 +70,7 @@ _nonnegative = _checked(float, lambda value: 0 <= value < math.inf,
 _open_unit = _checked(float, lambda value: 0 < value < 1, "must lie in (0, 1)")
 _direction = _checked(_finite_floats, any, "must not be all zero")
 _dimension = _checked(int, (1, 2).__contains__, "must be 1 or 2")
+_sign = _checked(int, (1, -1).__contains__, "must be 1 or -1")
 _grid_points = _checked(int, lambda n: n >= 16 and not n & (n - 1),
                         "must be a power of two, at least 16")
 
@@ -105,7 +106,7 @@ _KEYS = {
     "initial": {"kind": (_one_of(_INITIAL_KINDS, "initial kind"), _REQUIRED),
                 "value": (_finite, None),
                 "center": (_finite_floats, None),  # one coordinate per grid axis; None: 0
-                "width": (_positive, None), "height": (_finite, None), "direction": (int, 1),
+                "width": (_positive, None), "height": (_finite, None), "direction": (_sign, 1),
                 "path": (str, None), "shift": (_finite, 0.0)},
     "output": {"directory": (str, "out"), "split_snapshots": (_as_bool, False)},
     "dispersion": {"direction": (_direction, None),  # one per kernel_plus axis; None: e1

@@ -542,56 +542,33 @@ def _fast_lengths() -> list[int]:
 
 
 def _next_fast_len(n: int) -> int:
-    """Smallest 5-smooth length >= n: ``scipy.fft.next_fast_len(n, real=True)``."""
+    """Smallest 5-smooth length >= n, the length a window or line pad is padded to."""
     lengths = _fast_lengths()
     return lengths[bisect.bisect_left(lengths, n)]
-
-
-def _on_numpy(shape: tuple[int, ...]) -> bool:
-    """Whether a real transform of ``shape`` goes through numpy's pocketfft.
-
-    It does when every axis has a 5-smooth length: there numpy's one-axis passes
-    give scipy.fft's bits.  Lengths with a larger prime factor stay on scipy.fft,
-    since pocketfft may switch to Bluestein's algorithm there and the two
-    libraries round the inverse's 1/n scaling differently.
-    """
-    return all(_next_fast_len(n) == n for n in shape)
 
 
 def _rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Real FFT over the trailing ``len(shape)`` axes of ``values``, zero-filled to ``shape``.
 
-    Leading axes are a batch.  The one forward transform the package makes.  On
-    numpy it is scipy.fft's order of passes: the real pass on the last axis, then
-    a complex pass on each other axis.
+    Leading axes are a batch.  The one forward transform the package makes: numpy's
+    real pass on the last axis, then a complex pass on each other axis.
     """
-    if _on_numpy(shape):
-        spectrum = np.fft.rfft(values, shape[-1])
-        for axis in range(-len(shape), -1):
-            spectrum = np.fft.fft(spectrum, shape[axis], axis=axis)
-        return spectrum
-    from scipy import fft
-
-    return fft.rfftn(values, shape, axes=tuple(range(-len(shape), 0)))
+    spectrum = np.fft.rfft(values, shape[-1])
+    for axis in range(-len(shape), -1):
+        spectrum = np.fft.fft(spectrum, shape[axis], axis=axis)
+    return spectrum
 
 
 def _irfft(spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of ``_rfft``: real values of ``shape`` on the trailing axes.
 
-    On numpy the passes are unnormalised and the result is scaled once by
-    1 / prod(shape), as scipy.fft's last pass scales it.
+    The passes are unnormalised and the result is scaled once by 1 / prod(shape).
     """
-    if _on_numpy(shape):
-        if len(shape) == 1:
-            return np.fft.irfft(spectrum, shape[0])
-        for axis in range(-len(shape), -1):
-            spectrum = np.fft.ifft(spectrum, shape[axis], axis=axis, norm="forward")
-        values = np.fft.irfft(spectrum, shape[-1], norm="forward")
-        values *= 1.0 / math.prod(shape)
-        return values
-    from scipy import fft
-
-    return fft.irfftn(spectrum, shape, axes=tuple(range(-len(shape), 0)))
+    for axis in range(-len(shape), -1):
+        spectrum = np.fft.ifft(spectrum, shape[axis], axis=axis, norm="forward")
+    values = np.fft.irfft(spectrum, shape[-1], norm="forward")
+    values *= 1.0 / math.prod(shape)
+    return values
 
 
 @dataclass(frozen=True)

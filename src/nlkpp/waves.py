@@ -489,30 +489,14 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
 def measure_profile_speed(profile: WaveProfile, params: ModelParams,
                           k_plus: Kernel1D, k_minus: Kernel1D,
                           duration: float = 2.0, dt: float = 0.02) -> float:
-    """Evolve the profile and recover its displacement by cross-correlation.
+    """Evolve the profile and read its displacement from the theta/2 level crossing.
 
-    The derivative pulses are masked to the core of the ramp; the far tail
-    and the theta plateau contribute only correlation-peak bias.
+    The front is located as ``fronts.track_level`` locates it: the rightmost
+    sub-cell crossing of half the plateau, before and after the evolution.
     """
-    theta = profile.theta
-    h = profile.spacing
-    wp, wm = sample_line_kernels(k_plus, k_minus, h)
+    wp, wm = sample_line_kernels(k_plus, k_minus, profile.spacing)
     evolved = _march(_line_advance, params, wp, wm, profile.psi, StepConfig(dt), duration)
-
-    def core_pulse(values: np.ndarray) -> np.ndarray:
-        pulse = -np.gradient(values, h)
-        core = (values > 0.02 * theta) & (values < 0.98 * theta)
-        return np.where(core, pulse, 0.0)
-
-    pulse0 = core_pulse(profile.psi)
-    pulse1 = core_pulse(evolved)
-    corr = np.correlate(pulse1, pulse0, mode="full")
-    k = int(np.argmax(corr))
-    refined = float(k)
-    if 0 < k < len(corr) - 1:
-        y0, y1, y2 = corr[k - 1], corr[k], corr[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom != 0.0:
-            refined = k + 0.5 * (y0 - y2) / denom
-    displacement = (refined - (len(pulse0) - 1)) * h
+    level = 0.5 * profile.theta
+    displacement = (half_level_crossing(profile.s, evolved, level)
+                    - half_level_crossing(profile.s, profile.psi, level))
     return float(displacement / duration)

@@ -150,6 +150,8 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\nwidth = -2"),
         ("value = 0.5", "value = 0.5\nheight = nan"),
         ("value = 0.5", "value = 0.5\nshift = inf"),
+        ("value = 0.5", "value = 0.5\ndirection = 0"),
+        ("value = 0.5", "value = 0.5\ndirection = 3"),
     ])
     def test_rejects_out_of_range_values_with_line(self, old, new):
         text = BASE.replace(old, new)
@@ -477,6 +479,18 @@ class TestScenarios:
         assert trace.shape[0] > 1
         assert np.all(np.diff(trace[:, 1]) > -0.5)  # front advances overall
 
+    @pytest.mark.parametrize("level", ["0", "-1", "1", "5"])
+    def test_front_level_outside_the_plateau_writes_error(self, tmp_path, level):
+        cfg_file = tmp_path / "f.cfg"
+        cfg_file.write_text(BASE + f"\n[front]\nlevel = {level}\n")
+        rc = main(["front", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        entries = summary_dict(tmp_path / "out")
+        assert "must lie in (0, theta) = (0, 1)" in entries["error"]
+        assert entries["error.type"] == "ValueError"
+        assert "front.c_hat" not in entries
+        assert not (tmp_path / "out" / "front_trace.csv").exists()
+
     def test_equal_kernels_share_one_weights_object(self):
         problem = _problem(parse_config(BASE))
         assert problem.a_minus_w is problem.a_plus_w
@@ -669,6 +683,15 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, nlkpp.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run_python(code) == "[]"
+
+
+def test_fft_pair_on_a_prime_axis_loads_no_scipy_fft():
+    # 97 is prime: numpy's pocketfft transforms it too
+    code = ("import sys\nimport numpy as np\nfrom nlkpp.kernels import _irfft, _rfft\n"
+            "for shape in ((97,), (97, 128)):\n"
+            "    _irfft(_rfft(np.ones(shape), shape), shape)\n"
+            "print('scipy.fft' in sys.modules)")
+    assert _run_python(code) == "False"
 
 
 # a 2-D gaussian simulate at a small size

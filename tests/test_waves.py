@@ -266,10 +266,19 @@ class TestSolveProfile:
         assert nu > 0.0
         assert abs(continuous) <= 1e-7
 
-    def test_speed_consistency(self, canon, gauss_line, profile_13, report):
-        c = 1.3 * report.c_star
-        measured = measure_profile_speed(profile_13, canon, gauss_line, gauss_line)
-        assert abs(measured - c) / c <= 0.005
+    @pytest.mark.parametrize("family, params, factor, h", [
+        ("gaussian", {"sigma": 1.0}, 1.3, 0.05),
+        ("gaussian", {"sigma": 1.0}, 1.0, 0.05),
+        ("laplace", {"mu": 2.0}, 1.3, 0.1),
+    ], ids=["gaussian-1.3c*", "gaussian-c*", "laplace-1.3c*"])
+    def test_speed_consistency(self, canon, family, params, factor, h):
+        line = reduce_to_direction(make_kernel(KernelSpec(family, 1, **params)), [1.0])
+        line_report = minimize_G(canon, line)
+        c = factor * line_report.c_star
+        profile = solve_profile(canon, line, line, c, h=h, s_left=-40.0, s_right=80.0,
+                                report=line_report)
+        measured = measure_profile_speed(profile, canon, line, line)
+        assert abs(measured - c) / c <= 1e-4
 
     def test_exponential_integrability_dichotomy(self, canon, gauss_line,
                                                  profile_13, report):

@@ -13,7 +13,9 @@ dimensions, a 2-D step start and a 2-D exppoly), 1-D and 2-D ``front`` runs
 and both ``verify`` modes (necessity in 2-D too).  Short 1-D runs give every
 key that a runner reads a value other than its default somewhere, every
 ``[initial]`` kind and none, and exercise ``--seed``, the ``verify`` suite
-argument and an ``[output] directory`` without ``--out``.
+argument and an ``[output] directory`` without ``--out``.  Two more show
+refusals: a step start with ``direction = 0`` (the parser's, exit 2) and a
+front with ``level = 0`` (the runner's, exit 1 with an ``error`` summary).
 
 Usage::
 
@@ -101,7 +103,7 @@ def _evolution(dimension: int, points: int, half_length: float, horizon: float,
 
 def _keyed_runs() -> list[tuple[str, list[str], dict]]:
     """Short 1-D runs that set the keys and options the rest of the matrix leaves at
-    their defaults."""
+    their defaults, and two that set a key out of its range."""
     gaussian = _kernel(GAUSSIAN, 1)
     line = {"model": MODEL, "kernel_plus": gaussian, "kernel_minus": gaussian}
     time = {"dt": 0.01, "horizon": 1.0, "snapshot_stride": 25}
@@ -128,6 +130,8 @@ def _keyed_runs() -> list[tuple[str, list[str], dict]]:
         ("keys-initial-shifted-profile", ["simulate"],
          simulate({"kind": "shifted-profile", "path": "profile.csv", "shift": -3.5})),
         ("keys-initial-step-left", ["simulate"], simulate({"kind": "step", "direction": -1})),
+        ("refused-initial-direction-0", ["simulate"],
+         simulate({"kind": "step", "direction": 0})),
         ("keys-initial-none", ["simulate"], simulate(None)),
         ("keys-output-directory", ["simulate"],
          simulate({"kind": "constant", "value": 0.25},
@@ -136,6 +140,7 @@ def _keyed_runs() -> list[tuple[str, list[str], dict]]:
          _evolution(1, 128, 20.0, 0.5, verify={"pairs": 2})),
         ("keys-verify-suite-argument", ["verify", "comparison"],
          _evolution(1, 128, 20.0, 0.5, verify={"suite": "none-such", "pairs": 2})),
+        ("refused-front-level-0", ["front"], _evolution(1, 128, 20.0, 0.5, front={"level": 0})),
     ]
 
 
