@@ -17,8 +17,7 @@ from .evolution import (EvolutionProblem, StepConfig, Trajectory,
                         logistic_exact, picard_solve, rhs, simulate, step,
                         truncated_problem, uniform_bound)
 from .grids import Field, Grid, bump_field, constant_field, step_field
-from .kernels import (Kernel, Kernel1D, KernelSpec, SampledWeights, discretize,
-                      make_kernel, reduce_to_direction)
+from .kernels import Kernel, Kernel1D, SampledWeights, discretize, reduce_to_direction
 from .params import ModelParams
 from .waves import (WaveProfile, fit_decay, initial_supersolution,
                     measure_profile_speed, profile_residual, solve_profile)

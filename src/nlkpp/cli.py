@@ -27,7 +27,7 @@ from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
 from .errors import ConfigError, MollisonFailure, NlkppError
 from .evolution import EvolutionProblem, _advance, _march, simulate
 from .grids import Field, Grid, along_first_axis, bump_field, constant_field, step_field
-from .kernels import KernelSpec, _shared_if_equal, discretize, make_kernel
+from .kernels import Kernel, discretize
 
 
 def _fmt(x) -> str:
@@ -59,8 +59,7 @@ def _write_summary(path: Path, entries: dict) -> None:
 
 
 def _assumption_entries(cfg: ScenarioConfig) -> dict:
-    kp = make_kernel(cfg.kernel_plus)
-    km = make_kernel(cfg.kernel_minus)
+    kp, km = cfg.kernel_plus, cfg.kernel_minus
     radius = 8.0 * max(kp.effective_scale(), km.effective_scale())
     report = check_assumptions(cfg.params, kp, km, sample_radius=radius, n_samples=10000)
     entries = {}
@@ -93,6 +92,11 @@ def build_initial(cfg: ScenarioConfig, grid: Grid) -> Field:
             f"below its header; got {data.shape[0]} rows of {data.shape[1]}"
         )
     s, psi = data[:, 0], data[:, 1]
+    stalls = np.flatnonzero(~(np.diff(s) > 0))  # a nan s stalls too
+    if stalls.size:
+        row = stalls[0] + 1  # from 0, the first data row whose s does not increase
+        raise ConfigError(f"initial profile file {spec.path!r} needs increasing s; data row "
+                          f"{row + 1} has s = {s[row]:g} after {s[row - 1]:g}")
     x = grid.axis_coords() - (spec.shift if spec.kind == "shifted-profile" else 0.0)
     line = np.interp(x, s, psi, left=psi[0], right=psi[-1])
     return Field(grid, along_first_axis(line, grid.dimension))
@@ -106,9 +110,8 @@ def _grid(cfg: ScenarioConfig) -> Grid:
 
 def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
     grid = _grid(cfg)
-    kp = make_kernel(cfg.kernel_plus)
-    km = make_kernel(cfg.kernel_minus)
-    wp, wm = _shared_if_equal(discretize(kp, grid), discretize(km, grid))
+    wp = discretize(cfg.kernel_plus, grid)
+    wm = wp if cfg.kernel_minus is cfg.kernel_plus else discretize(cfg.kernel_minus, grid)
     u0 = build_initial(cfg, grid)
     return EvolutionProblem(cfg.params, wp, wm, u0)
 
@@ -153,7 +156,7 @@ def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
-    kernel = make_kernel(cfg.kernel_plus)
+    kernel = cfg.kernel_plus
     spec = cfg.dispersion
     xi = np.eye(kernel.dimension)[0] if spec.direction is None else np.asarray(spec.direction)
     xi = xi / np.linalg.norm(xi)
@@ -177,13 +180,10 @@ def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
-    kp = make_kernel(cfg.kernel_plus)
-    xi = np.eye(kp.dimension)[0]
-    line_p = reduce_to_direction(kp, xi)
-    if cfg.kernel_minus == cfg.kernel_plus:
-        line_m = line_p  # sampled once for both
-    else:
-        line_m = reduce_to_direction(make_kernel(cfg.kernel_minus), xi)
+    xi = np.eye(cfg.kernel_plus.dimension)[0]
+    line_p = reduce_to_direction(cfg.kernel_plus, xi)
+    line_m = (line_p if cfg.kernel_minus is cfg.kernel_plus  # sampled once for both
+              else reduce_to_direction(cfg.kernel_minus, xi))
     report = minimize_G(cfg.params, line_p)
     wave = cfg.wave
     if wave.speed is not None:
@@ -215,7 +215,6 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def run_front(cfg: ScenarioConfig, out: Path) -> dict:
-    kernel_plus = make_kernel(cfg.kernel_plus)
     theta = cfg.params.require_carrying_capacity()
     level = cfg.front.level if cfg.front.level is not None else theta / 2.0
     if not 0.0 < level < theta:
@@ -228,7 +227,7 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
                zip(trace.times.tolist(), trace.positions.tolist()))
     entries = {"scenario.command": "front", "front.level": level}
     try:
-        fset = front_set(cfg.params, kernel_plus, n_directions=cfg.front.n_directions)
+        fset = front_set(cfg.params, cfg.kernel_plus, n_directions=cfg.front.n_directions)
         times, deficits = fronts.interior_convergence(traj, fset, cfg.front.shrink, theta)
         _write_csv(out / "interior_deficit.csv", ["t", "deviation"],
                    zip(times.tolist(), deficits.tolist()))
@@ -297,9 +296,8 @@ def _necessity_counterexample(cfg: ScenarioConfig) -> float:
     params = cfg.params
     theta = params.require_carrying_capacity()
     grid = _grid(cfg)
-    wp = discretize(make_kernel(cfg.kernel_plus), grid)
-    spike = KernelSpec(family="gaussian", dimension=grid.dimension, sigma=0.2)
-    wm = discretize(make_kernel(spike), grid)
+    wp = discretize(cfg.kernel_plus, grid)
+    wm = discretize(Kernel(family="gaussian", dimension=grid.dimension, sigma=0.2), grid)
     # dent the state below theta near the spike, offset from the origin
     u0 = constant_field(grid, theta)
     dent = bump_field(grid, 0.18 * np.eye(grid.dimension)[0], 0.09, 0.8 * theta)

@@ -7,7 +7,12 @@ error message carries the offending line number.
 
 ``_KEYS`` states each key once: its converter, which range-checks it, and
 its default.  ``[model]``, ``[kernel_plus]``, ``[kernel_minus]`` and
-``[grid]`` build domain objects, and ``[time]`` a ``StepConfig``; ``[time]``
+``[grid]`` build domain objects, and ``[time]`` a ``StepConfig``.  Each
+kernel section builds its ``Kernel`` here, normalizer included, so a kernel
+that ``Kernel`` refuses (a bad parameter, a density that is not integrable)
+is refused with its section's ``family`` line; two sections that describe
+the same kernel give one object, ``cfg.kernel_minus is cfg.kernel_plus``,
+and that identity is the only test of a+ = a- downstream.  ``[time]``
 and every other section reach the runners as a namespace of their converted
 keys under the table's own names, such as ``cfg.wave.speed_factor`` or
 ``cfg.output.directory``.  A new key is one ``_KEYS`` entry plus the code
@@ -23,7 +28,7 @@ from types import SimpleNamespace
 from .errors import ConfigError, KernelError
 from .evolution import METHODS, StepConfig
 from .grids import Grid
-from .kernels import KernelSpec
+from .kernels import Kernel
 from .params import ModelParams
 
 COMMANDS = ("simulate", "dispersion", "wave", "front", "verify")
@@ -84,7 +89,7 @@ _REQUIRED = object()  # the default of a key that must be given
 _KERNEL_KEYS = {
     "family": (_family, _REQUIRED),
     "dimension": (_dimension, None),  # None: the grid's dimension, 1 without a grid
-    # sign rules are KernelSpec's, per family
+    # sign rules and integrability are Kernel's, per family
     "sigma": (_finite, None), "mu": (_finite, None), "p": (_finite, None), "q": (_finite, None),
     "radius": (_finite, None), "offset": (_finite_floats, None),
 }
@@ -189,8 +194,8 @@ class ScenarioConfig:
     """
 
     params: ModelParams
-    kernel_plus: KernelSpec
-    kernel_minus: KernelSpec
+    kernel_plus: Kernel
+    kernel_minus: Kernel  # kernel_plus itself when the sections describe the same kernel
     grid: Grid | None
     step: StepConfig
     initial: SimpleNamespace | None
@@ -203,27 +208,31 @@ class ScenarioConfig:
     verify: SimpleNamespace
 
 
-def _kernel_spec(sections, section: str, grid_dimension: int) -> KernelSpec:
-    spec = _section(sections, section)
-    if spec["dimension"] is None:
-        spec["dimension"] = grid_dimension
+def _kernel_keys(sections, section: str, grid_dimension: int) -> dict:
+    keys = _section(sections, section)
+    if keys["dimension"] is None:
+        keys["dimension"] = grid_dimension
+    return keys
+
+
+def _kernel(sections, section: str, keys: dict) -> Kernel:
     try:
-        return KernelSpec(**spec)
+        return Kernel(**keys)
     except KernelError as exc:
         raise ConfigError(f"invalid [{section}] kernel: {exc}",
                           _line(sections, section, "family")) from exc
 
 
-def _check_dimensions(sections, kplus: KernelSpec, kminus: KernelSpec, grid: Grid | None):
+def _check_dimensions(sections, kplus: Kernel, kminus: Kernel, grid: Grid | None):
     """Refuse kernels whose dimension differs from the grid's, or without a grid from
     [kernel_plus]'s, citing the offending ``dimension`` line."""
     expected, source = ((kplus.dimension, "[kernel_plus]") if grid is None
                         else (grid.dimension, "[grid]"))
-    for section, spec in (("kernel_plus", kplus), ("kernel_minus", kminus)):
-        if spec.dimension != expected:
+    for section, kernel in (("kernel_plus", kplus), ("kernel_minus", kminus)):
+        if kernel.dimension != expected:
             line = (_line(sections, section, "dimension")
                     or _line(sections, "kernel_plus", "dimension"))
-            raise ConfigError(f"[{section}] dimension {spec.dimension} differs from the "
+            raise ConfigError(f"[{section}] dimension {kernel.dimension} differs from the "
                               f"{source} dimension {expected}", line)
 
 
@@ -264,8 +273,11 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         keys = _section(sections, "grid")
         grid = Grid(keys["dimension"], keys["half_length"], keys["points"])
     grid_dimension = 1 if grid is None else grid.dimension
-    kplus = _kernel_spec(sections, "kernel_plus", grid_dimension)
-    kminus = _kernel_spec(sections, "kernel_minus", grid_dimension)
+    plus_keys = _kernel_keys(sections, "kernel_plus", grid_dimension)
+    minus_keys = _kernel_keys(sections, "kernel_minus", grid_dimension)
+    kplus = _kernel(sections, "kernel_plus", plus_keys)
+    # the one sharing decision: equal sections give one kernel, which callers test with `is`
+    kminus = kplus if minus_keys == plus_keys else _kernel(sections, "kernel_minus", minus_keys)
     _check_dimensions(sections, kplus, kminus, grid)
     initial = _initial(sections, grid_dimension) if "initial" in sections else None
 
@@ -274,6 +286,9 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     spaces["dispersion"] = _section(sections, "dispersion", direction=kplus.dimension)
     _ordered(sections, "dispersion", spaces["dispersion"], "lambda_min", "lambda_max")
     _ordered(sections, "wave", spaces["wave"], "domain_left", "domain_right")
+    speed_lines = [_line(sections, "wave", key) for key in ("speed", "speed_factor")]
+    if None not in speed_lines:  # cite the later line, as _ordered does
+        raise ConfigError("give [wave] speed or speed_factor, not both", max(speed_lines))
     spaces["scenario"]["command"] = command or spaces["scenario"]["command"]
     time = spaces["time"]
     return ScenarioConfig(

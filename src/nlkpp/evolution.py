@@ -57,8 +57,8 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     The fft backend transforms ``values`` forward once, at the shape of those
     axes, and inverts once per distinct kernel; a kernel's spectrum is its
     weights zero-filled to that shape.  Each result has the bits of a separate
-    ``convolve``.  Callers pass one object for a+ and a- when their samples
-    are equal; the shared result must not be modified in place.
+    ``convolve``.  Callers pass one object for a+ and a- when the two kernels
+    are one; the shared result must not be modified in place.
     """
     if backend == "fft":
         shape = values.shape[values.ndim - wplus.weights.ndim:]

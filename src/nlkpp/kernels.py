@@ -42,9 +42,70 @@ def _quad(f, a, b, **kw):
     return value
 
 
+def _radial_shape(kernel: Kernel):
+    """Unnormalized radial profile r -> shape(r), r >= 0."""
+    if kernel.family == "gaussian":
+        s2 = 2.0 * kernel.sigma**2
+        return lambda r: np.exp(-np.square(r) / s2)
+    if kernel.family == "laplace":
+        mu = kernel.mu
+        return lambda r: np.exp(-mu * np.asarray(r, dtype=float))
+    if kernel.family == "exppoly":
+        p, q, mu = kernel.p, kernel.q, kernel.mu
+        return lambda r: np.exp(-mu * np.abs(r) ** p) / (1.0 + np.abs(r) ** q)
+    if kernel.family == "compact_uniform":
+        radius = kernel.radius
+        return lambda r: np.where(np.abs(r) <= radius, 1.0, 0.0)
+    if kernel.family == "power_tail":
+        q = kernel.q
+        return lambda r: 1.0 / (1.0 + np.abs(r) ** q)
+    raise KernelError(f"unhandled family {kernel.family!r}")
+
+
+def _abscissa(kernel: Kernel) -> float:
+    """Abscissa lambda_0 of the directional reduction: 0 for a heavy tail."""
+    family, p = kernel.family, kernel.p
+    if family == "laplace" or (family == "exppoly" and p == 1):
+        return kernel.mu
+    if family in ("gaussian", "compact_uniform") or (family == "exppoly" and p > 1):
+        return math.inf
+    # power_tail, and exppoly with p in [0, 1): no positive exponential moment
+    return 0.0
+
+
+def _normalizer(kernel: Kernel) -> float:
+    """Constant alpha with alpha * integral(shape) = 1."""
+    d = kernel.dimension
+    if kernel.family == "gaussian":
+        return (2.0 * math.pi * kernel.sigma**2) ** (-d / 2.0)
+    if kernel.family == "laplace":
+        if d == 1:
+            return kernel.mu / 2.0
+        if d == 2:
+            return kernel.mu**2 / (2.0 * math.pi)
+    if kernel.family == "compact_uniform":
+        if d == 1:
+            return 1.0 / (2.0 * kernel.radius)
+        if d == 2:
+            return 1.0 / (math.pi * kernel.radius**2)
+    shape = _radial_shape(kernel)
+    if d == 1:
+        total = 2.0 * _quad(shape, 0.0, np.inf)
+    else:
+        total = 2.0 * math.pi * _quad(lambda r: shape(r) * r, 0.0, np.inf)
+    if not total > 0 or not math.isfinite(total):
+        raise KernelError(f"kernel {kernel} is not integrable (mass {total})")
+    return 1.0 / total
+
+
 @dataclass(frozen=True)
-class KernelSpec:
-    """Analytic description of a dispersal density on R^d."""
+class Kernel:
+    """Normalized probability density on R^d: an analytic family and its parameters.
+
+    Construction validates the parameters and computes the normalizer
+    ``normalizer_alpha`` and the abscissa once; two kernels are equal when
+    their family, dimension and parameters are.
+    """
 
     family: str
     dimension: int = 1
@@ -54,6 +115,8 @@ class KernelSpec:
     q: float | None = None
     radius: float | None = None
     offset: tuple[float, ...] | None = None
+    normalizer_alpha: float = field(init=False, compare=False, repr=False)
+    abscissa: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -91,6 +154,8 @@ class KernelSpec:
                 raise KernelError("offset is only supported for the gaussian family")
             if len(self.offset) != self.dimension:
                 raise KernelError("offset length must equal dimension")
+        object.__setattr__(self, "normalizer_alpha", _normalizer(self))
+        object.__setattr__(self, "abscissa", _abscissa(self))
 
     @property
     def offset_vector(self) -> np.ndarray:
@@ -98,78 +163,10 @@ class KernelSpec:
             return np.zeros(self.dimension)
         return np.asarray(self.offset, dtype=float)
 
-
-def _radial_shape(spec: KernelSpec):
-    """Unnormalized radial profile r -> shape(r), r >= 0."""
-    if spec.family == "gaussian":
-        s2 = 2.0 * spec.sigma**2
-        return lambda r: np.exp(-np.square(r) / s2)
-    if spec.family == "laplace":
-        mu = spec.mu
-        return lambda r: np.exp(-mu * np.asarray(r, dtype=float))
-    if spec.family == "exppoly":
-        p, q, mu = spec.p, spec.q, spec.mu
-        return lambda r: np.exp(-mu * np.abs(r) ** p) / (1.0 + np.abs(r) ** q)
-    if spec.family == "compact_uniform":
-        radius = spec.radius
-        return lambda r: np.where(np.abs(r) <= radius, 1.0, 0.0)
-    if spec.family == "power_tail":
-        q = spec.q
-        return lambda r: 1.0 / (1.0 + np.abs(r) ** q)
-    raise KernelError(f"unhandled family {spec.family!r}")
-
-
-def _abscissa(spec: KernelSpec) -> float:
-    """Abscissa lambda_0 of the directional reduction: 0 for a heavy tail."""
-    if spec.family == "laplace" or (spec.family == "exppoly" and spec.p == 1):
-        return spec.mu
-    if spec.family in ("gaussian", "compact_uniform") or (spec.family == "exppoly" and spec.p > 1):
-        return math.inf
-    # power_tail, and exppoly with p in [0, 1): no positive exponential moment
-    return 0.0
-
-
-def _normalizer(spec: KernelSpec) -> float:
-    """Constant alpha with alpha * integral(shape) = 1."""
-    d = spec.dimension
-    if spec.family == "gaussian":
-        return (2.0 * math.pi * spec.sigma**2) ** (-d / 2.0)
-    if spec.family == "laplace":
-        if d == 1:
-            return spec.mu / 2.0
-        if d == 2:
-            return spec.mu**2 / (2.0 * math.pi)
-    if spec.family == "compact_uniform":
-        if d == 1:
-            return 1.0 / (2.0 * spec.radius)
-        if d == 2:
-            return 1.0 / (math.pi * spec.radius**2)
-    shape = _radial_shape(spec)
-    if d == 1:
-        total = 2.0 * _quad(shape, 0.0, np.inf)
-    else:
-        total = 2.0 * math.pi * _quad(lambda r: shape(r) * r, 0.0, np.inf)
-    if not total > 0 or not math.isfinite(total):
-        raise KernelError(f"kernel {spec} is not integrable (mass {total})")
-    return 1.0 / total
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Normalized probability density on R^d with analytic tail data."""
-
-    spec: KernelSpec
-    normalizer_alpha: float
-    abscissa: float
-
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
     @property
     def radial(self) -> bool:
         """Whether the density depends on |x| alone: every family is, unless offset."""
-        return self.spec.offset is None
+        return self.offset is None
 
     def eval(self, x) -> np.ndarray:
         """Density at points x of shape (..., d), in 1-D too; the result has shape (...)."""
@@ -177,24 +174,23 @@ class Kernel:
         d = self.dimension
         if x.ndim == 0 or x.shape[-1] != d:
             raise KernelError(f"points must have {d} components, got shape {x.shape}")
-        r = np.sqrt(np.sum(np.square(x - self.spec.offset_vector), axis=-1))
-        return self.normalizer_alpha * _radial_shape(self.spec)(r)
+        r = np.sqrt(np.sum(np.square(x - self.offset_vector), axis=-1))
+        return self.normalizer_alpha * _radial_shape(self)(r)
 
     def mass_outside(self, radius: float) -> float:
         """Probability mass outside the ball of the given radius (offset-centered)."""
-        spec = self.spec
-        if spec.family == "gaussian":
-            sigma = spec.sigma
+        if self.family == "gaussian":
+            sigma = self.sigma
             if self.dimension == 1:
                 return math.erfc(radius / (sigma * math.sqrt(2.0)))
             return math.exp(-radius**2 / (2.0 * sigma**2))
-        if spec.family == "laplace":
-            x = spec.mu * radius
+        if self.family == "laplace":
+            x = self.mu * radius
             return math.exp(-x) if self.dimension == 1 else (1.0 + x) * math.exp(-x)
-        if spec.family == "compact_uniform":
-            t = min(radius / spec.radius, 1.0)
+        if self.family == "compact_uniform":
+            t = min(radius / self.radius, 1.0)
             return 1.0 - t if self.dimension == 1 else 1.0 - t * t
-        shape = _radial_shape(spec)
+        shape = _radial_shape(self)
         if self.dimension == 1:
             return 2.0 * self.normalizer_alpha * _quad(shape, radius, np.inf)
         return 2.0 * math.pi * self.normalizer_alpha * _quad(
@@ -203,22 +199,16 @@ class Kernel:
 
     def effective_scale(self) -> float:
         """Length scale below which a grid cannot resolve the kernel."""
-        spec = self.spec
-        if spec.family == "gaussian":
-            return spec.sigma
-        if spec.family == "laplace":
-            return 1.0 / spec.mu
-        if spec.family == "exppoly":
+        if self.family == "gaussian":
+            return self.sigma
+        if self.family == "laplace":
+            return 1.0 / self.mu
+        if self.family == "exppoly":
             # with p = 0, mu is only a constant factor and sets no length
-            return min(1.0, 1.0 / spec.mu) if spec.p > 0 else 1.0
-        if spec.family == "compact_uniform":
-            return spec.radius
+            return min(1.0, 1.0 / self.mu) if self.p > 0 else 1.0
+        if self.family == "compact_uniform":
+            return self.radius
         return 1.0
-
-
-def make_kernel(spec: KernelSpec) -> Kernel:
-    """Build a normalized kernel; rejects non-integrable specifications."""
-    return Kernel(spec=spec, normalizer_alpha=_normalizer(spec), abscissa=_abscissa(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +296,15 @@ class GaussianLine(Kernel1D):
 
     def __init__(self, kernel: Kernel, xi: np.ndarray):
         super().__init__(kernel, xi)
-        self.drift = float(np.dot(kernel.spec.offset_vector, xi))
+        self.drift = float(np.dot(kernel.offset_vector, xi))
 
     def eval(self, s):
-        sigma = self.kernel.spec.sigma
+        sigma = self.kernel.sigma
         z = (np.asarray(s, dtype=float) - self.drift) / sigma
         return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
     def _integral(self, lam, power):
-        sigma = self.kernel.spec.sigma
+        sigma = self.kernel.sigma
         arg = lam * self.drift + 0.5 * lam * lam * sigma**2
         if not arg < 700:
             return math.inf
@@ -325,7 +315,7 @@ class GaussianLine(Kernel1D):
         return m * t if power == 1 else (m * m + sigma**2) * t
 
     def mass_outside(self, radius):
-        scale = self.kernel.spec.sigma * math.sqrt(2.0)
+        scale = self.kernel.sigma * math.sqrt(2.0)
         return (0.5 * math.erfc((radius - self.drift) / scale)
                 + 0.5 * math.erfc((radius + self.drift) / scale))
 
@@ -336,7 +326,7 @@ class LaplaceLine1(Kernel1D):
     tail_power = 0.0
 
     def _integral(self, lam, power):
-        m2 = self.kernel.spec.mu**2
+        m2 = self.kernel.mu**2
         if power == 0:
             return m2 / (m2 - lam**2)
         if power == 1:
@@ -352,7 +342,7 @@ class LaplaceLine2(Kernel1D):
     def eval(self, s):
         from scipy.special import k1
 
-        mu = self.kernel.spec.mu
+        mu = self.kernel.mu
         s = np.abs(np.asarray(s, dtype=float))
         out = np.full_like(s, mu / math.pi)
         nz = s > 0
@@ -360,7 +350,7 @@ class LaplaceLine2(Kernel1D):
         return out
 
     def _integral(self, lam, power):
-        mu = self.kernel.spec.mu
+        mu = self.kernel.mu
         m2 = mu**2
         if power == 0:
             return mu**3 / (m2 - lam**2) ** 1.5
@@ -379,7 +369,7 @@ class UniformLine(Kernel1D):
     R (x cosh x - sinh x)/x^2 and R^2 ((x^2 + 2) sinh x - 2 x cosh x)/x^3."""
 
     def _integral(self, lam, power):
-        r = self.kernel.spec.radius
+        r = self.kernel.radius
         x = lam * r
         if not abs(x) < _OVERFLOW:
             return math.inf
@@ -418,7 +408,7 @@ class ChordLine(Kernel1D):
     moments are 2 I_1(x)/x, 2 R I_2(x)/x and 2 R^2 (I_3(x)/x + I_2(x)/x^2)."""
 
     def eval(self, s):
-        r = self.kernel.spec.radius
+        r = self.kernel.radius
         s = np.asarray(s, dtype=float)
         inside = np.abs(s) <= r
         out = np.zeros_like(s)
@@ -426,7 +416,7 @@ class ChordLine(Kernel1D):
         return out
 
     def _integral(self, lam, power):
-        r = self.kernel.spec.radius
+        r = self.kernel.radius
         x = lam * r
         if not abs(x) < _OVERFLOW:
             return math.inf
@@ -451,31 +441,30 @@ class RadialLine(Kernel1D):
 
     def __init__(self, kernel: Kernel, xi: np.ndarray):
         super().__init__(kernel, xi)
-        spec = kernel.spec
-        d = spec.dimension
-        p, mu = (spec.p, spec.mu) if spec.family == "exppoly" else (0.0, 0.0)
+        d = kernel.dimension
+        p, mu = (kernel.p, kernel.mu) if kernel.family == "exppoly" else (0.0, 0.0)
         # a(s) e^{lambda0 s} decays like s^{-q} times s^{(d-1)/2} (p = 1) or
         # s^{d-1} (pure power); any other p decays faster than every power
         if p == 1:
-            self.tail_power = spec.q - (d - 1) / 2.0
+            self.tail_power = kernel.q - (d - 1) / 2.0
         elif p == 0:
-            self.tail_power = spec.q - (d - 1)
-        alpha, q = kernel.normalizer_alpha, spec.q
+            self.tail_power = kernel.q - (d - 1)
+        alpha, q = kernel.normalizer_alpha, kernel.q
         self._decay = lambda r: mu * r**p
         self._factor = lambda r: alpha / (1.0 + r**q)
-        shape = _radial_shape(spec)
+        shape = _radial_shape(kernel)
         self._g = lambda r: alpha * shape(r)
 
     def eval(self, s):
         if self.kernel.dimension == 1:
             return super().eval(s)
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         for i, si in enumerate(s.ravel()):
             out.ravel()[i] = 2.0 * _quad(
                 lambda t, si=si: float(self._g(math.hypot(si, t))), 0.0, np.inf
             )
-        return out if out.size > 1 else float(out[0])
+        return out
 
     def _integral(self, lam, power):
         decay, factor = self._decay, self._factor
@@ -517,7 +506,7 @@ def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
     norm = float(np.linalg.norm(xi))
     if abs(norm - 1.0) > 1e-12:
         raise KernelError(f"direction must be a unit vector, |xi| = {norm}")
-    return _LINES[kernel.spec.family][kernel.dimension - 1](kernel, xi)
+    return _LINES[kernel.family][kernel.dimension - 1](kernel, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +634,6 @@ def _displacements(grid) -> np.ndarray:
     return lattice(idx * grid.spacing, grid.dimension)
 
 
-def _shared_if_equal(wp: _Samples, wm: _Samples) -> tuple[_Samples, _Samples]:
-    """(wp, wp) when the two samples have equal weights, so that callers testing
-    ``wm is wp`` convolve once per right-hand side; (wp, wm) otherwise."""
-    return (wp, wp) if np.array_equal(wp.weights, wm.weights) else (wp, wm)
-
-
 def _check_resolution(kernel, h: float) -> None:
     """Refuse a kernel whose ``effective_scale`` is below the spacing h; warn below 4h."""
     scale = kernel.effective_scale()
@@ -688,7 +671,7 @@ def discretize(kernel: Kernel, grid) -> SampledWeights:
     light = kernel.abscissa > 0  # an exponential tail
     if light:
         # the lattice [-L, L) holds the ball of radius L - |offset| about the offset
-        offset = float(np.linalg.norm(kernel.spec.offset_vector))
+        offset = float(np.linalg.norm(kernel.offset_vector))
         outside = kernel.mass_outside(max(grid.half_length - offset, 0.0))
         if outside > 1e-4:
             suggest = grid.half_length

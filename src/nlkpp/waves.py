@@ -25,8 +25,7 @@ from .dispersion import (DispersionReport, _bisect, char_multiplicity, minimize_
                          speed_to_abscissa)
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
 from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
-from .kernels import (Kernel1D, _check_resolution, _next_fast_len, _Samples, _shared_if_equal,
-                      _unit_sum)
+from .kernels import Kernel1D, _check_resolution, _next_fast_len, _Samples, _unit_sum
 from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
@@ -65,14 +64,12 @@ def sample_line_kernel(k: Kernel1D, h: float) -> LineKernel:
 
 def sample_line_kernels(k_plus: Kernel1D, k_minus: Kernel1D,
                         h: float) -> tuple[LineKernel, LineKernel]:
-    """Line samples of a+ and a-; one shared object when the samples are equal.
+    """Line samples of a+ and a-; one shared object when the two lines are one.
 
     Callers test ``wm is wp`` to convolve once per right-hand side.
     """
     wp = sample_line_kernel(k_plus, h)
-    if k_minus is k_plus:
-        return wp, wp
-    return _shared_if_equal(wp, sample_line_kernel(k_minus, h))
+    return wp, wp if k_minus is k_plus else sample_line_kernel(k_minus, h)
 
 
 def _constant_pad(left: float, right: float):

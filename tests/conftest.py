@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from nlkpp import (Grid, KernelSpec, ModelParams, discretize, evolution, kernels, make_kernel,
+from nlkpp import (Grid, Kernel, ModelParams, discretize, evolution, kernels,
                    reduce_to_direction)
 
 
@@ -15,7 +15,7 @@ def canon():
 
 @pytest.fixture(scope="session")
 def gauss1():
-    return make_kernel(KernelSpec("gaussian", dimension=1, sigma=1.0))
+    return Kernel("gaussian", dimension=1, sigma=1.0)
 
 
 @pytest.fixture(scope="session")

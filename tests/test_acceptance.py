@@ -12,9 +12,9 @@ import pytest
 from scipy import special
 
 import nlkpp
-from nlkpp import (EvolutionProblem, Field, Grid, KernelSpec, ModelParams,
+from nlkpp import (EvolutionProblem, Field, Grid, Kernel, ModelParams,
                    StepConfig, bump_field, constant_field, discretize,
-                   make_kernel, minimize_G, reduce_to_direction, simulate,
+                   minimize_G, reduce_to_direction, simulate,
                    speed_to_abscissa, step)
 from nlkpp import fit_decay, front_set, profile_residual, solve_profile
 from nlkpp.evolution import Trajectory, convolve
@@ -34,7 +34,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def gauss_kernel():
-    return make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    return Kernel("gaussian", 1, sigma=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def truncate_trajectory(traj: Trajectory, horizon: float) -> Trajectory:
 
 def test_01_logistic_oracle():
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
-    kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
     problem = EvolutionProblem(CANON, w, w, constant_field(grid, 0.5))
     start = time.perf_counter()
@@ -88,7 +88,7 @@ def test_02_convolution_oracle():
     rng = np.random.default_rng(1234)
     for n in (64, 128, 256):
         grid = Grid(dimension=1, half_length=20.0, points_per_axis=n)
-        kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+        kernel = Kernel("gaussian", 1, sigma=1.0)
         w = discretize(kernel, grid)
         # reference: dense circulant matrix built from the weight layout
         first_col = w.weights
@@ -158,16 +158,16 @@ def test_03_dispersion_vs_brute_force():
     cases = {}
 
     g_gauss = lambda la: (kp * np.exp(0.5 * la**2) - m) / la
-    cases["gaussian"] = (g_gauss, lams, KernelSpec("gaussian", 1, sigma=1.0))
+    cases["gaussian"] = (g_gauss, lams, Kernel("gaussian", 1, sigma=1.0))
 
     lam_lap = lams[lams < 1.0 - 1e-9]
     g_lap = lambda la: (kp / (1.0 - la**2) - m) / la
-    cases["laplace"] = (g_lap, lam_lap, KernelSpec("laplace", 1, mu=1.0))
+    cases["laplace"] = (g_lap, lam_lap, Kernel("laplace", 1, mu=1.0))
 
     oracle_t = _exppoly_oracle_transform()
     lam_ep = lams[lams <= 1.0]
     g_ep = lambda la: (kp * oracle_t(la) - m) / np.atleast_1d(la)
-    cases["exppoly(1,3,1)"] = (g_ep, lam_ep, KernelSpec("exppoly", 1, p=1.0, q=3.0, mu=1.0))
+    cases["exppoly(1,3,1)"] = (g_ep, lam_ep, Kernel("exppoly", 1, p=1.0, q=3.0, mu=1.0))
 
     details = []
     ok = True
@@ -177,7 +177,7 @@ def test_03_dispersion_vs_brute_force():
         lo = grid_lams[max(k - 1, 0)]
         hi = grid_lams[min(k + 1, len(grid_lams) - 1)]
         lam_star, c_star = _golden_minimize(lambda la: float(np.atleast_1d(g(la))[0]), lo, hi)
-        line = reduce_to_direction(make_kernel(spec), [1.0])
+        line = reduce_to_direction(spec, [1.0])
         rep = minimize_G(CANON, line)
         lam_err = abs(rep.lambda_star - lam_star) / lam_star
         c_err = abs(rep.c_star - c_star) / c_star
@@ -195,16 +195,14 @@ def test_04_classification_table():
     results = []
     ok = True
     for p, q, mu, expected in analytic:
-        line = reduce_to_direction(make_kernel(KernelSpec("exppoly", 1, p=p, q=q, mu=mu)),
-                                   [1.0])
+        line = reduce_to_direction(Kernel("exppoly", 1, p=p, q=q, mu=mu), [1.0])
         got = nlkpp.classify(CANON, line)
         ok = ok and got == expected
         results.append(f"p={p},q={q},mu={mu}->{got}")
     # q = 4 pair: expectation decided by an independent quadrature of t(mu)
     from scipy import integrate
     for mu in (0.2, 2.0):
-        line = reduce_to_direction(make_kernel(KernelSpec("exppoly", 1, p=1.0, q=4.0, mu=mu)),
-                                   [1.0])
+        line = reduce_to_direction(Kernel("exppoly", 1, p=1.0, q=4.0, mu=mu), [1.0])
         norm, _ = integrate.quad(lambda s: math.exp(-mu * abs(s)) / (1 + s**4),
                                  -np.inf, np.inf, limit=400)
         alpha = 1.0 / norm
@@ -223,7 +221,7 @@ def test_04_classification_table():
 
 def test_05_comparison_principle():
     grid = Grid(dimension=1, half_length=15.0, points_per_axis=128)
-    kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
     cfg = StepConfig(dt=4e-3)
     rng = np.random.default_rng(2024)
@@ -242,7 +240,7 @@ def test_05_comparison_principle():
     # necessity counterexample: local domination failure drives u above theta
     grid_n = Grid(dimension=1, half_length=10.0, points_per_axis=1024)
     kp = discretize(kernel, grid_n)
-    km = discretize(make_kernel(KernelSpec("gaussian", 1, sigma=0.2)), grid_n)
+    km = discretize(Kernel("gaussian", 1, sigma=0.2), grid_n)
     dent = bump_field(grid_n, 0.18, 0.09, 0.8 * THETA)
     u0 = Field(grid_n, np.maximum(THETA - dent.values, 0.0))
     traj = simulate(EvolutionProblem(CANON, kp, km, u0), StepConfig(dt=1e-3), 0.5,
@@ -341,7 +339,7 @@ def test_10_interior_convergence(invasion_run, gauss_kernel):
 
 def test_11_acceleration(gauss_line, gauss_report):
     grid = Grid(dimension=1, half_length=400.0, points_per_axis=8192)
-    heavy = make_kernel(KernelSpec("power_tail", 1, q=4.0))
+    heavy = Kernel("power_tail", 1, q=4.0)
     w = discretize(heavy, grid)
     u0 = bump_field(grid, 0.0, 2.0, THETA / 2)
     traj = simulate(EvolutionProblem(CANON, w, w, u0), StepConfig(dt=2e-3, floor=1e-14),
@@ -350,7 +348,7 @@ def test_11_acceleration(gauss_line, gauss_report):
 
     # ballistic control: supercritical exponential tent (no logarithmic shift)
     grid_g = Grid(dimension=1, half_length=200.0, points_per_axis=8192)
-    kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    kernel = Kernel("gaussian", 1, sigma=1.0)
     wg = discretize(kernel, grid_g)
     lam = speed_to_abscissa(CANON, gauss_line, 1.3 * gauss_report.c_star,
                             report=gauss_report)
@@ -367,7 +365,7 @@ def test_11_acceleration(gauss_line, gauss_report):
 
 def test_12_equivariance_and_determinism(tmp_path):
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
-    kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
     rng = np.random.default_rng(7)
     u = Field(grid, THETA * rng.random(grid.shape))
@@ -418,7 +416,7 @@ height = 0.5
 
 def test_13_truncated_domination():
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=512)
-    kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
     seed = constant_field(grid, 0.0)
     theta_r, trunc = nlkpp.truncated_problem(EvolutionProblem(CANON, w, w, seed), 2.0)

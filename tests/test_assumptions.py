@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import qmc
 
-from nlkpp import KernelSpec, check_assumptions, competition_gap, make_kernel
+from nlkpp import Kernel, check_assumptions, competition_gap
 from nlkpp import reduce_to_direction
 from nlkpp.assumptions import _halton
 
@@ -28,7 +28,7 @@ def test_equal_kernels_satisfy_everything(canon, gauss1):
 
 
 def test_narrow_competition_kernel_breaks_domination(canon, gauss1):
-    spike = make_kernel(KernelSpec("gaussian", 1, sigma=0.2))
+    spike = Kernel("gaussian", 1, sigma=0.2)
     report = check_assumptions(canon, gauss1, spike, sample_radius=8.0)
     assert report.A1_kappa_gt_m
     assert not report.A2_kernel_domination
@@ -39,7 +39,7 @@ def test_narrow_competition_kernel_breaks_domination(canon, gauss1):
 
 
 def test_heavy_tail_has_no_mollison_witness(canon, gauss1):
-    heavy = make_kernel(KernelSpec("power_tail", 1, q=4.0))
+    heavy = Kernel("power_tail", 1, q=4.0)
     report = check_assumptions(canon, heavy, gauss1, sample_radius=8.0)
     assert report.A3_mollison is None
     assert report.radial_exp_moment is None
@@ -75,8 +75,8 @@ def test_gap_kernel_rejects_bad_q(canon, gauss1):
 
 def test_domination_transfers_to_reductions(canon):
     # kp a+ >= (kp - m) a- pointwise carries over to the 1-D marginals
-    a_plus = make_kernel(KernelSpec("gaussian", 2, sigma=1.0))
-    a_minus = make_kernel(KernelSpec("gaussian", 2, sigma=1.0))
+    a_plus = Kernel("gaussian", 2, sigma=1.0)
+    a_minus = Kernel("gaussian", 2, sigma=1.0)
     xi = np.array([0.28, 0.96])
     line_p = reduce_to_direction(a_plus, xi)
     line_m = reduce_to_direction(a_minus, xi)
@@ -88,6 +88,6 @@ def test_domination_transfers_to_reductions(canon):
 
 
 def test_dimension_mismatch_rejected(canon, gauss1):
-    two_d = make_kernel(KernelSpec("gaussian", 2, sigma=1.0))
+    two_d = Kernel("gaussian", 2, sigma=1.0)
     with pytest.raises(ValueError):
         check_assumptions(canon, gauss1, two_d, sample_radius=4.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlkpp
-from nlkpp import ConfigError, ConvergenceFailure, StepConfig, fronts, simulate, waves
+from nlkpp import ConfigError, ConvergenceFailure, StepConfig, cli, fronts, simulate, waves
 from nlkpp.cli import _problem, main
 from nlkpp.config import COMMANDS, parse_config
 
@@ -62,6 +62,13 @@ class TestParsing:
         assert cfg.time.snapshot_stride == 100
         assert cfg.scenario.command == "simulate"
         assert cfg.scenario.seed == 11
+
+    @pytest.mark.parametrize("sigma_minus, shared", [("1.0", True), ("1", True), ("0.8", False)])
+    def test_equal_kernel_sections_give_one_kernel(self, sigma_minus, shared):
+        cfg = parse_config(BASE.replace("sigma = 1.0\n\n[grid]",
+                                        f"sigma = {sigma_minus}\n\n[grid]"))
+        assert (cfg.kernel_minus is cfg.kernel_plus) == shared
+        assert (cfg.kernel_minus == cfg.kernel_plus) == shared
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
@@ -152,6 +159,12 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\nshift = inf"),
         ("value = 0.5", "value = 0.5\ndirection = 0"),
         ("value = 0.5", "value = 0.5\ndirection = 3"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\nspeed = 2.5\nspeed_factor = 1.3"),
+        ("value = 0.5", "value = 0.5\n\n[wave]\nspeed_factor = 1.3\nspeed = 2.5"),
+        # a density that is not integrable: its normalizer is not finite; the family line
+        ("family = gaussian\nsigma = 1.0", "p = 0.5\nq = 0\nmu = 1e-300\nfamily = exppoly"),
+        ("[kernel_minus]\nfamily = gaussian\nsigma = 1.0",
+         "[kernel_minus]\np = 0.5\nq = 0\nmu = 1e-300\nfamily = exppoly"),
     ])
     def test_rejects_out_of_range_values_with_line(self, old, new):
         text = BASE.replace(old, new)
@@ -513,6 +526,23 @@ class TestScenarios:
         assert main(["wave", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
         [(k_plus, k_minus)] = seen
         assert (k_minus is k_plus) == shared
+
+    @pytest.mark.parametrize("sigma_minus, samplings", [("1.0", 1), ("0.8", 2)])
+    def test_simulate_discretizes_each_kernel_once(self, tmp_path, monkeypatch, sigma_minus,
+                                                   samplings):
+        kernels = []
+
+        def counted(kernel, grid):
+            kernels.append(kernel)
+            return discretize(kernel, grid)
+
+        discretize = cli.discretize
+        monkeypatch.setattr(cli, "discretize", counted)
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(BASE.replace("sigma = 1.0\n\n[grid]",
+                                         f"sigma = {sigma_minus}\n\n[grid]"))
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        assert len(kernels) == samplings
 
     @pytest.mark.parametrize("sigma_minus, samplings", [("1.0", 1), ("0.8", 2)])
     def test_wave_samples_each_line_kernel_once(self, tmp_path, monkeypatch, sigma_minus,
@@ -893,16 +923,6 @@ class TestOverridesAndExitStatus:
         assert (out / "front_trace.csv").exists()
         assert not (out / "interior_deficit.csv").exists()
 
-    @pytest.mark.parametrize("command", ["dispersion", "wave"])
-    def test_kernel_refused_at_sampling_writes_a_summary(self, tmp_path, command):
-        # the parser accepts this spec; make_kernel finds its normalizer not finite
-        text = BASE.replace("family = gaussian\nsigma = 1.0",
-                            "family = exppoly\np = 0.5\nq = 0\nmu = 1e-300", 1)
-        rc, entries, _ = self._run(tmp_path, [command], text)
-        assert rc == 1
-        assert entries["error.type"] == "KernelError"
-        assert "is not integrable" in entries["error"]
-
 
 class TestProfileFileWorkflow:
     def test_wave_profile_feeds_simulation(self, tmp_path):
@@ -932,6 +952,19 @@ class TestProfileFileWorkflow:
         entries = summary_dict(tmp_path / "sim")
         assert entries["error.type"] == "ConfigError"
         assert "two columns" in entries["error"]
+
+    def test_decreasing_profile_file_writes_error(self, tmp_path):
+        # 1 on the left falling to 0 on the right, listed from the right
+        profile_csv = tmp_path / "decreasing.csv"
+        profile_csv.write_text("s,psi\n10,0\n0,0.5\n-10,1\n")
+        sim_cfg = tmp_path / "s.cfg"
+        sim_cfg.write_text(BASE.replace("kind = constant\nvalue = 0.5",
+                                        f"kind = profile-file\npath = {profile_csv}"))
+        assert main(["simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "sim")]) == 1
+        entries = summary_dict(tmp_path / "sim")
+        assert entries["error.type"] == "ConfigError"
+        assert "needs increasing s; data row 2 has s = 0 after 10" in entries["error"]
+        assert not (tmp_path / "sim" / "snapshots.csv").exists()
 
     def test_one_row_profile_file_gives_constant_start(self, tmp_path):
         profile_csv = tmp_path / "one_row.csv"

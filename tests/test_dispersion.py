@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nlkpp import (KernelSpec, ModelParams, MollisonFailure, UnsupportedCriticalCase,
+from nlkpp import (Kernel, ModelParams, MollisonFailure, UnsupportedCriticalCase,
                    char_multiplicity, classify, directional_mean, dispersion_G,
-                   front_set, global_mean, make_kernel, minimize_G, reduce_to_direction,
+                   front_set, global_mean, minimize_G, reduce_to_direction,
                    speed_to_abscissa, t_xi)
 from nlkpp import dispersion
 
 
 def line(family, **kw):
-    return reduce_to_direction(make_kernel(KernelSpec(family, 1, **kw)), [1.0])
+    return reduce_to_direction(Kernel(family, 1, **kw), [1.0])
 
 
 class TestTransformAndAbscissa:
@@ -119,19 +119,19 @@ class TestMinimizeG:
 
     def test_two_dimensional_exppoly_matches_gaussian(self, canon):
         # exp(-|x|^2) is the gaussian with sigma = 1/sqrt(2)
-        exppoly = make_kernel(KernelSpec("exppoly", 2, p=2.0, q=0.0, mu=1.0))
-        gauss = make_kernel(KernelSpec("gaussian", 2, sigma=1.0 / math.sqrt(2.0)))
+        exppoly = Kernel("exppoly", 2, p=2.0, q=0.0, mu=1.0)
+        gauss = Kernel("gaussian", 2, sigma=1.0 / math.sqrt(2.0))
         rep = minimize_G(canon, reduce_to_direction(exppoly, [1.0, 0.0]))
         oracle = minimize_G(canon, reduce_to_direction(gauss, [1.0, 0.0]))
         assert rep.c_star == pytest.approx(oracle.c_star, abs=1e-9)
 
     def test_two_dimensional_exppoly_exponential_tail(self, canon):
-        kernel = make_kernel(KernelSpec("exppoly", 2, p=1.0, q=4.0, mu=1.0))
+        kernel = Kernel("exppoly", 2, p=1.0, q=4.0, mu=1.0)
         rep = minimize_G(canon, reduce_to_direction(kernel, [1.0, 0.0]))
         assert math.isfinite(rep.c_star) and rep.c_star > 0
 
     def test_mean_shift_keeps_strict_bound(self, canon):
-        kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(0.5,)))
+        kernel = Kernel("gaussian", 1, sigma=1.0, offset=(0.5,))
         kline = reduce_to_direction(kernel, [1.0])
         rep = minimize_G(canon, kline)
         assert rep.m_xi == pytest.approx(0.5, abs=1e-12)
@@ -286,18 +286,18 @@ class TestMoments:
         np.testing.assert_allclose(global_mean(gauss1), [0.0], atol=1e-12)
 
     def test_offset_gaussian_mean(self):
-        kernel = make_kernel(KernelSpec("gaussian", 2, sigma=1.0, offset=(0.3, -0.4)))
+        kernel = Kernel("gaussian", 2, sigma=1.0, offset=(0.3, -0.4))
         np.testing.assert_allclose(global_mean(kernel), [0.3, -0.4], atol=1e-12)
 
     def test_power_tail_mean(self):
-        heavy = make_kernel(KernelSpec("power_tail", 1, q=4.0))
+        heavy = Kernel("power_tail", 1, q=4.0)
         assert directional_mean(heavy, [1.0]) == 0.0
         # the absolute first moment is finite: 2 alpha int s/(1+s^4) = alpha pi / 2
         alpha = math.sqrt(2.0) / math.pi
         oracle, _ = integrate.quad(lambda s: 2 * alpha * s / (1 + s**4), 0, np.inf)
         assert oracle == pytest.approx(alpha * math.pi / 2.0, rel=1e-10)
         with pytest.raises(ValueError):
-            directional_mean(make_kernel(KernelSpec("power_tail", 1, q=1.5)), [1.0])
+            directional_mean(Kernel("power_tail", 1, q=1.5), [1.0])
 
 
 class TestFrontSet:
@@ -309,7 +309,7 @@ class TestFrontSet:
         assert lo == pytest.approx(-rep.c_star, rel=1e-10)
 
     def test_isotropic_disk(self, canon):
-        kernel = make_kernel(KernelSpec("gaussian", 2, sigma=1.0))
+        kernel = Kernel("gaussian", 2, sigma=1.0)
         fs = front_set(canon, kernel, n_directions=16)
         assert fs.speeds.max() - fs.speeds.min() <= 1e-8
         assert fs.contains([[0.0, 0.0]])[0]
@@ -330,7 +330,7 @@ class TestFrontSet:
         return reports
 
     def test_isotropic_kernel_solved_once(self, canon, solves):
-        kernel = make_kernel(KernelSpec("compact_uniform", 2, radius=1.0))
+        kernel = Kernel("compact_uniform", 2, radius=1.0)
         fs = front_set(canon, kernel, n_directions=16)
         assert len(solves) == 1
         per_direction = [minimize_G(canon, reduce_to_direction(kernel, xi))
@@ -339,13 +339,13 @@ class TestFrontSet:
         assert np.array_equal(fs.lambda_stars, [rep.lambda_star for rep in per_direction])
 
     def test_offset_kernel_solved_per_direction(self, canon, solves):
-        kernel = make_kernel(KernelSpec("gaussian", 2, sigma=1.0, offset=(0.4, 0.1)))
+        kernel = Kernel("gaussian", 2, sigma=1.0, offset=(0.4, 0.1))
         fs = front_set(canon, kernel, n_directions=16)
         assert len(solves) == 16
         assert len(set(fs.speeds.tolist())) == 16
 
     def test_asymmetric_speeds_sum_positive(self, canon):
-        kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(0.4,)))
+        kernel = Kernel("gaussian", 1, sigma=1.0, offset=(0.4,))
         fs = front_set(canon, kernel)
         lo, hi = fs.interval()
         assert hi + lo > 0  # c*(+1) + c*(-1) > 0 despite the drift
@@ -353,7 +353,7 @@ class TestFrontSet:
 
     def test_unbounded_front_signalled(self, canon):
         with pytest.raises(MollisonFailure):
-            front_set(canon, make_kernel(KernelSpec("power_tail", 1, q=4.0)))
+            front_set(canon, Kernel("power_tail", 1, q=4.0))
 
 
 class TestVClassInvariants:
@@ -363,7 +363,7 @@ class TestVClassInvariants:
         dict(family="exppoly", p=1.0, q=3.0, mu=1.0),
     ], ids=lambda kw: kw["family"])
     def test_first_order_condition_and_t_at_minimizer(self, canon, spec_kw):
-        kline = reduce_to_direction(make_kernel(KernelSpec(dimension=1, **spec_kw)), [1.0])
+        kline = reduce_to_direction(Kernel(dimension=1, **spec_kw), [1.0])
         rep = minimize_G(canon, kline)
         assert rep.kernel_class == "V"
         lam = rep.lambda_star

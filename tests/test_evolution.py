@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpec,
+from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, Kernel,
                    ModelParams, StepConfig, constant_field, bump_field, discretize,
                    find_subsolution_params, gaussian_subsolution, logistic_exact,
-                   make_kernel, minimize_G, picard_solve, rhs, simulate, solve_profile, step,
+                   minimize_G, picard_solve, rhs, simulate, solve_profile, step,
                    truncated_problem, uniform_bound)
 from nlkpp import evolution, fronts, kernels
 from nlkpp.evolution import (_advance, _picard_interval, _rk4, convolve, convolve_pair,
@@ -52,7 +52,7 @@ class TestRhs:
     @pytest.mark.parametrize("shape", [(12, 128), (2, 64, 64)], ids=["1d", "2d"])
     def test_batched_convolve_equals_per_slice_bitwise(self, shape, backend):
         grid = Grid(dimension=len(shape) - 1, half_length=10.0, points_per_axis=shape[-1])
-        kernel = make_kernel(KernelSpec("gaussian", dimension=grid.dimension, sigma=1.5))
+        kernel = Kernel("gaussian", dimension=grid.dimension, sigma=1.5)
         w = discretize(kernel, grid)
         values = np.random.default_rng(8).random(shape)
         batched = convolve(w, values, backend=backend)
@@ -73,8 +73,8 @@ class TestConvolvePair:
     @staticmethod
     def kernels(dimension, n):
         grid = Grid(dimension=dimension, half_length=10.0, points_per_axis=n)
-        wp = discretize(make_kernel(KernelSpec("gaussian", dimension=dimension, sigma=1.5)), grid)
-        wm = discretize(make_kernel(KernelSpec("gaussian", dimension=dimension, sigma=2.0)), grid)
+        wp = discretize(Kernel("gaussian", dimension=dimension, sigma=1.5), grid)
+        wm = discretize(Kernel("gaussian", dimension=dimension, sigma=2.0), grid)
         return wp, wm
 
     @pytest.mark.parametrize("backend", ["fft", "direct"])
@@ -213,7 +213,7 @@ class TestInvariants:
 
     def test_exponential_apriori_bound(self, grid256):
         params = ModelParams(kappa_plus=3.0, kappa_minus=1.0, mortality=1.0)
-        kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+        kernel = Kernel("gaussian", 1, sigma=1.0)
         w = discretize(kernel, grid256)
         u0 = bump_field(grid256, 0.0, 2.0, 0.5)
         traj = simulate(EvolutionProblem(params, w, w, u0), StepConfig(dt=2e-3), 2.0,
@@ -224,7 +224,7 @@ class TestInvariants:
     def test_monotone_along_direction_preserved(self, canon):
         # wide domain so the periodic seam's influence cannot reach the window
         grid = Grid(dimension=1, half_length=40.0, points_per_axis=512)
-        kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+        kernel = Kernel("gaussian", 1, sigma=1.0)
         w = discretize(kernel, grid)
         theta = canon.theta
         x = grid.axis_coords()
@@ -271,7 +271,7 @@ class TestWindow:
 
     @staticmethod
     def gaussian(grid, sigma=1.0):
-        return discretize(make_kernel(KernelSpec("gaussian", grid.dimension, sigma=sigma)), grid)
+        return discretize(Kernel("gaussian", grid.dimension, sigma=sigma), grid)
 
     @pytest.mark.parametrize("dimension, steps", [(1, 200), (2, 20)])
     def test_agrees_with_whole_grid_steps(self, canon, dimension, steps, transform_shapes):
@@ -310,7 +310,7 @@ class TestWindow:
         if case == "wrap":  # a bump across the periodic edge
             u = bump_field(grid, grid.half_length, 2.0, 0.4).values
         elif case == "power_tail":
-            w = discretize(make_kernel(KernelSpec("power_tail", 1, q=4.0)), grid)
+            w = discretize(Kernel("power_tail", 1, q=4.0), grid)
         else:
             u = constant_field(grid, 0.5).values
         cfg = StepConfig(dt=0.01, method=method, floor=1e-14)
@@ -344,7 +344,7 @@ class TestWindow:
 
     def test_reach_of_each_family(self):
         grid = self.GRIDS[1]
-        uniform = discretize(make_kernel(KernelSpec("compact_uniform", 1, radius=1.5)), grid)
+        uniform = discretize(Kernel("compact_uniform", 1, radius=1.5), grid)
         r = uniform.reach  # the support is exactly the displacements -r..r
         assert uniform.weights[r] > 0 and uniform.weights[-r] > 0
         assert not uniform.weights[r + 1:-r].any()
@@ -362,7 +362,7 @@ class TestWindow:
             assert 0 < r < grid.points_per_axis // 2
 
         grid = self.GRIDS[1]
-        heavy = discretize(make_kernel(KernelSpec("power_tail", 1, q=4.0)), grid)
+        heavy = discretize(Kernel("power_tail", 1, q=4.0), grid)
         assert heavy.reach == grid.points_per_axis // 2
 
 
@@ -416,7 +416,7 @@ class TestTruncation:
     def test_erf_oracle_at_fine_resolution(self, canon):
         from scipy.special import erf
         grid = Grid(dimension=1, half_length=20.0, points_per_axis=4096)
-        kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+        kernel = Kernel("gaussian", 1, sigma=1.0)
         w = discretize(kernel, grid)
         u0 = constant_field(grid, 0.3)
         theta_r, _ = truncated_problem(EvolutionProblem(canon, w, w, u0), 1.0)
@@ -461,7 +461,7 @@ class TestUniformBound:
 @pytest.fixture(scope="module")
 def wide():
     grid = Grid(dimension=1, half_length=40.0, points_per_axis=1024)
-    kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    kernel = Kernel("gaussian", 1, sigma=1.0)
     return grid, discretize(kernel, grid)
 
 
@@ -529,7 +529,7 @@ def test_solvers_transform_only_through_the_fft_pair(monkeypatch, canon, gauss_l
         monkeypatch.setattr(module, "_irfft", irfft)
     for dimension, n in ((1, 256), (2, 64)):
         grid = Grid(dimension=dimension, half_length=8.0, points_per_axis=n)
-        kernel = make_kernel(KernelSpec("gaussian", dimension=dimension, sigma=1.0))
+        kernel = Kernel("gaussian", dimension=dimension, sigma=1.0)
         u = bump_field(grid, 0.0 if dimension == 1 else (0.0, 0.0), 2.0, 0.5)
         step(EvolutionProblem(canon, discretize(kernel, grid), discretize(kernel, grid), u),
              StepConfig(dt=0.01))

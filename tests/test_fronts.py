@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, KernelSpec,
+from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, Kernel,
                    StepConfig, bump_field, constant_field, discretize, front_set,
-                   logistic_exact, make_kernel, simulate)
+                   logistic_exact, simulate)
 from nlkpp.evolution import Trajectory
 from nlkpp.fronts import (LevelTrace, acceleration_test, check_initial_decay,
                           comparison_harness, estimate_speed, exterior_decay,
@@ -156,7 +156,7 @@ class TestComparison:
             assert result.lower_envelope_ok
 
     def test_refuses_when_domination_fails(self, canon, grid256, gauss_weights):
-        spike = discretize(make_kernel(KernelSpec("gaussian", 1, sigma=0.3)), grid256)
+        spike = discretize(Kernel("gaussian", 1, sigma=0.3), grid256)
         u0 = constant_field(grid256, 0.3)
         with pytest.raises(CertificationFailed):
             comparison_harness(canon, gauss_weights, spike, u0, u0, 0.5,
@@ -166,8 +166,8 @@ class TestComparison:
         # local domination failure: state dented below theta near the spike
         grid = Grid(dimension=1, half_length=10.0, points_per_axis=1024)
         theta = canon.theta
-        kp = discretize(make_kernel(KernelSpec("gaussian", 1, sigma=1.0)), grid)
-        km = discretize(make_kernel(KernelSpec("gaussian", 1, sigma=0.2)), grid)
+        kp = discretize(Kernel("gaussian", 1, sigma=1.0), grid)
+        km = discretize(Kernel("gaussian", 1, sigma=0.2), grid)
         dent = bump_field(grid, 0.18, 0.09, 0.8 * theta)
         u0 = Field(grid, np.maximum(theta - dent.values, 0.0))
         problem = EvolutionProblem(canon, kp, km, u0)
@@ -247,7 +247,7 @@ class TestSubsolutionOrdering:
     def test_barrier_persists_under_evolution(self, canon):
         from nlkpp import find_subsolution_params, gaussian_subsolution
         grid = Grid(dimension=1, half_length=40.0, points_per_axis=1024)
-        kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+        kernel = Kernel("gaussian", 1, sigma=1.0)
         w = discretize(kernel, grid)
         q, alpha, t_min = find_subsolution_params(canon, w, w, grid)
         t0 = t_min + 2.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nlkpp import Grid, KernelError, KernelSpec, discretize, make_kernel, reduce_to_direction
+from nlkpp import Grid, Kernel, KernelError, discretize, reduce_to_direction
 from nlkpp.kernels import (RadialLine, _bessel_i, _fast_lengths, _irfft, _next_fast_len, _quad,
                            _radial_shape, _rfft)
 from nlkpp.waves import sample_line_kernel
@@ -28,43 +28,43 @@ def quad_mass_2d(kernel):
 
 
 SPECS_1D = [
-    KernelSpec("gaussian", 1, sigma=0.7),
-    KernelSpec("laplace", 1, mu=1.3),
-    KernelSpec("exppoly", 1, p=1.0, q=3.0, mu=1.0),
-    KernelSpec("exppoly", 1, p=2.0, q=1.0, mu=0.5),
-    KernelSpec("compact_uniform", 1, radius=1.5),
-    KernelSpec("power_tail", 1, q=4.0),
+    Kernel("gaussian", 1, sigma=0.7),
+    Kernel("laplace", 1, mu=1.3),
+    Kernel("exppoly", 1, p=1.0, q=3.0, mu=1.0),
+    Kernel("exppoly", 1, p=2.0, q=1.0, mu=0.5),
+    Kernel("compact_uniform", 1, radius=1.5),
+    Kernel("power_tail", 1, q=4.0),
 ]
 
 SPECS_2D = [
-    KernelSpec("gaussian", 2, sigma=1.0),
-    KernelSpec("laplace", 2, mu=1.0),
-    KernelSpec("exppoly", 2, p=1.0, q=3.0, mu=1.0),
-    KernelSpec("compact_uniform", 2, radius=1.0),
-    KernelSpec("power_tail", 2, q=4.0),
+    Kernel("gaussian", 2, sigma=1.0),
+    Kernel("laplace", 2, mu=1.0),
+    Kernel("exppoly", 2, p=1.0, q=3.0, mu=1.0),
+    Kernel("compact_uniform", 2, radius=1.0),
+    Kernel("power_tail", 2, q=4.0),
 ]
 
 
 @pytest.mark.parametrize("spec", SPECS_1D, ids=lambda s: f"{s.family}")
 def test_normalization_1d(spec):
-    kernel = make_kernel(spec)
+    kernel = spec
     assert quad_mass_1d(kernel) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("spec", SPECS_2D, ids=lambda s: f"{s.family}")
 def test_normalization_2d(spec):
-    kernel = make_kernel(spec)
+    kernel = spec
     assert quad_mass_2d(kernel) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_gaussian_normalizer_closed_form():
-    kernel = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    kernel = Kernel("gaussian", 1, sigma=1.0)
     assert kernel.normalizer_alpha == pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-14)
     assert kernel.abscissa == math.inf
 
 
 def test_exppoly_normalizer_against_oracle():
-    kernel = make_kernel(KernelSpec("exppoly", 1, p=1.0, q=3.0, mu=1.0))
+    kernel = Kernel("exppoly", 1, p=1.0, q=3.0, mu=1.0)
     # adaptive oracle on [-50, 50] plus analytic tail bound (tail < e^-50)
     body, _ = integrate.quad(lambda s: math.exp(-abs(s)) / (1 + abs(s) ** 3),
                              -50, 50, limit=400, epsabs=1e-14)
@@ -73,7 +73,7 @@ def test_exppoly_normalizer_against_oracle():
 
 
 def test_power_tail_normalizer():
-    kernel = make_kernel(KernelSpec("power_tail", 1, q=4.0))
+    kernel = Kernel("power_tail", 1, q=4.0)
     # integral of 1/(1+s^4) over R is pi/sqrt(2)
     assert kernel.normalizer_alpha == pytest.approx(math.sqrt(2.0) / math.pi, rel=1e-10)
     assert kernel.abscissa == 0.0
@@ -90,20 +90,20 @@ def test_power_tail_normalizer():
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(KernelError):
-        KernelSpec(**bad)
+        Kernel(**bad)
 
 
 @pytest.mark.parametrize("dimension", [0, 3])
 def test_dimensions_other_than_1_or_2_are_refused(dimension):
     with pytest.raises(KernelError, match=f"dimension must be 1 or 2, got {dimension}"):
-        KernelSpec("gaussian", dimension, sigma=1.0)
+        Kernel("gaussian", dimension, sigma=1.0)
 
 
-@pytest.mark.parametrize("spec", SPECS_1D + [KernelSpec("gaussian", 1, sigma=0.7, offset=(0.3,))],
+@pytest.mark.parametrize("spec", SPECS_1D + [Kernel("gaussian", 1, sigma=0.7, offset=(0.3,))],
                          ids=lambda s: s.family + ("-offset" if s.offset else ""))
 def test_eval_1d_is_the_shape_of_the_distance(spec):
     # sqrt(x^2) is |x| in binary64, so the one distance path keeps the 1-D bits
-    kernel = make_kernel(spec)
+    kernel = spec
     x = Grid(dimension=1, half_length=20.0, points_per_axis=256).axis_coords()
     expected = kernel.normalizer_alpha * _radial_shape(spec)(np.abs(x - spec.offset_vector[0]))
     assert np.array_equal(kernel.eval(x[:, None]), expected)
@@ -113,7 +113,7 @@ def test_eval_1d_is_the_shape_of_the_distance(spec):
                                                (2, np.zeros((4, 1))), (2, np.float64(0.0))],
                          ids=["bare-1d", "2-components-1d", "1-component-2d", "scalar-2d"])
 def test_eval_refuses_points_without_d_components(dimension, points):
-    kernel = make_kernel(KernelSpec("gaussian", dimension, sigma=1.0))
+    kernel = Kernel("gaussian", dimension, sigma=1.0)
     with pytest.raises(KernelError, match="components"):
         kernel.eval(points)
 
@@ -135,7 +135,7 @@ def test_reduction_identity_in_1d(gauss1):
 
 
 def test_reduction_direction_independent_for_isotropic():
-    kernel = make_kernel(KernelSpec("gaussian", 2, sigma=1.0))
+    kernel = Kernel("gaussian", 2, sigma=1.0)
     rng = np.random.default_rng(11)
     values = []
     for _ in range(16):
@@ -148,24 +148,24 @@ def test_reduction_direction_independent_for_isotropic():
 
 def test_reduction_mass_is_one():
     for spec in SPECS_2D:
-        line = reduce_to_direction(make_kernel(spec), [0.6, 0.8])
+        line = reduce_to_direction(spec, [0.6, 0.8])
         half, _ = integrate.quad(lambda t: float(np.atleast_1d(line.eval(t))[0]),
                                  0, np.inf, limit=800)
         assert 2.0 * half == pytest.approx(1.0, abs=1e-8), spec.family
 
 
 LINE_VIEW_SPECS = [
-    KernelSpec("gaussian", 1, sigma=0.7),
-    KernelSpec("gaussian", 2, sigma=0.7),
-    KernelSpec("gaussian", 1, sigma=0.7, offset=(0.5,)),
-    KernelSpec("gaussian", 2, sigma=0.7, offset=(0.5, -0.25)),
-    KernelSpec("laplace", 1, mu=1.3),
-    KernelSpec("laplace", 2, mu=1.3),
-    KernelSpec("compact_uniform", 1, radius=1.5),
-    KernelSpec("compact_uniform", 2, radius=1.5),
-    KernelSpec("power_tail", 1, q=4.0),
-    KernelSpec("power_tail", 2, q=4.0),
-] + [KernelSpec("exppoly", d, p=p, q=3.0, mu=2.0) for p in (0.5, 1.0, 2.0) for d in (1, 2)]
+    Kernel("gaussian", 1, sigma=0.7),
+    Kernel("gaussian", 2, sigma=0.7),
+    Kernel("gaussian", 1, sigma=0.7, offset=(0.5,)),
+    Kernel("gaussian", 2, sigma=0.7, offset=(0.5, -0.25)),
+    Kernel("laplace", 1, mu=1.3),
+    Kernel("laplace", 2, mu=1.3),
+    Kernel("compact_uniform", 1, radius=1.5),
+    Kernel("compact_uniform", 2, radius=1.5),
+    Kernel("power_tail", 1, q=4.0),
+    Kernel("power_tail", 2, q=4.0),
+] + [Kernel("exppoly", d, p=p, q=3.0, mu=2.0) for p in (0.5, 1.0, 2.0) for d in (1, 2)]
 
 
 @pytest.mark.parametrize("spec", LINE_VIEW_SPECS,
@@ -173,16 +173,18 @@ LINE_VIEW_SPECS = [
                          + (f"-p{s.p:g}" if s.p is not None else "")
                          + ("-offset" if s.offset else ""))
 def test_line_is_a_view_of_its_kernel(spec):
-    kernel = make_kernel(spec)
+    kernel = spec
     directions = [[1.0], [-1.0]] if spec.dimension == 1 else [[1.0, 0.0], [0.6, -0.8]]
     for xi in directions:
         line = reduce_to_direction(kernel, xi)
         assert line.lambda0 == kernel.abscissa
         assert line.effective_scale() == kernel.effective_scale()
+        one = line.eval(np.array([0.5]))  # an array of the input's shape, one element too
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
 
 
 def test_uniform_disk_chord_reduction():
-    kernel = make_kernel(KernelSpec("compact_uniform", 2, radius=1.0))
+    kernel = Kernel("compact_uniform", 2, radius=1.0)
     line = reduce_to_direction(kernel, [1.0, 0.0])
     s = np.array([0.0, 0.3, 0.7, 0.99])
     expected = (2.0 / math.pi) * np.sqrt(1.0 - s**2)
@@ -200,7 +202,7 @@ def test_uniform_disk_chord_reduction():
 def compact_moment_reference(line, lam, power):
     """Moment of a compact line by quadrature of its array ``eval``, one point at a time."""
     f = lambda s: (s**power) * math.exp(lam * s) * float(line.eval(s))
-    radius = line.kernel.spec.radius
+    radius = line.kernel.radius
     return _quad(f, -radius, radius, epsabs=0.0, epsrel=1e-13)
 
 
@@ -208,8 +210,8 @@ def compact_moment_reference(line, lam, power):
 @pytest.mark.parametrize("radius", [0.3, 1.0, 2.0, 3.7])
 def test_compact_moments_match_quadrature(dimension, radius):
     # 0.99 / R and 1.01 / R straddle the uniform line's switch from series to closed form
-    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", dimension,
-                                                      radius=radius)), [1.0, 0.0][:dimension])
+    line = reduce_to_direction(Kernel("compact_uniform", dimension, radius=radius),
+                               [1.0, 0.0][:dimension])
     for lam in [*np.linspace(-6.0, 6.0, 25), 1e-3, 0.99 / radius, 1.01 / radius]:
         for power, name in enumerate(MOMENTS):
             expected = compact_moment_reference(line, lam, power)
@@ -219,8 +221,8 @@ def test_compact_moments_match_quadrature(dimension, radius):
 
 @pytest.mark.parametrize("dimension", [1, 2], ids=["uniform", "chord"])
 def test_compact_moments_past_overflow_are_infinite(dimension):
-    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", dimension,
-                                                      radius=2.0)), [1.0, 0.0][:dimension])
+    line = reduce_to_direction(Kernel("compact_uniform", dimension, radius=2.0),
+                               [1.0, 0.0][:dimension])
     for name in MOMENTS:
         assert math.isfinite(getattr(line, name)(349.0))
         assert getattr(line, name)(350.0) == math.inf
@@ -239,8 +241,7 @@ def chord_moment_reference(radius, lam, power):
 @pytest.mark.parametrize("radius", [0.5, 2.0])
 def test_chord_moments_match_the_disk_marginal(radius):
     # x = lam R from just past the small-x expansion to just below the overflow cut at 700
-    line = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", 2, radius=radius)),
-                               [1.0, 0.0])
+    line = reduce_to_direction(Kernel("compact_uniform", 2, radius=radius), [1.0, 0.0])
     for x in (1e-5, 1e-3, 0.5, 3.0, 40.0, 300.0, 699.0):
         for lam in (x / radius, -x / radius):
             for power, name in enumerate(MOMENTS):
@@ -259,7 +260,7 @@ def test_bessel_series_is_scipy_iv(n):
 
 
 def test_gaussian_offset_shifts_reduction():
-    kernel = make_kernel(KernelSpec("gaussian", 2, sigma=1.0, offset=(0.5, -0.25)))
+    kernel = Kernel("gaussian", 2, sigma=1.0, offset=(0.5, -0.25))
     xi = np.array([0.6, 0.8])
     line = reduce_to_direction(kernel, xi)
     drift = 0.5 * 0.6 + (-0.25) * 0.8
@@ -277,7 +278,7 @@ def test_discretize_sums_to_exactly_one(gauss_weights):
 
 def test_discretize_heavy_tail_keeps_truncated_mass():
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=1024)
-    kernel = make_kernel(KernelSpec("power_tail", 1, q=4.0))
+    kernel = Kernel("power_tail", 1, q=4.0)
     w = discretize(kernel, grid)
     mass = float(w.weights.sum())
     tail, _ = integrate.quad(lambda s: kernel.normalizer_alpha / (1 + s**4), 20.0, np.inf)
@@ -287,14 +288,14 @@ def test_discretize_heavy_tail_keeps_truncated_mass():
 
 def test_discretize_rejects_underresolved():
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
-    narrow = make_kernel(KernelSpec("gaussian", 1, sigma=grid.spacing / 10.0))
+    narrow = Kernel("gaussian", 1, sigma=grid.spacing / 10.0)
     with pytest.raises(KernelError, match="refine the grid"):
         discretize(narrow, grid)
 
 
 def test_discretize_rejects_poor_coverage():
     grid = Grid(dimension=1, half_length=2.0, points_per_axis=64)
-    wide = make_kernel(KernelSpec("gaussian", 1, sigma=1.0))
+    wide = Kernel("gaussian", 1, sigma=1.0)
     with pytest.raises(KernelError, match="half_length"):
         discretize(wide, grid)
 
@@ -303,7 +304,7 @@ def test_discretize_rejects_poor_coverage():
 def test_discretize_coverage_counts_the_offset(offset):
     # over 1e-3 of the mass lies beyond the lattice, 3 sigma from the offset
     grid = Grid(dimension=len(offset), half_length=8.0, points_per_axis=128)
-    shifted = make_kernel(KernelSpec("gaussian", len(offset), sigma=1.0, offset=offset))
+    shifted = Kernel("gaussian", len(offset), sigma=1.0, offset=offset)
     with pytest.raises(KernelError, match="half_length to at least 16"):
         discretize(shifted, grid)
 
@@ -316,7 +317,7 @@ def line_tail(line, radius):
 @pytest.mark.parametrize("drift", [0.0, 0.7, 5.0])
 @pytest.mark.parametrize("radius", [1.0, 4.0, 9.0])
 def test_gaussian_line_mass_outside_counts_the_drift(drift, radius):
-    shifted = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(drift,)))
+    shifted = Kernel("gaussian", 1, sigma=1.0, offset=(drift,))
     line = reduce_to_direction(shifted, [1.0])
     expected = line_tail(line, radius)
     assert line.mass_outside(radius) == pytest.approx(expected, rel=1e-9, abs=1e-13)
@@ -344,7 +345,7 @@ LINE_TAILS = [
                               "exppoly-p2", "compact_uniform", "power_tail"])
 def test_ball_tail_bounds_the_line_tail(keys, halfwidth, dimension):
     # the line's tail sizes its samples; the kernel's ball tail bounds it, and equals it in 1-D
-    kernel = make_kernel(KernelSpec(dimension=dimension, **keys))
+    kernel = Kernel(dimension=dimension, **keys)
     line = reduce_to_direction(kernel, [1.0] + [0.0] * (dimension - 1))
     for radius in (4.0, 9.0, 20.0):
         radius *= kernel.effective_scale()
@@ -360,8 +361,7 @@ def test_ball_tail_bounds_the_line_tail(keys, halfwidth, dimension):
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("radius", [0.3, 1.0, 2.5, 6.0])
 def test_gaussian_mass_outside_closed_form_matches_quadrature(dimension, radius):
-    kernel = make_kernel(KernelSpec("gaussian", dimension, sigma=0.8,
-                                    offset=(0.4,) * dimension))
+    kernel = Kernel("gaussian", dimension, sigma=0.8, offset=(0.4,) * dimension)
     shape = lambda r: kernel.normalizer_alpha * math.exp(-r * r / (2.0 * 0.8**2))
     opts = dict(limit=800, epsabs=0.0, epsrel=1e-13)
     if dimension == 1:
@@ -375,7 +375,7 @@ def test_gaussian_mass_outside_closed_form_matches_quadrature(dimension, radius)
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("radius", [1.0, 5.0, 20.0])
 def test_laplace_mass_outside_closed_form_matches_quadrature(dimension, radius):
-    kernel = make_kernel(KernelSpec("laplace", dimension, mu=1.3))
+    kernel = Kernel("laplace", dimension, mu=1.3)
     shape = lambda r: kernel.normalizer_alpha * math.exp(-1.3 * r)
     if dimension == 1:
         expected = 2.0 * _quad(shape, radius, np.inf, epsabs=0.0, epsrel=1e-13)
@@ -387,14 +387,14 @@ def test_laplace_mass_outside_closed_form_matches_quadrature(dimension, radius):
 
 @pytest.mark.parametrize("dimension, inner", [(1, 0.5), (2, 0.75)])
 def test_compact_mass_outside_is_the_volume_fraction(dimension, inner):
-    kernel = make_kernel(KernelSpec("compact_uniform", dimension, radius=2.0))
+    kernel = Kernel("compact_uniform", dimension, radius=2.0)
     assert kernel.mass_outside(0.0) == 1.0
     assert kernel.mass_outside(1.0) == inner
     assert kernel.mass_outside(2.0) == kernel.mass_outside(3.0) == 0.0
 
 
 def test_transform_divergence_is_signalled(gauss_line):
-    laplace = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
+    laplace = reduce_to_direction(Kernel("laplace", 1, mu=1.0), [1.0])
     assert laplace.transform(1.5) == math.inf
     assert laplace.transform(1.0) == math.inf
     assert math.isfinite(gauss_line.transform(10.0))
@@ -403,7 +403,7 @@ def test_transform_divergence_is_signalled(gauss_line):
 @settings(max_examples=25, deadline=None)
 @given(sigma=st.floats(0.3, 3.0), lam=st.floats(0.05, 2.0))
 def test_gaussian_transform_matches_quadrature(sigma, lam):
-    line = reduce_to_direction(make_kernel(KernelSpec("gaussian", 1, sigma=sigma)), [1.0])
+    line = reduce_to_direction(Kernel("gaussian", 1, sigma=sigma), [1.0])
     oracle, _ = integrate.quad(lambda s: float(line.eval(s)) * math.exp(lam * s),
                                -60 * sigma, 60 * sigma, limit=400)
     assert line.transform(lam) == pytest.approx(oracle, rel=1e-9)
@@ -413,19 +413,19 @@ def test_gaussian_transform_matches_quadrature(sigma, lam):
 @given(mu=st.floats(0.5, 3.0), frac=st.floats(0.05, 0.95))
 def test_laplace_transform_closed_form(mu, frac):
     lam = frac * mu
-    line = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=mu)), [1.0])
+    line = reduce_to_direction(Kernel("laplace", 1, mu=mu), [1.0])
     assert line.transform(lam) == pytest.approx(mu**2 / (mu**2 - lam**2), rel=1e-12)
 
 
 def test_exppoly_without_power_has_unit_scale():
     # with p = 0, mu only scales the density by exp(-mu): no length scale
     for d, xi in ((1, [1.0]), (2, [1.0, 0.0])):
-        kernel = make_kernel(KernelSpec("exppoly", d, p=0.0, q=3.0, mu=10.0))
+        kernel = Kernel("exppoly", d, p=0.0, q=3.0, mu=10.0)
         line = reduce_to_direction(kernel, xi)
         assert kernel.effective_scale() == line.effective_scale() == 1.0
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=64)
     assert grid.spacing == 0.625
-    kernel = make_kernel(KernelSpec("exppoly", 1, p=0.0, q=3.0, mu=10.0))
+    kernel = Kernel("exppoly", 1, p=0.0, q=3.0, mu=10.0)
     with pytest.warns(UserWarning, match="marginal"):
         w = discretize(kernel, grid)
     assert float(w.weights.sum()) < 1.0
@@ -433,25 +433,25 @@ def test_exppoly_without_power_has_unit_scale():
 
 # (spec, oracle half-width, powers whose moment diverges at a finite abscissa)
 MOMENT_MATRIX = [
-    (KernelSpec("gaussian", 1, sigma=0.8), 15.0, None),
-    (KernelSpec("gaussian", 2, sigma=0.8), 15.0, None),
-    (KernelSpec("gaussian", 1, sigma=0.8, offset=(0.5,)), 15.0, None),
-    (KernelSpec("gaussian", 2, sigma=0.8, offset=(0.5, -0.25)), 15.0, None),
-    (KernelSpec("laplace", 1, mu=1.3), 80.0, {0, 1, 2}),
-    (KernelSpec("laplace", 2, mu=1.3), 80.0, {0, 1, 2}),
-    (KernelSpec("exppoly", 1, p=0.5, q=3.0, mu=1.0), 2500.0, set()),
-    (KernelSpec("exppoly", 2, p=0.5, q=3.0, mu=1.0), 2500.0, set()),
-    (KernelSpec("exppoly", 1, p=1.0, q=3.0, mu=1.0), 100.0, {2}),
-    (KernelSpec("exppoly", 2, p=1.0, q=3.0, mu=1.0), 100.0, {2}),
-    (KernelSpec("exppoly", 1, p=2.0, q=1.0, mu=0.5), 15.0, None),
-    (KernelSpec("exppoly", 2, p=2.0, q=1.0, mu=0.5), 15.0, None),
-    (KernelSpec("compact_uniform", 1, radius=1.5), 1.5, None),
-    (KernelSpec("compact_uniform", 2, radius=1.5), 1.5, None),
-    (KernelSpec("power_tail", 1, q=2.5), None, {2}),
-    (KernelSpec("power_tail", 2, q=2.5), None, {1, 2}),
-    (KernelSpec("power_tail", 1, q=3.5), None, set()),
-    (KernelSpec("power_tail", 2, q=3.5), None, {2}),
-    (KernelSpec("power_tail", 2, q=4.5), None, set()),
+    (Kernel("gaussian", 1, sigma=0.8), 15.0, None),
+    (Kernel("gaussian", 2, sigma=0.8), 15.0, None),
+    (Kernel("gaussian", 1, sigma=0.8, offset=(0.5,)), 15.0, None),
+    (Kernel("gaussian", 2, sigma=0.8, offset=(0.5, -0.25)), 15.0, None),
+    (Kernel("laplace", 1, mu=1.3), 80.0, {0, 1, 2}),
+    (Kernel("laplace", 2, mu=1.3), 80.0, {0, 1, 2}),
+    (Kernel("exppoly", 1, p=0.5, q=3.0, mu=1.0), 2500.0, set()),
+    (Kernel("exppoly", 2, p=0.5, q=3.0, mu=1.0), 2500.0, set()),
+    (Kernel("exppoly", 1, p=1.0, q=3.0, mu=1.0), 100.0, {2}),
+    (Kernel("exppoly", 2, p=1.0, q=3.0, mu=1.0), 100.0, {2}),
+    (Kernel("exppoly", 1, p=2.0, q=1.0, mu=0.5), 15.0, None),
+    (Kernel("exppoly", 2, p=2.0, q=1.0, mu=0.5), 15.0, None),
+    (Kernel("compact_uniform", 1, radius=1.5), 1.5, None),
+    (Kernel("compact_uniform", 2, radius=1.5), 1.5, None),
+    (Kernel("power_tail", 1, q=2.5), None, {2}),
+    (Kernel("power_tail", 2, q=2.5), None, {1, 2}),
+    (Kernel("power_tail", 1, q=3.5), None, set()),
+    (Kernel("power_tail", 2, q=3.5), None, {2}),
+    (Kernel("power_tail", 2, q=4.5), None, set()),
 ]
 
 MOMENTS = ("transform", "weighted_moment1", "weighted_moment2")
@@ -501,7 +501,7 @@ def _power_tail_oracle(spec, k):
 @pytest.mark.parametrize("case", MOMENT_MATRIX, ids=_matrix_id)
 def test_moment_matrix(case):
     spec, half_width, divergent = case
-    kernel = make_kernel(spec)
+    kernel = spec
     xi = [1.0] if spec.dimension == 1 else [0.6, 0.8]
     line = reduce_to_direction(kernel, xi)
     lam0 = line.lambda0
@@ -533,7 +533,7 @@ def test_moment_matrix(case):
 
 
 def test_divergent_second_moment_of_a_planar_power_tail_is_infinite():
-    line = reduce_to_direction(make_kernel(KernelSpec("power_tail", 2, q=3.5)), [1.0, 0.0])
+    line = reduce_to_direction(Kernel("power_tail", 2, q=3.5), [1.0, 0.0])
     assert line.weighted_moment2(0.0) == math.inf
     assert line.mean() == 0.0
 

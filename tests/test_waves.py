@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from nlkpp import (CertificationFailed, ConvergenceFailure, KernelSpec, StepConfig, fit_decay,
-                   initial_supersolution, make_kernel, measure_profile_speed, minimize_G,
+from nlkpp import (CertificationFailed, ConvergenceFailure, Kernel, StepConfig, fit_decay,
+                   initial_supersolution, measure_profile_speed, minimize_G,
                    profile_residual, reduce_to_direction, solve_profile, speed_to_abscissa)
 from nlkpp import waves
 from nlkpp.evolution import _march
@@ -60,7 +60,7 @@ class TestLineMachinery:
                              ids=["theta-zero", "two-sided"])
     def test_line_convolve_equals_fftconvolve_bitwise(self, family, h, left, right):
         params = {"sigma": 1.0} if family == "gaussian" else {"mu": 1.0}
-        line = reduce_to_direction(make_kernel(KernelSpec(family, 1, **params)), [1.0])
+        line = reduce_to_direction(Kernel(family, 1, **params), [1.0])
         lk = sample_line_kernel(line, h)
         half = lk.halfwidth
         rng = np.random.default_rng(int(100 * h) + len(family))
@@ -77,10 +77,14 @@ class TestLineMachinery:
         assert np.array_equal(lk.spectrum((1000,)), np.fft.rfft(lk.weights, 1000))
 
     def test_sample_line_kernels_shares_only_equal_samples(self, gauss_line):
-        twin = reduce_to_direction(make_kernel(KernelSpec("gaussian", 1, sigma=1.0)), [1.0])
-        wp, wm = sample_line_kernels(gauss_line, twin, 0.1)
+        wp, wm = sample_line_kernels(gauss_line, gauss_line, 0.1)
         assert wm is wp
-        lap = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
+        # an equal line that is another object is sampled on its own, to equal weights
+        twin = reduce_to_direction(Kernel("gaussian", 1, sigma=1.0), [1.0])
+        wp, wm = sample_line_kernels(gauss_line, twin, 0.1)
+        assert wm is not wp
+        assert np.array_equal(wm.weights, wp.weights)
+        lap = reduce_to_direction(Kernel("laplace", 1, mu=1.0), [1.0])
         wp, wm = sample_line_kernels(gauss_line, lap, 0.1)
         assert wm is not wp
         assert not np.array_equal(wp.weights, wm.weights)
@@ -102,7 +106,7 @@ class TestLineMachinery:
         assert np.array_equal(shared, separate)
 
     def test_line_pair_transforms_psi_once(self, gauss_line, transforms):
-        narrow = reduce_to_direction(make_kernel(KernelSpec("gaussian", 1, sigma=0.8)), [1.0])
+        narrow = reduce_to_direction(Kernel("gaussian", 1, sigma=0.8), [1.0])
         wp, wm = sample_line_kernels(gauss_line, narrow, 0.1)
         assert wm.halfwidth < wp.halfwidth
         pad = waves._constant_pad(1.0, 0.0)
@@ -128,7 +132,7 @@ class TestLineMachinery:
 
     def test_sampled_kernel_covers_an_offset_gaussian(self):
         # all but 1e-10 of the mass about the offset lies within the samples' reach
-        shifted = make_kernel(KernelSpec("gaussian", 1, sigma=1.0, offset=(5.0,)))
+        shifted = Kernel("gaussian", 1, sigma=1.0, offset=(5.0,))
         line = reduce_to_direction(shifted, [1.0])
         lk = sample_line_kernel(line, 0.1)
         radius = lk.halfwidth * 0.1
@@ -143,14 +147,14 @@ class TestSupersolution:
         assert np.all(phi[s <= 0] == canon.theta)
 
     def test_rejects_mu_beyond_abscissa(self, canon):
-        lap = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
+        lap = reduce_to_direction(Kernel("laplace", 1, mu=1.0), [1.0])
         s = np.linspace(-30, 50, 1600, endpoint=False)
         with pytest.raises(ValueError):
             initial_supersolution(canon, lap, lap, s, mu=1.2)
 
     def test_w_class_certifies_at_the_abscissa(self, canon):
         # exp(-|s|) / (1 + s^4) has a finite transform at its abscissa 1 = lambda*
-        kernel = make_kernel(KernelSpec("exppoly", 1, p=1.0, q=4.0, mu=1.0))
+        kernel = Kernel("exppoly", 1, p=1.0, q=4.0, mu=1.0)
         kline = reduce_to_direction(kernel, [1.0])
         report = minimize_G(canon, kline)
         assert report.kernel_class == "W" and report.lambda_star == kline.lambda0
@@ -165,7 +169,7 @@ class TestSupersolution:
         assert c == pytest.approx(report.c_star, rel=1e-10)
 
     def test_plateau_failure_points_to_kernel_domination(self, canon, gauss_line, report):
-        lap = reduce_to_direction(make_kernel(KernelSpec("laplace", 1, mu=1.0)), [1.0])
+        lap = reduce_to_direction(Kernel("laplace", 1, mu=1.0), [1.0])
         s = -40.0 + 0.1 * np.arange(1200)
         mu = speed_to_abscissa(canon, gauss_line, 1.3 * report.c_star, report=report)
         with pytest.raises(CertificationFailed) as err:
@@ -177,8 +181,7 @@ class TestSupersolution:
         assert "enlarge the domain" not in str(err.value)
 
     def test_ramp_failure_asks_for_a_finer_grid(self, canon):
-        uniform = reduce_to_direction(make_kernel(KernelSpec("compact_uniform", 1, radius=1.0)),
-                                      [1.0])
+        uniform = reduce_to_direction(Kernel("compact_uniform", 1, radius=1.0), [1.0])
         mu = minimize_G(canon, uniform).lambda_star
         s = np.arange(-30.0, 50.0, 0.3)
         with pytest.raises(CertificationFailed, match="enlarge the domain or refine the grid"
@@ -235,14 +238,14 @@ class TestSolveProfile:
     # measured spreads: 7.0e-11, 1.8e-9, 1.3e-9 and 1.5e-7; each bound leaves
     # about 10x, except laplace-1.3, whose 5e-9 leaves about 4x
     @pytest.mark.parametrize("spec, factor, bound", [
-        (KernelSpec("gaussian", 1, sigma=1.0), 1.3, 1e-9),
-        (KernelSpec("gaussian", 1, sigma=1.0), 1.0, 2e-8),
-        (KernelSpec("laplace", 1, mu=2.0), 1.3, 5e-9),
-        (KernelSpec("laplace", 1, mu=2.0), 1.0, 2e-6),
+        (Kernel("gaussian", 1, sigma=1.0), 1.3, 1e-9),
+        (Kernel("gaussian", 1, sigma=1.0), 1.0, 2e-8),
+        (Kernel("laplace", 1, mu=2.0), 1.3, 5e-9),
+        (Kernel("laplace", 1, mu=2.0), 1.0, 2e-6),
     ], ids=["gaussian-1.3", "gaussian-1.0", "laplace-1.3", "laplace-1.0"])
     def test_all_seeds_agree(self, canon, spec, factor, bound):
         # the wave is unique up to shift, and the pin psi(0) = theta/2 fixes the shift
-        line = reduce_to_direction(make_kernel(spec), [1.0])
+        line = reduce_to_direction(spec, [1.0])
         report = minimize_G(canon, line)
         profiles = [solve_profile(canon, line, line, factor * report.c_star, h=0.1,
                                   s_left=-40, s_right=80, seed=seed, report=report).psi
@@ -272,7 +275,7 @@ class TestSolveProfile:
         ("laplace", {"mu": 2.0}, 1.3, 0.1),
     ], ids=["gaussian-1.3c*", "gaussian-c*", "laplace-1.3c*"])
     def test_speed_consistency(self, canon, family, params, factor, h):
-        line = reduce_to_direction(make_kernel(KernelSpec(family, 1, **params)), [1.0])
+        line = reduce_to_direction(Kernel(family, 1, **params), [1.0])
         line_report = minimize_G(canon, line)
         c = factor * line_report.c_star
         profile = solve_profile(canon, line, line, c, h=h, s_left=-40.0, s_right=80.0,
@@ -330,10 +333,10 @@ class TestBlockSolve:
         """(block rows, right-hand side) of the first and last Newton step of each case."""
         recorded = {}
         solve = waves._block_solve
-        for spec in (KernelSpec("gaussian", 1, sigma=1.0), KernelSpec("laplace", 1, mu=2.0),
-                     KernelSpec("exppoly", 1, p=2.0, q=1.0, mu=0.5),
-                     KernelSpec("compact_uniform", 1, radius=1.0)):
-            line = reduce_to_direction(make_kernel(spec), [1.0])
+        for spec in (Kernel("gaussian", 1, sigma=1.0), Kernel("laplace", 1, mu=2.0),
+                     Kernel("exppoly", 1, p=2.0, q=1.0, mu=0.5),
+                     Kernel("compact_uniform", 1, radius=1.0)):
+            line = reduce_to_direction(spec, [1.0])
             report = minimize_G(canon, line)
             for factor in (1.3, 1.0):
                 seen = []

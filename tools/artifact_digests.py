@@ -13,9 +13,12 @@ dimensions, a 2-D step start and a 2-D exppoly), 1-D and 2-D ``front`` runs
 and both ``verify`` modes (necessity in 2-D too).  Short 1-D runs give every
 key that a runner reads a value other than its default somewhere, every
 ``[initial]`` kind and none, and exercise ``--seed``, the ``verify`` suite
-argument and an ``[output] directory`` without ``--out``.  Two more show
-refusals: a step start with ``direction = 0`` (the parser's, exit 2) and a
-front with ``level = 0`` (the runner's, exit 1 with an ``error`` summary).
+argument and an ``[output] directory`` without ``--out``.  Five more show
+refusals: the parser's (exit 2) of a step start with ``direction = 0``, of an
+``exppoly`` kernel whose density is not integrable and of a wave given both
+``speed`` and ``speed_factor``; the runner's (exit 1 with an ``error``
+summary) of a front with ``level = 0`` and of a profile file whose ``s``
+column decreases.
 
 Usage::
 
@@ -69,6 +72,8 @@ WAVE_DOMAINS = {"gaussian": (-40.0, 80.0), "laplace": (-100.0, 80.0),
 # runs read it as profile.csv in their working directory
 PROFILE = "s,psi\n" + "".join(f"{s},{0.5 - 0.5 * math.tanh(s / 2.0)!r}\n"
                               for s in range(-20, 21))
+# the same fall listed from the right, which the runner refuses; read as decreasing.csv
+DECREASING = "s,psi\n10,0\n0,0.5\n-10,1\n"
 
 
 def _kernel(keys: dict, dimension: int) -> dict:
@@ -103,7 +108,7 @@ def _evolution(dimension: int, points: int, half_length: float, horizon: float,
 
 def _keyed_runs() -> list[tuple[str, list[str], dict]]:
     """Short 1-D runs that set the keys and options the rest of the matrix leaves at
-    their defaults, and two that set a key out of its range."""
+    their defaults, and five that are refused."""
     gaussian = _kernel(GAUSSIAN, 1)
     line = {"model": MODEL, "kernel_plus": gaussian, "kernel_minus": gaussian}
     time = {"dt": 0.01, "horizon": 1.0, "snapshot_stride": 25}
@@ -141,6 +146,13 @@ def _keyed_runs() -> list[tuple[str, list[str], dict]]:
         ("keys-verify-suite-argument", ["verify", "comparison"],
          _evolution(1, 128, 20.0, 0.5, verify={"suite": "none-such", "pairs": 2})),
         ("refused-front-level-0", ["front"], _evolution(1, 128, 20.0, 0.5, front={"level": 0})),
+        ("refused-exppoly-not-integrable", ["dispersion"],
+         dict(line, kernel_plus={"family": "exppoly", "dimension": 1, "p": 0.5, "q": 0.0,
+                                 "mu": 1e-300})),
+        ("refused-wave-speed-and-factor", ["wave"],
+         dict(line, wave={"speed": 2.5, "speed_factor": 1.3, "spacing": 0.1})),
+        ("refused-initial-decreasing-profile", ["simulate"],
+         simulate({"kind": "profile-file", "path": "decreasing.csv"})),
     ]
 
 
@@ -206,6 +218,7 @@ def main(argv: list[str]) -> int:
         root = Path(tmp)
         (root / "configs").mkdir()
         (root / "profile.csv").write_text(PROFILE)
+        (root / "decreasing.csv").write_text(DECREASING)
         exits = []
         for name, args, sections in matrix():
             cfg = root / "configs" / f"{name}.cfg"
