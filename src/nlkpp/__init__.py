@@ -12,10 +12,9 @@ from .dispersion import (DispersionReport, FrontSet, char_multiplicity, classify
 from .errors import (CertificationFailed, ConfigError, ConvergenceFailure,
                      GridError, KernelError, MollisonFailure, NlkppError,
                      UnsupportedCriticalCase)
-from .evolution import (EvolutionProblem, StepConfig, Trajectory,
-                        find_subsolution_params, gaussian_subsolution,
-                        logistic_exact, picard_solve, rhs, simulate, step,
-                        truncated_problem, uniform_bound)
+from .evolution import (StepConfig, Trajectory, find_subsolution_params,
+                        gaussian_subsolution, logistic_exact, picard_solve,
+                        rhs_values, simulate, truncated_weights, uniform_bound)
 from .grids import Field, Grid, bump_field, constant_field, step_field
 from .kernels import Kernel, Kernel1D, SampledWeights, discretize, reduce_to_direction
 from .params import ModelParams

@@ -25,9 +25,9 @@ from .config import COMMANDS, ScenarioConfig, load_config
 from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
                          reduce_to_direction)
 from .errors import ConfigError, MollisonFailure, NlkppError
-from .evolution import EvolutionProblem, _advance, _march, simulate
+from .evolution import _advance, _march, simulate
 from .grids import Field, Grid, along_first_axis, bump_field, constant_field, step_field
-from .kernels import Kernel, discretize
+from .kernels import Kernel, SampledWeights, discretize
 
 
 def _fmt(x) -> str:
@@ -108,12 +108,11 @@ def _grid(cfg: ScenarioConfig) -> Grid:
     return cfg.grid
 
 
-def _problem(cfg: ScenarioConfig) -> EvolutionProblem:
+def _weights(cfg: ScenarioConfig) -> tuple[SampledWeights, SampledWeights]:
+    """The a+ and a- weights on the grid: one object when the kernels are one."""
     grid = _grid(cfg)
     wp = discretize(cfg.kernel_plus, grid)
-    wm = wp if cfg.kernel_minus is cfg.kernel_plus else discretize(cfg.kernel_minus, grid)
-    u0 = build_initial(cfg, grid)
-    return EvolutionProblem(cfg.params, wp, wm, u0)
+    return wp, wp if cfg.kernel_minus is cfg.kernel_plus else discretize(cfg.kernel_minus, grid)
 
 
 _SNAPSHOT_ROW = "%s%.17g"  # the row format of a (prefix, u) from _snapshot_rows
@@ -130,9 +129,8 @@ def _snapshot_rows(traj, grid: Grid):
 
 
 def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
-    problem = _problem(cfg)
-    traj = simulate(problem, cfg.step, cfg.time.horizon,
-                    snapshot_stride=cfg.time.snapshot_stride)
+    traj = simulate(cfg.params, *_weights(cfg), build_initial(cfg, cfg.grid), cfg.step,
+                    cfg.time.horizon, snapshot_stride=cfg.time.snapshot_stride)
     grid = cfg.grid
     header = ["t", *(f"x{i}" for i in range(1, grid.dimension + 1)), "u"]
     if cfg.output.split_snapshots:
@@ -219,9 +217,8 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     level = cfg.front.level if cfg.front.level is not None else theta / 2.0
     if not 0.0 < level < theta:
         raise ValueError(f"front level {level:g} must lie in (0, theta) = (0, {theta:g})")
-    problem = _problem(cfg)
-    traj = simulate(problem, cfg.step, cfg.time.horizon,
-                    snapshot_stride=cfg.time.snapshot_stride)
+    traj = simulate(cfg.params, *_weights(cfg), build_initial(cfg, cfg.grid), cfg.step,
+                    cfg.time.horizon, snapshot_stride=cfg.time.snapshot_stride)
     trace = fronts.track_level(traj, level, np.eye(cfg.grid.dimension)[0])
     _write_csv(out / "front_trace.csv", ["t", "position"],
                zip(trace.times.tolist(), trace.positions.tolist()))
@@ -261,7 +258,7 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
             "verify.violations": 0 if worst_overshoot > 1e-4 else 1,
         }
 
-    problem = _problem(cfg)
+    wp, wm = _weights(cfg)
     rng = np.random.default_rng(cfg.scenario.seed)
     grid = cfg.grid
     worst = 0.0
@@ -272,10 +269,8 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
         gap = theta * rng.random(grid.shape)
         v0 = np.minimum(base + gap, theta)
         u0 = base
-        result = fronts.comparison_harness(
-            cfg.params, problem.a_plus_w, problem.a_minus_w,
-            Field(grid, u0), Field(grid, v0), cfg.time.horizon, cfg.step,
-        )
+        result = fronts.comparison_harness(cfg.params, wp, wm, Field(grid, u0), Field(grid, v0),
+                                           cfg.time.horizon, cfg.step)
         worst = max(worst, result.max_violation)
         worst_strip = max(worst_strip, result.strip_violation)
         envelopes_ok = envelopes_ok and result.lower_envelope_ok
@@ -319,7 +314,12 @@ _RUNNERS = {name: globals()[f"run_{name}"] for name in COMMANDS}
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Execute one scenario; returns the process exit status."""
     out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # refused like the config: no summary can be written
+        print(f"error: cannot create output directory {str(out)!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     # thread count is deliberately not echoed: results must not depend on it
     entries = {"seed": cfg.scenario.seed}
     status = 0

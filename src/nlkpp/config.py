@@ -121,7 +121,7 @@ _KEYS = {
              "domain_left": (_finite, -40.0), "domain_right": (_finite, 80.0),
              "spacing": (_positive, 0.05)},
     "front": {"level": (_finite, None),  # None: theta / 2
-              "shrink": (_open_unit, 0.5), "n_directions": (_int_at_least(1), 32)},
+              "shrink": (_open_unit, 0.5), "n_directions": (_int_at_least(3), 32)},
     "verify": {"suite": (str, "comparison"), "pairs": (_int_at_least(1), 50),
                "necessity": (_as_bool, False)},
 }
@@ -246,8 +246,9 @@ def _initial(sections, grid_dimension: int) -> SimpleNamespace:
     if kind in ("profile-file", "shifted-profile"):
         if initial.path is None:
             raise ConfigError(f"initial kind {kind!r} requires 'path'", kind_line)
-        if not Path(initial.path).exists():
-            raise ConfigError(f"initial profile file {initial.path!r} does not exist",
+        if not Path(initial.path).is_file():
+            reason = "is not a file" if Path(initial.path).exists() else "does not exist"
+            raise ConfigError(f"initial profile file {initial.path!r} {reason}",
                               _line(sections, "initial", "path"))
     return initial
 

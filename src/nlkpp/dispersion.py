@@ -311,9 +311,12 @@ def front_set(params: ModelParams, kernel: Kernel, n_directions: int = 32) -> Fr
     by every direction.
 
     Raises MollisonFailure when any direction lacks an exponential moment
-    (the front is unbounded; propagation accelerates).
+    (the front is unbounded; propagation accelerates).  In 2-D it needs at
+    least 3 directions: fewer bound a half-plane or a strip.
     """
     d = kernel.dimension
+    if d == 2 and n_directions < 3:
+        raise ValueError(f"a 2-D front set needs at least 3 directions, got {n_directions}")
     if kernel.abscissa == 0.0:
         raise MollisonFailure("front set is unbounded: kernel has no exponential moment")
     if d == 1:

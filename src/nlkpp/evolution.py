@@ -5,6 +5,13 @@ exponential-Euler) stepper with spectral circular convolutions, and a Picard
 fixed-point solver that follows the contraction construction behind the
 existence theorem interval by interval.  Their agreement is one of the
 package's main self-checks.
+
+Every entry takes the model loose, as ``(params, wplus, wminus, ...)``: the
+rates, the a+ and a- weights (one object when the kernels are one) and then
+the state or grid, as in ``rhs_values(params, wplus, wminus, values)``,
+``simulate(params, wplus, wminus, u0, cfg, horizon)`` and
+``picard_solve(params, wplus, wminus, u0, horizon)``.  An entry that pairs the
+weights with a state or grid refuses a grid of another shape (``_on_grid``).
 """
 from __future__ import annotations
 
@@ -41,24 +48,17 @@ def _conv_direct(w: SampledWeights, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def convolve(w: SampledWeights, values: np.ndarray, backend: str = "fft") -> np.ndarray:
-    """Circular convolution over the trailing axes of ``values`` that ``w`` spans.
-
-    Leading axes are a batch: each slice is convolved independently, with the
-    same bits as a separate call on that slice.
-    """
-    return convolve_pair(w, w, values, backend)[0]
-
-
 def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
                   backend: str = "fft") -> tuple[np.ndarray, np.ndarray]:
     """(a+ * values, a- * values), circular over the trailing axes the kernels span.
 
-    The fft backend transforms ``values`` forward once, at the shape of those
-    axes, and inverts once per distinct kernel; a kernel's spectrum is its
-    weights zero-filled to that shape.  Each result has the bits of a separate
-    ``convolve``.  Callers pass one object for a+ and a- when the two kernels
-    are one; the shared result must not be modified in place.
+    Leading axes are a batch: each slice is convolved independently, with the
+    same bits as a separate call on that slice.  The fft backend transforms
+    ``values`` forward once, at the shape of those axes, and inverts once per
+    distinct kernel; a kernel's spectrum is its weights zero-filled to that
+    shape.  Each result has the bits of a call with that kernel as both a+
+    and a-.  Callers pass one object for a+ and a- when the two kernels are
+    one; the shared result must not be modified in place.
     """
     if backend == "fft":
         shape = values.shape[values.ndim - wplus.weights.ndim:]
@@ -75,23 +75,11 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     return conv_p, conv_p if wminus is wplus else conv(wminus)
 
 
-@dataclass(frozen=True)
-class EvolutionProblem:
-    """Model parameters, sampled kernels and the current state on one grid."""
-
-    params: ModelParams
-    a_plus_w: SampledWeights
-    a_minus_w: SampledWeights
-    u: Field
-
-    def __post_init__(self):
-        shape = self.u.grid.shape
-        if self.a_plus_w.shape != shape or self.a_minus_w.shape != shape:
+def _on_grid(wplus: SampledWeights, wminus: SampledWeights, *grids: Grid) -> None:
+    """Refuse weights sampled at another shape than each of ``grids``."""
+    for grid in grids:
+        if wplus.shape != grid.shape or wminus.shape != grid.shape:
             raise GridError("kernel weights and field must live on the same grid")
-
-    def with_state(self, values: np.ndarray, time: float) -> "EvolutionProblem":
-        return EvolutionProblem(self.params, self.a_plus_w, self.a_minus_w,
-                                self.u.with_values(values, time))
 
 
 METHODS = ("rk4", "exp_euler")
@@ -174,14 +162,8 @@ def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
 
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
                values: np.ndarray, backend: str = "fft") -> np.ndarray:
+    """kappa_plus*(a+ * u) - m*u - kappa_minus*u*(a- * u) at ``values``."""
     return _reaction(params, values, *convolve_pair(wplus, wminus, values, backend))
-
-
-def rhs(problem: EvolutionProblem, backend: str = "fft") -> Field:
-    """kappa_plus*(a+ * u) - m*u - kappa_minus*u*(a- * u) as a field."""
-    values = rhs_values(problem.params, problem.a_plus_w, problem.a_minus_w,
-                        problem.u.values, backend)
-    return problem.u.with_values(values)
 
 
 def _circular_step(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
@@ -276,27 +258,18 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
     return values
 
 
-def step(problem: EvolutionProblem, cfg: StepConfig) -> EvolutionProblem:
-    """One time step; aborts on non-finite values."""
-    u = problem.u
-    out = _march(_advance, problem.params, problem.a_plus_w, problem.a_minus_w, u.values,
-                 cfg, cfg.dt, t0=u.time)
-    return problem.with_state(out, u.time + cfg.dt)
-
-
-def simulate(problem: EvolutionProblem, cfg: StepConfig, horizon: float,
-             snapshot_stride: int = 100) -> Trajectory:
-    """Fixed-step run to the horizon, storing every stride-th state and the last."""
+def simulate(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights, u0: Field,
+             cfg: StepConfig, horizon: float, snapshot_stride: int = 100) -> Trajectory:
+    """Fixed-step run from ``u0`` to the horizon, storing every stride-th state and the last."""
+    _on_grid(wplus, wminus, u0.grid)
     traj = Trajectory()
-    traj.append(problem.u)
-    grid, t0 = problem.u.grid, problem.u.time
+    traj.append(u0)
 
     def snapshot(k: int, values: np.ndarray, last: bool) -> None:
         if k % snapshot_stride == 0 or last:
-            traj.append(Field(grid, values.copy(), t0 + k * cfg.dt))
+            traj.append(Field(u0.grid, values.copy(), u0.time + k * cfg.dt))
 
-    _march(_advance, problem.params, problem.a_plus_w, problem.a_minus_w, problem.u.values,
-           cfg, horizon, snapshot, t0)
+    _march(_advance, params, wplus, wminus, u0.values, cfg, horizon, snapshot, u0.time)
     return traj
 
 
@@ -377,8 +350,8 @@ def _picard_interval(params: ModelParams, wplus: SampledWeights, wminus: Sampled
     )
 
 
-def picard_solve(problem: EvolutionProblem, horizon: float, tol: float = 1e-10,
-                 n_nodes: int = 12) -> Trajectory:
+def picard_solve(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
+                 u0: Field, horizon: float, tol: float = 1e-10, n_nodes: int = 12) -> Trajectory:
     """Solve the initial-value problem by the contraction construction.
 
     Each interval length follows the contraction bookkeeping: with
@@ -386,30 +359,28 @@ def picard_solve(problem: EvolutionProblem, horizon: float, tol: float = 1e-10,
     alpha / (C mu + alpha kp) where alpha in (0, 1) satisfies
     alpha^2 / (1 - alpha) < C^2 mu m e / (kp^2 km).
     """
-    if problem.u.min < 0:
+    _on_grid(wplus, wminus, u0.grid)
+    if u0.min < 0:
         raise ValueError("Picard backend requires nonnegative initial data")
-    params = problem.params
     kp, km, m = params.kappa_plus, params.kappa_minus, params.mortality
     C = km + kp * km / (m * math.e)
 
     traj = Trajectory()
-    traj.append(problem.u)
-    u_values = problem.u.values
-    tau = problem.u.time
-    t_end = problem.u.time + horizon
+    traj.append(u0)
+    u_values = u0.values
+    tau = u0.time
+    t_end = u0.time + horizon
     while tau < t_end - 1e-12:
         mu = float(np.max(u_values)) * 1.001 + 1e-6
         alpha = 0.5
         while alpha**2 / (1.0 - alpha) >= C**2 * mu * m * math.e / (kp**2 * km):
             alpha *= 0.5
         upsilon = min(tau + alpha / (C * mu + alpha * kp), t_end)
-        nodes, states = _picard_interval(
-            params, problem.a_plus_w, problem.a_minus_w, u_values, tau, upsilon,
-            n_nodes, tol,
-        )
+        nodes, states = _picard_interval(params, wplus, wminus, u_values, tau, upsilon,
+                                         n_nodes, tol)
         u_values = states[-1]
         tau = upsilon
-        traj.append(Field(problem.u.grid, u_values.copy(), tau))
+        traj.append(Field(u0.grid, u_values.copy(), tau))
     return traj
 
 
@@ -418,18 +389,19 @@ def picard_solve(problem: EvolutionProblem, horizon: float, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 
-def truncated_problem(problem: EvolutionProblem, radius: float) -> tuple[float, EvolutionProblem]:
-    """Mask both kernels to the ball of given radius (no renormalization).
+def truncated_weights(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
+                      grid: Grid, radius: float
+                      ) -> tuple[float, SampledWeights, SampledWeights]:
+    """Mask both kernels' weights on ``grid`` to the ball of given radius (no renormalization).
 
     Returns the truncated equilibrium theta_R = (kp*A_R+ - m) / (km*A_R-) and
-    a problem whose solution runs below the untruncated one.
+    the masked a+ and a- weights, with which a solution runs below the
+    untruncated one.
     """
-    grid = problem.u.grid
+    _on_grid(wplus, wminus, grid)
     mask = np.hypot.reduce(np.abs(_displacements(grid)), axis=-1) <= radius
-
-    params = problem.params
-    wp = problem.a_plus_w.weights * mask
-    wm = problem.a_minus_w.weights * mask
+    wp = wplus.weights * mask
+    wm = wminus.weights * mask
     a_plus_mass = float(wp.sum())
     a_minus_mass = float(wm.sum())
     if not a_plus_mass > params.mortality / params.kappa_plus:
@@ -441,9 +413,7 @@ def truncated_problem(problem: EvolutionProblem, radius: float) -> tuple[float, 
     theta_r = (params.kappa_plus * a_plus_mass - params.mortality) / (
         params.kappa_minus * a_minus_mass
     )
-    truncated = EvolutionProblem(params, SampledWeights(wp, grid.spacing),
-                                 SampledWeights(wm, grid.spacing), problem.u)
-    return theta_r, truncated
+    return theta_r, SampledWeights(wp, grid.spacing), SampledWeights(wm, grid.spacing)
 
 
 def _ball_volume(dimension: int, r: float) -> float:
@@ -507,6 +477,7 @@ def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: Sam
     time t over the whole grid; raises CertificationFailed otherwise.  The
     caller supplies (q, alpha, t) — see ``find_subsolution_params``.
     """
+    _on_grid(wplus, wminus, grid)
     if not (q > 0 and alpha > 0 and t > 0):
         raise ValueError("q, alpha and t must be positive")
     mean = np.zeros(grid.dimension) if mean_vector is None else np.asarray(mean_vector, float)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dispersion import FrontSet
 from .errors import CertificationFailed
-from .evolution import StepConfig, Trajectory, _advance, _march
+from .evolution import StepConfig, Trajectory, _advance, _march, _on_grid
 from .grids import Field
 from .kernels import SampledWeights
 from .params import ModelParams
@@ -227,6 +227,7 @@ def comparison_harness(params: ModelParams, wplus: SampledWeights, wminus: Sampl
     envelope beta*theta / (beta + (theta-beta) e^{-theta km t}) <= u.  The
     final gap min(v - u) measures how far distinct ordered data stay apart.
     """
+    _on_grid(wplus, wminus, u0.grid, v0.grid)
     theta = params.require_carrying_capacity()
     if not _discrete_domination_holds(params, wplus, wminus):
         raise CertificationFailed(

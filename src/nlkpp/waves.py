@@ -419,16 +419,20 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
         raise ValueError("zero-speed waves are outside the supported theory")
 
     n = int(round((s_right - s_left) / h))
+
+    def refuse_below(reach: int) -> None:
+        if n // 2 <= reach:
+            raise ValueError(
+                f"line domain too small for the kernel reach: {n // 2} cells on each side "
+                f"of s = 0 against a reach of {reach}; enlarge the domain"
+            )
+
+    refuse_below(2)  # the least reach, before the grid is indexed
     s = s_left + h * np.arange(n)
     s = s - s[n // 2]  # index n//2 carries s = 0 exactly
     spacing = float(s[1] - s[0])
     wp, wm = sample_line_kernels(k_plus, k_minus, spacing)
-    reach = max(wp.halfwidth, wm.halfwidth, 2)
-    if n // 2 <= reach:
-        raise ValueError(
-            f"line domain too small for the kernel reach: {n // 2} cells on each side "
-            f"of s = 0 against a reach of {reach}; enlarge the domain"
-        )
+    refuse_below(max(wp.halfwidth, wm.halfwidth, 2))
     try:
         j = char_multiplicity(params, k_plus, c, report=report)
     except UnsupportedCriticalCase:

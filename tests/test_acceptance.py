@@ -12,12 +12,11 @@ import pytest
 from scipy import special
 
 import nlkpp
-from nlkpp import (EvolutionProblem, Field, Grid, Kernel, ModelParams,
-                   StepConfig, bump_field, constant_field, discretize,
-                   minimize_G, reduce_to_direction, simulate,
-                   speed_to_abscissa, step)
+from nlkpp import (Field, Grid, Kernel, ModelParams, StepConfig, bump_field,
+                   constant_field, discretize, minimize_G, reduce_to_direction,
+                   simulate, speed_to_abscissa)
 from nlkpp import fit_decay, front_set, profile_residual, solve_profile
-from nlkpp.evolution import Trajectory, convolve
+from nlkpp.evolution import Trajectory, convolve_pair
 from nlkpp.fronts import (acceleration_test, check_initial_decay,
                           comparison_harness, exterior_decay,
                           interior_convergence, track_level, weighted_norm)
@@ -53,9 +52,8 @@ def invasion_run(gauss_kernel):
     grid = Grid(dimension=1, half_length=200.0, points_per_axis=8192)
     w = discretize(gauss_kernel, grid)
     u0 = bump_field(grid, 0.0, 2.0, THETA / 2)
-    problem = EvolutionProblem(CANON, w, w, u0)
     start = time.perf_counter()
-    traj = simulate(problem, StepConfig(dt=2e-3, floor=1e-14), 80.0,
+    traj = simulate(CANON, w, w, u0, StepConfig(dt=2e-3, floor=1e-14), 80.0,
                     snapshot_stride=500)
     elapsed = time.perf_counter() - start
     return traj, u0, elapsed
@@ -73,9 +71,9 @@ def test_01_logistic_oracle():
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
     kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
-    problem = EvolutionProblem(CANON, w, w, constant_field(grid, 0.5))
     start = time.perf_counter()
-    traj = simulate(problem, StepConfig(dt=1e-3), 10.0, snapshot_stride=5)
+    traj = simulate(CANON, w, w, constant_field(grid, 0.5), StepConfig(dt=1e-3), 10.0,
+                    snapshot_stride=5)
     elapsed = time.perf_counter() - start
     worst = max(abs(f.values.max() - 1.0 / (1.0 + math.exp(-f.time)))
                 for f in traj.snapshots)
@@ -95,7 +93,7 @@ def test_02_convolution_oracle():
         circulant = np.stack([np.roll(first_col, i) for i in range(n)], axis=0)
         for _ in range(20):
             u = rng.random(n)
-            spectral = convolve(w, u, backend="fft")
+            spectral = convolve_pair(w, w, u)[0]
             direct = circulant @ u
             worst = max(worst, float(np.max(np.abs(spectral - direct))
                                      / np.max(np.abs(direct))))
@@ -243,8 +241,7 @@ def test_05_comparison_principle():
     km = discretize(Kernel("gaussian", 1, sigma=0.2), grid_n)
     dent = bump_field(grid_n, 0.18, 0.09, 0.8 * THETA)
     u0 = Field(grid_n, np.maximum(THETA - dent.values, 0.0))
-    traj = simulate(EvolutionProblem(CANON, kp, km, u0), StepConfig(dt=1e-3), 0.5,
-                    snapshot_stride=10)
+    traj = simulate(CANON, kp, km, u0, StepConfig(dt=1e-3), 0.5, snapshot_stride=10)
     overshoot = max(traj.maxs) - THETA
 
     ok = (worst_order <= 1e-9 and worst_strip <= 1e-9 and envelopes
@@ -342,8 +339,8 @@ def test_11_acceleration(gauss_line, gauss_report):
     heavy = Kernel("power_tail", 1, q=4.0)
     w = discretize(heavy, grid)
     u0 = bump_field(grid, 0.0, 2.0, THETA / 2)
-    traj = simulate(EvolutionProblem(CANON, w, w, u0), StepConfig(dt=2e-3, floor=1e-14),
-                    20.0, snapshot_stride=100)
+    traj = simulate(CANON, w, w, u0, StepConfig(dt=2e-3, floor=1e-14), 20.0,
+                    snapshot_stride=100)
     heavy_verdict = acceleration_test(track_level(traj, THETA / 2, [1.0]))
 
     # ballistic control: supercritical exponential tent (no logarithmic shift)
@@ -354,8 +351,8 @@ def test_11_acceleration(gauss_line, gauss_report):
                             report=gauss_report)
     x = grid_g.axis_coords()
     tent = THETA * np.minimum(1.0, np.exp(-lam * np.maximum(np.abs(x) - 2.0, 0.0)))
-    traj_g = simulate(EvolutionProblem(CANON, wg, wg, Field(grid_g, tent)),
-                      StepConfig(dt=2e-3, floor=1e-14), 40.0, snapshot_stride=250)
+    traj_g = simulate(CANON, wg, wg, Field(grid_g, tent), StepConfig(dt=2e-3, floor=1e-14),
+                      40.0, snapshot_stride=250)
     gauss_verdict = acceleration_test(track_level(traj_g, THETA / 2, [1.0]))
 
     ok = heavy_verdict == "superlinear" and gauss_verdict == "ballistic"
@@ -370,8 +367,8 @@ def test_12_equivariance_and_determinism(tmp_path):
     rng = np.random.default_rng(7)
     u = Field(grid, THETA * rng.random(grid.shape))
     cfg = StepConfig(dt=1e-2, conv_backend="direct")
-    shifted_first = step(EvolutionProblem(CANON, w, w, u.shifted(13)), cfg).u.values
-    shifted_after = np.roll(step(EvolutionProblem(CANON, w, w, u), cfg).u.values, 13)
+    shifted_first = simulate(CANON, w, w, u.shifted(13), cfg, cfg.dt).final.values
+    shifted_after = np.roll(simulate(CANON, w, w, u, cfg, cfg.dt).final.values, 13)
     bitwise = bool(np.array_equal(shifted_first, shifted_after))
 
     from nlkpp.cli import main
@@ -418,13 +415,11 @@ def test_13_truncated_domination():
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=512)
     kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
-    seed = constant_field(grid, 0.0)
-    theta_r, trunc = nlkpp.truncated_problem(EvolutionProblem(CANON, w, w, seed), 2.0)
+    theta_r, wp, wm = nlkpp.truncated_weights(CANON, w, w, grid, 2.0)
     u0 = bump_field(grid, 0.0, 2.0, 0.95 * min(theta_r, THETA))
     cfg = StepConfig(dt=2e-3)
-    full = simulate(EvolutionProblem(CANON, w, w, u0), cfg, 10.0, snapshot_stride=250)
-    cut = simulate(EvolutionProblem(CANON, trunc.a_plus_w, trunc.a_minus_w, u0),
-                   cfg, 10.0, snapshot_stride=250)
+    full = simulate(CANON, w, w, u0, cfg, 10.0, snapshot_stride=250)
+    cut = simulate(CANON, wp, wm, u0, cfg, 10.0, snapshot_stride=250)
     worst = max(float(np.max(c.values - f.values))
                 for c, f in zip(cut.snapshots, full.snapshots))
     report(13, "truncated-domination", worst <= 1e-9,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import nlkpp
 from nlkpp import ConfigError, ConvergenceFailure, StepConfig, cli, fronts, simulate, waves
-from nlkpp.cli import _problem, main
+from nlkpp.cli import _weights, build_initial, main
 from nlkpp.config import COMMANDS, parse_config
 
 BASE = """
@@ -116,6 +116,8 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\n\n[wave]\ndomain_left = 80\ndomain_right = -40"),
         ("value = 0.5", "value = 0.5\n\n[wave]\ndomain_right = inf"),
         ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 0"),
+        ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 1"),
+        ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 2"),
         ("seed = 11", "seed = 11\nthreads = two"),
         ("dt = 2e-3", "dt = 2e-3\nmethod = leapfrog"),
         ("value = 0.5", "value = 0.5\n\n[wave]\nspeed = nan"),
@@ -290,6 +292,13 @@ class TestParsing:
         self._refused_at(tmp_path, capsys, command, text, lineno,
                          "bad value for 'dimension': '3' \\(must be 1 or 2\\)")
 
+    def test_profile_path_that_is_a_directory_is_refused_with_line(self, tmp_path, capsys):
+        text = BASE.replace("kind = constant\nvalue = 0.5",
+                            f"kind = profile-file\npath = {tmp_path}")
+        lineno = text.splitlines().index(f"path = {tmp_path}") + 1
+        self._refused_at(tmp_path, capsys, "simulate", text, lineno,
+                         f"initial profile file '{tmp_path}' is not a file")
+
     def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
         text = BASE + "\n[front]\ninflate = 1.2\n"
         lineno = text.splitlines().index("inflate = 1.2") + 1
@@ -406,7 +415,12 @@ class TestScenarios:
          + "\n[wave]\nspeed_factor = 1.01\nspacing = 0.05\n",
          "profile is not non-increasing: it rises by 7.07e-08 from s = 11.95 to 12",
          "ConvergenceFailure"),
-    ], ids=["too-small", "too-wide", "non-monotone"])
+        # domains of one cell and of none: refused before the grid is indexed
+        (BASE + "\n[wave]\nspacing = 0.9\ndomain_left = -1\ndomain_right = 0\n",
+         "domain too small", "ValueError"),
+        (BASE + "\n[wave]\nspacing = 5\ndomain_left = -1\ndomain_right = 0\n",
+         "domain too small", "ValueError"),
+    ], ids=["too-small", "too-wide", "non-monotone", "one-cell", "no-cell"])
     def test_wave_domain_size_writes_error(self, tmp_path, text, message, kind):
         cfg_file = tmp_path / "w.cfg"
         cfg_file.write_text(text)
@@ -505,10 +519,10 @@ class TestScenarios:
         assert not (tmp_path / "out" / "front_trace.csv").exists()
 
     def test_equal_kernels_share_one_weights_object(self):
-        problem = _problem(parse_config(BASE))
-        assert problem.a_minus_w is problem.a_plus_w
-        problem = _problem(parse_config(BASE.replace("sigma = 1.0", "sigma = 1.5", 1)))
-        assert problem.a_minus_w is not problem.a_plus_w
+        wp, wm = _weights(parse_config(BASE))
+        assert wm is wp
+        wp, wm = _weights(parse_config(BASE.replace("sigma = 1.0", "sigma = 1.5", 1)))
+        assert wm is not wp
 
     @pytest.mark.parametrize("sigma_plus, shared", [("1.0", True), ("1.5", False)])
     def test_wave_with_equal_kernels_builds_one_line(self, tmp_path, monkeypatch,
@@ -836,8 +850,8 @@ class TestMoreScenarios:
         cfg_file.write_text(text)
         assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
         cfg = parse_config(text)
-        traj = simulate(_problem(cfg), cfg.step, cfg.time.horizon,
-                        snapshot_stride=cfg.time.snapshot_stride)
+        traj = simulate(cfg.params, *_weights(cfg), build_initial(cfg, cfg.grid), cfg.step,
+                        cfg.time.horizon, snapshot_stride=cfg.time.snapshot_stride)
         x = cfg.grid.axis_coords()
         # the reference: every field of every row formatted on its own, as _fmt formats a float
         expected = [",".join("%.17g" % v for v in (f.time, *x[list(idx)], f.values[idx]))
@@ -865,6 +879,19 @@ class TestOverridesAndExitStatus:
         out = tmp_path / name
         rc = main([*argv, "--config", str(cfg_file), "--out", str(out)])
         return rc, summary_dict(out), out
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_directory_that_cannot_be_made_exits_2(self, tmp_path, capsys, below):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(BASE)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / below if below else taken
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {str(out)!r}: ")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "a file\n"
 
     def test_seed_option_overrides_the_config(self, tmp_path):
         text = BASE + "\n[verify]\npairs = 2\n"

@@ -318,6 +318,12 @@ class TestFrontSet:
         inner = fs.inner_vertices()
         assert np.all(np.linalg.norm(inner, axis=1) <= np.linalg.norm(outer, axis=1) + 1e-9)
 
+    @pytest.mark.parametrize("n_directions", [1, 2])
+    def test_two_dimensional_set_needs_three_directions(self, canon, n_directions):
+        # one direction bounds a half-plane, two a strip
+        with pytest.raises(ValueError, match="at least 3 directions"):
+            front_set(canon, Kernel("gaussian", 2, sigma=1.0), n_directions=n_directions)
+
     @pytest.fixture
     def solves(self, monkeypatch):
         reports = []

@@ -5,44 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, Kernel,
-                   ModelParams, StepConfig, constant_field, bump_field, discretize,
-                   find_subsolution_params, gaussian_subsolution, logistic_exact,
-                   minimize_G, picard_solve, rhs, simulate, solve_profile, step,
-                   truncated_problem, uniform_bound)
+from nlkpp import (CertificationFailed, Field, Grid, GridError, Kernel, ModelParams,
+                   StepConfig, constant_field, bump_field, discretize, find_subsolution_params,
+                   gaussian_subsolution, logistic_exact, minimize_G, picard_solve, rhs_values,
+                   simulate, solve_profile, truncated_weights, uniform_bound)
 from nlkpp import evolution, fronts, kernels
-from nlkpp.evolution import (_advance, _picard_interval, _rk4, convolve, convolve_pair,
-                             rhs_values)
+from nlkpp.evolution import _advance, _picard_interval, _rk4, convolve_pair
 from nlkpp.kernels import SampledWeights
 
 from conftest import brute_circular_convolution
 
 
-def problem(canon, weights, field):
-    return EvolutionProblem(canon, weights, weights, field)
-
-
 class TestRhs:
     def test_zero_is_fixed(self, canon, grid256, gauss_weights):
-        out = rhs(problem(canon, gauss_weights, constant_field(grid256, 0.0)))
-        assert np.abs(out.values).max() <= 1e-14
+        u = constant_field(grid256, 0.0).values
+        out = rhs_values(canon, gauss_weights, gauss_weights, u)
+        assert np.abs(out).max() <= 1e-14
 
     def test_theta_is_fixed(self, canon, grid256, gauss_weights):
-        out = rhs(problem(canon, gauss_weights, constant_field(grid256, canon.theta)))
-        assert np.abs(out.values).max() <= 1e-14
+        u = constant_field(grid256, canon.theta).values
+        out = rhs_values(canon, gauss_weights, gauss_weights, u)
+        assert np.abs(out).max() <= 1e-14
 
     def test_half_theta_logistic_rate(self, canon, grid256, gauss_weights):
         theta = canon.theta
-        out = rhs(problem(canon, gauss_weights, constant_field(grid256, theta / 2)))
+        u = constant_field(grid256, theta / 2).values
+        out = rhs_values(canon, gauss_weights, gauss_weights, u)
         expected = canon.kappa_minus * (theta / 2) * (theta - theta / 2)
-        np.testing.assert_allclose(out.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_spectral_matches_direct(self, canon, gauss_weights):
         rng = np.random.default_rng(5)
         for _ in range(5):
             u = rng.random(gauss_weights.shape)
-            fft = convolve(gauss_weights, u, backend="fft")
-            direct = convolve(gauss_weights, u, backend="direct")
+            fft = convolve_pair(gauss_weights, gauss_weights, u, "fft")[0]
+            direct = convolve_pair(gauss_weights, gauss_weights, u, "direct")[0]
             brute = brute_circular_convolution(gauss_weights.weights, u)
             scale = np.max(np.abs(brute))
             assert np.max(np.abs(fft - brute)) <= 1e-10 * scale
@@ -55,8 +52,8 @@ class TestRhs:
         kernel = Kernel("gaussian", dimension=grid.dimension, sigma=1.5)
         w = discretize(kernel, grid)
         values = np.random.default_rng(8).random(shape)
-        batched = convolve(w, values, backend=backend)
-        per_slice = np.stack([convolve(w, v, backend=backend) for v in values])
+        batched = convolve_pair(w, w, values, backend)[0]
+        per_slice = np.stack([convolve_pair(w, w, v, backend)[0] for v in values])
         assert np.array_equal(batched, per_slice)
 
 
@@ -85,7 +82,7 @@ class TestConvolvePair:
         values = np.random.default_rng(9).random(shape)
         conv_p, conv_m = convolve_pair(wp, wm, values, backend)
         for w, pair_result in ((wp, conv_p), (wm, conv_m)):
-            assert np.array_equal(pair_result, convolve(w, values, backend))
+            assert np.array_equal(pair_result, convolve_pair(w, w, values, backend)[0])
             assert np.array_equal(pair_result, reference_convolve(w, values, backend))
 
     @pytest.mark.parametrize("shape", [(256,), (64, 64), (12, 128)], ids=["1d", "2d", "batch"])
@@ -151,13 +148,14 @@ class TestSharedKernel:
 
 class TestStep:
     def test_equilibrium_stationary(self, canon, grid256, gauss_weights):
-        start = problem(canon, gauss_weights, constant_field(grid256, canon.theta))
-        out = step(start, StepConfig(dt=1e-3))
-        assert np.abs(out.u.values - canon.theta).max() <= 1e-14
+        start = constant_field(grid256, canon.theta)
+        out = simulate(canon, gauss_weights, gauss_weights, start, StepConfig(dt=1e-3), 1e-3)
+        assert np.abs(out.final.values - canon.theta).max() <= 1e-14
 
     def test_logistic_agreement(self, canon, grid256, gauss_weights):
-        start = problem(canon, gauss_weights, constant_field(grid256, 0.5))
-        traj = simulate(start, StepConfig(dt=1e-3), 2.0, snapshot_stride=200)
+        start = constant_field(grid256, 0.5)
+        traj = simulate(canon, gauss_weights, gauss_weights, start, StepConfig(dt=1e-3), 2.0,
+                        snapshot_stride=200)
         for f in traj.snapshots:
             assert f.values.max() == pytest.approx(
                 float(logistic_exact(canon, 0.5, f.time)), abs=1e-10)
@@ -166,16 +164,18 @@ class TestStep:
         rng = np.random.default_rng(0)
         u = Field(grid256, canon.theta * rng.random(grid256.shape))
         cfg = StepConfig(dt=1e-2, conv_backend="direct")
-        shifted_first = step(problem(canon, gauss_weights, u.shifted(9)), cfg).u.values
-        shifted_after = np.roll(step(problem(canon, gauss_weights, u), cfg).u.values, 9)
+        shifted_first = simulate(canon, gauss_weights, gauss_weights, u.shifted(9), cfg,
+                                 cfg.dt).final.values
+        shifted_after = np.roll(
+            simulate(canon, gauss_weights, gauss_weights, u, cfg, cfg.dt).final.values, 9)
         assert np.array_equal(shifted_first, shifted_after)
 
     def test_shift_equivariance_fft_to_roundoff(self, canon, grid256, gauss_weights):
         rng = np.random.default_rng(1)
         u = Field(grid256, canon.theta * rng.random(grid256.shape))
         cfg = StepConfig(dt=1e-2)
-        a = step(problem(canon, gauss_weights, u.shifted(9)), cfg).u.values
-        b = np.roll(step(problem(canon, gauss_weights, u), cfg).u.values, 9)
+        a = simulate(canon, gauss_weights, gauss_weights, u.shifted(9), cfg, cfg.dt).final.values
+        b = np.roll(simulate(canon, gauss_weights, gauss_weights, u, cfg, cfg.dt).final.values, 9)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_stability_guard(self, canon):
@@ -185,24 +185,24 @@ class TestStep:
     def test_exp_euler_positivity_and_accuracy(self, canon, grid256, gauss_weights):
         u0 = bump_field(grid256, 0.0, 2.0, canon.theta / 2)
         cfg = StepConfig(dt=1e-3, method="exp_euler")
-        traj = simulate(problem(canon, gauss_weights, u0), cfg, 1.0, snapshot_stride=1000)
-        ref = simulate(problem(canon, gauss_weights, u0), StepConfig(dt=1e-3), 1.0,
+        traj = simulate(canon, gauss_weights, gauss_weights, u0, cfg, 1.0, snapshot_stride=1000)
+        ref = simulate(canon, gauss_weights, gauss_weights, u0, StepConfig(dt=1e-3), 1.0,
                        snapshot_stride=1000)
         assert min(traj.mins) >= 0.0
         # first-order scheme: dt-level agreement only
         assert np.abs(traj.final.values - ref.final.values).max() <= 1e-3
 
     def test_horizon_must_match_dt(self, canon, grid256, gauss_weights):
-        start = problem(canon, gauss_weights, constant_field(grid256, 0.5))
+        start = constant_field(grid256, 0.5)
         with pytest.raises(ValueError, match="multiple"):
-            simulate(start, StepConfig(dt=3e-3), 1.0)
+            simulate(canon, gauss_weights, gauss_weights, start, StepConfig(dt=3e-3), 1.0)
 
 
 class TestInvariants:
     def test_strip_and_positivity(self, canon, grid256, gauss_weights):
         theta = canon.theta
         u0 = bump_field(grid256, 0.0, 2.0, theta / 2)
-        traj = simulate(problem(canon, gauss_weights, u0), StepConfig(dt=2e-3), 4.0,
+        traj = simulate(canon, gauss_weights, gauss_weights, u0, StepConfig(dt=2e-3), 4.0,
                         snapshot_stride=250)
         assert min(traj.mins) >= -1e-9
         assert max(traj.maxs) <= theta + 1e-9
@@ -216,8 +216,7 @@ class TestInvariants:
         kernel = Kernel("gaussian", 1, sigma=1.0)
         w = discretize(kernel, grid256)
         u0 = bump_field(grid256, 0.0, 2.0, 0.5)
-        traj = simulate(EvolutionProblem(params, w, w, u0), StepConfig(dt=2e-3), 2.0,
-                        snapshot_stride=100)
+        traj = simulate(params, w, w, u0, StepConfig(dt=2e-3), 2.0, snapshot_stride=100)
         for t, peak in zip(traj.times, traj.maxs):
             assert peak <= math.exp((params.kappa_plus - params.mortality) * t) * 0.5 + 1e-9
 
@@ -229,13 +228,42 @@ class TestInvariants:
         theta = canon.theta
         x = grid.axis_coords()
         ramp = theta / (1.0 + np.exp(np.clip(0.8 * x, -500, 500)))
-        traj = simulate(EvolutionProblem(canon, w, w, Field(grid, ramp)),
-                        StepConfig(dt=2e-3), 1.0, snapshot_stride=250)
+        traj = simulate(canon, w, w, Field(grid, ramp), StepConfig(dt=2e-3), 1.0,
+                        snapshot_stride=250)
         n = grid.points_per_axis
         sl = slice(int(0.25 * n), int(0.75 * n))
         for f in traj.snapshots:
             rises = np.diff(f.values[sl])
             assert rises.max() <= 1e-10
+
+
+# every entry that pairs weights with a state or grid, called as (params, wplus, wminus, u0, v0)
+PAIRED_ENTRIES = {
+    "simulate": lambda p, wp, wm, u0, v0: simulate(p, wp, wm, u0, StepConfig(dt=0.01), 0.1),
+    "picard_solve": lambda p, wp, wm, u0, v0: picard_solve(p, wp, wm, u0, 0.1),
+    "comparison_harness": lambda p, wp, wm, u0, v0: fronts.comparison_harness(
+        p, wp, wm, u0, v0, 0.1, StepConfig(dt=0.01)),
+    "gaussian_subsolution": lambda p, wp, wm, u0, v0: gaussian_subsolution(
+        p, wp, wm, u0.grid, 1e-3, 0.5, 10.0),
+    "find_subsolution_params": lambda p, wp, wm, u0, v0: find_subsolution_params(
+        p, wp, wm, u0.grid),
+    "truncated_weights": lambda p, wp, wm, u0, v0: truncated_weights(p, wp, wm, u0.grid, 2.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:kernel scale")
+@pytest.mark.parametrize("coarse_kernels", ["both", "plus", "minus"])
+@pytest.mark.parametrize("entry", PAIRED_ENTRIES)
+def test_weights_from_another_grid_are_refused(canon, gauss1, grid256, gauss_weights, entry,
+                                               coarse_kernels):
+    """Weights sampled on 128 points against a state or grid of 256 raise GridError."""
+    coarse = discretize(gauss1, Grid(dimension=1, half_length=20.0, points_per_axis=128))
+    wp = gauss_weights if coarse_kernels == "minus" else coarse
+    wm = gauss_weights if coarse_kernels == "plus" else coarse
+    u0 = bump_field(grid256, 0.0, 2.0, 0.3)
+    v0 = constant_field(grid256, canon.theta)
+    with pytest.raises(GridError, match="same grid"):
+        PAIRED_ENTRIES[entry](canon, wp, wm, u0, v0)
 
 
 def whole_grid_step(params, wplus, wminus, values, cfg):
@@ -368,20 +396,22 @@ class TestWindow:
 
 class TestPicard:
     def test_zero_stays_zero(self, canon, grid256, gauss_weights):
-        traj = picard_solve(problem(canon, gauss_weights, constant_field(grid256, 0.0)), 1.0)
+        traj = picard_solve(canon, gauss_weights, gauss_weights,
+                            constant_field(grid256, 0.0), 1.0)
         assert max(traj.maxs) == 0.0
 
     def test_matches_logistic(self, canon, grid256, gauss_weights):
-        traj = picard_solve(problem(canon, gauss_weights, constant_field(grid256, 0.5)), 3.0)
+        traj = picard_solve(canon, gauss_weights, gauss_weights,
+                            constant_field(grid256, 0.5), 3.0)
         for f in traj.snapshots:
             assert f.values.max() == pytest.approx(
                 float(logistic_exact(canon, 0.5, f.time)), abs=1e-8)
 
     def test_agrees_with_rk4_on_bump(self, canon, grid256, gauss_weights):
         u0 = bump_field(grid256, 0.0, 2.0, canon.theta / 2)
-        start = problem(canon, gauss_weights, u0)
-        rk = simulate(start, StepConfig(dt=1e-3), 1.0, snapshot_stride=1000)
-        pi = picard_solve(start, 1.0)
+        rk = simulate(canon, gauss_weights, gauss_weights, u0, StepConfig(dt=1e-3), 1.0,
+                      snapshot_stride=1000)
+        pi = picard_solve(canon, gauss_weights, gauss_weights, u0, 1.0)
         assert pi.times[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rk.final.values - pi.final.values).max() <= 1e-5
 
@@ -409,8 +439,7 @@ class TestLogisticExact:
 
 class TestTruncation:
     def test_large_radius_recovers_theta(self, canon, grid256, gauss_weights):
-        u0 = constant_field(grid256, 0.3)
-        theta_r, _ = truncated_problem(problem(canon, gauss_weights, u0), 15.0)
+        theta_r, _, _ = truncated_weights(canon, gauss_weights, gauss_weights, grid256, 15.0)
         assert theta_r == pytest.approx(canon.theta, abs=1e-9)
 
     def test_erf_oracle_at_fine_resolution(self, canon):
@@ -418,25 +447,21 @@ class TestTruncation:
         grid = Grid(dimension=1, half_length=20.0, points_per_axis=4096)
         kernel = Kernel("gaussian", 1, sigma=1.0)
         w = discretize(kernel, grid)
-        u0 = constant_field(grid, 0.3)
-        theta_r, _ = truncated_problem(EvolutionProblem(canon, w, w, u0), 1.0)
+        theta_r, _, _ = truncated_weights(canon, w, w, grid, 1.0)
         a_r = erf(1.0 / math.sqrt(2.0))
         expected = (2.0 * a_r - 1.0) / a_r
         assert theta_r == pytest.approx(expected, abs=5e-3)
 
     def test_mass_precondition(self, canon, grid256, gauss_weights):
-        u0 = constant_field(grid256, 0.3)
         with pytest.raises(ValueError, match="truncation radius"):
-            truncated_problem(problem(canon, gauss_weights, u0), 0.2)
+            truncated_weights(canon, gauss_weights, gauss_weights, grid256, 0.2)
 
     def test_domination_by_full_solution(self, canon, grid256, gauss_weights):
-        theta_r, trunc = truncated_problem(
-            problem(canon, gauss_weights, constant_field(grid256, 0.0)), 2.0)
+        theta_r, wp, wm = truncated_weights(canon, gauss_weights, gauss_weights, grid256, 2.0)
         u0 = bump_field(grid256, 0.0, 2.0, 0.9 * theta_r)
         cfg = StepConfig(dt=2e-3)
-        full = simulate(problem(canon, gauss_weights, u0), cfg, 4.0, snapshot_stride=250)
-        cut = simulate(EvolutionProblem(canon, trunc.a_plus_w, trunc.a_minus_w, u0),
-                       cfg, 4.0, snapshot_stride=250)
+        full = simulate(canon, gauss_weights, gauss_weights, u0, cfg, 4.0, snapshot_stride=250)
+        cut = simulate(canon, wp, wm, u0, cfg, 4.0, snapshot_stride=250)
         worst = max(float(np.max(a.values - b.values))
                     for a, b in zip(cut.snapshots, full.snapshots))
         assert worst <= 1e-9
@@ -453,8 +478,9 @@ class TestUniformBound:
     def test_simulation_never_exceeds(self, canon, grid256, gauss1, gauss_weights):
         bound = uniform_bound(canon, gauss1, gauss1, 5 * canon.theta)
         assert math.isfinite(bound)
-        start = problem(canon, gauss_weights, constant_field(grid256, 5 * canon.theta))
-        traj = simulate(start, StepConfig(dt=1e-3), 3.0, snapshot_stride=300)
+        start = constant_field(grid256, 5 * canon.theta)
+        traj = simulate(canon, gauss_weights, gauss_weights, start, StepConfig(dt=1e-3), 3.0,
+                        snapshot_stride=300)
         assert max(traj.maxs) <= bound
 
 
@@ -531,8 +557,8 @@ def test_solvers_transform_only_through_the_fft_pair(monkeypatch, canon, gauss_l
         grid = Grid(dimension=dimension, half_length=8.0, points_per_axis=n)
         kernel = Kernel("gaussian", dimension=dimension, sigma=1.0)
         u = bump_field(grid, 0.0 if dimension == 1 else (0.0, 0.0), 2.0, 0.5)
-        step(EvolutionProblem(canon, discretize(kernel, grid), discretize(kernel, grid), u),
-             StepConfig(dt=0.01))
+        simulate(canon, discretize(kernel, grid), discretize(kernel, grid), u,
+                 StepConfig(dt=0.01), 0.01)
     report = minimize_G(canon, gauss_line)
     profile = solve_profile(canon, gauss_line, gauss_line, 1.3 * report.c_star, h=0.1,
                             s_left=-40.0, s_right=60.0, report=report)

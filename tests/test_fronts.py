@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from nlkpp import (CertificationFailed, EvolutionProblem, Field, Grid, Kernel,
-                   StepConfig, bump_field, constant_field, discretize, front_set,
-                   logistic_exact, simulate)
+from nlkpp import (CertificationFailed, Field, Grid, Kernel, StepConfig, bump_field,
+                   constant_field, discretize, front_set, logistic_exact, simulate)
 from nlkpp.evolution import Trajectory
 from nlkpp.fronts import (LevelTrace, acceleration_test, check_initial_decay,
                           comparison_harness, estimate_speed, exterior_decay,
@@ -13,8 +12,8 @@ from nlkpp.fronts import (LevelTrace, acceleration_test, check_initial_decay,
 @pytest.fixture(scope="module")
 def small_run(canon, grid256, gauss_weights):
     u0 = bump_field(grid256, 0.0, 2.0, canon.theta / 2)
-    problem = EvolutionProblem(canon, gauss_weights, gauss_weights, u0)
-    return simulate(problem, StepConfig(dt=2e-3), 4.0, snapshot_stride=250)
+    return simulate(canon, gauss_weights, gauss_weights, u0, StepConfig(dt=2e-3), 4.0,
+                    snapshot_stride=250)
 
 
 class TestTrackLevel:
@@ -76,8 +75,8 @@ class TestInteriorExterior:
 
     def test_constant_state_matches_logistic(self, canon, grid256, gauss_weights, gauss1):
         u0 = constant_field(grid256, 0.3)
-        problem = EvolutionProblem(canon, gauss_weights, gauss_weights, u0)
-        traj = simulate(problem, StepConfig(dt=1e-3), 2.0, snapshot_stride=500)
+        traj = simulate(canon, gauss_weights, gauss_weights, u0, StepConfig(dt=1e-3), 2.0,
+                        snapshot_stride=500)
         fset = front_set(canon, gauss1)
         times, deficits = interior_convergence(traj, fset, 0.5, canon.theta)
         expected = canon.theta - logistic_exact(canon, 0.3, times)
@@ -170,8 +169,7 @@ class TestComparison:
         km = discretize(Kernel("gaussian", 1, sigma=0.2), grid)
         dent = bump_field(grid, 0.18, 0.09, 0.8 * theta)
         u0 = Field(grid, np.maximum(theta - dent.values, 0.0))
-        problem = EvolutionProblem(canon, kp, km, u0)
-        traj = simulate(problem, StepConfig(dt=1e-3), 0.5, snapshot_stride=10)
+        traj = simulate(canon, kp, km, u0, StepConfig(dt=1e-3), 0.5, snapshot_stride=10)
         assert max(traj.maxs) > theta + 1e-4
 
 
@@ -214,8 +212,7 @@ class TestSeparationAndStability:
         theta = canon.theta
         bump = bump_field(grid256, 0.0, 3.0, 0.1 * theta)
         u0 = Field(grid256, theta + bump.values)
-        traj = simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, u0),
-                        StepConfig(dt=2e-3), 2.0)
+        traj = simulate(canon, gauss_weights, gauss_weights, u0, StepConfig(dt=2e-3), 2.0)
         assert traj.maxs[-1] - theta < traj.maxs[0] - theta
         assert traj.mins[-1] >= theta - 1e-12
 
@@ -224,8 +221,8 @@ class TestSeparationAndStability:
         v0 = constant_field(grid256, canon.theta)
         cfg = StepConfig(dt=2e-3)
         result = comparison_harness(canon, gauss_weights, gauss_weights, u0, v0, 0.5, cfg)
-        tu = simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, u0), cfg, 0.5)
-        tv = simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, v0), cfg, 0.5)
+        tu = simulate(canon, gauss_weights, gauss_weights, u0, cfg, 0.5)
+        tv = simulate(canon, gauss_weights, gauss_weights, v0, cfg, 0.5)
         assert result.final_gap == float(np.min(tv.final.values - tu.final.values))
 
     @pytest.mark.parametrize("dt, horizon, match", [
@@ -238,7 +235,7 @@ class TestSeparationAndStability:
         u0 = constant_field(grid256, 0.3)
         cfg = StepConfig(dt=dt)
         with pytest.raises(ValueError, match=match):
-            simulate(EvolutionProblem(canon, gauss_weights, gauss_weights, u0), cfg, horizon)
+            simulate(canon, gauss_weights, gauss_weights, u0, cfg, horizon)
         with pytest.raises(ValueError, match=match):
             comparison_harness(canon, gauss_weights, gauss_weights, u0, u0, horizon, cfg)
 
@@ -252,8 +249,7 @@ class TestSubsolutionOrdering:
         q, alpha, t_min = find_subsolution_params(canon, w, w, grid)
         t0 = t_min + 2.0
         u0 = bump_field(grid, 0.0, 2.0, canon.theta / 2)
-        traj = simulate(EvolutionProblem(canon, w, w, u0),
-                        StepConfig(dt=2e-3), t0 + 8.0, snapshot_stride=500)
+        traj = simulate(canon, w, w, u0, StepConfig(dt=2e-3), t0 + 8.0, snapshot_stride=500)
         started = False
         for f in traj.snapshots:
             if f.time < t0:

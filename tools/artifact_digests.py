@@ -13,12 +13,13 @@ dimensions, a 2-D step start and a 2-D exppoly), 1-D and 2-D ``front`` runs
 and both ``verify`` modes (necessity in 2-D too).  Short 1-D runs give every
 key that a runner reads a value other than its default somewhere, every
 ``[initial]`` kind and none, and exercise ``--seed``, the ``verify`` suite
-argument and an ``[output] directory`` without ``--out``.  Five more show
+argument and an ``[output] directory`` without ``--out``.  Eight more show
 refusals: the parser's (exit 2) of a step start with ``direction = 0``, of an
-``exppoly`` kernel whose density is not integrable and of a wave given both
-``speed`` and ``speed_factor``; the runner's (exit 1 with an ``error``
-summary) of a front with ``level = 0`` and of a profile file whose ``s``
-column decreases.
+``exppoly`` kernel whose density is not integrable, of a wave given both
+``speed`` and ``speed_factor``, of a profile ``path`` that names a directory
+and of a front with ``n_directions = 2``; the runner's (exit 1 with an
+``error`` summary) of a front with ``level = 0``, of a profile file whose
+``s`` column decreases and of a wave domain of one cell.
 
 Usage::
 
@@ -108,7 +109,7 @@ def _evolution(dimension: int, points: int, half_length: float, horizon: float,
 
 def _keyed_runs() -> list[tuple[str, list[str], dict]]:
     """Short 1-D runs that set the keys and options the rest of the matrix leaves at
-    their defaults, and five that are refused."""
+    their defaults, and eight that are refused."""
     gaussian = _kernel(GAUSSIAN, 1)
     line = {"model": MODEL, "kernel_plus": gaussian, "kernel_minus": gaussian}
     time = {"dt": 0.01, "horizon": 1.0, "snapshot_stride": 25}
@@ -153,6 +154,12 @@ def _keyed_runs() -> list[tuple[str, list[str], dict]]:
          dict(line, wave={"speed": 2.5, "speed_factor": 1.3, "spacing": 0.1})),
         ("refused-initial-decreasing-profile", ["simulate"],
          simulate({"kind": "profile-file", "path": "decreasing.csv"})),
+        ("refused-wave-domain-one-cell", ["wave"],
+         dict(line, wave={"spacing": 0.9, "domain_left": -1.0, "domain_right": 0.0})),
+        ("refused-initial-path-directory", ["simulate"],
+         simulate({"kind": "profile-file", "path": "configs"})),
+        ("refused-front-n_directions-2", ["front"],
+         _evolution(1, 128, 20.0, 0.5, front={"n_directions": 2})),
     ]
 
 
