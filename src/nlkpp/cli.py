@@ -27,7 +27,7 @@ from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
 from .errors import ConfigError, MollisonFailure, NlkppError
 from .evolution import _advance, _march, simulate
 from .grids import Field, Grid, along_first_axis, bump_field, constant_field, step_field
-from .kernels import Kernel, SampledWeights, discretize
+from .kernels import Kernel, _per_kernel, discretize
 
 
 def _fmt(x) -> str:
@@ -97,7 +97,7 @@ def build_initial(cfg: ScenarioConfig, grid: Grid) -> Field:
         row = stalls[0] + 1  # from 0, the first data row whose s does not increase
         raise ConfigError(f"initial profile file {spec.path!r} needs increasing s; data row "
                           f"{row + 1} has s = {s[row]:g} after {s[row - 1]:g}")
-    x = grid.axis_coords() - (spec.shift if spec.kind == "shifted-profile" else 0.0)
+    x = grid.axis_coords() - spec.shift  # 0 unless the kind is shifted-profile
     line = np.interp(x, s, psi, left=psi[0], right=psi[-1])
     return Field(grid, along_first_axis(line, grid.dimension))
 
@@ -106,13 +106,6 @@ def _grid(cfg: ScenarioConfig) -> Grid:
     if cfg.grid is None:
         raise NlkppError("this scenario requires a [grid] section")
     return cfg.grid
-
-
-def _weights(cfg: ScenarioConfig) -> tuple[SampledWeights, SampledWeights]:
-    """The a+ and a- weights on the grid: one object when the kernels are one."""
-    grid = _grid(cfg)
-    wp = discretize(cfg.kernel_plus, grid)
-    return wp, wp if cfg.kernel_minus is cfg.kernel_plus else discretize(cfg.kernel_minus, grid)
 
 
 _SNAPSHOT_ROW = "%s%.17g"  # the row format of a (prefix, u) from _snapshot_rows
@@ -129,7 +122,8 @@ def _snapshot_rows(traj, grid: Grid):
 
 
 def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
-    traj = simulate(cfg.params, *_weights(cfg), build_initial(cfg, cfg.grid), cfg.step,
+    wp, wm = _per_kernel(discretize, cfg.kernel_plus, cfg.kernel_minus, _grid(cfg))
+    traj = simulate(cfg.params, wp, wm, build_initial(cfg, cfg.grid), cfg.step,
                     cfg.time.horizon, snapshot_stride=cfg.time.snapshot_stride)
     grid = cfg.grid
     header = ["t", *(f"x{i}" for i in range(1, grid.dimension + 1)), "u"]
@@ -179,9 +173,7 @@ def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
 
 def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
     xi = np.eye(cfg.kernel_plus.dimension)[0]
-    line_p = reduce_to_direction(cfg.kernel_plus, xi)
-    line_m = (line_p if cfg.kernel_minus is cfg.kernel_plus  # sampled once for both
-              else reduce_to_direction(cfg.kernel_minus, xi))
+    line_p, line_m = _per_kernel(reduce_to_direction, cfg.kernel_plus, cfg.kernel_minus, xi)
     report = minimize_G(cfg.params, line_p)
     wave = cfg.wave
     if wave.speed is not None:
@@ -217,7 +209,8 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     level = cfg.front.level if cfg.front.level is not None else theta / 2.0
     if not 0.0 < level < theta:
         raise ValueError(f"front level {level:g} must lie in (0, theta) = (0, {theta:g})")
-    traj = simulate(cfg.params, *_weights(cfg), build_initial(cfg, cfg.grid), cfg.step,
+    wp, wm = _per_kernel(discretize, cfg.kernel_plus, cfg.kernel_minus, _grid(cfg))
+    traj = simulate(cfg.params, wp, wm, build_initial(cfg, cfg.grid), cfg.step,
                     cfg.time.horizon, snapshot_stride=cfg.time.snapshot_stride)
     trace = fronts.track_level(traj, level, np.eye(cfg.grid.dimension)[0])
     _write_csv(out / "front_trace.csv", ["t", "position"],
@@ -258,7 +251,7 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
             "verify.violations": 0 if worst_overshoot > 1e-4 else 1,
         }
 
-    wp, wm = _weights(cfg)
+    wp, wm = _per_kernel(discretize, cfg.kernel_plus, cfg.kernel_minus, _grid(cfg))
     rng = np.random.default_rng(cfg.scenario.seed)
     grid = cfg.grid
     worst = 0.0

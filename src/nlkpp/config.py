@@ -7,16 +7,16 @@ error message carries the offending line number.
 
 ``_KEYS`` states each key once: its converter, which range-checks it, and
 its default.  ``[model]``, ``[kernel_plus]``, ``[kernel_minus]`` and
-``[grid]`` build domain objects, and ``[time]`` a ``StepConfig``.  Each
-kernel section builds its ``Kernel`` here, normalizer included, so a kernel
-that ``Kernel`` refuses (a bad parameter, a density that is not integrable)
-is refused with its section's ``family`` line; two sections that describe
-the same kernel give one object, ``cfg.kernel_minus is cfg.kernel_plus``,
-and that identity is the only test of a+ = a- downstream.  ``[time]``
-and every other section reach the runners as a namespace of their converted
-keys under the table's own names, such as ``cfg.wave.speed_factor`` or
-``cfg.output.directory``.  A new key is one ``_KEYS`` entry plus the code
-that reads it.
+``[grid]`` build domain objects, and ``[time]``'s ``dt``, ``method`` and
+``floor`` a ``StepConfig``.  Each kernel section builds its ``Kernel`` here,
+normalizer included, so a kernel that ``Kernel`` refuses (a bad parameter,
+a density that is not integrable) is refused with its section's ``family``
+line; two sections that describe the same kernel give one object,
+``cfg.kernel_minus is cfg.kernel_plus``, and that identity is the only test
+of a+ = a- downstream.  The other ``[time]`` keys and every other section
+reach the runners as a namespace of their converted keys under the table's
+own names, such as ``cfg.wave.speed_factor`` or ``cfg.output.directory``.
+A new key is one ``_KEYS`` entry plus the code that reads it.
 """
 from __future__ import annotations
 
@@ -32,7 +32,10 @@ from .kernels import Kernel
 from .params import ModelParams
 
 COMMANDS = ("simulate", "dispersion", "wave", "front", "verify")
-_INITIAL_KINDS = ("constant", "bump", "step", "profile-file", "shifted-profile")
+# initial kind -> (the keys it requires, the other keys it reads); any other is refused
+_INITIAL_KINDS = {"constant": (("value",), ()), "bump": (("width", "height"), ("center",)),
+                  "step": ((), ("direction",)), "profile-file": (("path",), ()),
+                  "shifted-profile": (("path",), ("shift",))}
 
 
 def _as_bool(text: str) -> bool:
@@ -108,7 +111,7 @@ _KEYS = {
     "time": {"dt": (_positive, 1e-3), "horizon": (_positive, 1.0),
              "method": (_one_of(METHODS, "method"), "rk4"),
              "snapshot_stride": (_int_at_least(1), 100), "floor": (_nonnegative, 0.0)},
-    "initial": {"kind": (_one_of(_INITIAL_KINDS, "initial kind"), _REQUIRED),
+    "initial": {"kind": (_one_of(tuple(_INITIAL_KINDS), "initial kind"), _REQUIRED),
                 "value": (_finite, None),
                 "center": (_finite_floats, None),  # one coordinate per grid axis; None: 0
                 "width": (_positive, None), "height": (_finite, None), "direction": (_sign, 1),
@@ -188,9 +191,9 @@ def _line(sections, section, key) -> int | None:
 class ScenarioConfig:
     """The domain objects of a scenario, and its other sections as namespaces.
 
-    ``time`` holds every ``[time]`` key, the three of ``step`` too;
-    ``scenario.command`` is the effective command and ``initial`` is None
-    without an ``[initial]`` section.
+    ``time`` holds the ``[time]`` keys that ``step`` does not, ``horizon``
+    and ``snapshot_stride``; ``scenario.command`` is the effective command
+    and ``initial`` is None without an ``[initial]`` section.
     """
 
     params: ModelParams
@@ -238,18 +241,18 @@ def _check_dimensions(sections, kplus: Kernel, kminus: Kernel, grid: Grid | None
 
 def _initial(sections, grid_dimension: int) -> SimpleNamespace:
     initial = SimpleNamespace(**_section(sections, "initial", center=grid_dimension))
-    kind, kind_line = initial.kind, _line(sections, "initial", "kind")
-    if kind == "constant" and initial.value is None:
-        raise ConfigError("initial kind 'constant' requires 'value'", kind_line)
-    if kind == "bump" and (initial.width is None or initial.height is None):
-        raise ConfigError("initial kind 'bump' requires 'width' and 'height'", kind_line)
-    if kind in ("profile-file", "shifted-profile"):
-        if initial.path is None:
-            raise ConfigError(f"initial kind {kind!r} requires 'path'", kind_line)
-        if not Path(initial.path).is_file():
-            reason = "is not a file" if Path(initial.path).exists() else "does not exist"
-            raise ConfigError(f"initial profile file {initial.path!r} {reason}",
-                              _line(sections, "initial", "path"))
+    kind = initial.kind
+    required, optional = _INITIAL_KINDS[kind]
+    for key, (_, lineno) in sections["initial"].items():
+        if key not in ("kind", *required, *optional):
+            raise ConfigError(f"initial kind {kind!r} does not read {key!r}", lineno)
+    if any(getattr(initial, key) is None for key in required):
+        raise ConfigError(f"initial kind {kind!r} requires {' and '.join(map(repr, required))}",
+                          _line(sections, "initial", "kind"))
+    if initial.path is not None and not Path(initial.path).is_file():
+        reason = "is not a file" if Path(initial.path).exists() else "does not exist"
+        raise ConfigError(f"initial profile file {initial.path!r} {reason}",
+                          _line(sections, "initial", "path"))
     return initial
 
 
@@ -291,10 +294,10 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     if None not in speed_lines:  # cite the later line, as _ordered does
         raise ConfigError("give [wave] speed or speed_factor, not both", max(speed_lines))
     spaces["scenario"]["command"] = command or spaces["scenario"]["command"]
-    time = spaces["time"]
+    time = spaces["time"]  # StepConfig takes three keys; cfg.time keeps the other two
+    step = StepConfig(dt=time.pop("dt"), method=time.pop("method"), floor=time.pop("floor"))
     return ScenarioConfig(
-        params=params, kernel_plus=kplus, kernel_minus=kminus, grid=grid,
-        step=StepConfig(dt=time["dt"], method=time["method"], floor=time["floor"]),
+        params=params, kernel_plus=kplus, kernel_minus=kminus, grid=grid, step=step,
         initial=initial, **{name: SimpleNamespace(**keys) for name, keys in spaces.items()})
 
 

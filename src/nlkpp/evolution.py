@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import CertificationFailed, ConvergenceFailure, GridError
 from .grids import Field, Grid, lattice
-from .kernels import (Kernel, SampledWeights, _displacements, _irfft, _next_fast_len, _rfft,
-                      _Samples)
+from .kernels import (Kernel, SampledWeights, _displacements, _irfft, _next_fast_len,
+                      _per_kernel, _rfft, _Samples)
 from .params import ModelParams
 
 
@@ -57,8 +57,8 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     ``values`` forward once, at the shape of those axes, and inverts once per
     distinct kernel; a kernel's spectrum is its weights zero-filled to that
     shape.  Each result has the bits of a call with that kernel as both a+
-    and a-.  Callers pass one object for a+ and a- when the two kernels are
-    one; the shared result must not be modified in place.
+    and a-.  One object for a+ and a- (``kernels._per_kernel``) gives one
+    shared result, which must not be modified in place.
     """
     if backend == "fft":
         shape = values.shape[values.ndim - wplus.weights.ndim:]
@@ -71,8 +71,7 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
             return _conv_direct(w, values)
     else:
         raise ValueError(f"unknown convolution backend {backend!r}")
-    conv_p = conv(wplus)
-    return conv_p, conv_p if wminus is wplus else conv(wminus)
+    return _per_kernel(conv, wplus, wminus)
 
 
 def _on_grid(wplus: SampledWeights, wminus: SampledWeights, *grids: Grid) -> None:
@@ -250,9 +249,12 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
     if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
     for k in range(1, n_steps + 1):
-        values = advance(params, wplus, wminus, values, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+            values = advance(params, wplus, wminus, values, cfg)
         if not np.all(np.isfinite(values)):
-            raise ConvergenceFailure(f"non-finite state after step {k} (t = {t0 + k * cfg.dt:.6g})")
+            remedy = "" if cfg.floor > 0.0 else "; set [time] floor, e.g. 1e-14"
+            raise ConvergenceFailure(
+                f"non-finite state after step {k} (t = {t0 + k * cfg.dt:.6g}){remedy}")
         if observe is not None:
             observe(k, values, k == n_steps)
     return values
@@ -312,16 +314,18 @@ def _integration_matrix(nodes: np.ndarray) -> np.ndarray:
 
 
 def _picard_interval(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-                     u_tau: np.ndarray, tau: float, upsilon: float, n_nodes: int,
-                     tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed point of the integral map on [tau, upsilon]; returns (nodes, states)."""
-    zeta = _lobatto_nodes(n_nodes)
+                     u_tau: np.ndarray, tau: float, upsilon: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed point of the integral map on [tau, upsilon] on 12 Chebyshev-Lobatto nodes,
+    swept until the sup-norm change is at most ``tol``; returns (nodes, states)."""
+    tol = 1e-10
+    zeta = _lobatto_nodes(12)
     half = 0.5 * (upsilon - tau)
     nodes = tau + half * (zeta + 1.0)
     Q = _integration_matrix(zeta) * half
 
     kp, km, m = params.kappa_plus, params.kappa_minus, params.mortality
-    v = np.repeat(u_tau[None], n_nodes, axis=0)
+    v = np.repeat(u_tau[None], len(zeta), axis=0)
     prev_change = math.inf
     growth_streak = 0
     for sweep in range(200):
@@ -351,7 +355,7 @@ def _picard_interval(params: ModelParams, wplus: SampledWeights, wminus: Sampled
 
 
 def picard_solve(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-                 u0: Field, horizon: float, tol: float = 1e-10, n_nodes: int = 12) -> Trajectory:
+                 u0: Field, horizon: float) -> Trajectory:
     """Solve the initial-value problem by the contraction construction.
 
     Each interval length follows the contraction bookkeeping: with
@@ -376,8 +380,7 @@ def picard_solve(params: ModelParams, wplus: SampledWeights, wminus: SampledWeig
         while alpha**2 / (1.0 - alpha) >= C**2 * mu * m * math.e / (kp**2 * km):
             alpha *= 0.5
         upsilon = min(tau + alpha / (C * mu + alpha * kp), t_end)
-        nodes, states = _picard_interval(params, wplus, wminus, u_values, tau, upsilon,
-                                         n_nodes, tol)
+        nodes, states = _picard_interval(params, wplus, wminus, u_values, tau, upsilon)
         u_values = states[-1]
         tau = upsilon
         traj.append(Field(u0.grid, u_values.copy(), tau))
@@ -395,15 +398,15 @@ def truncated_weights(params: ModelParams, wplus: SampledWeights, wminus: Sample
     """Mask both kernels' weights on ``grid`` to the ball of given radius (no renormalization).
 
     Returns the truncated equilibrium theta_R = (kp*A_R+ - m) / (km*A_R-) and
-    the masked a+ and a- weights, with which a solution runs below the
-    untruncated one.
+    the masked a+ and a- weights, one object when ``wminus is wplus``, with
+    which a solution runs below the untruncated one.
     """
     _on_grid(wplus, wminus, grid)
     mask = np.hypot.reduce(np.abs(_displacements(grid)), axis=-1) <= radius
-    wp = wplus.weights * mask
-    wm = wminus.weights * mask
-    a_plus_mass = float(wp.sum())
-    a_minus_mass = float(wm.sum())
+    wp, wm = _per_kernel(lambda w: SampledWeights(w.weights * mask, grid.spacing),
+                         wplus, wminus)
+    a_plus_mass = float(wp.weights.sum())
+    a_minus_mass = float(wm.weights.sum())
     if not a_plus_mass > params.mortality / params.kappa_plus:
         need = params.mortality / params.kappa_plus
         raise ValueError(
@@ -413,7 +416,7 @@ def truncated_weights(params: ModelParams, wplus: SampledWeights, wminus: Sample
     theta_r = (params.kappa_plus * a_plus_mass - params.mortality) / (
         params.kappa_minus * a_minus_mass
     )
-    return theta_r, SampledWeights(wp, grid.spacing), SampledWeights(wm, grid.spacing)
+    return theta_r, wp, wm
 
 
 def _ball_volume(dimension: int, r: float) -> float:
@@ -470,8 +473,8 @@ def uniform_bound(params: ModelParams, a_plus: Kernel, a_minus: Kernel,
 
 def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
                          grid: Grid, q: float, alpha: float, t: float,
-                         mean_vector=None, tol: float = 1e-8) -> Field:
-    """Moving Gaussian lower barrier w(x,t) = q exp(-|x - t m|^2 / (alpha t)).
+                         tol: float = 1e-8) -> Field:
+    """Spreading Gaussian lower barrier w(x,t) = q exp(-|x|^2 / (alpha t)).
 
     Certifies numerically that the evolution operator is nonpositive on w at
     time t over the whole grid; raises CertificationFailed otherwise.  The
@@ -480,12 +483,10 @@ def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: Sam
     _on_grid(wplus, wminus, grid)
     if not (q > 0 and alpha > 0 and t > 0):
         raise ValueError("q, alpha and t must be positive")
-    mean = np.zeros(grid.dimension) if mean_vector is None else np.asarray(mean_vector, float)
-    diff = grid.coords() - t * mean
-    sq = np.sum(diff * diff, axis=-1)
-    drift_term = np.sum(diff * mean, axis=-1)
+    x = grid.coords()
+    sq = np.sum(x * x, axis=-1)
     w = q * np.exp(-sq / (alpha * t))
-    dw_dt = w * (2.0 * drift_term / (alpha * t) + sq / (alpha * t * t))
+    dw_dt = w * (sq / (alpha * t * t))
 
     operator = dw_dt - _reaction(params, w, *convolve_pair(wplus, wminus, w))
     worst = int(np.argmax(operator))
@@ -501,15 +502,13 @@ def gaussian_subsolution(params: ModelParams, wplus: SampledWeights, wminus: Sam
 
 
 def find_subsolution_params(params: ModelParams, wplus: SampledWeights,
-                            wminus: SampledWeights, grid: Grid, mean_vector=None,
-                            tol: float = 1e-8) -> tuple[float, float, float]:
+                            wminus: SampledWeights, grid: Grid) -> tuple[float, float, float]:
     """Coarse grid search for a certified (q, alpha, T) subsolution triple."""
     for alpha in (0.05, 0.1, 0.2, 0.5, 1.0):
         for t in (5.0, 10.0, 20.0, 40.0):
             for q in (1e-3, 1e-4, 1e-5):
                 try:
-                    gaussian_subsolution(params, wplus, wminus, grid, q, alpha, t,
-                                         mean_vector=mean_vector, tol=tol)
+                    gaussian_subsolution(params, wplus, wminus, grid, q, alpha, t)
                 except CertificationFailed:
                     continue
                 return q, alpha, t

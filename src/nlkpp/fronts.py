@@ -78,11 +78,12 @@ def track_level(traj: Trajectory, level: float, xi) -> LevelTrace:
     return LevelTrace(times=np.asarray(times), positions=np.asarray(positions))
 
 
-def estimate_speed(trace: LevelTrace, transient_fraction: float = 0.25) -> SpeedEstimate:
-    """Least-squares slope of position vs time after the initial transient."""
+def estimate_speed(trace: LevelTrace) -> SpeedEstimate:
+    """Least-squares slope of position vs time after the initial transient, the first
+    quarter of the trace's time span."""
     if len(trace.times) < 10:
         raise ValueError(f"need at least 10 trace points, got {len(trace.times)}")
-    t0 = trace.times[0] + transient_fraction * (trace.times[-1] - trace.times[0])
+    t0 = trace.times[0] + 0.25 * (trace.times[-1] - trace.times[0])
     mask = trace.times >= t0
     t, x = trace.times[mask], trace.positions[mask]
     if len(t) < 3:

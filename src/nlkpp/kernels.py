@@ -509,6 +509,16 @@ def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
     return _LINES[kernel.family][kernel.dimension - 1](kernel, xi)
 
 
+def _per_kernel(f, plus, minus, *args):
+    """``(f(plus, *args), f(minus, *args))``, one object made once when ``minus is plus``.
+
+    The one identical-kernel rule: equal kernel sections parse to one ``Kernel``, and
+    each line, sample or weights object made from it by this rule is one object again.
+    """
+    first = f(plus, *args)
+    return first, first if minus is plus else f(minus, *args)
+
+
 # ---------------------------------------------------------------------------
 # Real transforms and sampling on periodic grids
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from .dispersion import (DispersionReport, _bisect, char_multiplicity, minimize_
                          speed_to_abscissa)
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
 from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
-from .kernels import Kernel1D, _check_resolution, _next_fast_len, _Samples, _unit_sum
+from .kernels import (Kernel1D, _check_resolution, _next_fast_len, _per_kernel, _Samples,
+                      _unit_sum)
 from .params import ModelParams
 
 # relative boundary tolerance: psi(left) >= theta*(1 - BC_TOL), psi(right) <= theta*BC_TOL
@@ -62,23 +63,13 @@ def sample_line_kernel(k: Kernel1D, h: float) -> LineKernel:
     return LineKernel(weights=_unit_sum(w, pin=half), spacing=h)
 
 
-def sample_line_kernels(k_plus: Kernel1D, k_minus: Kernel1D,
-                        h: float) -> tuple[LineKernel, LineKernel]:
-    """Line samples of a+ and a-; one shared object when the two lines are one.
-
-    Callers test ``wm is wp`` to convolve once per right-hand side.
-    """
-    wp = sample_line_kernel(k_plus, h)
-    return wp, wp if k_minus is k_plus else sample_line_kernel(k_minus, h)
-
-
 def _constant_pad(left: float, right: float):
     """``pad`` for ``_line_pair``: psi = left before the grid and right after it."""
     return lambda values, k: np.concatenate([np.full(k, left), values, np.full(k, right)])
 
 
-def _line_pair(psi: np.ndarray, pad, wp: LineKernel,
-               wm: LineKernel) -> tuple[np.ndarray, np.ndarray]:
+def _line_pair(wp: LineKernel, wm: LineKernel, psi: np.ndarray,
+               pad) -> tuple[np.ndarray, np.ndarray]:
     """(a+ * psi, a- * psi) on the grid, with ``pad(psi, k)`` giving k values beyond each end.
 
     psi is padded once to the larger reach R and zero-filled to a fast length
@@ -98,7 +89,7 @@ def _line_advance(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.n
                   cfg: StepConfig) -> np.ndarray:
     """One RK4 step of the line equation with the theta/0 far-field extension."""
     pad = _constant_pad(params.theta, 0.0)
-    return _rk4(lambda v: _reaction(params, v, *_line_pair(v, pad, wp, wm)), psi, cfg.dt)
+    return _rk4(lambda v: _reaction(params, v, *_line_pair(wp, wm, v, pad)), psi, cfg.dt)
 
 
 def half_level_crossing(s: np.ndarray, psi: np.ndarray, level: float) -> float:
@@ -156,7 +147,7 @@ def initial_supersolution(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel
     The pair is certified as a discrete supersolution: the stationary-frame
     operator evaluated with the sampled kernels must be <= tol everywhere.
     """
-    lines = sample_line_kernels(k_plus, k_minus, float(s[1] - s[0]))
+    lines = _per_kernel(sample_line_kernel, k_plus, k_minus, float(s[1] - s[0]))
     return _supersolution(params, k_plus, *lines, s, mu, tol)
 
 
@@ -170,7 +161,7 @@ def _supersolution(params: ModelParams, k_plus: Kernel1D, wp: LineKernel, wm: Li
 
     phi = theta * np.minimum(np.exp(-mu * np.clip(s, -500 / mu, None)), 1.0)
     dphi = np.where(s > 0, -mu * phi, 0.0)
-    j_c = _reaction(params, phi, *_line_pair(phi, _constant_pad(theta, 0.0), wp, wm),
+    j_c = _reaction(params, phi, *_line_pair(wp, wm, phi, _constant_pad(theta, 0.0)),
                     drift=c * dphi)
     worst = int(np.argmax(j_c))
     if j_c[worst] > tol:
@@ -188,37 +179,37 @@ def _supersolution(params: ModelParams, k_plus: Kernel1D, wp: LineKernel, wm: Li
     return phi, c
 
 
-def _operator(psi: np.ndarray, pad, c: float, params: ModelParams, h: float,
-              wp: LineKernel, wm: LineKernel) -> tuple[np.ndarray, np.ndarray]:
+def _operator(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.ndarray, pad,
+              c: float) -> tuple[np.ndarray, np.ndarray]:
     """(c psi' + kp (a+ * psi) - m psi - km psi (a- * psi), a- * psi) on the grid.
 
     ``pad`` extends psi beyond the grid as in ``_line_pair``; psi' is the
-    4th-order central difference.
+    4th-order central difference at the samples' spacing.
     """
     ext = pad(psi, 2)
-    dpsi = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * h)
-    conv_p, conv_m = _line_pair(psi, pad, wp, wm)
+    dpsi = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * wp.spacing)
+    conv_p, conv_m = _line_pair(wp, wm, psi, pad)
     return _reaction(params, psi, conv_p, conv_m, drift=c * dpsi), conv_m
 
 
-def _frame_residual(s: np.ndarray, psi: np.ndarray, c: float, params: ModelParams,
-                    wp: LineKernel, wm: LineKernel) -> float:
-    """Sup norm of c psi' + kp (a+ * psi) - m psi - km psi (a- * psi) on the grid ``s``.
+def _frame_residual(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.ndarray,
+                    c: float) -> float:
+    """Sup norm of c psi' + kp (a+ * psi) - m psi - km psi (a- * psi) on psi's grid.
 
-    ``wp`` and ``wm`` are a+ and a- sampled at the spacing of ``s``; psi' uses 4th-order central differences; psi is extended by its end
-    values beyond the grid, and a buffer of 5% of the domain is excluded at each end.
+    psi' uses 4th-order central differences at the samples' spacing; psi is extended by
+    its end values beyond the grid, and a buffer of 5% of the domain is excluded at each end.
     """
     pad = _constant_pad(float(psi[0]), float(psi[-1]))
-    res, _ = _operator(psi, pad, c, params, float(s[1] - s[0]), wp, wm)
-    buf = max(2, int(0.05 * len(s)))
+    res, _ = _operator(params, wp, wm, psi, pad, c)
+    buf = max(2, int(0.05 * len(psi)))
     return float(np.max(np.abs(res[buf:-buf])))
 
 
 def profile_residual(profile: WaveProfile, params: ModelParams,
                      k_plus: Kernel1D, k_minus: Kernel1D) -> float:
     """Stationary-frame equation residual of a converged profile (``_frame_residual``)."""
-    lines = sample_line_kernels(k_plus, k_minus, profile.spacing)
-    return _frame_residual(profile.s, profile.psi, profile.speed_c, params, *lines)
+    lines = _per_kernel(sample_line_kernel, k_plus, k_minus, profile.spacing)
+    return _frame_residual(params, *lines, profile.psi, profile.speed_c)
 
 
 def fit_decay(profile: WaveProfile, expected_j: int) -> tuple[float, float, float]:
@@ -249,8 +240,8 @@ def fit_decay(profile: WaveProfile, expected_j: int) -> tuple[float, float, floa
     return lam, math.exp(const), r2
 
 
-def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
-                  wp: LineKernel, wm: LineKernel, abscissa: float) -> float:
+def _plateau_rate(params: ModelParams, wp: LineKernel, wm: LineKernel, c: float,
+                  abscissa: float) -> float:
     """Rate nu > 0 of theta - psi ~ e^{nu s} as s -> -inf in the discrete equation.
 
     The smallest root of the linearisation at theta,
@@ -258,8 +249,9 @@ def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
     4th-order difference of e^{nu s} and A(nu) = sum_j w_j e^{-nu tau_j} the
     transform of the sampled kernel.  It is km theta > 0 at nu = 0; the root
     is sought below the kernels' ``abscissa``, below nu h = 1.4, where D peaks,
-    and where e^{nu tau} cannot overflow.
+    and where e^{nu tau} cannot overflow; h is the samples' spacing.
     """
+    theta, h = params.theta, wp.spacing
     cap = min(abscissa, 1.4 / h, 700.0 / (max(wp.halfwidth, wm.halfwidth) * h))
 
     def transform(w: LineKernel, nu: float) -> float:
@@ -283,20 +275,20 @@ def _plateau_rate(params: ModelParams, c: float, theta: float, h: float,
     )
 
 
-def _newton(psi: np.ndarray, c: float, theta: float, params: ModelParams, h: float,
-            wp: LineKernel, wm: LineKernel, nu: float, lam_c: float,
-            target: float, remedy: str) -> np.ndarray:
+def _newton(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.ndarray, c: float,
+            nu: float, lam_c: float, target: float, remedy: str) -> np.ndarray:
     """Newton's method on the pinned stationary equation, from the guess ``psi``.
 
     Rows are the operator at each grid point, with the centre row replaced by
-    psi(0) = theta/2.  The k-th value left of the grid is
-    theta + (psi_0 - theta) e^{-nu k h} and the k-th right of it
+    psi(0) = theta/2.  With h the samples' spacing, the k-th value left of the
+    grid is theta + (psi_0 - theta) e^{-nu k h} and the k-th right of it
     psi_N e^{-lam_c k h}, so the Jacobian columns of these values fold into
     the first and last columns and the matrix stays banded, of half-width
     ``reach``.  Each step assembles it into blocks of ``reach`` rows and solves
     it with ``_block_solve``.  Stops when the sup norm of the rows is at most
     ``target``; ``remedy`` ends the messages of a divergent or stalled solve.
     """
+    theta, h = params.theta, wp.spacing
     n, center = len(psi), len(psi) // 2
     reach = max(wp.halfwidth, wm.halfwidth, 2)
     left_decay = np.exp(-nu * h * np.arange(1, reach + 1))
@@ -330,7 +322,7 @@ def _newton(psi: np.ndarray, c: float, theta: float, params: ModelParams, h: flo
     flat[padding, reach + padding % reach] = 1.0
     band_at = (np.arange(n)[:, None], (np.arange(n) % reach)[:, None] + np.arange(2 * reach + 1))
     for step in range(NEWTON_STEPS + 1):
-        rows, conv_m = _operator(psi, pad, c, params, h, wp, wm)
+        rows, conv_m = _operator(params, wp, wm, psi, pad, c)
         rows[center] = psi[center] - theta / 2.0
         size = float(np.max(np.abs(rows)))
         if size <= target:
@@ -430,8 +422,7 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
     refuse_below(2)  # the least reach, before the grid is indexed
     s = s_left + h * np.arange(n)
     s = s - s[n // 2]  # index n//2 carries s = 0 exactly
-    spacing = float(s[1] - s[0])
-    wp, wm = sample_line_kernels(k_plus, k_minus, spacing)
+    wp, wm = _per_kernel(sample_line_kernel, k_plus, k_minus, float(s[1] - s[0]))
     refuse_below(max(wp.halfwidth, wm.halfwidth, 2))
     try:
         j = char_multiplicity(params, k_plus, c, report=report)
@@ -450,13 +441,12 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
     else:
         raise ValueError(f"unknown seed {seed!r}")
 
-    nu = _plateau_rate(params, c, theta, spacing, wp, wm,
-                       min(k_plus.lambda0, k_minus.lambda0))
+    nu = _plateau_rate(params, wp, wm, c, min(k_plus.lambda0, k_minus.lambda0))
     scale = max(k_plus.effective_scale(), k_minus.effective_scale())
     remedy = (f"the domain spans {(s_right - s_left) / scale:.4g} kernel scales "
               f"(effective_scale {scale:.4g}); try a narrower domain (domain_left, "
               "domain_right)")
-    psi = _newton(psi, c, theta, params, spacing, wp, wm, nu, lam_c, residual_target, remedy)
+    psi = _newton(params, wp, wm, psi, c, nu, lam_c, residual_target, remedy)
 
     band = 10 * BC_TOL * theta
     if psi[0] < theta * (1.0 - 10 * BC_TOL):
@@ -477,7 +467,7 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
             f"s = {s[worst]:.6g} to {s[worst + 1]:.6g}"
         )
     profile = WaveProfile(s=s, psi=psi, speed_c=c, theta=theta, predicted_lambda=lam_c)
-    profile.residual = _frame_residual(s, psi, c, params, wp, wm)
+    profile.residual = _frame_residual(params, wp, wm, psi, c)
     if j is not None:
         try:
             profile.fitted_lambda, _, profile.r_squared = fit_decay(profile, expected_j=j)
@@ -488,15 +478,16 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
 
 
 def measure_profile_speed(profile: WaveProfile, params: ModelParams,
-                          k_plus: Kernel1D, k_minus: Kernel1D,
-                          duration: float = 2.0, dt: float = 0.02) -> float:
-    """Evolve the profile and read its displacement from the theta/2 level crossing.
+                          k_plus: Kernel1D, k_minus: Kernel1D) -> float:
+    """Evolve the profile for 2 time units of RK4 at dt = 0.02 and read its displacement
+    from the theta/2 level crossing.
 
     The front is located as ``fronts.track_level`` locates it: the rightmost
     sub-cell crossing of half the plateau, before and after the evolution.
     """
-    wp, wm = sample_line_kernels(k_plus, k_minus, profile.spacing)
-    evolved = _march(_line_advance, params, wp, wm, profile.psi, StepConfig(dt), duration)
+    duration = 2.0
+    wp, wm = _per_kernel(sample_line_kernel, k_plus, k_minus, profile.spacing)
+    evolved = _march(_line_advance, params, wp, wm, profile.psi, StepConfig(0.02), duration)
     level = 0.5 * profile.theta
     displacement = (half_level_crossing(profile.s, evolved, level)
                     - half_level_crossing(profile.s, profile.psi, level))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import nlkpp
 from nlkpp import ConfigError, ConvergenceFailure, StepConfig, cli, fronts, simulate, waves
-from nlkpp.cli import _weights, build_initial, main
+from nlkpp.cli import build_initial, main
+from nlkpp.kernels import _per_kernel
 from nlkpp.config import COMMANDS, parse_config
 
 BASE = """
@@ -299,6 +300,24 @@ class TestParsing:
         self._refused_at(tmp_path, capsys, "simulate", text, lineno,
                          f"initial profile file '{tmp_path}' is not a file")
 
+    @pytest.mark.parametrize("initial", [
+        "kind = profile-file\npath = {path}\nshift = 5.0",
+        "kind = bump\nwidth = 2.0\nheight = 0.5\nvalue = 3.0",
+        "kind = constant\nvalue = 0.5\nwidth = 2.0",
+        "kind = step\ndirection = -1\ncenter = 1.0",
+        "kind = shifted-profile\npath = {path}\nshift = 1.0\ndirection = 1",
+    ])
+    def test_initial_key_its_kind_does_not_read_is_refused_with_line(self, tmp_path, capsys,
+                                                                      initial):
+        profile = tmp_path / "p.csv"
+        profile.write_text("s,psi\n-1,1\n1,0\n")
+        lines = initial.format(path=profile).splitlines()
+        kind, key = lines[0].split(" = ")[1], lines[-1].split(" = ")[0]
+        text = BASE.replace("kind = constant\nvalue = 0.5", "\n".join(lines))
+        lineno = text.splitlines().index(lines[-1]) + 1
+        self._refused_at(tmp_path, capsys, "simulate", text, lineno,
+                         f"initial kind '{kind}' does not read '{key}'")
+
     def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
         text = BASE + "\n[front]\ninflate = 1.2\n"
         lineno = text.splitlines().index("inflate = 1.2") + 1
@@ -506,6 +525,20 @@ class TestScenarios:
         assert trace.shape[0] > 1
         assert np.all(np.diff(trace[:, 1]) > -0.5)  # front advances overall
 
+    def test_blow_up_without_a_floor_names_the_floor(self, tmp_path, capsys):
+        text = (BASE.replace("half_length = 20.0\npoints = 128",
+                             "half_length = 200.0\npoints = 4096")
+                .replace("dt = 2e-3\nhorizon = 0.5", "dt = 0.05\nhorizon = 60")
+                .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 2.0\nheight = 0.5"))
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(text)
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        entries = summary_dict(tmp_path / "out")
+        assert entries["error.type"] == "ConvergenceFailure"
+        assert entries["error"].startswith("non-finite state after step ")
+        assert entries["error"].endswith("set [time] floor, e.g. 1e-14")
+        assert capsys.readouterr().err == ""  # numpy's overflow warnings are not printed
+
     @pytest.mark.parametrize("level", ["0", "-1", "1", "5"])
     def test_front_level_outside_the_plateau_writes_error(self, tmp_path, level):
         cfg_file = tmp_path / "f.cfg"
@@ -519,10 +552,10 @@ class TestScenarios:
         assert not (tmp_path / "out" / "front_trace.csv").exists()
 
     def test_equal_kernels_share_one_weights_object(self):
-        wp, wm = _weights(parse_config(BASE))
-        assert wm is wp
-        wp, wm = _weights(parse_config(BASE.replace("sigma = 1.0", "sigma = 1.5", 1)))
-        assert wm is not wp
+        for text, shared in ((BASE, True), (BASE.replace("sigma = 1.0", "sigma = 1.5", 1), False)):
+            cfg = parse_config(text)
+            wp, wm = _per_kernel(cli.discretize, cfg.kernel_plus, cfg.kernel_minus, cfg.grid)
+            assert (wm is wp) == shared
 
     @pytest.mark.parametrize("sigma_plus, shared", [("1.0", True), ("1.5", False)])
     def test_wave_with_equal_kernels_builds_one_line(self, tmp_path, monkeypatch,
@@ -850,8 +883,10 @@ class TestMoreScenarios:
         cfg_file.write_text(text)
         assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
         cfg = parse_config(text)
-        traj = simulate(cfg.params, *_weights(cfg), build_initial(cfg, cfg.grid), cfg.step,
-                        cfg.time.horizon, snapshot_stride=cfg.time.snapshot_stride)
+        traj = simulate(cfg.params,
+                        *_per_kernel(cli.discretize, cfg.kernel_plus, cfg.kernel_minus, cfg.grid),
+                        build_initial(cfg, cfg.grid), cfg.step, cfg.time.horizon,
+                        snapshot_stride=cfg.time.snapshot_stride)
         x = cfg.grid.axis_coords()
         # the reference: every field of every row formatted on its own, as _fmt formats a float
         expected = [",".join("%.17g" % v for v in (f.time, *x[list(idx)], f.values[idx]))

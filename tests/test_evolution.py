@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkpp import (CertificationFailed, Field, Grid, GridError, Kernel, ModelParams,
-                   StepConfig, constant_field, bump_field, discretize, find_subsolution_params,
-                   gaussian_subsolution, logistic_exact, minimize_G, picard_solve, rhs_values,
-                   simulate, solve_profile, truncated_weights, uniform_bound)
+from nlkpp import (CertificationFailed, ConvergenceFailure, Field, Grid, GridError, Kernel,
+                   ModelParams, StepConfig, constant_field, bump_field, discretize,
+                   find_subsolution_params, gaussian_subsolution, logistic_exact, minimize_G,
+                   picard_solve, rhs_values, simulate, solve_profile, truncated_weights,
+                   uniform_bound)
 from nlkpp import evolution, fronts, kernels
 from nlkpp.evolution import _advance, _picard_interval, _rk4, convolve_pair
 from nlkpp.kernels import SampledWeights
@@ -138,12 +140,25 @@ class TestSharedKernel:
 
     def test_picard_interval(self, canon, gauss_weights, twin, calls):
         u = np.random.default_rng(6).random(gauss_weights.shape)
-        _, shared = _picard_interval(canon, gauss_weights, gauss_weights, u,
-                                     0.0, 0.1, 12, 1e-10)
+        _, shared = _picard_interval(canon, gauss_weights, gauss_weights, u, 0.0, 0.1)
         sweeps = calls()
-        _, separate = _picard_interval(canon, gauss_weights, twin, u, 0.0, 0.1, 12, 1e-10)
+        _, separate = _picard_interval(canon, gauss_weights, twin, u, 0.0, 0.1)
         assert calls() == 3 * sweeps
         assert np.array_equal(shared, separate)
+
+    def test_truncated_weights(self, canon, grid256, gauss_weights, twin, calls):
+        theta_shared, wp, wm = truncated_weights(canon, gauss_weights, gauss_weights,
+                                                 grid256, 2.0)
+        assert wm is wp
+        theta_separate, tp, tm = truncated_weights(canon, gauss_weights, twin, grid256, 2.0)
+        assert tm is not tp
+        assert theta_shared == theta_separate
+        u = np.random.default_rng(7).random(gauss_weights.shape)
+        shared = convolve_pair(wp, wm, u)
+        assert calls() == 1
+        separate = convolve_pair(tp, tm, u)
+        assert calls() == 3
+        assert all(map(np.array_equal, shared, separate))
 
 
 class TestStep:
@@ -177,6 +192,19 @@ class TestStep:
         a = simulate(canon, gauss_weights, gauss_weights, u.shifted(9), cfg, cfg.dt).final.values
         b = np.roll(simulate(canon, gauss_weights, gauss_weights, u, cfg, cfg.dt).final.values, 9)
         assert np.abs(a - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("floor, remedy", [(0.0, True), (1e-14, False)])
+    def test_non_finite_state_names_the_floor_without_one(self, canon, floor, remedy):
+        def overflow(params, wplus, wminus, values, cfg):
+            return np.exp(1e3 * values)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow warns nothing: the check reports it
+            with pytest.raises(ConvergenceFailure,
+                               match=r"^non-finite state after step 1 \(t = 0\.01\)") as err:
+                evolution._march(overflow, canon, None, None, np.ones(4),
+                                 StepConfig(dt=0.01, floor=floor), 0.01)
+        assert ("set [time] floor, e.g. 1e-14" in str(err.value)) == remedy
 
     def test_stability_guard(self, canon):
         with pytest.raises(ValueError, match="stability guard"):

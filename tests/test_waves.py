@@ -9,14 +9,13 @@ from nlkpp import (CertificationFailed, ConvergenceFailure, Kernel, StepConfig, 
                    profile_residual, reduce_to_direction, solve_profile, speed_to_abscissa)
 from nlkpp import waves
 from nlkpp.evolution import _march
-from nlkpp.kernels import _quad
-from nlkpp.waves import (WaveProfile, LineKernel, half_level_crossing,
-                         sample_line_kernel, sample_line_kernels)
+from nlkpp.kernels import _per_kernel, _quad
+from nlkpp.waves import WaveProfile, LineKernel, half_level_crossing, sample_line_kernel
 
 
 def _convolve_padded(psi, lk, left, right):
     """(a * psi)(s_i) with psi = left before the grid and right after it."""
-    return waves._line_pair(psi, waves._constant_pad(left, right), lk, lk)[0]
+    return waves._line_pair(lk, lk, psi, waves._constant_pad(left, right))[0]
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +75,16 @@ class TestLineMachinery:
         assert len(lk.spectrum((1000,))) == 501
         assert np.array_equal(lk.spectrum((1000,)), np.fft.rfft(lk.weights, 1000))
 
-    def test_sample_line_kernels_shares_only_equal_samples(self, gauss_line):
-        wp, wm = sample_line_kernels(gauss_line, gauss_line, 0.1)
+    def test_line_samples_are_shared_only_for_one_line(self, gauss_line):
+        wp, wm = _per_kernel(sample_line_kernel, gauss_line, gauss_line, 0.1)
         assert wm is wp
         # an equal line that is another object is sampled on its own, to equal weights
         twin = reduce_to_direction(Kernel("gaussian", 1, sigma=1.0), [1.0])
-        wp, wm = sample_line_kernels(gauss_line, twin, 0.1)
+        wp, wm = _per_kernel(sample_line_kernel, gauss_line, twin, 0.1)
         assert wm is not wp
         assert np.array_equal(wm.weights, wp.weights)
         lap = reduce_to_direction(Kernel("laplace", 1, mu=1.0), [1.0])
-        wp, wm = sample_line_kernels(gauss_line, lap, 0.1)
+        wp, wm = _per_kernel(sample_line_kernel, gauss_line, lap, 0.1)
         assert wm is not wp
         assert not np.array_equal(wp.weights, wm.weights)
         assert np.array_equal(wm.weights, sample_line_kernel(lap, 0.1).weights)
@@ -107,15 +106,15 @@ class TestLineMachinery:
 
     def test_line_pair_transforms_psi_once(self, gauss_line, transforms):
         narrow = reduce_to_direction(Kernel("gaussian", 1, sigma=0.8), [1.0])
-        wp, wm = sample_line_kernels(gauss_line, narrow, 0.1)
+        wp, wm = _per_kernel(sample_line_kernel, gauss_line, narrow, 0.1)
         assert wm.halfwidth < wp.halfwidth
         pad = waves._constant_pad(1.0, 0.0)
         rng = np.random.default_rng(12)
         for n in (500, 777, 1200):
             psi = rng.random(n)
-            waves._line_pair(psi, pad, wp, wm)  # caches both kernel spectra at this length
+            waves._line_pair(wp, wm, psi, pad)  # caches both kernel spectra at this length
             transforms.clear()
-            pair = waves._line_pair(psi, pad, wp, wm)
+            pair = waves._line_pair(wp, wm, psi, pad)
             assert transforms == {"rfft": 1, "irfft": 2}
             for w, result in zip((wp, wm), pair):
                 expected = _convolve_padded(psi, w, 1.0, 0.0)
@@ -195,11 +194,11 @@ class TestSupersolution:
 class TestResidual:
     def test_constant_states_have_zero_residual(self, canon, gauss_line):
         s = np.linspace(-20, 20, 800, endpoint=False)
-        lines = sample_line_kernels(gauss_line, gauss_line, float(s[1] - s[0]))
+        lines = _per_kernel(sample_line_kernel, gauss_line, gauss_line, float(s[1] - s[0]))
         # theta plateau: equation residual kp*theta - m*theta - km*theta^2 = 0
-        res_theta = waves._frame_residual(s, np.full_like(s, canon.theta), 1.0, canon, *lines)
+        res_theta = waves._frame_residual(canon, *lines, np.full_like(s, canon.theta), 1.0)
         assert res_theta <= 1e-12
-        res_zero = waves._frame_residual(s, np.zeros_like(s), 1.0, canon, *lines)
+        res_zero = waves._frame_residual(canon, *lines, np.zeros_like(s), 1.0)
         assert res_zero <= 1e-12
 
     def test_converged_profile_residual(self, canon, gauss_line, profile_13):
@@ -264,7 +263,7 @@ class TestSolveProfile:
         # with T(nu) = e^{nu^2/2} for the unit gaussian
         c = 1.3 * report.c_star
         wp = sample_line_kernel(gauss_line, 0.05)
-        nu = waves._plateau_rate(canon, c, canon.theta, 0.05, wp, wp, math.inf)
+        nu = waves._plateau_rate(canon, wp, wp, c, math.inf)
         continuous = -c * nu + 2.0 - math.exp(nu * nu / 2.0)
         assert nu > 0.0
         assert abs(continuous) <= 1e-7
