@@ -59,13 +59,19 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     shape.  Each result has the bits of a call with that kernel as both a+
     and a-.  One object for a+ and a- (``kernels._per_kernel``) gives one
     shared result, which must not be modified in place.
+
+    The fft backend transforms into one per-call spectrum buffer, and each
+    kernel's product with it is a fresh array whose inverse complex passes run in
+    place; every result is a fresh array that the caller owns.
     """
     if backend == "fft":
         shape = values.shape[values.ndim - wplus.weights.ndim:]
-        spectrum = _rfft(values, shape)
+        spectrum = _rfft(values, shape,
+                         out=np.empty(values.shape[:-1] + (shape[-1] // 2 + 1,), complex))
 
         def conv(w: _Samples) -> np.ndarray:
-            return _irfft(spectrum * w.spectrum(shape), shape)
+            product = np.multiply(spectrum, w.spectrum(shape))
+            return _irfft(product, shape, out=product)
     elif backend == "direct":
         def conv(w: SampledWeights) -> np.ndarray:
             return _conv_direct(w, values)
@@ -144,19 +150,39 @@ def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray, conv_m: np
     """drift + kappa_plus*conv_p - m*u - kappa_minus*u*conv_m, summed in that order.
 
     The one statement of the equation: the periodic and line solvers call it
-    without ``drift``, the traveling-wave operator with drift c psi'.
+    without ``drift``, the traveling-wave operator with drift c psi'.  Its
+    operations and their order, ``(drift + kp*conv_p) - m*u - (km*u)*conv_m``,
+    fix the bits of every solver; it returns a fresh array and writes no argument.
     """
     gain = params.kappa_plus * conv_p if drift is None else drift + params.kappa_plus * conv_p
     return gain - params.mortality * u - params.kappa_minus * u * conv_m
 
 
 def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of du/dt = f(u)."""
-    k1 = f(values)
-    k2 = f(values + 0.5 * dt * k1)
-    k3 = f(values + 0.5 * dt * k2)
-    k4 = f(values + dt * k3)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of du/dt = f(u).
+
+    It makes the operations of ``values + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)``, with
+    stage states ``values + (dt/2) k1``, ``values + (dt/2) k2`` and ``values + dt k3``,
+    in that order, so it has the bits of that expression.  The three stage states
+    share one buffer, and the sum accumulates in k1 as each k is formed, so k2 and
+    k3 are released early.  ``f`` must return a fresh array and keep no argument.
+    """
+    stage = np.empty_like(values)
+    total = f(values)
+    k = f(np.add(values, np.multiply(0.5 * dt, total, out=stage), out=stage))
+    np.add(values, np.multiply(0.5 * dt, k, out=stage), out=stage)
+    k *= 2.0
+    total += k
+    del k
+    k = f(stage)
+    np.add(values, np.multiply(dt, k, out=stage), out=stage)
+    k *= 2.0
+    total += k
+    del k
+    total += f(stage)
+    total *= dt / 6.0
+    total += values
+    return total
 
 
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
@@ -173,11 +199,19 @@ def _circular_step(params: ModelParams, wplus: SampledWeights, wminus: SampledWe
     if cfg.method == "rk4":
         out = _rk4(lambda v: rhs_values(params, wplus, wminus, v, backend), values, dt)
     else:
-        # integrating-factor step: freeze the loss rate over [t, t+dt]
+        # integrating-factor step: freeze the loss rate over [t, t+dt]; the operations
+        # of decay * values + (1 - decay) / loss * kp * conv_p, in three buffers
         conv_p, conv_m = convolve_pair(wplus, wminus, values, backend)
-        loss = params.mortality + params.kappa_minus * conv_m
-        decay = np.exp(-loss * dt)
-        out = decay * values + (1.0 - decay) / loss * params.kappa_plus * conv_p
+        loss = np.multiply(params.kappa_minus, conv_m)
+        loss += params.mortality
+        decay = np.negative(loss)
+        decay *= dt
+        np.exp(decay, out=decay)
+        out = np.subtract(1.0, decay)
+        out /= loss
+        out *= params.kappa_plus
+        out *= conv_p
+        np.add(np.multiply(decay, values, out=loss), out, out=out)
     if cfg.floor > 0.0:
         out[np.abs(out) < cfg.floor] = 0.0
     return out

@@ -546,25 +546,34 @@ def _next_fast_len(n: int) -> int:
     return lengths[bisect.bisect_left(lengths, n)]
 
 
-def _rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _rfft(values: np.ndarray, shape: tuple[int, ...],
+          out: np.ndarray | None = None) -> np.ndarray:
     """Real FFT over the trailing ``len(shape)`` axes of ``values``, zero-filled to ``shape``.
 
     Leading axes are a batch.  The one forward transform the package makes: numpy's
-    real pass on the last axis, then a complex pass on each other axis.
+    real pass on the last axis, then a complex pass on each other axis.  Without
+    ``out`` each pass returns a fresh array and ``values`` is never written.  With
+    ``out`` (complex, of the spectrum's shape, so only the last axis can be
+    zero-filled) the real pass writes into it, the complex passes run in place
+    there, and ``out`` is returned.
     """
-    spectrum = np.fft.rfft(values, shape[-1])
+    spectrum = np.fft.rfft(values, shape[-1], out=out)
     for axis in range(-len(shape), -1):
-        spectrum = np.fft.fft(spectrum, shape[axis], axis=axis)
+        spectrum = np.fft.fft(spectrum, shape[axis], axis=axis, out=out)
     return spectrum
 
 
-def _irfft(spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _irfft(spectrum: np.ndarray, shape: tuple[int, ...],
+           out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of ``_rfft``: real values of ``shape`` on the trailing axes.
 
     The passes are unnormalised and the result is scaled once by 1 / prod(shape).
+    The complex passes write into ``out`` when it is given (of the spectrum's shape;
+    it may be ``spectrum`` itself, which then runs them in place), else into fresh
+    arrays; the real pass always returns a fresh array.
     """
     for axis in range(-len(shape), -1):
-        spectrum = np.fft.ifft(spectrum, shape[axis], axis=axis, norm="forward")
+        spectrum = np.fft.ifft(spectrum, shape[axis], axis=axis, norm="forward", out=out)
     values = np.fft.irfft(spectrum, shape[-1], norm="forward")
     values *= 1.0 / math.prod(shape)
     return values
@@ -644,8 +653,12 @@ def _displacements(grid) -> np.ndarray:
     return lattice(idx * grid.spacing, grid.dimension)
 
 
-def _check_resolution(kernel, h: float) -> None:
-    """Refuse a kernel whose ``effective_scale`` is below the spacing h; warn below 4h."""
+def _check_resolution(kernel, h: float, key: str) -> None:
+    """Refuse a kernel whose ``effective_scale`` is below the spacing h; warn below 4h.
+
+    The warning names ``key``, the config key that sets h: the source line it is
+    attributed to lies inside the package (``_per_kernel`` for most kernels).
+    """
     scale = kernel.effective_scale()
     if scale < h:
         raise KernelError(
@@ -653,8 +666,8 @@ def _check_resolution(kernel, h: float) -> None:
             "refine the grid (h must not exceed the kernel scale)"
         )
     if scale < 4.0 * h:
-        warnings.warn(f"kernel scale {scale:.3g} is marginal against spacing {h:.3g}",
-                      stacklevel=3)
+        warnings.warn(f"kernel scale {scale:.3g} is marginal against spacing {h:.3g}; "
+                      f"refine {key}", stacklevel=3)
 
 
 def _unit_sum(weights: np.ndarray, pin: int | None = None) -> np.ndarray:
@@ -676,7 +689,7 @@ def discretize(kernel: Kernel, grid) -> SampledWeights:
     if dim != grid.dimension:
         raise KernelError(f"kernel dimension {dim} does not match grid dimension {grid.dimension}")
 
-    _check_resolution(kernel, grid.spacing)
+    _check_resolution(kernel, grid.spacing, "[grid] points")
 
     light = kernel.abscissa > 0  # an exponential tail
     if light:

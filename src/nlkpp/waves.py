@@ -51,7 +51,7 @@ def sample_line_kernel(k: Kernel1D, h: float) -> LineKernel:
 
     Refuses a kernel that h under-resolves, as ``discretize`` does.
     """
-    _check_resolution(k, h)
+    _check_resolution(k, h, "[wave] spacing")
     radius = max(4.0 * k.effective_scale(), h)
     while k.mass_outside(radius) > COVERAGE:
         radius *= 1.5

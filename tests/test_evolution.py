@@ -11,8 +11,8 @@ from nlkpp import (CertificationFailed, ConvergenceFailure, Field, Grid, GridErr
                    find_subsolution_params, gaussian_subsolution, logistic_exact, minimize_G,
                    picard_solve, rhs_values, simulate, solve_profile, truncated_weights,
                    uniform_bound)
-from nlkpp import evolution, fronts, kernels
-from nlkpp.evolution import _advance, _picard_interval, _rk4, convolve_pair
+from nlkpp import evolution, fronts, kernels, waves
+from nlkpp.evolution import METHODS, _advance, _picard_interval, _reaction, _rk4, convolve_pair
 from nlkpp.kernels import SampledWeights
 
 from conftest import brute_circular_convolution
@@ -104,6 +104,151 @@ class TestConvolvePair:
     def test_unknown_backend(self, gauss_weights):
         with pytest.raises(ValueError, match="unknown convolution backend"):
             convolve_pair(gauss_weights, gauss_weights, np.zeros(gauss_weights.shape), "fast")
+
+
+# rates that are no powers of two, so that a reassociated product would show in the bits
+ODD_RATES = ModelParams(kappa_plus=2.3, kappa_minus=0.7, mortality=1.1)
+
+
+def reference_pair(wplus, wminus, values):
+    """``convolve_pair``'s fft branch with every intermediate a fresh array."""
+    shape = values.shape[values.ndim - wplus.weights.ndim:]
+    spectrum = kernels._rfft(values, shape)
+    return tuple(kernels._irfft(spectrum * w.spectrum(shape), shape) for w in (wplus, wminus))
+
+
+def reference_reaction(params, u, conv_p, conv_m, drift=None):
+    """``evolution._reaction`` written as one expression."""
+    gain = params.kappa_plus * conv_p if drift is None else drift + params.kappa_plus * conv_p
+    return gain - params.mortality * u - params.kappa_minus * u * conv_m
+
+
+def reference_rk4(f, values, dt):
+    """``evolution._rk4`` written as one expression per stage."""
+    k1 = f(values)
+    k2 = f(values + 0.5 * dt * k1)
+    k3 = f(values + 0.5 * dt * k2)
+    k4 = f(values + dt * k3)
+    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_circular_step(params, wplus, wminus, values, cfg):
+    """``evolution._circular_step`` (fft backend) built from the references above."""
+    if cfg.method == "rk4":
+        out = reference_rk4(
+            lambda v: reference_reaction(params, v, *reference_pair(wplus, wminus, v)),
+            values, cfg.dt)
+    else:
+        conv_p, conv_m = reference_pair(wplus, wminus, values)
+        loss = params.mortality + params.kappa_minus * conv_m
+        decay = np.exp(-loss * cfg.dt)
+        out = decay * values + (1.0 - decay) / loss * params.kappa_plus * conv_p
+    if cfg.floor > 0.0:
+        out[np.abs(out) < cfg.floor] = 0.0
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:kernel scale")
+class TestInPlaceStep:
+    """The step's buffers change no bit: ``_advance`` equals the reference expressions."""
+
+    @staticmethod
+    def case(name):
+        rng = np.random.default_rng(31)
+        if name in ("1d-whole", "1d-window", "batched-pair"):
+            n = 2048 if name == "1d-window" else 512
+            grid = Grid(dimension=1, half_length=0.05 * n, points_per_axis=n)
+            wp = discretize(Kernel("gaussian", 1, sigma=1.0), grid)
+            wm = discretize(Kernel("laplace", 1, mu=1.5), grid)
+            bump = bump_field(grid, 0.0, 2.0, 0.5).values
+            values = {"1d-whole": 0.5 + 0.1 * rng.random(n), "1d-window": bump,
+                      "batched-pair": np.stack([bump, 0.9 + 0.1 * rng.random(n)])}[name]
+            return wp, wm, values
+        grid = Grid(dimension=2, half_length=16.0, points_per_axis=64)
+        wm = discretize(Kernel("gaussian", 2, sigma=1.0), grid)
+        wp = wm if name == "shared" else discretize(Kernel("compact_uniform", 2, radius=2.0),
+                                                    grid)
+        return wp, wm, bump_field(grid, (0.3, -0.2), 4.0, 0.5).values + 0.01 * rng.random(
+            grid.shape)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-14])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", ["1d-whole", "1d-window", "2d", "batched-pair", "shared"])
+    def test_advance_has_the_reference_bits(self, monkeypatch, name, method, floor):
+        wp, wm, values = self.case(name)
+        cfg = StepConfig(dt=0.05, method=method, floor=floor)
+        assert (evolution._window(wp, wm, values, cfg) is None) == (name != "1d-window")
+        before = values.copy()
+
+        def three_steps():
+            out = values
+            for _ in range(3):
+                out = _advance(ODD_RATES, wp, wm, out, cfg)
+            return out
+
+        got = three_steps()
+        assert np.array_equal(values, before)
+        monkeypatch.setattr(evolution, "_circular_step", reference_circular_step)
+        assert np.array_equal(got, three_steps())
+
+    def test_wave_operator_drift_path(self, gauss_line):
+        params = ODD_RATES
+        line = waves.sample_line_kernel(gauss_line, 0.1)
+        s = np.arange(-400, 801) * 0.1
+        psi = 0.5 * params.theta * (1.0 - np.tanh(s))
+        pad = waves._constant_pad(params.theta, 0.0)
+        ext = pad(psi, 2)
+        dpsi = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * line.spacing)
+        conv_p, conv_m = waves._line_pair(line, line, psi, pad)
+        operator, a_minus = waves._operator(params, line, line, psi, pad, 2.3)
+        assert np.array_equal(operator,
+                              reference_reaction(params, psi, conv_p, conv_m, drift=2.3 * dpsi))
+        assert np.array_equal(a_minus, conv_m)
+        step = waves._line_advance(params, line, line, psi, StepConfig(dt=0.01))
+        expected = reference_rk4(
+            lambda v: reference_reaction(params, v, *waves._line_pair(line, line, v, pad)),
+            psi, 0.01)
+        assert np.array_equal(step, expected)
+
+
+class TestNoAliasing:
+    """Results are fresh arrays, and no argument is written."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("shape", [(256,), (64, 64), (12, 128)], ids=["1d", "2d", "batch"])
+    def test_convolve_pair_results_are_fresh(self, shape, shared):
+        wp, wm = TestConvolvePair.kernels(2 if shape == (64, 64) else 1, shape[-1])
+        wm = wp if shared else wm
+        values = np.random.default_rng(11).random(shape)
+        before = values.copy()
+        first, second = convolve_pair(wp, wm, values), convolve_pair(wp, wm, values)
+        assert np.array_equal(values, before)
+        assert all(map(np.array_equal, first, second))
+        arrays = [values, wp.weights, wm.weights, *first[:2 - shared], *second[:2 - shared]]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert a is b or not np.shares_memory(a, b)
+        assert (first[1] is first[0]) == shared
+
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_reaction_writes_no_argument(self, drift, shared):
+        rng = np.random.default_rng(12)
+        u, conv_p, conv_m, d = rng.random((4, 64, 64))
+        conv_m = conv_p if shared else conv_m
+        args = (u, conv_p, conv_m) + ((d,) if drift else ())
+        before = [a.copy() for a in args]
+        out = _reaction(ODD_RATES, *args)
+        assert all(map(np.array_equal, args, before))
+        assert not any(np.shares_memory(out, a) for a in args)
+        assert np.array_equal(out, reference_reaction(ODD_RATES, *before))
+
+    def test_rk4_writes_no_argument(self, canon, gauss_weights):
+        values = np.random.default_rng(13).random(gauss_weights.shape)
+        before = values.copy()
+        out = _rk4(lambda v: rhs_values(canon, gauss_weights, gauss_weights, v), values, 0.01)
+        assert np.array_equal(values, before)
+        assert not np.shares_memory(out, values)
 
 
 class TestSharedKernel:
@@ -558,10 +703,10 @@ def test_solvers_transform_only_through_the_fft_pair(monkeypatch, canon, gauss_l
     inside, used = [], set()
 
     def entered(fn):
-        def pair(*args):
+        def pair(*args, **kwargs):
             inside.append(fn)
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 inside.pop()
         return pair

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nlkpp import Grid, Kernel, KernelError, discretize, reduce_to_direction
-from nlkpp.kernels import (RadialLine, _bessel_i, _fast_lengths, _irfft, _next_fast_len, _quad,
-                           _radial_shape, _rfft)
+from nlkpp.kernels import (RadialLine, _bessel_i, _fast_lengths, _irfft, _next_fast_len,
+                           _per_kernel, _quad, _radial_shape, _rfft)
 from nlkpp.waves import sample_line_kernel
 
 
@@ -291,6 +291,21 @@ def test_discretize_rejects_underresolved():
     narrow = Kernel("gaussian", 1, sigma=grid.spacing / 10.0)
     with pytest.raises(KernelError, match="refine the grid"):
         discretize(narrow, grid)
+
+
+def test_marginal_warning_names_the_key():
+    """Through the identical-kernel rule, the marginal-scale warning names the config key
+    that sets the spacing: ``[grid] points`` for periodic weights, ``[wave] spacing``
+    for line samples."""
+    kernel = Kernel("gaussian", 1, sigma=0.3)
+    grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
+    with pytest.warns(UserWarning, match=r"is marginal .*; refine \[grid\] points$") as caught:
+        _per_kernel(discretize, kernel, kernel, grid)
+    assert len(caught) == 1
+    line = reduce_to_direction(kernel, [1.0])
+    with pytest.warns(UserWarning, match=r"is marginal .*; refine \[wave\] spacing$") as caught:
+        _per_kernel(sample_line_kernel, line, line, 0.1)
+    assert len(caught) == 1
 
 
 def test_discretize_rejects_poor_coverage():
@@ -593,6 +608,33 @@ class TestFftPair:
                              ((40, 40), (97, 128))):
             self.assert_pair_is_scipy(rng.random(width), shape)
             self.assert_pair_is_scipy(rng.random((2, *width)), shape)
+
+    @pytest.mark.parametrize("width, shape", [((256,), (256,)), ((101,), (128,)),
+                                              ((2, 64, 64), (64, 64)), ((3, 96, 160), (96, 160))],
+                             ids=["line", "zero-filled", "batched-planes", "rectangles"])
+    def test_inputs_are_not_written(self, width, shape):
+        values = np.random.default_rng(24).random(width)
+        before = values.copy()
+        spectrum = _rfft(values, shape)
+        assert np.array_equal(values, before)
+        kept = spectrum.copy()
+        _irfft(spectrum, shape)
+        assert np.array_equal(spectrum, kept)
+
+    @pytest.mark.parametrize("width, shape", [((256,), (256,)), ((2, 96), (128,)),
+                                              ((64, 64), (64, 64)), ((3, 96, 160), (96, 160))],
+                             ids=["line", "zero-filled", "plane", "batched-rectangles"])
+    def test_buffers_give_the_same_bits(self, width, shape):
+        """With a buffer the passes run in place there, with the bits of fresh arrays."""
+        values = np.random.default_rng(25).random(width)
+        spectrum = _rfft(values, shape)
+        buffer = np.empty_like(spectrum)
+        assert _rfft(values, shape, out=buffer) is buffer
+        assert np.array_equal(buffer, spectrum)
+        inverse = _irfft(spectrum, shape)
+        in_place = _irfft(buffer, shape, out=buffer)
+        assert np.array_equal(in_place, inverse)
+        assert not np.shares_memory(in_place, buffer)
 
     def test_next_fast_len_is_scipy(self):
         from scipy import fft as sp_fft

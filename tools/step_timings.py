@@ -1,0 +1,132 @@
+"""Per-call timings of the periodic step's layers at three fixed sizes.
+
+Times ``evolution.convolve_pair``, ``evolution.rhs_values`` and one
+``evolution._advance`` (RK4; dt 0.002 and floor 1e-14 in 1-D, dt 0.05 in 2-D)
+in this process, on the canonical rates kappa_plus = 2, kappa_minus = 1, m = 1:
+
+* ``1d-8192-whole``: the invasion grid (N 8192, half-length 200) with one
+  sigma = 1 gaussian for a+ and a-, on a state that is nonzero everywhere, so
+  the step transforms the whole grid;
+* ``1d-3072-window``: the same grid and kernel, on a state whose occupied span
+  grown by four kernel reaches is padded to 3072 points; ``convolve_pair`` and
+  ``rhs_values`` run on that 3072-point segment, ``_advance`` on the grid;
+* ``2d-256``: the front grid (256 x 256, half-length 32) with a+ the radius-2
+  ``compact_uniform`` and a- the sigma = 1 gaussian, on a state that is nonzero
+  everywhere.
+
+Each figure is the minimum over ``--repeats`` blocks of the per-call mean of a
+block's calls, with the minor page faults per call (``resource.getrusage``)
+over one more block.  Kernel spectra are computed before timing.
+
+Usage::
+
+    python tools/step_timings.py [CHECKOUT] [--repeats R]
+
+``CHECKOUT`` is the repository whose ``src`` is imported; it defaults to the
+one holding this script.  To compare a change with its parent, export the
+parent elsewhere (``git archive``) and run the script once on each, in
+alternation.
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import resource
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+CASES = ("1d-8192-whole", "1d-3072-window", "2d-256")
+# calls per timed block: short blocks, so that the minimum finds a quiet one
+CALLS = {"1d-8192-whole": 40, "1d-3072-window": 80, "2d-256": 4}
+
+
+def _cases(nlkpp):
+    """``{case: (params, wplus, wminus, segment, state, cfg)}``, ``segment`` being the
+    array the convolution layers run on and ``state`` the one ``_advance`` steps."""
+    from nlkpp import evolution, kernels
+
+    params = nlkpp.ModelParams(kappa_plus=2.0, kappa_minus=1.0, mortality=1.0)
+    rng = np.random.default_rng(0)
+    line = nlkpp.Grid(dimension=1, half_length=200.0, points_per_axis=8192)
+    w = nlkpp.discretize(nlkpp.Kernel("gaussian", 1, sigma=1.0), line)
+    cfg1 = evolution.StepConfig(dt=2e-3, floor=1e-14)
+    out = {}
+
+    whole = 0.5 + 0.01 * rng.random(line.shape)
+    out["1d-8192-whole"] = (params, w, w, whole, whole, cfg1)
+
+    grow = 4 * w.reach
+    span = 3072 - 2 * grow - 1
+    windowed = np.zeros(line.shape)
+    lo = (line.points_per_axis - span) // 2
+    windowed[lo:lo + span] = 0.5 + 0.01 * rng.random(span)
+    (window,) = evolution._window(w, w, windowed, cfg1)
+    length = kernels._next_fast_len(window.stop - window.start)
+    if length != 3072:
+        raise AssertionError(f"the window transforms {length} points, not 3072")
+    segment = np.zeros(length)
+    segment[:window.stop - window.start] = windowed[window]
+    out["1d-3072-window"] = (params, w, w, segment, windowed, cfg1)
+
+    plane = nlkpp.Grid(dimension=2, half_length=32.0, points_per_axis=256)
+    wp = nlkpp.discretize(nlkpp.Kernel("compact_uniform", 2, radius=2.0), plane)
+    wm = nlkpp.discretize(nlkpp.Kernel("gaussian", 2, sigma=1.0), plane)
+    state = 0.3 + 0.01 * rng.random(plane.shape)
+    out["2d-256"] = (params, wp, wm, state, state, evolution.StepConfig(dt=0.05))
+    return out
+
+
+def _measure(fn, calls: int, repeats: int) -> tuple[float, float]:
+    """(minimum per-call seconds over ``repeats`` blocks, minor faults per call)."""
+    fn()
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best = min(best, (time.perf_counter() - start) / calls)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(calls):
+            fn()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    finally:
+        gc.enable()
+    return best, faults / calls
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
+    parser.add_argument("--repeats", type=int, default=25)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.checkout) / "src"))
+    import nlkpp
+    from nlkpp import evolution
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the radius-2 disk is marginal at h = 0.25
+        cases = _cases(nlkpp)
+    print(f"# numpy {np.__version__}, python {sys.version.split()[0]}, "
+          f"min of {args.repeats} blocks")
+    print(f"{'case':<16} {'layer':<14} {'us/call':>10} {'minflt/call':>12}")
+    for name in CASES:
+        params, wp, wm, segment, state, cfg = cases[name]
+        layers = {
+            "convolve_pair": lambda: evolution.convolve_pair(wp, wm, segment),
+            "rhs_values": lambda: evolution.rhs_values(params, wp, wm, segment),
+            "_advance": lambda: evolution._advance(params, wp, wm, state, cfg),
+        }
+        for layer, fn in layers.items():
+            seconds, faults = _measure(fn, CALLS[name], args.repeats)
+            print(f"{name:<16} {layer:<14} {1e6 * seconds:>10.1f} {faults:>12.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
