@@ -320,9 +320,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                  lambda: _assumption_entries(cfg)):
         try:
             entries.update(step())
-        except (NlkppError, ValueError, RuntimeError) as exc:
-            # numerical code raises ValueError/RuntimeError for rejected inputs too;
-            # the first error is the one reported
+        except (NlkppError, ValueError, ArithmeticError, RuntimeError) as exc:
+            # numerical code raises ValueError/RuntimeError for rejected inputs too, and
+            # float arithmetic on extreme scales ArithmeticError; the first error is reported
             entries.setdefault("error", str(exc))
             entries.setdefault("error.type", type(exc).__name__)
             status = 1

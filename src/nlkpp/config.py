@@ -9,11 +9,11 @@ error message carries the offending line number.
 its default.  ``[model]``, ``[kernel_plus]``, ``[kernel_minus]`` and
 ``[grid]`` build domain objects, and ``[time]``'s ``dt``, ``method`` and
 ``floor`` a ``StepConfig``.  Each kernel section builds its ``Kernel`` here,
-normalizer included, so a kernel that ``Kernel`` refuses (a bad parameter,
-a density that is not integrable) is refused with its section's ``family``
-line; two sections that describe the same kernel give one object,
-``cfg.kernel_minus is cfg.kernel_plus``, and that identity is the only test
-of a+ = a- downstream.  The other ``[time]`` keys and every other section
+normalizer included, so a kernel that ``Kernel`` refuses (a parameter out of
+range or unread by its family, a normalizer that is not a positive finite
+number) is refused with its section's ``family`` line; two sections that
+describe the same kernel give one object, ``cfg.kernel_minus is
+cfg.kernel_plus``, and that identity is the only test of a+ = a- downstream.  The other ``[time]`` keys and every other section
 reach the runners as a namespace of their converted keys under the table's
 own names, such as ``cfg.wave.speed_factor`` or ``cfg.output.directory``.
 A new key is one ``_KEYS`` entry plus the code that reads it.
@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 from .errors import ConfigError, KernelError
 from .evolution import METHODS, StepConfig
-from .grids import Grid
+from .grids import DIMENSIONS, Grid
 from .kernels import Kernel
 from .params import ModelParams
 
@@ -77,7 +77,7 @@ _nonnegative = _checked(float, lambda value: 0 <= value < math.inf,
                         "must be nonnegative and finite")
 _open_unit = _checked(float, lambda value: 0 < value < 1, "must lie in (0, 1)")
 _direction = _checked(_finite_floats, any, "must not be all zero")
-_dimension = _checked(int, (1, 2).__contains__, "must be 1 or 2")
+_dimension = _checked(int, DIMENSIONS.__contains__, "must be 1 or 2")
 _sign = _checked(int, (1, -1).__contains__, "must be 1 or -1")
 _grid_points = _checked(int, lambda n: n >= 16 and not n & (n - 1),
                         "must be a power of two, at least 16")
@@ -92,7 +92,7 @@ _REQUIRED = object()  # the default of a key that must be given
 _KERNEL_KEYS = {
     "family": (_family, _REQUIRED),
     "dimension": (_dimension, None),  # None: the grid's dimension, 1 without a grid
-    # sign rules and integrability are Kernel's, per family
+    # ranges, the parameters each family reads and integrability are Kernel's
     "sigma": (_finite, None), "mu": (_finite, None), "p": (_finite, None), "q": (_finite, None),
     "radius": (_finite, None), "offset": (_finite_floats, None),
 }

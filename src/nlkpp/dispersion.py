@@ -43,11 +43,12 @@ class DispersionReport:
     m_xi: float
 
 
-def dispersion_G(params: ModelParams, k: Kernel1D, lam: float) -> float:
-    """G(lam) = (kappa_plus * T(lam) - m) / lam on the convergence interval."""
+def dispersion_G(params: ModelParams, k: Kernel1D, lam: float, value=None) -> float:
+    """G(lam) = (kappa_plus * T(lam) - m) / lam on the convergence interval, with T(lam)
+    computed unless given as ``value``."""
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    value = k.transform(lam)
+    value = k.transform(lam) if value is None else value
     if math.isinf(value):
         raise ValueError(f"transform diverges at lambda = {lam} (abscissa {k.lambda0})")
     return (params.kappa_plus * value - params.mortality) / lam
@@ -146,10 +147,9 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
             "(run the acceleration scenario instead)"
         )
 
-    kernel_class, value0, t_at_lam0 = _at_abscissa(params, k)
+    kernel_class, value, t_at_lam0 = _at_abscissa(params, k)
     if kernel_class == W_CLASS:
         lam_star = lam0
-        c_star = (params.kappa_plus * value0 - params.mortality) / lam0  # G(lambda0)
     else:
         # Bracket the sign change of H, then bisect.
         lo = min(1e-6, lam0 / 4 if math.isfinite(lam0) else 1e-6)
@@ -174,7 +174,8 @@ def minimize_G(params: ModelParams, k: Kernel1D) -> DispersionReport:
                 if frac < 1e-14:
                     raise RuntimeError("H has no sign change below the abscissa")
         lam_star = _bisect(lambda lam: _H(params, k, lam) <= 0, lo, hi, 1e-13)
-        c_star = dispersion_G(params, k, lam_star)
+        value = None  # T(lambda*), which dispersion_G computes
+    c_star = dispersion_G(params, k, lam_star, value)
 
     m_xi = k.mean()
     if not c_star > params.kappa_plus * m_xi:

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import GridError
 
+DIMENSIONS = (1, 2)  # of a grid and a kernel
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -36,7 +38,7 @@ class Grid:
     points_per_axis: int
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
+        if self.dimension not in DIMENSIONS:
             raise GridError(f"dimension must be 1 or 2, got {self.dimension}")
         if not self.half_length > 0:
             raise GridError("half_length must be positive")

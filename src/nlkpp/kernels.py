@@ -4,9 +4,13 @@ Five analytic families are supported, all nonnegative and integrable:
 
 * ``gaussian``         exp(-|x - b|^2 / (2 sigma^2)), optional center offset b
 * ``laplace``          exp(-mu |x|)
-* ``exppoly``          exp(-mu |x|^p) / (1 + |x|^q), p >= 0, q >= 0, mu > 0
+* ``exppoly``          exp(-mu |x|^p) / (1 + |x|^q)
 * ``compact_uniform``  indicator of the ball of given radius
-* ``power_tail``       1 / (1 + |x|^q), q > dimension
+* ``power_tail``       1 / (1 + |x|^q), read as ``exppoly`` with p = 0 and mu = 0
+
+``_FAMILIES`` states what each family reads, ``_RANGES`` each parameter's
+range; ``Kernel`` refuses any other parameter, and a normalizer that is not
+a positive finite number (a density not integrable in floating point).
 
 Each family fixes the abscissa of convergence of the bilateral transform of
 its one-dimensional directional reduction: the whole traveling-wave theory
@@ -23,9 +27,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import KernelError
-from .grids import lattice
-
-FAMILIES = ("gaussian", "laplace", "exppoly", "compact_uniform", "power_tail")
+from .grids import DIMENSIONS, lattice
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 
@@ -43,23 +45,19 @@ def _quad(f, a, b, **kw):
 
 
 def _radial_shape(kernel: Kernel):
-    """Unnormalized radial profile r -> shape(r), r >= 0."""
-    if kernel.family == "gaussian":
+    """Unnormalized radial profile r -> shape(r), r >= 0, named by the parameters its
+    family reads: sigma, radius, mu alone (laplace), or q (exppoly, power_tail's p = mu = 0)."""
+    if kernel.sigma is not None:
         s2 = 2.0 * kernel.sigma**2
         return lambda r: np.exp(-np.square(r) / s2)
-    if kernel.family == "laplace":
-        mu = kernel.mu
-        return lambda r: np.exp(-mu * np.asarray(r, dtype=float))
-    if kernel.family == "exppoly":
-        p, q, mu = kernel.p, kernel.q, kernel.mu
-        return lambda r: np.exp(-mu * np.abs(r) ** p) / (1.0 + np.abs(r) ** q)
-    if kernel.family == "compact_uniform":
+    if kernel.radius is not None:
         radius = kernel.radius
         return lambda r: np.where(np.abs(r) <= radius, 1.0, 0.0)
-    if kernel.family == "power_tail":
-        q = kernel.q
-        return lambda r: 1.0 / (1.0 + np.abs(r) ** q)
-    raise KernelError(f"unhandled family {kernel.family!r}")
+    if kernel.q is None:
+        mu = kernel.mu
+        return lambda r: np.exp(-mu * np.asarray(r, dtype=float))
+    p, q, mu = kernel.p or 0.0, kernel.q, kernel.mu or 0.0
+    return lambda r: np.exp(-mu * np.abs(r) ** p) / (1.0 + np.abs(r) ** q)
 
 
 def _abscissa(kernel: Kernel) -> float:
@@ -90,12 +88,8 @@ def _normalizer(kernel: Kernel) -> float:
             return 1.0 / (math.pi * kernel.radius**2)
     shape = _radial_shape(kernel)
     if d == 1:
-        total = 2.0 * _quad(shape, 0.0, np.inf)
-    else:
-        total = 2.0 * math.pi * _quad(lambda r: shape(r) * r, 0.0, np.inf)
-    if not total > 0 or not math.isfinite(total):
-        raise KernelError(f"kernel {kernel} is not integrable (mass {total})")
-    return 1.0 / total
+        return 1.0 / (2.0 * _quad(shape, 0.0, np.inf))
+    return 1.0 / (2.0 * math.pi * _quad(lambda r: shape(r) * r, 0.0, np.inf))
 
 
 @dataclass(frozen=True)
@@ -119,42 +113,30 @@ class Kernel:
     abscissa: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise KernelError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if self.dimension not in (1, 2):
+        if self.family not in _FAMILIES:
+            raise KernelError(f"unknown kernel family {self.family!r}; "
+                              f"expected one of {tuple(_FAMILIES)}")
+        if self.dimension not in DIMENSIONS:
             raise KernelError(f"dimension must be 1 or 2, got {self.dimension}")
-        needed = {
-            "gaussian": ("sigma",),
-            "laplace": ("mu",),
-            "exppoly": ("p", "q", "mu"),
-            "compact_uniform": ("radius",),
-            "power_tail": ("q",),
-        }[self.family]
-        for name in needed:
+        required, reads, _ = _FAMILIES[self.family]
+        for name, (ok, rule) in _RANGES.items():
             value = getattr(self, name)
             if value is None:
-                raise KernelError(f"family {self.family!r} requires parameter {name!r}")
-        if self.family == "gaussian" and not self.sigma > 0:
-            raise KernelError("gaussian sigma must be positive")
-        if self.family == "laplace" and not self.mu > 0:
-            raise KernelError("laplace mu must be positive")
-        if self.family == "exppoly":
-            if self.p < 0 or self.q < 0 or not self.mu > 0:
-                raise KernelError("exppoly requires p >= 0, q >= 0, mu > 0")
-            if self.p == 0 and self.q <= self.dimension:
-                raise KernelError("exppoly with p = 0 needs q > dimension for integrability")
-        if self.family == "compact_uniform" and not self.radius > 0:
-            raise KernelError("compact_uniform radius must be positive")
-        if self.family == "power_tail" and not self.q > self.dimension:
-            raise KernelError(
-                f"power_tail needs q > dimension for integrability (q={self.q}, d={self.dimension})"
-            )
-        if self.offset is not None:
-            if self.family != "gaussian":
-                raise KernelError("offset is only supported for the gaussian family")
-            if len(self.offset) != self.dimension:
-                raise KernelError("offset length must equal dimension")
-        object.__setattr__(self, "normalizer_alpha", _normalizer(self))
+                if name in required:
+                    raise KernelError(f"family {self.family!r} requires parameter {name!r}")
+            elif name not in required + reads:
+                raise KernelError(f"family {self.family!r} does not read parameter {name!r}")
+            elif not ok(self):
+                raise KernelError(f"{self.family} {name} must {rule}; "
+                                  f"got {value} in d = {self.dimension}")
+        try:
+            alpha = _normalizer(self)
+        except ArithmeticError:
+            alpha = math.nan
+        if not 0 < alpha < math.inf:
+            raise KernelError(f"kernel {self} is not integrable in floating point "
+                              f"(normalizer {alpha})")
+        object.__setattr__(self, "normalizer_alpha", alpha)
         object.__setattr__(self, "abscissa", _abscissa(self))
 
     @property
@@ -278,8 +260,8 @@ class Kernel1D:
         return self.kernel.effective_scale()
 
 
-def _fused_quad(lam: float, power: int, decay, factor, lo: float, hi: float) -> float:
-    """int_lo^hi s^power exp(min(lam s - decay(s), 700)) factor(s) ds.
+def _fused_quad(lam: float, power: int, decay, factor) -> float:
+    """int_0^inf s^power exp(min(lam s - decay(s), 700)) factor(s) ds.
 
     e^{lam s} alone overflows where its product with the density is still
     finite, so the exponents are combined before exponentiating.
@@ -288,7 +270,7 @@ def _fused_quad(lam: float, power: int, decay, factor, lo: float, hi: float) -> 
         x = lam * s - decay(s)
         return s**power * math.exp(x if x < 700.0 else 700.0) * factor(s)
 
-    return _quad(f, lo, hi)
+    return _quad(f, 0.0, np.inf)
 
 
 class GaussianLine(Kernel1D):
@@ -432,8 +414,8 @@ class ChordLine(Kernel1D):
 class RadialLine(Kernel1D):
     """Directional reduction of an ``exppoly`` or ``power_tail`` kernel.
 
-    The radial density is g(r) = alpha exp(-mu r^p) / (1 + r^q) (mu = 0 for
-    ``power_tail``).  In 1-D the line density is g itself.  In 2-D ``eval`` is
+    The radial density is g(r) = alpha exp(-mu r^p) / (1 + r^q) (p = mu = 0
+    for ``power_tail``).  In 1-D the line density is g itself.  In 2-D ``eval`` is
     the Abel integral 2 int_0^inf g(sqrt(s^2 + t^2)) dt, and the moments use
     the radial Bessel representation, e.g. 2 pi int_0^inf g(r) I_0(lam r) r dr
     for the transform.
@@ -442,7 +424,7 @@ class RadialLine(Kernel1D):
     def __init__(self, kernel: Kernel, xi: np.ndarray):
         super().__init__(kernel, xi)
         d = kernel.dimension
-        p, mu = (kernel.p, kernel.mu) if kernel.family == "exppoly" else (0.0, 0.0)
+        p, mu = kernel.p or 0.0, kernel.mu or 0.0  # power_tail reads as p = 0, mu = 0
         # a(s) e^{lambda0 s} decays like s^{-q} times s^{(d-1)/2} (p = 1) or
         # s^{d-1} (pure power); any other p decays faster than every power
         if p == 1:
@@ -470,8 +452,8 @@ class RadialLine(Kernel1D):
         decay, factor = self._decay, self._factor
         if self.kernel.dimension == 1:
             # the line density is g itself: fold the line onto (0, inf)
-            return (_fused_quad(lam, power, decay, factor, 0.0, np.inf)
-                    + (-1.0) ** power * _fused_quad(-lam, power, decay, factor, 0.0, np.inf))
+            return (_fused_quad(lam, power, decay, factor)
+                    + (-1.0) ** power * _fused_quad(-lam, power, decay, factor))
         from scipy.special import i0e, i1e
 
         # 2 pi int_0^inf r^{power+1} g(r) e^{lam r} B(lam r) dr with the scaled
@@ -484,13 +466,29 @@ class RadialLine(Kernel1D):
             weight = lambda r: 0.5 * factor(r)
         else:
             weight = lambda r: factor(r) * (i0e(lam * r) - i1e(lam * r) / (lam * r))
-        return 2.0 * math.pi * _fused_quad(lam, power + 1, decay, weight, 0.0, np.inf)
+        return 2.0 * math.pi * _fused_quad(lam, power + 1, decay, weight)
 
 
-# family -> (its line class in d = 1, in d = 2)
-_LINES = {"gaussian": (GaussianLine, GaussianLine), "laplace": (LaplaceLine1, LaplaceLine2),
-          "exppoly": (RadialLine, RadialLine), "compact_uniform": (UniformLine, ChordLine),
-          "power_tail": (RadialLine, RadialLine)}
+# family -> (the parameters it requires, the other parameters it reads, its line class
+# in d = 1 and in d = 2); ``Kernel`` refuses any other parameter
+_FAMILIES = {
+    "gaussian": (("sigma",), ("offset",), (GaussianLine, GaussianLine)),
+    "laplace": (("mu",), (), (LaplaceLine1, LaplaceLine2)),
+    "exppoly": (("p", "q", "mu"), (), (RadialLine, RadialLine)),
+    "compact_uniform": (("radius",), (), (UniformLine, ChordLine)),
+    "power_tail": (("q",), (), (RadialLine, RadialLine)),
+}
+
+# parameter -> (whether a kernel's value is in range, the range); q's reads p, as 0 if unread
+_RANGES = {
+    "sigma": (lambda k: k.sigma > 0, "be positive"),
+    "mu": (lambda k: k.mu > 0, "be positive"),
+    "p": (lambda k: k.p >= 0, "be nonnegative"),
+    "q": (lambda k: k.q >= 0 if k.p else k.q > k.dimension,
+          "exceed the dimension when p is 0 or unread, else be nonnegative"),
+    "radius": (lambda k: k.radius > 0, "be positive"),
+    "offset": (lambda k: len(k.offset) == k.dimension, "have one coordinate per dimension"),
+}
 
 
 def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
@@ -506,7 +504,7 @@ def reduce_to_direction(kernel: Kernel, xi) -> Kernel1D:
     norm = float(np.linalg.norm(xi))
     if abs(norm - 1.0) > 1e-12:
         raise KernelError(f"direction must be a unit vector, |xi| = {norm}")
-    return _LINES[kernel.family][kernel.dimension - 1](kernel, xi)
+    return _FAMILIES[kernel.family][-1][kernel.dimension - 1](kernel, xi)  # its line class
 
 
 def _per_kernel(f, plus, minus, *args):

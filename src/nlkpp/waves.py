@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (DispersionReport, _bisect, char_multiplicity, minimize_G,
-                         speed_to_abscissa)
+from .dispersion import (DispersionReport, _bisect, char_multiplicity, dispersion_G,
+                         minimize_G, speed_to_abscissa)
 from .errors import CertificationFailed, ConvergenceFailure, UnsupportedCriticalCase
 from .evolution import StepConfig, _march, _reaction, _rk4, convolve_pair
 from .kernels import (Kernel1D, _check_resolution, _next_fast_len, _per_kernel, _Samples,
@@ -154,10 +154,8 @@ def initial_supersolution(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel
 def _supersolution(params: ModelParams, k_plus: Kernel1D, wp: LineKernel, wm: LineKernel,
                    s: np.ndarray, mu: float, tol: float) -> tuple[np.ndarray, float]:
     """``initial_supersolution`` with a+ and a- sampled at the spacing of ``s``."""
-    if not mu > 0 or math.isinf(k_plus.transform(mu)):
-        raise ValueError(f"mu = {mu} must have a finite transform (abscissa {k_plus.lambda0})")
+    c = dispersion_G(params, k_plus, mu)
     theta = params.require_carrying_capacity()
-    c = (params.kappa_plus * k_plus.transform(mu) - params.mortality) / mu
 
     phi = theta * np.minimum(np.exp(-mu * np.clip(s, -500 / mu, None)), 1.0)
     dphi = np.where(s > 0, -mu * phi, 0.0)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,22 @@ class TestScenarios:
         entries = summary_dict(tmp_path / "out")
         assert "transform diverges" in entries["error"]
         assert entries["error.type"] == "ValueError"
+
+    @pytest.mark.parametrize("mu, kind, overflow", [("1e200", "OverflowError", False),
+                                                    ("1e-200", "ZeroDivisionError", True)])
+    def test_line_moment_arithmetic_error_writes_error(self, tmp_path, mu, kind, overflow):
+        # the 1-D laplace line's closed-form moments overflow (mu^2) or divide by zero;
+        # at mu = 1e-200 the assumption check then samples points out to 8e200, whose
+        # squares overflow with a RuntimeWarning
+        cfg_file = tmp_path / "d.cfg"
+        cfg_file.write_text(BASE.replace("family = gaussian\nsigma = 1.0",
+                                         f"family = laplace\nmu = {mu}", 1))
+        with pytest.warns(RuntimeWarning, match="overflow") if overflow else nullcontext():
+            rc = main(["dispersion", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        entries = summary_dict(tmp_path / "out")
+        assert entries["error"]
+        assert entries["error.type"] == kind
 
     @pytest.mark.parametrize("text, message, kind", [
         (BASE + "\n[wave]\nspacing = 0.1\ndomain_left = -5\ndomain_right = 5\n",

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nlkpp import Grid, Kernel, KernelError, discretize, reduce_to_direction
+from nlkpp import ConfigError, Grid, Kernel, KernelError, discretize, reduce_to_direction
+from nlkpp.config import parse_config
 from nlkpp.kernels import (RadialLine, _bessel_i, _fast_lengths, _irfft, _next_fast_len,
                            _per_kernel, _quad, _radial_shape, _rfft)
 from nlkpp.waves import sample_line_kernel
@@ -97,6 +98,105 @@ def test_invalid_specs_rejected(bad):
 def test_dimensions_other_than_1_or_2_are_refused(dimension):
     with pytest.raises(KernelError, match=f"dimension must be 1 or 2, got {dimension}"):
         Kernel("gaussian", dimension, sigma=1.0)
+
+
+# family -> a value in range of each parameter it requires (gaussian reads offset too)
+REQUIRES = {"gaussian": dict(sigma=1.0), "laplace": dict(mu=1.0),
+            "exppoly": dict(p=1.0, q=3.0, mu=1.0), "compact_uniform": dict(radius=1.0),
+            "power_tail": dict(q=3.0)}
+# a 1-D value in range of every parameter
+IN_RANGE = dict(sigma=1.0, mu=1.0, p=1.0, q=3.0, radius=1.0, offset=(0.5,))
+UNREAD = [(family, name) for family, required in REQUIRES.items() for name in IN_RANGE
+          if name not in required and (family, name) != ("gaussian", "offset")]
+
+
+def refused_at_family_line(family, dimension, params, message):
+    """Parse a config whose [kernel_plus] lists ``params`` before its ``family`` line and
+    check that the refusal cites that line with ``message``."""
+    keys = "".join(f"{name} = {' '.join(map(str, np.atleast_1d(value)))}\n"
+                   for name, value in params.items())
+    text = ("[model]\nkappa_plus = 2\nkappa_minus = 1\nmortality = 1\n"
+            f"[kernel_plus]\ndimension = {dimension}\n{keys}family = {family}\n"
+            f"[kernel_minus]\ndimension = {dimension}\nfamily = gaussian\nsigma = 1\n")
+    with pytest.raises(ConfigError, match=message) as info:
+        parse_config(text)
+    assert info.value.line == text.splitlines().index(f"family = {family}") + 1
+
+
+@pytest.mark.parametrize("family, name", UNREAD, ids=[f"{f}-{n}" for f, n in UNREAD])
+def test_a_parameter_its_family_does_not_read_is_refused(family, name):
+    params = dict(REQUIRES[family], **{name: IN_RANGE[name]})
+    message = f"family '{family}' does not read parameter '{name}'"
+    with pytest.raises(KernelError, match=message):
+        Kernel(family, 1, **params)
+    refused_at_family_line(family, 1, params, message)
+
+
+def _out_of_range():
+    """(family, dimension, the parameter whose range is broken, the parameters that break it)
+    for each range rule on every family that reads the parameter."""
+    cases = []
+    for d in (1, 2):
+        for family, name in [("gaussian", "sigma"), ("laplace", "mu"), ("exppoly", "mu"),
+                             ("compact_uniform", "radius")]:
+            cases += [(family, d, name, {name: value}) for value in (0.0, -1.0)]
+        cases += [("exppoly", d, "p", {"p": -0.5}), ("exppoly", d, "q", {"q": -0.5}),
+                  ("exppoly", d, "q", {"p": 0.0, "q": float(d)}),
+                  ("exppoly", d, "q", {"p": 0.0, "q": d - 0.5}),
+                  ("power_tail", d, "q", {"q": float(d)}), ("power_tail", d, "q", {"q": -1.0}),
+                  ("gaussian", d, "offset", {"offset": (0.5,) * (3 - d)})]
+    return cases
+
+
+@pytest.mark.parametrize("family, dimension, name, broken", _out_of_range(),
+                         ids=lambda v: str(v))
+def test_each_range_rule_refuses_on_every_family_that_reads_it(family, dimension, name,
+                                                               broken):
+    params = dict(REQUIRES[family], **broken)
+    with pytest.raises(KernelError, match=f"{family} {name} must"):
+        Kernel(family, dimension, **params)
+    refused_at_family_line(family, dimension, params, f"{family} {name} must")
+
+
+@pytest.mark.parametrize("family, name", [(f, n) for f, required in REQUIRES.items()
+                                          for n in required])
+def test_a_nan_parameter_is_out_of_range(family, name):
+    with pytest.raises(KernelError, match=f"{family} {name} must"):
+        Kernel(family, 1, **dict(REQUIRES[family], **{name: math.nan}))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("family, params", [
+    ("exppoly", dict(p=0.0, mu=1.0)),  # q = d + 0.5
+    ("exppoly", dict(p=0.5, q=0.0, mu=1.0)),
+    ("power_tail", {}),  # q = d + 0.5
+])
+def test_the_range_boundaries_are_accepted(family, params, dimension):
+    kernel = Kernel(family, dimension, **dict(dict(q=dimension + 0.5), **params))
+    assert 0 < kernel.normalizer_alpha < math.inf
+
+
+@pytest.mark.parametrize("family, dimension, params", [
+    ("gaussian", 1, dict(sigma=1e-200)), ("gaussian", 1, dict(sigma=1e200)),
+    ("gaussian", 2, dict(sigma=1e-200)), ("gaussian", 2, dict(sigma=1e200)),
+    ("compact_uniform", 2, dict(radius=1e-200)),
+])
+def test_a_scale_whose_normalizer_leaves_the_float_range_is_refused(family, dimension,
+                                                                    params):
+    # the closed forms raise ArithmeticError or give 0 here; either is refused as one error
+    with pytest.raises(KernelError, match="not integrable in floating point"):
+        Kernel(family, dimension, **params)
+    refused_at_family_line(family, dimension, params, "not integrable in floating point")
+
+
+@pytest.mark.parametrize("dimension, q", [(1, 1.5), (1, 3.0), (2, 2.5), (2, 3.0)])
+def test_power_tail_eval_is_alpha_times_one_over_one_plus_a_power(dimension, q):
+    # power_tail is read as exppoly with p = mu = 0; exp(-0 |x|^0) = 1 keeps its bits
+    # (q = 1.5 is not integrable in d = 2, so 2.5 stands in for it there)
+    kernel = Kernel("power_tail", dimension, q=q)
+    x = Grid(dimension, 10.0, 64).coords()
+    r = np.sqrt(np.sum(np.square(x), axis=-1))
+    assert np.array_equal(kernel.eval(x), kernel.normalizer_alpha * (1.0 / (1.0 + r**q)))
 
 
 @pytest.mark.parametrize("spec", SPECS_1D + [Kernel("gaussian", 1, sigma=0.7, offset=(0.3,))],

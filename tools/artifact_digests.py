@@ -13,14 +13,17 @@ dimensions, a 2-D step start and a 2-D exppoly), 1-D and 2-D ``front`` runs
 and both ``verify`` modes (necessity in 2-D too).  Short 1-D runs give every
 key that a runner reads a value other than its default somewhere, every
 ``[initial]`` kind and none, and exercise ``--seed``, the ``verify`` suite
-argument and an ``[output] directory`` without ``--out``.  Nine more show
+argument and an ``[output] directory`` without ``--out``.  Twelve more show
 refusals: the parser's (exit 2) of a step start with ``direction = 0``, of an
 ``exppoly`` kernel whose density is not integrable, of a wave given both
 ``speed`` and ``speed_factor``, of a profile ``path`` that names a directory,
-of a front with ``n_directions = 2`` and of a ``profile-file`` start given
-``shift``, which that kind does not read; the runner's (exit 1 with an
-``error`` summary) of a front with ``level = 0``, of a profile file whose
-``s`` column decreases and of a wave domain of one cell.  One more, a 1-D
+of a front with ``n_directions = 2``, of a ``profile-file`` start given
+``shift``, which that kind does not read, of a gaussian kernel given ``mu``,
+which that family does not read, and of a gaussian ``sigma = 1e-200``, whose
+normalizer leaves the float range; the runner's (exit 1 with an ``error``
+summary) of a front with ``level = 0``, of a profile file whose ``s`` column
+decreases, of a wave domain of one cell and of a 1-D laplace ``mu = 1e200``
+dispersion, whose line moments overflow.  One more, a 1-D
 invasion on 4096 points to horizon 60 without ``floor``, blows up and exits 1
 with an ``error`` that names ``[time] floor``.
 
@@ -112,7 +115,7 @@ def _evolution(dimension: int, points: int, half_length: float, horizon: float,
 
 def _keyed_runs() -> list[tuple[str, list[str], dict]]:
     """Short 1-D runs that set the keys and options the rest of the matrix leaves at
-    their defaults, nine that are refused and one that blows up."""
+    their defaults, twelve that are refused and one that blows up."""
     gaussian = _kernel(GAUSSIAN, 1)
     line = {"model": MODEL, "kernel_plus": gaussian, "kernel_minus": gaussian}
     time = {"dt": 0.01, "horizon": 1.0, "snapshot_stride": 25}
@@ -165,6 +168,11 @@ def _keyed_runs() -> list[tuple[str, list[str], dict]]:
          _evolution(1, 128, 20.0, 0.5, front={"n_directions": 2})),
         ("refused-initial-profile-file-shift", ["simulate"],
          simulate({"kind": "profile-file", "path": "profile.csv", "shift": 5.0})),
+        ("refused-gaussian-mu", ["dispersion"], dict(line, kernel_plus=dict(gaussian, mu=7.0))),
+        ("refused-gaussian-sigma-1e-200", ["dispersion"],
+         dict(line, kernel_plus=dict(gaussian, sigma=1e-200))),
+        ("refused-laplace-mu-1e200", ["dispersion"],
+         dict(line, kernel_plus={"family": "laplace", "dimension": 1, "mu": 1e200})),
         ("blow-up-without-floor", ["simulate"],
          dict(_evolution(1, 4096, 200.0, 60.0,
                          initial={"kind": "bump", "width": 2.0, "height": 0.5}),
