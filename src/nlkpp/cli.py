@@ -3,15 +3,19 @@
 Subcommands: ``simulate``, ``dispersion``, ``wave``, ``front``,
 ``verify <suite>``.  All artifacts are plain CSV plus a ``summary.txt`` of
 ``key = value`` lines; identical configuration and seed produce byte-identical
-output.  ``--threads`` is accepted for symmetry and never read.  Computation
-is single-threaded with a fixed summation order, except the LAPACK solves of
-``wave``'s Newton steps, which run on numpy's BLAS threads: a wave's artifacts
-can differ in the last bits between BLAS thread counts, so runs to be compared
-byte for byte pin one, e.g. ``OPENBLAS_NUM_THREADS=1``.
+output.  ``--threads N`` (over ``[scenario] threads``; by default the CPUs the
+process may run on) caps the package's own threads: with two or more, a
+periodic rk4 run with a+ not a- on at least 2^14 points computes the a- half
+of each right-hand side on one helper thread, with the same bits.
+Computation has a fixed summation order.  The cap does not reach numpy's BLAS
+threads, on which the LAPACK solves of ``wave``'s Newton steps run: a wave's
+artifacts can differ in the last bits between BLAS thread counts, so runs to
+be compared byte for byte pin one, e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import sys
@@ -356,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg.output.directory = args.out
     if args.seed is not None:
         cfg.scenario.seed = args.seed
+    if args.threads is not None:
+        cfg.step = dataclasses.replace(cfg.step, threads=args.threads)
     if getattr(args, "suite", None):
         cfg.verify.suite = args.suite
     return run_scenario(cfg)
@@ -365,7 +371,18 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_at_least_one, default=None)
+
+
+def _at_least_one(text: str) -> int:
+    """``--threads``'s type: an integer of at least 1, else argparse exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 if __name__ == "__main__":

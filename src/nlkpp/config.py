@@ -8,14 +8,15 @@ error message carries the offending line number.
 ``_KEYS`` states each key once: its converter, which range-checks it, and
 its default.  ``[model]``, ``[kernel_plus]``, ``[kernel_minus]`` and
 ``[grid]`` build domain objects, and ``[time]``'s ``dt``, ``method`` and
-``floor`` a ``StepConfig``.  Each kernel section builds its ``Kernel`` here,
-normalizer included, so a kernel that ``Kernel`` refuses (a parameter out of
-range or unread by its family, a normalizer that is not a positive finite
-number) is refused with its section's ``family`` line; two sections that
-describe the same kernel give one object, ``cfg.kernel_minus is
-cfg.kernel_plus``, and that identity is the only test of a+ = a- downstream.  The other ``[time]`` keys and every other section
-reach the runners as a namespace of their converted keys under the table's
-own names, such as ``cfg.wave.speed_factor`` or ``cfg.output.directory``.
+``floor`` with ``[scenario] threads`` a ``StepConfig``.  Each kernel section
+builds its ``Kernel`` here, normalizer included, so a kernel that ``Kernel``
+refuses (a parameter out of range or unread by its family, a normalizer
+that is not a positive finite number) is refused with its section's
+``family`` line; two sections that describe the same kernel give one
+object, ``cfg.kernel_minus is cfg.kernel_plus``, and that identity is the
+only test of a+ = a- downstream.  The other ``[time]`` keys and every other
+section reach the runners as a namespace of their converted keys under the
+table's own names, such as ``cfg.wave.speed_factor`` or ``cfg.output.directory``.
 A new key is one ``_KEYS`` entry plus the code that reads it.
 """
 from __future__ import annotations
@@ -100,8 +101,9 @@ _KERNEL_KEYS = {
 # section -> key -> (converter, default): the only statement of each key, and
 # the list of accepted ones.  A converter's error is refused with the key's line.
 _KEYS = {
+    # threads: StepConfig's cap on the threads of a run; None: the CPUs it may run on
     "scenario": {"command": (_one_of(COMMANDS, "command"), "simulate"), "seed": (int, 0),
-                 "threads": (int, None)},  # threads: accepted, validated, never read
+                 "threads": (_int_at_least(1), None)},
     "model": {"kappa_plus": (_positive, _REQUIRED), "kappa_minus": (_positive, _REQUIRED),
               "mortality": (_positive, _REQUIRED)},
     "kernel_plus": _KERNEL_KEYS,
@@ -295,7 +297,8 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         raise ConfigError("give [wave] speed or speed_factor, not both", max(speed_lines))
     spaces["scenario"]["command"] = command or spaces["scenario"]["command"]
     time = spaces["time"]  # StepConfig takes three keys; cfg.time keeps the other two
-    step = StepConfig(dt=time.pop("dt"), method=time.pop("method"), floor=time.pop("floor"))
+    step = StepConfig(dt=time.pop("dt"), method=time.pop("method"), floor=time.pop("floor"),
+                      threads=spaces["scenario"].pop("threads"))
     return ScenarioConfig(
         params=params, kernel_plus=kplus, kernel_minus=kminus, grid=grid, step=step,
         initial=initial, **{name: SimpleNamespace(**keys) for name, keys in spaces.items()})

@@ -276,12 +276,34 @@ class FrontSet:
     def membership(self, x):
         """``scale -> mask`` of the points x, shape (..., d), in scale * front set.
 
-        The points are projected once, so one call serves every scale.
+        A point is in when ``proj <= scale * speeds + 1e-12`` holds for its
+        projection on every direction.  The points are projected once, so one
+        call serves every scale.  With positive finite speeds, each point's
+        gauge ``max(proj / speeds)`` is computed once as well, and only the
+        points whose gauge lies within a margin of the scale take the test; the
+        gauge decides the others.  The margin exceeds the test's slack and the
+        rounding of both, so every mask is the test's, bit for bit.
         """
         x = np.asarray(x, dtype=float)
         proj = x.reshape(-1, self.dimension) @ self.directions.T
-        return lambda scale: np.all(proj <= scale * self.speeds + 1e-12,
-                                    axis=1).reshape(x.shape[:-1])
+        speeds = self.speeds
+
+        def test(rows, scale):
+            return np.all(proj[rows] <= scale * speeds + 1e-12, axis=1)
+
+        if not (speeds.size and np.all(np.isfinite(speeds) & (speeds > 0))):
+            return lambda scale: test(slice(None), scale).reshape(x.shape[:-1])
+        gauge = np.max(proj / speeds, axis=1)
+        slack = 2e-12 / float(np.min(speeds))
+
+        def mask(scale):
+            margin = slack + 1e-12 * abs(scale)
+            inside = gauge <= scale - margin
+            near = np.flatnonzero(~inside & (gauge <= scale + margin))
+            inside[near] = test(near, scale)
+            return inside.reshape(x.shape[:-1])
+
+        return mask
 
     def contains(self, x, scale: float = 1.0) -> np.ndarray:
         """Membership of the points x, shape (..., d), in scale * front set."""

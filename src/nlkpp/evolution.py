@@ -16,6 +16,7 @@ weights with a state or grid refuses a grid of another shape (``_on_grid``).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,24 +61,41 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     and a-.  One object for a+ and a- (``kernels._per_kernel``) gives one
     shared result, which must not be modified in place.
 
-    The fft backend transforms into one per-call spectrum buffer, and each
-    kernel's product with it is a fresh array whose inverse complex passes run in
-    place; every result is a fresh array that the caller owns.
+    The fft backend transforms into one per-call spectrum buffer (``_transform``),
+    and each kernel's product with it is a fresh array whose inverse complex passes
+    run in place (``_convolved``); every result is a fresh array that the caller owns.
     """
     if backend == "fft":
-        shape = values.shape[values.ndim - wplus.weights.ndim:]
-        spectrum = _rfft(values, shape,
-                         out=np.empty(values.shape[:-1] + (shape[-1] // 2 + 1,), complex))
+        spectrum, shape = _transform(values, wplus)
 
         def conv(w: _Samples) -> np.ndarray:
-            product = np.multiply(spectrum, w.spectrum(shape))
-            return _irfft(product, shape, out=product)
+            return _convolved(spectrum, w.spectrum(shape), shape)
     elif backend == "direct":
         def conv(w: SampledWeights) -> np.ndarray:
             return _conv_direct(w, values)
     else:
         raise ValueError(f"unknown convolution backend {backend!r}")
     return _per_kernel(conv, wplus, wminus)
+
+
+def _transform(values: np.ndarray, w: _Samples) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(spectrum, shape): ``values`` transformed over the trailing axes that ``w``
+    spans, whose shape is ``shape``, into a fresh spectrum buffer."""
+    shape = values.shape[values.ndim - w.weights.ndim:]
+    out = np.empty(values.shape[:-1] + (shape[-1] // 2 + 1,), complex)
+    return _rfft(values, shape, out=out), shape
+
+
+def _convolved(spectrum: np.ndarray, kernel_spectrum: np.ndarray, shape: tuple[int, ...],
+               product: np.ndarray | None = None,
+               result: np.ndarray | None = None) -> np.ndarray:
+    """The circular convolution with one kernel of a state whose transform is ``spectrum``.
+
+    The product of the two spectra is made in ``product`` and inverted in place
+    there, and the real values land in ``result``; a buffer not given is a fresh array.
+    """
+    product = np.multiply(spectrum, kernel_spectrum, out=product)
+    return _irfft(product, shape, out=product, result=result)
 
 
 def _on_grid(wplus: SampledWeights, wminus: SampledWeights, *grids: Grid) -> None:
@@ -93,6 +111,11 @@ METHODS = ("rk4", "exp_euler")
 @dataclass(frozen=True)
 class StepConfig:
     """Fixed-step integrator configuration with a stability guard.
+
+    ``threads`` caps the threads a run may use; None means the CPUs this
+    process may run on.  With two or more, a run whose right-hand sides split
+    (see ``_start_helper``) computes their a- halves on one helper thread.  The
+    bits never depend on it.
 
     ``floor`` > 0 zeroes values with |u| below it after every step.  The
     vacuum state is linearly unstable at rate kappa_plus - m, so long
@@ -111,10 +134,13 @@ class StepConfig:
     method: str = "rk4"
     conv_backend: str = "fft"
     floor: float = 0.0
+    threads: int | None = None
 
     def validate(self, params: ModelParams) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads = {self.threads} must be at least 1")
         theta = max(params.theta, 0.0)
         rate = params.kappa_plus + params.mortality + params.kappa_minus * theta
         if not self.dt * rate < 0.5:
@@ -145,6 +171,21 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+def _gain(params: ModelParams, u: np.ndarray, conv_p: np.ndarray,
+          drift: np.ndarray | None = None) -> np.ndarray:
+    """``(drift + kp*conv_p) - m*u``, the first half of ``_reaction``, as a fresh array."""
+    gain = params.kappa_plus * conv_p if drift is None else drift + params.kappa_plus * conv_p
+    return gain - params.mortality * u
+
+
+def _loss(params: ModelParams, u: np.ndarray, conv_m: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """``(km*u)*conv_m``, the second half of ``_reaction``, in ``out`` or a fresh array."""
+    loss = np.multiply(params.kappa_minus, u, out=out)
+    loss *= conv_m
+    return loss
+
+
 def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray, conv_m: np.ndarray,
               drift: np.ndarray | None = None) -> np.ndarray:
     """drift + kappa_plus*conv_p - m*u - kappa_minus*u*conv_m, summed in that order.
@@ -153,9 +194,71 @@ def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray, conv_m: np
     without ``drift``, the traveling-wave operator with drift c psi'.  Its
     operations and their order, ``(drift + kp*conv_p) - m*u - (km*u)*conv_m``,
     fix the bits of every solver; it returns a fresh array and writes no argument.
+    Its halves ``_gain`` and ``_loss`` may run on two threads (``rhs_values``).
     """
-    gain = params.kappa_plus * conv_p if drift is None else drift + params.kappa_plus * conv_p
-    return gain - params.mortality * u - params.kappa_minus * u * conv_m
+    return _gain(params, u, conv_p, drift) - _loss(params, u, conv_m)
+
+
+# the fewest values whose a- half pays for the hand-off to a helper thread
+_SPLIT_POINTS = 2**14
+
+
+class _Helper:
+    """One worker thread that makes the ``_loss`` half of right-hand sides, for one ``_march``.
+
+    The worker writes into three buffers that it allocates itself and keeps
+    until the state's shape changes, so each result is valid until the next
+    call.  It runs under the numpy error state of the submitting thread, which
+    ``np.errstate`` does not carry to a worker, and calls no public function
+    of the package.  ``close`` joins the thread.
+    """
+
+    def __init__(self) -> None:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by runs that split
+
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def loss(self, params: ModelParams, u: np.ndarray, spectrum: np.ndarray,
+             kernel_spectrum: np.ndarray, shape: tuple[int, ...]):
+        """A future of ``_loss`` at ``u``, whose transform is ``spectrum``, with a-'s
+        ``kernel_spectrum``; ``u`` and ``spectrum`` must not be written before it is read."""
+        return self._pool.submit(self._loss, np.geterr(), params, u, spectrum,
+                                 kernel_spectrum, shape)
+
+    def _loss(self, errors: dict, params: ModelParams, u: np.ndarray, spectrum: np.ndarray,
+              kernel_spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        with np.errstate(**errors):
+            if self._buffers is None or self._buffers[1].shape != u.shape:
+                self._buffers = (np.empty_like(spectrum), np.empty(u.shape), np.empty(u.shape))
+            product, conv_m, loss = self._buffers
+            return _loss(params, u, _convolved(spectrum, kernel_spectrum, shape, product, conv_m),
+                         out=loss)
+
+    def close(self) -> None:
+        self._pool.shutdown()
+
+
+def _thread_cap(cfg: StepConfig) -> int:
+    """``cfg.threads``, or the number of CPUs this process may run on."""
+    if cfg.threads is not None:
+        return cfg.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_helper(wplus: _Samples, wminus: _Samples, values: np.ndarray,
+                  cfg: StepConfig) -> _Helper | None:
+    """A helper for a march whose right-hand sides split, else None.
+
+    They split for rk4 on the fft backend when a+ is not a-, the state has at
+    least ``_SPLIT_POINTS`` values and ``cfg`` allows two or more threads.
+    """
+    if (cfg.method == "rk4" and cfg.conv_backend == "fft" and wminus is not wplus
+            and values.size >= _SPLIT_POINTS and _thread_cap(cfg) >= 2):
+        return _Helper()
+    return None
 
 
 def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
@@ -186,18 +289,33 @@ def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-               values: np.ndarray, backend: str = "fft") -> np.ndarray:
-    """kappa_plus*(a+ * u) - m*u - kappa_minus*u*(a- * u) at ``values``."""
-    return _reaction(params, values, *convolve_pair(wplus, wminus, values, backend))
+               values: np.ndarray, backend: str = "fft",
+               helper: _Helper | None = None) -> np.ndarray:
+    """kappa_plus*(a+ * u) - m*u - kappa_minus*u*(a- * u) at ``values``.
+
+    Given a ``helper``, the fft backend and at least ``_SPLIT_POINTS`` values,
+    ``values`` is transformed once, the helper makes the ``_loss`` half while
+    this thread makes the ``_gain`` half, and their difference is returned:
+    ``_reaction``'s operations in its order, so the bits are the same.
+    """
+    if helper is None or backend != "fft" or values.size < _SPLIT_POINTS:
+        return _reaction(params, values, *convolve_pair(wplus, wminus, values, backend))
+    spectrum, shape = _transform(values, wplus)
+    loss = helper.loss(params, values, spectrum, wminus.spectrum(shape), shape)
+    gain = _gain(params, values, _convolved(spectrum, wplus.spectrum(shape), shape))
+    gain -= loss.result()
+    return gain
 
 
 def _circular_step(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-                   values: np.ndarray, cfg: StepConfig) -> np.ndarray:
-    """One step of ``values`` with convolutions circular at its shape."""
+                   values: np.ndarray, cfg: StepConfig,
+                   helper: _Helper | None = None) -> np.ndarray:
+    """One step of ``values`` with convolutions circular at its shape; rk4's
+    right-hand sides take ``helper``."""
     dt = cfg.dt
     backend = cfg.conv_backend
     if cfg.method == "rk4":
-        out = _rk4(lambda v: rhs_values(params, wplus, wminus, v, backend), values, dt)
+        out = _rk4(lambda v: rhs_values(params, wplus, wminus, v, backend, helper), values, dt)
     else:
         # integrating-factor step: freeze the loss rate over [t, t+dt]; the operations
         # of decay * values + (1 - decay) / loss * kp * conv_p, in three buffers
@@ -248,23 +366,24 @@ def _window(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
 
 
 def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-             values: np.ndarray, cfg: StepConfig) -> np.ndarray:
+             values: np.ndarray, cfg: StepConfig, helper: _Helper | None = None) -> np.ndarray:
     """One step of ``values``; leading axes beyond the grid are independent states.
 
     When ``_window`` finds one, the step runs on that window zero-extended to
     a fast transform length, where each kernel's weights within its ``reach``
     wrap; every other cell stays 0.  Otherwise the whole grid is stepped.
+    Either way ``helper`` goes to ``_circular_step``.
     """
     window = _window(wplus, wminus, values, cfg)
     if window is None:
-        return _circular_step(params, wplus, wminus, values, cfg)
+        return _circular_step(params, wplus, wminus, values, cfg, helper)
     batch = (slice(None),) * (values.ndim - len(window))
     segment = np.zeros(values.shape[:len(batch)]
                        + tuple(_next_fast_len(w.stop - w.start) for w in window))
     inner = batch + tuple(slice(0, w.stop - w.start) for w in window)
     segment[inner] = values[batch + window]
     out = np.zeros_like(values)
-    out[batch + window] = _circular_step(params, wplus, wminus, segment, cfg)[inner]
+    out[batch + window] = _circular_step(params, wplus, wminus, segment, cfg, helper)[inner]
     return out
 
 
@@ -272,25 +391,31 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
            cfg: StepConfig, horizon: float, observe=None, t0: float = 0.0) -> np.ndarray:
     """The one fixed-step loop: ``values`` after ``horizon / cfg.dt`` steps of ``advance``.
 
-    ``advance(params, wplus, wminus, values, cfg)`` is one step: ``_advance``
-    for the periodic equation, ``waves._line_advance`` for the line.  The loop
-    owns the checks every run needs: the stability guard, a horizon that is a
-    whole number of steps, and a finite state after each step k, which
-    ``observe(k, values, last)`` then sees.
+    ``advance(params, wplus, wminus, values, cfg, helper)`` is one step:
+    ``_advance`` for the periodic equation, ``waves._line_advance`` for the
+    line; ``helper`` is the loop's ``_start_helper``, joined when the loop
+    returns or raises.  The loop owns the checks every run needs: the
+    stability guard, a horizon that is a whole number of steps, and a finite
+    state after each step k, which ``observe(k, values, last)`` then sees.
     """
     cfg.validate(params)
     n_steps = int(round(horizon / cfg.dt))
     if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
-    for k in range(1, n_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
-            values = advance(params, wplus, wminus, values, cfg)
-        if not np.all(np.isfinite(values)):
-            remedy = "" if cfg.floor > 0.0 else "; set [time] floor, e.g. 1e-14"
-            raise ConvergenceFailure(
-                f"non-finite state after step {k} (t = {t0 + k * cfg.dt:.6g}){remedy}")
-        if observe is not None:
-            observe(k, values, k == n_steps)
+    helper = _start_helper(wplus, wminus, values, cfg)
+    try:
+        for k in range(1, n_steps + 1):
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+                values = advance(params, wplus, wminus, values, cfg, helper)
+            if not np.all(np.isfinite(values)):
+                remedy = "" if cfg.floor > 0.0 else "; set [time] floor, e.g. 1e-14"
+                raise ConvergenceFailure(
+                    f"non-finite state after step {k} (t = {t0 + k * cfg.dt:.6g}){remedy}")
+            if observe is not None:
+                observe(k, values, k == n_steps)
+    finally:
+        if helper is not None:
+            helper.close()
     return values
 
 

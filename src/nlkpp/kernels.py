@@ -561,18 +561,19 @@ def _rfft(values: np.ndarray, shape: tuple[int, ...],
     return spectrum
 
 
-def _irfft(spectrum: np.ndarray, shape: tuple[int, ...],
-           out: np.ndarray | None = None) -> np.ndarray:
+def _irfft(spectrum: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None,
+           result: np.ndarray | None = None) -> np.ndarray:
     """Inverse of ``_rfft``: real values of ``shape`` on the trailing axes.
 
     The passes are unnormalised and the result is scaled once by 1 / prod(shape).
     The complex passes write into ``out`` when it is given (of the spectrum's shape;
     it may be ``spectrum`` itself, which then runs them in place), else into fresh
-    arrays; the real pass always returns a fresh array.
+    arrays; the real pass writes into ``result`` when it is given, else into a
+    fresh array.
     """
     for axis in range(-len(shape), -1):
         spectrum = np.fft.ifft(spectrum, shape[axis], axis=axis, norm="forward", out=out)
-    values = np.fft.irfft(spectrum, shape[-1], norm="forward")
+    values = np.fft.irfft(spectrum, shape[-1], norm="forward", out=result)
     values *= 1.0 / math.prod(shape)
     return values
 

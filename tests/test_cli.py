@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlkpp
-from nlkpp import ConfigError, ConvergenceFailure, StepConfig, cli, fronts, simulate, waves
+from nlkpp import (ConfigError, ConvergenceFailure, StepConfig, cli, evolution, fronts,
+                   simulate, waves)
 from nlkpp.cli import build_initial, main
 from nlkpp.kernels import _per_kernel
 from nlkpp.config import COMMANDS, parse_config
@@ -121,6 +122,8 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 1"),
         ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 2"),
         ("seed = 11", "seed = 11\nthreads = two"),
+        ("seed = 11", "seed = 11\nthreads = 0"),
+        ("seed = 11", "seed = 11\nthreads = -1"),
         ("dt = 2e-3", "dt = 2e-3\nmethod = leapfrog"),
         ("value = 0.5", "value = 0.5\n\n[wave]\nspeed = nan"),
         ("value = 0.5", "value = 0.5\n\n[wave]\nspeed_factor = inf"),
@@ -341,7 +344,7 @@ class TestScenarios:
         assert entries["assumption.A2_kernel_domination"] == "true"
         assert (tmp_path / "out" / "snapshots.csv").exists()
 
-    def test_determinism_across_threads_and_reruns(self, tmp_path):
+    def test_determinism_across_threads_and_reruns(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "sim.cfg"
         cfg_file.write_text(BASE)
         main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "a"),
@@ -351,6 +354,26 @@ class TestScenarios:
         for name in ("snapshots.csv", "summary.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
+
+        # a 2-D 128^2 run with a+ not a-: at two threads its right-hand sides split
+        plane = (BASE.replace("dimension = 1", "dimension = 2")
+                 .replace("half_length = 20.0", "half_length = 10.0")
+                 .replace("[kernel_minus]\nfamily = gaussian\nsigma = 1.0",
+                          "[kernel_minus]\nfamily = laplace\nmu = 1.5")
+                 .replace("dt = 2e-3\nhorizon = 0.5", "dt = 0.02\nhorizon = 0.2")
+                 .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 4\nheight = 0.5"))
+        cfg_file.write_text(plane)
+        hand_offs = []
+        loss = evolution._Helper.loss
+        monkeypatch.setattr(evolution._Helper, "loss",
+                            lambda helper, *args: hand_offs.append(1) or loss(helper, *args))
+        for threads, splits in (("1", 0), ("2", 40)):
+            assert main(["simulate", "--config", str(cfg_file),
+                         "--out", str(tmp_path / f"plane{threads}"), "--threads", threads]) == 0
+            assert len(hand_offs) == splits  # four right-hand sides in each of ten steps
+        for name in ("snapshots.csv", "summary.txt"):
+            assert (tmp_path / "plane1" / name).read_bytes() == (
+                tmp_path / "plane2" / name).read_bytes()
 
     # a drift of -2 against the direction makes c* negative; the double root stays
     @pytest.mark.parametrize("offset, lambda_star, c_star, m_xi", [
@@ -955,6 +978,25 @@ class TestOverridesAndExitStatus:
         assert entries["seed"] == "5"
         assert ((by_option / "summary.txt").read_bytes()
                 == (by_config / "summary.txt").read_bytes())
+
+    def test_threads_option_overrides_the_config(self, monkeypatch, tmp_path):
+        cfg_file = tmp_path / "t.cfg"
+        cfg_file.write_text(BASE.replace("seed = 11", "seed = 11\nthreads = 3"))
+        seen = []
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: seen.append(cfg.step.threads) or 0)
+        for argv in ([], ["--threads", "1"], ["--threads", "5"]):
+            assert main(["simulate", "--config", str(cfg_file), *argv]) == 0
+        assert seen == [3, 1, 5]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_threads_option_below_one_exits_2(self, tmp_path, capsys, value):
+        cfg_file = tmp_path / "t.cfg"
+        cfg_file.write_text(BASE)
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", str(cfg_file), "--threads", value])
+        assert info.value.code == 2
+        assert "argument --threads: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_suite_argument_overrides_the_config(self, tmp_path):
         text = BASE + "\n[verify]\nsuite = bogus\npairs = 2\n"

@@ -357,6 +357,36 @@ class TestFrontSet:
         assert hi + lo > 0  # c*(+1) + c*(-1) > 0 despite the drift
         assert fs.contains([[canon.kappa_plus * 0.4]])[0]
 
+    @pytest.mark.parametrize("speeds", ["positive", "one-zero", "one-negative"])
+    def test_membership_is_the_half_space_test_bit_for_bit(self, speeds):
+        """Points on, just inside and just outside each scaled half-space take the
+        exact test's verdict, including when a speed is not positive."""
+        rng = np.random.default_rng(14)
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        c = 0.5 + rng.random(12)
+        if speeds != "positive":
+            c[3] = 0.0 if speeds == "one-zero" else -0.3
+        fs = dispersion.FrontSet(directions=directions, speeds=c, lambda_stars=np.ones(12))
+        scales = [0.0, 1e-13, 0.37, 1.0, 2.5, 1e6]
+        points = [rng.normal(size=(2000, 2)) * 3.0]
+        for scale in scales:
+            # on the boundary lines, and nudged across them by a few ulp and by the slack
+            on = (scale * c)[:, None] * directions + rng.normal(size=(12, 1)) * directions[
+                :, ::-1] * [1.0, -1.0]
+            for nudge in (0.0, 1e-12, -1e-12, 2e-12, -2e-12):
+                points.append(on + nudge * directions)
+            points.append(np.nextafter(on, np.inf))
+            points.append(np.nextafter(on, -np.inf))
+        x = np.concatenate(points).reshape(-1, 4, 2)  # a batch shape of two axes
+        mask = fs.membership(x)
+        proj = x.reshape(-1, 2) @ directions.T
+        for scale in scales + [0.5 * s for s in scales]:
+            exact = np.all(proj <= scale * c + 1e-12, axis=1).reshape(x.shape[:-1])
+            got = mask(scale)
+            assert got.shape == exact.shape and np.array_equal(got, exact)
+            assert np.array_equal(fs.contains(x, scale), exact)
+
     def test_unbounded_front_signalled(self, canon):
         with pytest.raises(MollisonFailure):
             front_set(canon, Kernel("power_tail", 1, q=4.0))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -132,8 +134,9 @@ def reference_rk4(f, values, dt):
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_circular_step(params, wplus, wminus, values, cfg):
-    """``evolution._circular_step`` (fft backend) built from the references above."""
+def reference_circular_step(params, wplus, wminus, values, cfg, helper=None):
+    """``evolution._circular_step`` (fft backend) built from the references above;
+    ``helper`` is not used."""
     if cfg.method == "rk4":
         out = reference_rk4(
             lambda v: reference_reaction(params, v, *reference_pair(wplus, wminus, v)),
@@ -209,6 +212,131 @@ class TestInPlaceStep:
             lambda v: reference_reaction(params, v, *waves._line_pair(line, line, v, pad)),
             psi, 0.01)
         assert np.array_equal(step, expected)
+
+
+@pytest.mark.filterwarnings("ignore:kernel scale")
+class TestSplitRhs:
+    """A right-hand side split over a helper thread has the bits of the reference."""
+
+    @staticmethod
+    def case(shape):
+        n = shape[-1]
+        grid = Grid(dimension=2, half_length=n / 8, points_per_axis=n)
+        wp = discretize(Kernel("compact_uniform", 2, radius=2.0), grid)
+        wm = discretize(Kernel("gaussian", 2, sigma=1.0), grid)
+        rng = np.random.default_rng(32)
+        bump = bump_field(grid, (0.3, -0.2), 4.0, 0.5).values
+        return wp, wm, bump + 0.01 * rng.random(shape)
+
+    @pytest.fixture
+    def hand_offs(self, monkeypatch):
+        """The number of ``_Helper.loss`` calls made from here on."""
+        calls = []
+        loss = evolution._Helper.loss
+
+        def counted(helper, *args):
+            calls.append(args[1].shape)
+            return loss(helper, *args)
+
+        monkeypatch.setattr(evolution._Helper, "loss", counted)
+        return calls
+
+    @pytest.mark.parametrize("shape", [(128, 128), (256, 256), (2, 128, 128)],
+                             ids=["128", "256", "batched-pair"])
+    def test_rhs_values(self, shape, hand_offs):
+        wp, wm, values = self.case(shape)
+        before = values.copy()
+        expected = reference_reaction(ODD_RATES, values, *reference_pair(wp, wm, values))
+        assert np.array_equal(rhs_values(ODD_RATES, wp, wm, values), expected)
+        helper = evolution._Helper()
+        try:
+            for _ in range(2):  # the second call reuses the helper's buffers
+                assert np.array_equal(rhs_values(ODD_RATES, wp, wm, values, helper=helper),
+                                      expected)
+        finally:
+            helper.close()
+        assert hand_offs == [shape] * 2
+        assert np.array_equal(values, before)
+
+    def test_hand_offs_under_a_short_switch_interval(self):
+        """The helper's buffers are reused call after call; with the interpreter switching
+        threads every 10 us, no result reads a buffer that the next call writes."""
+        wp, wm, values = self.case((128, 128))
+        states = [values, 0.5 * values, values[::-1].copy()]
+        expected = [reference_reaction(ODD_RATES, v, *reference_pair(wp, wm, v))
+                    for v in states]
+        helper = evolution._Helper()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = [rhs_values(ODD_RATES, wp, wm, v, helper=helper)
+                       for _ in range(20) for v in states]
+        finally:
+            sys.setswitchinterval(interval)
+            helper.close()
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(results, expected * 20))
+
+    @pytest.mark.parametrize("threads, splits", [(1, False), (2, True)])
+    @pytest.mark.parametrize("shape", [(128, 128), (256, 256), (2, 128, 128)],
+                             ids=["128", "256", "batched-pair"])
+    def test_march_step(self, shape, threads, splits, hand_offs):
+        wp, wm, values = self.case(shape)
+        cfg = StepConfig(dt=0.05, threads=threads)
+        assert evolution._window(wp, wm, values, cfg) is None
+        got = evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, cfg.dt)
+        assert np.array_equal(got, reference_circular_step(ODD_RATES, wp, wm, values, cfg))
+        assert len(hand_offs) == (4 if splits else 0)
+
+    @pytest.mark.parametrize("case", ["shared", "small", "exp_euler", "direct"])
+    def test_no_helper_when_a_condition_fails(self, case):
+        wp, wm, values = self.case((64, 64) if case == "small" else (128, 128))
+        wm = wp if case == "shared" else wm
+        cfg = StepConfig(dt=0.05, threads=2,
+                         method="exp_euler" if case == "exp_euler" else "rk4",
+                         conv_backend="direct" if case == "direct" else "fft")
+        assert evolution._start_helper(wp, wm, values, cfg) is None
+
+    def test_default_cap_is_the_affinity(self, monkeypatch):
+        wp, wm, values = self.case((128, 128))
+        for cpus, splits in (({0}, False), ({0, 3}, True)):
+            monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            helper = evolution._start_helper(wp, wm, values, StepConfig(dt=0.05))
+            assert (helper is not None) == splits
+            if helper is not None:
+                helper.close()
+
+    def test_non_finite_state_names_the_floor_without_warnings(self, hand_offs):
+        wp, wm, values = self.case((128, 128))
+        cfg = StepConfig(dt=0.05, threads=2)
+        before = set(threading.enumerate())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow on either thread would raise here
+            with pytest.raises(ConvergenceFailure, match=r"set \[time\] floor"):
+                evolution._march(_advance, ODD_RATES, wp, wm, 1e300 * values, cfg, 2 * cfg.dt)
+        assert hand_offs
+        assert set(threading.enumerate()) == before
+
+    def test_no_thread_outlives_the_march(self):
+        wp, wm, values = self.case((128, 128))
+        cfg = StepConfig(dt=0.05, threads=2)
+        before = set(threading.enumerate())
+        seen = []
+
+        def observe(k, state, last):
+            seen.append(len(threading.enumerate()))
+
+        evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, 2 * cfg.dt, observe)
+        assert seen == [len(before) + 1] * 2
+        assert set(threading.enumerate()) == before
+
+        def interrupt(k, state, last):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, cfg.dt, interrupt)
+        assert set(threading.enumerate()) == before
 
 
 class TestNoAliasing:
@@ -340,7 +468,7 @@ class TestStep:
 
     @pytest.mark.parametrize("floor, remedy", [(0.0, True), (1e-14, False)])
     def test_non_finite_state_names_the_floor_without_one(self, canon, floor, remedy):
-        def overflow(params, wplus, wminus, values, cfg):
+        def overflow(params, wplus, wminus, values, cfg, helper):
             return np.exp(1e3 * values)
 
         with warnings.catch_warnings():

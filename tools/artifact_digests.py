@@ -25,7 +25,11 @@ summary) of a front with ``level = 0``, of a profile file whose ``s`` column
 decreases, of a wave domain of one cell and of a 1-D laplace ``mu = 1e200``
 dispersion, whose line moments overflow.  One more, a 1-D
 invasion on 4096 points to horizon 60 without ``floor``, blows up and exits 1
-with an ``error`` that names ``[time] floor``.
+with an ``error`` that names ``[time] floor``.  Last come two 2-D ``front``
+runs on 256 x 256 points with a+ (compact_uniform, radius 2) not a- (the
+gaussian), one at the default thread count and one with ``--threads 1``:
+their right-hand sides split over two threads when the host has two CPUs,
+and the two runs must print equal digests.
 
 Usage::
 
@@ -231,7 +235,10 @@ def matrix() -> list[tuple[str, list[str], dict]]:
          _evolution(2, 128, 5.0, 0.5, verify={"necessity": "true"})),
     ]
     runs = [(name, [command], sections) for name, command, sections in runs]
-    return runs + _keyed_runs()
+    plane = _evolution(2, 256, 32.0, 2.0, kernel_plus=dict(KERNELS["compact_uniform"], radius=2.0),
+                       front={"n_directions": 8})
+    return runs + _keyed_runs() + [("front-2d-256", ["front"], plane),
+                                   ("front-2d-256-threads-1", ["front", "--threads", "1"], plane)]
 
 
 def main(argv: list[str]) -> int:

@@ -1,4 +1,4 @@
-"""Per-call timings of the periodic step's layers at three fixed sizes.
+"""Per-call timings of the periodic step's layers at fixed sizes, at one and two threads.
 
 Times ``evolution.convolve_pair``, ``evolution.rhs_values`` and one
 ``evolution._advance`` (RK4; dt 0.002 and floor 1e-14 in 1-D, dt 0.05 in 2-D)
@@ -12,11 +12,20 @@ in this process, on the canonical rates kappa_plus = 2, kappa_minus = 1, m = 1:
   ``rhs_values`` run on that 3072-point segment, ``_advance`` on the grid;
 * ``2d-256``: the front grid (256 x 256, half-length 32) with a+ the radius-2
   ``compact_uniform`` and a- the sigma = 1 gaussian, on a state that is nonzero
-  everywhere.
+  everywhere;
+* ``2d-128`` and ``2d-64``: the same kernels and spacing (0.25) on 128 x 128
+  and 64 x 64 planes.
 
-Each figure is the minimum over ``--repeats`` blocks of the per-call mean of a
-block's calls, with the minor page faults per call (``resource.getrusage``)
-over one more block.  Kernel spectra are computed before timing.
+The 2-D cases run once more at two threads: ``rhs_values`` and ``_advance``
+are given a helper thread (``evolution._Helper``), and every right-hand side
+splits, also below ``evolution._SPLIT_POINTS`` (2^14 points), so that the
+figures show where the split starts to pay.  ``convolve_pair`` has no
+two-thread form.
+
+Each figure is the minimum, and the median, over ``--repeats`` blocks of the
+per-call mean of a block's calls, with the minor page faults per call
+(``resource.getrusage``) over one more block.  Kernel spectra are computed
+before timing.
 
 Usage::
 
@@ -32,6 +41,7 @@ from __future__ import annotations
 import argparse
 import gc
 import resource
+import statistics
 import sys
 import time
 import warnings
@@ -39,9 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-CASES = ("1d-8192-whole", "1d-3072-window", "2d-256")
+CASES = ("1d-8192-whole", "1d-3072-window", "2d-64", "2d-128", "2d-256")
 # calls per timed block: short blocks, so that the minimum finds a quiet one
-CALLS = {"1d-8192-whole": 40, "1d-3072-window": 80, "2d-256": 4}
+CALLS = {"1d-8192-whole": 40, "1d-3072-window": 80, "2d-64": 60, "2d-128": 16, "2d-256": 4}
 
 
 def _cases(nlkpp):
@@ -72,32 +82,33 @@ def _cases(nlkpp):
     segment[:window.stop - window.start] = windowed[window]
     out["1d-3072-window"] = (params, w, w, segment, windowed, cfg1)
 
-    plane = nlkpp.Grid(dimension=2, half_length=32.0, points_per_axis=256)
-    wp = nlkpp.discretize(nlkpp.Kernel("compact_uniform", 2, radius=2.0), plane)
-    wm = nlkpp.discretize(nlkpp.Kernel("gaussian", 2, sigma=1.0), plane)
-    state = 0.3 + 0.01 * rng.random(plane.shape)
-    out["2d-256"] = (params, wp, wm, state, state, evolution.StepConfig(dt=0.05))
+    for n in (64, 128, 256):
+        plane = nlkpp.Grid(dimension=2, half_length=n / 8, points_per_axis=n)
+        wp = nlkpp.discretize(nlkpp.Kernel("compact_uniform", 2, radius=2.0), plane)
+        wm = nlkpp.discretize(nlkpp.Kernel("gaussian", 2, sigma=1.0), plane)
+        state = 0.3 + 0.01 * rng.random(plane.shape)
+        out[f"2d-{n}"] = (params, wp, wm, state, state, evolution.StepConfig(dt=0.05))
     return out
 
 
-def _measure(fn, calls: int, repeats: int) -> tuple[float, float]:
-    """(minimum per-call seconds over ``repeats`` blocks, minor faults per call)."""
+def _measure(fn, calls: int, repeats: int) -> tuple[float, float, float]:
+    """(minimum and median per-call seconds over ``repeats`` blocks, minor faults per call)."""
     fn()
     gc.disable()
     try:
-        best = float("inf")
+        blocks = []
         for _ in range(repeats):
             start = time.perf_counter()
             for _ in range(calls):
                 fn()
-            best = min(best, (time.perf_counter() - start) / calls)
+            blocks.append((time.perf_counter() - start) / calls)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(calls):
             fn()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     finally:
         gc.enable()
-    return best, faults / calls
+    return min(blocks), statistics.median(blocks), faults / calls
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,17 +125,33 @@ def main(argv: list[str] | None = None) -> int:
         cases = _cases(nlkpp)
     print(f"# numpy {np.__version__}, python {sys.version.split()[0]}, "
           f"min of {args.repeats} blocks")
-    print(f"{'case':<16} {'layer':<14} {'us/call':>10} {'minflt/call':>12}")
+    print(f"{'case':<16} {'layer':<14} {'threads':>7} {'min us':>10} {'median us':>10} "
+          f"{'minflt/call':>12}")
+    evolution._SPLIT_POINTS = 1  # with a helper, every size splits
     for name in CASES:
         params, wp, wm, segment, state, cfg = cases[name]
-        layers = {
-            "convolve_pair": lambda: evolution.convolve_pair(wp, wm, segment),
-            "rhs_values": lambda: evolution.rhs_values(params, wp, wm, segment),
-            "_advance": lambda: evolution._advance(params, wp, wm, state, cfg),
-        }
-        for layer, fn in layers.items():
-            seconds, faults = _measure(fn, CALLS[name], args.repeats)
-            print(f"{name:<16} {layer:<14} {1e6 * seconds:>10.1f} {faults:>12.1f}")
+        layers = [
+            ("convolve_pair", 1, lambda: evolution.convolve_pair(wp, wm, segment)),
+            ("rhs_values", 1, lambda: evolution.rhs_values(params, wp, wm, segment)),
+            ("_advance", 1, lambda: evolution._advance(params, wp, wm, state, cfg)),
+        ]
+        # a parent checkout without the helper times one thread only
+        split = name.startswith("2d") and hasattr(evolution, "_Helper")
+        helper = evolution._Helper() if split else None
+        if helper is not None:
+            layers += [
+                ("rhs_values", 2,
+                 lambda: evolution.rhs_values(params, wp, wm, segment, helper=helper)),
+                ("_advance", 2, lambda: evolution._advance(params, wp, wm, state, cfg, helper)),
+            ]
+        try:
+            for layer, threads, fn in layers:
+                best, median, faults = _measure(fn, CALLS[name], args.repeats)
+                print(f"{name:<16} {layer:<14} {threads:>7} {1e6 * best:>10.1f} "
+                      f"{1e6 * median:>10.1f} {faults:>12.1f}")
+        finally:
+            if helper is not None:
+                helper.close()
     return 0
 
 
