@@ -6,11 +6,14 @@ Subcommands: ``simulate``, ``dispersion``, ``wave``, ``front``,
 output.  ``--threads N`` (over ``[scenario] threads``; by default the CPUs the
 process may run on) caps the package's own threads: with two or more, a
 periodic rk4 run with a+ not a- on at least 2^14 points computes the a- half
-of each right-hand side on one helper thread, with the same bits.
-Computation has a fixed summation order.  The cap does not reach numpy's BLAS
-threads, on which the LAPACK solves of ``wave``'s Newton steps run: a wave's
-artifacts can differ in the last bits between BLAS thread counts, so runs to
-be compared byte for byte pin one, e.g. ``OPENBLAS_NUM_THREADS=1``.
+of each right-hand side on one helper thread, with the same bits.  The step's
+buffers belong to the run's march (``evolution._Workspace``): one set per
+transform shape, made when the march starts and dropped when it ends, and the
+helper writes its half into them.  Computation has a fixed summation order.
+The cap does not reach numpy's BLAS threads, on which the LAPACK solves of
+``wave``'s Newton steps run: a wave's artifacts can differ in the last bits
+between BLAS thread counts, so runs to be compared byte for byte pin one,
+e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import fronts, waves
 from .assumptions import check_assumptions
-from .config import COMMANDS, ScenarioConfig, load_config
+from .config import COMMANDS, SUITES, ScenarioConfig, load_config
 from .dispersion import (char_multiplicity, dispersion_G, front_set, minimize_G,
                          reduce_to_direction)
 from .errors import ConfigError, MollisonFailure, NlkppError
@@ -242,8 +245,7 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
-    if cfg.verify.suite != "comparison":
-        raise NlkppError(f"unknown verification suite {cfg.verify.suite!r}")
+    """The ``comparison`` suite, the one in ``SUITES``."""
     theta = cfg.params.require_carrying_capacity()
     if cfg.verify.necessity:
         # counterexample mode: domination deliberately violated near the origin
@@ -347,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name)
         if name == "verify":
-            p.add_argument("suite", nargs="?", default=None)
+            p.add_argument("suite", nargs="?", default=None, choices=SUITES)
         _common_flags(p)
 
     args = parser.parse_args(argv)

@@ -33,6 +33,8 @@ from .kernels import Kernel
 from .params import ModelParams
 
 COMMANDS = ("simulate", "dispersion", "wave", "front", "verify")
+# the suites ``verify`` runs, from ``[verify] suite`` or ``verify <suite>``
+SUITES = ("comparison",)
 # initial kind -> (the keys it requires, the other keys it reads); any other is refused
 _INITIAL_KINDS = {"constant": (("value",), ()), "bump": (("width", "height"), ("center",)),
                   "step": ((), ("direction",)), "profile-file": (("path",), ()),
@@ -127,7 +129,8 @@ _KEYS = {
              "spacing": (_positive, 0.05)},
     "front": {"level": (_finite, None),  # None: theta / 2
               "shrink": (_open_unit, 0.5), "n_directions": (_int_at_least(3), 32)},
-    "verify": {"suite": (str, "comparison"), "pairs": (_int_at_least(1), 50),
+    "verify": {"suite": (_one_of(SUITES, "suite"), "comparison"),
+               "pairs": (_int_at_least(1), 50),
                "necessity": (_as_bool, False)},
 }
 

@@ -12,12 +12,21 @@ the state or grid, as in ``rhs_values(params, wplus, wminus, values)``,
 ``simulate(params, wplus, wminus, u0, cfg, horizon)`` and
 ``picard_solve(params, wplus, wminus, u0, horizon)``.  An entry that pairs the
 weights with a state or grid refuses a grid of another shape (``_on_grid``).
+
+A fixed-step run is one ``_march``, which owns its step buffers: its
+``_Workspace`` holds, for each transform shape the run meets (the grid, or an
+occupied window's fast length), views of a fixed set of flat arrays and one rk4
+right-hand side bound to them, the kernel spectra and the rates.  A helper
+thread that makes the a- halves writes them into those buffers too.  Each step
+returns its state as a fresh array, and nothing holds the buffers once the
+march returns.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,17 +68,16 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     distinct kernel; a kernel's spectrum is its weights zero-filled to that
     shape.  Each result has the bits of a call with that kernel as both a+
     and a-.  One object for a+ and a- (``kernels._per_kernel``) gives one
-    shared result, which must not be modified in place.
-
-    The fft backend transforms into one per-call spectrum buffer (``_transform``),
-    and each kernel's product with it is a fresh array whose inverse complex passes
-    run in place (``_convolved``); every result is a fresh array that the caller owns.
+    shared result, which must not be modified in place.  Every result is a
+    fresh array that the caller owns.
     """
     if backend == "fft":
-        spectrum, shape = _transform(values, wplus)
+        shape = values.shape[values.ndim - wplus.weights.ndim:]
+        spectrum = _rfft(values, shape, out=np.empty(_spectral(values.shape), complex))
 
         def conv(w: _Samples) -> np.ndarray:
-            return _convolved(spectrum, w.spectrum(shape), shape)
+            product = np.multiply(spectrum, w.spectrum(shape))
+            return _irfft(product, shape, out=product)
     elif backend == "direct":
         def conv(w: SampledWeights) -> np.ndarray:
             return _conv_direct(w, values)
@@ -78,24 +86,9 @@ def convolve_pair(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     return _per_kernel(conv, wplus, wminus)
 
 
-def _transform(values: np.ndarray, w: _Samples) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(spectrum, shape): ``values`` transformed over the trailing axes that ``w``
-    spans, whose shape is ``shape``, into a fresh spectrum buffer."""
-    shape = values.shape[values.ndim - w.weights.ndim:]
-    out = np.empty(values.shape[:-1] + (shape[-1] // 2 + 1,), complex)
-    return _rfft(values, shape, out=out), shape
-
-
-def _convolved(spectrum: np.ndarray, kernel_spectrum: np.ndarray, shape: tuple[int, ...],
-               product: np.ndarray | None = None,
-               result: np.ndarray | None = None) -> np.ndarray:
-    """The circular convolution with one kernel of a state whose transform is ``spectrum``.
-
-    The product of the two spectra is made in ``product`` and inverted in place
-    there, and the real values land in ``result``; a buffer not given is a fresh array.
-    """
-    product = np.multiply(spectrum, kernel_spectrum, out=product)
-    return _irfft(product, shape, out=product, result=result)
+def _spectral(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape of ``_rfft``'s spectrum of an array of ``shape`` transformed at its own."""
+    return shape[:-1] + (shape[-1] // 2 + 1,)
 
 
 def _on_grid(wplus: SampledWeights, wminus: SampledWeights, *grids: Grid) -> None:
@@ -114,8 +107,10 @@ class StepConfig:
 
     ``threads`` caps the threads a run may use; None means the CPUs this
     process may run on.  With two or more, a run whose right-hand sides split
-    (see ``_start_helper``) computes their a- halves on one helper thread.  The
-    bits never depend on it.
+    (see ``_start_helper``) computes their a- halves on one helper thread,
+    which writes them into the march's step buffers (``_Workspace``): those
+    are made when the march starts and dropped when it returns.  The bits
+    never depend on it.
 
     ``floor`` > 0 zeroes values with |u| below it after every step.  The
     vacuum state is linearly unstable at rate kappa_plus - m, so long
@@ -172,10 +167,14 @@ class Trajectory:
 
 
 def _gain(params: ModelParams, u: np.ndarray, conv_p: np.ndarray,
-          drift: np.ndarray | None = None) -> np.ndarray:
-    """``(drift + kp*conv_p) - m*u``, the first half of ``_reaction``, as a fresh array."""
-    gain = params.kappa_plus * conv_p if drift is None else drift + params.kappa_plus * conv_p
-    return gain - params.mortality * u
+          drift: np.ndarray | None = None, out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> np.ndarray:
+    """``(drift + kp*conv_p) - m*u``, the first half of ``_reaction``, in ``out`` (with
+    m*u in ``scratch``) or in fresh arrays."""
+    gain = np.multiply(params.kappa_plus, conv_p, out=out)
+    if drift is not None:
+        gain = np.add(drift, gain, out=out)
+    return np.subtract(gain, np.multiply(params.mortality, u, out=scratch), out=out)
 
 
 def _loss(params: ModelParams, u: np.ndarray, conv_m: np.ndarray,
@@ -194,7 +193,8 @@ def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray, conv_m: np
     without ``drift``, the traveling-wave operator with drift c psi'.  Its
     operations and their order, ``(drift + kp*conv_p) - m*u - (km*u)*conv_m``,
     fix the bits of every solver; it returns a fresh array and writes no argument.
-    Its halves ``_gain`` and ``_loss`` may run on two threads (``rhs_values``).
+    A march's right-hand side (``_Workspace``) subtracts its halves ``_gain`` and
+    ``_loss`` in step buffers, the a- half on a helper thread when it splits.
     """
     return _gain(params, u, conv_p, drift) - _loss(params, u, conv_m)
 
@@ -204,36 +204,28 @@ _SPLIT_POINTS = 2**14
 
 
 class _Helper:
-    """One worker thread that makes the ``_loss`` half of right-hand sides, for one ``_march``.
+    """One worker thread that makes the a- halves of right-hand sides, for one ``_march``.
 
-    The worker writes into three buffers that it allocates itself and keeps
-    until the state's shape changes, so each result is valid until the next
-    call.  It runs under the numpy error state of the submitting thread, which
-    ``np.errstate`` does not carry to a worker, and calls no public function
-    of the package.  ``close`` joins the thread.
+    A half writes into its workspace plan's buffers (``_Workspace``) and calls no
+    public function of the package.  It runs under the numpy error state of the
+    submitting thread, which ``np.errstate`` does not carry to a worker.  ``close``
+    joins the thread.
     """
 
     def __init__(self) -> None:
         from concurrent.futures import ThreadPoolExecutor  # loaded only by runs that split
 
         self._pool = ThreadPoolExecutor(max_workers=1)
-        self._buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def loss(self, params: ModelParams, u: np.ndarray, spectrum: np.ndarray,
-             kernel_spectrum: np.ndarray, shape: tuple[int, ...]):
-        """A future of ``_loss`` at ``u``, whose transform is ``spectrum``, with a-'s
-        ``kernel_spectrum``; ``u`` and ``spectrum`` must not be written before it is read."""
-        return self._pool.submit(self._loss, np.geterr(), params, u, spectrum,
-                                 kernel_spectrum, shape)
+    def loss(self, half, u: np.ndarray):
+        """A future of ``half(u)``; ``u`` and what ``half`` reads must not be written
+        before it is done."""
+        return self._pool.submit(self._run, np.geterr(), half, u)
 
-    def _loss(self, errors: dict, params: ModelParams, u: np.ndarray, spectrum: np.ndarray,
-              kernel_spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    @staticmethod
+    def _run(errors: dict, half, u: np.ndarray) -> np.ndarray:
         with np.errstate(**errors):
-            if self._buffers is None or self._buffers[1].shape != u.shape:
-                self._buffers = (np.empty_like(spectrum), np.empty(u.shape), np.empty(u.shape))
-            product, conv_m, loss = self._buffers
-            return _loss(params, u, _convolved(spectrum, kernel_spectrum, shape, product, conv_m),
-                         out=loss)
+            return half(u)
 
     def close(self) -> None:
         self._pool.shutdown()
@@ -261,27 +253,97 @@ def _start_helper(wplus: _Samples, wminus: _Samples, values: np.ndarray,
     return None
 
 
-def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
+class _Plan(NamedTuple):
+    """A workspace's step at one shape: the rk4 right-hand side and two buffers."""
+
+    rhs: Callable[[np.ndarray], np.ndarray]
+    stage: np.ndarray  # the rk4 stage states
+    segment: np.ndarray  # a window of the state, zero-extended to the shape
+
+
+class _Workspace:
+    """The step buffers and rk4 right-hand sides of one march, one ``_Plan`` per shape.
+
+    Every buffer is a view of one of a fixed set of flat arrays sized for the
+    march's state ``shape``, which bounds every shape a step transforms.  A
+    shape's plan is built when a step first meets it and reused after.  Its
+    right-hand side binds the rates, the kernel spectra and ``helper``, which
+    makes the a- half when the kernels differ and the shape holds at least
+    ``_SPLIT_POINTS`` values; it makes ``_reaction``'s operations in its order
+    and returns a buffer that its next call overwrites.
+    """
+
+    def __init__(self, params: ModelParams, wplus: _Samples, wminus: _Samples, backend: str,
+                 shape: tuple[int, ...], helper: _Helper | None = None) -> None:
+        self._model = (params, wplus, wminus, backend, helper)
+        self._real = [np.empty(math.prod(shape)) for _ in range(7)]
+        self._complex = [np.empty(math.prod(_spectral(shape)), complex) for _ in range(3)]
+        self._plans: dict[tuple[int, ...], _Plan] = {}
+
+    def plan(self, shape: tuple[int, ...]) -> _Plan:
+        """The plan for states of ``shape``, built on the first call at that shape."""
+        if shape not in self._plans:
+            self._plans[shape] = self._build(shape)
+        return self._plans[shape]
+
+    def _build(self, shape: tuple[int, ...]) -> _Plan:
+        params, wplus, wminus, backend, helper = self._model
+        n, m = math.prod(shape), math.prod(_spectral(shape))
+        segment, stage, conv_p, conv_m, gain, scratch, loss = (
+            flat[:n].reshape(shape) for flat in self._real)
+        spectrum, product_p, product_m = (
+            flat[:m].reshape(_spectral(shape)) for flat in self._complex)
+        if backend != "fft":
+            return _Plan(lambda u: _reaction(params, u, *convolve_pair(wplus, wminus, u, backend)),
+                         stage, segment)
+
+        grid = shape[len(shape) - wplus.weights.ndim:]
+        spectrum_p, spectrum_m = wplus.spectrum(grid), wminus.spectrum(grid)
+        shared = wminus is wplus
+        split = helper is not None and not shared and n >= _SPLIT_POINTS
+
+        def convolved(kernel_spectrum: np.ndarray, product: np.ndarray,
+                      result: np.ndarray) -> np.ndarray:
+            """The convolution with one kernel of the state transformed into ``spectrum``."""
+            return _irfft(np.multiply(spectrum, kernel_spectrum, out=product), grid,
+                          out=product, result=result)
+
+        def minus_half(u: np.ndarray) -> np.ndarray:
+            conv = conv_p if shared else convolved(spectrum_m, product_m, conv_m)
+            return _loss(params, u, conv, out=loss)
+
+        def rhs(u: np.ndarray) -> np.ndarray:
+            _rfft(u, grid, out=spectrum)
+            half = helper.loss(minus_half, u) if split else None
+            plus_half = _gain(params, u, convolved(spectrum_p, product_p, conv_p),
+                              out=gain, scratch=scratch)
+            return np.subtract(plus_half, minus_half(u) if half is None else half.result(),
+                               out=gain)
+
+        return _Plan(rhs, stage, segment)
+
+
+def _rk4(f, values: np.ndarray, dt: float, stage: np.ndarray | None = None) -> np.ndarray:
     """One classical RK4 step of du/dt = f(u).
 
     It makes the operations of ``values + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)``, with
     stage states ``values + (dt/2) k1``, ``values + (dt/2) k2`` and ``values + dt k3``,
     in that order, so it has the bits of that expression.  The three stage states
-    share one buffer, and the sum accumulates in k1 as each k is formed, so k2 and
-    k3 are released early.  ``f`` must return a fresh array and keep no argument.
+    share ``stage`` (a fresh buffer when not given), and the sum accumulates in a
+    fresh copy of k1, which is returned.  ``f`` must write no argument; it may return
+    one buffer at every call, since each k is used before the next call.
     """
-    stage = np.empty_like(values)
-    total = f(values)
+    if stage is None:
+        stage = np.empty_like(values)
+    total = f(values).copy()
     k = f(np.add(values, np.multiply(0.5 * dt, total, out=stage), out=stage))
     np.add(values, np.multiply(0.5 * dt, k, out=stage), out=stage)
     k *= 2.0
     total += k
-    del k
     k = f(stage)
     np.add(values, np.multiply(dt, k, out=stage), out=stage)
     k *= 2.0
     total += k
-    del k
     total += f(stage)
     total *= dt / 6.0
     total += values
@@ -291,35 +353,33 @@ def _rk4(f, values: np.ndarray, dt: float) -> np.ndarray:
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
                values: np.ndarray, backend: str = "fft",
                helper: _Helper | None = None) -> np.ndarray:
-    """kappa_plus*(a+ * u) - m*u - kappa_minus*u*(a- * u) at ``values``.
+    """kappa_plus*(a+ * u) - m*u - kappa_minus*u*(a- * u) at ``values``, a fresh array.
 
-    Given a ``helper``, the fft backend and at least ``_SPLIT_POINTS`` values,
-    ``values`` is transformed once, the helper makes the ``_loss`` half while
-    this thread makes the ``_gain`` half, and their difference is returned:
-    ``_reaction``'s operations in its order, so the bits are the same.
+    A march step's right-hand side, made on a one-off ``_Workspace``: given a
+    ``helper``, distinct kernels, the fft backend and at least ``_SPLIT_POINTS``
+    values, the helper makes the a- half.  The bits are ``_reaction``'s.
     """
-    if helper is None or backend != "fft" or values.size < _SPLIT_POINTS:
-        return _reaction(params, values, *convolve_pair(wplus, wminus, values, backend))
-    spectrum, shape = _transform(values, wplus)
-    loss = helper.loss(params, values, spectrum, wminus.spectrum(shape), shape)
-    gain = _gain(params, values, _convolved(spectrum, wplus.spectrum(shape), shape))
-    gain -= loss.result()
-    return gain
+    return _Workspace(params, wplus, wminus, backend, values.shape,
+                      helper).plan(values.shape).rhs(values)
 
 
 def _circular_step(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
                    values: np.ndarray, cfg: StepConfig,
-                   helper: _Helper | None = None) -> np.ndarray:
-    """One step of ``values`` with convolutions circular at its shape; rk4's
-    right-hand sides take ``helper``."""
+                   workspace: _Workspace | None = None) -> np.ndarray:
+    """One step of ``values`` with convolutions circular at its shape, into a fresh array.
+
+    rk4 steps on ``workspace``'s plan for that shape, or a one-off workspace's.
+    """
     dt = cfg.dt
-    backend = cfg.conv_backend
     if cfg.method == "rk4":
-        out = _rk4(lambda v: rhs_values(params, wplus, wminus, v, backend, helper), values, dt)
+        if workspace is None:
+            workspace = _Workspace(params, wplus, wminus, cfg.conv_backend, values.shape)
+        plan = workspace.plan(values.shape)
+        out = _rk4(plan.rhs, values, dt, plan.stage)
     else:
         # integrating-factor step: freeze the loss rate over [t, t+dt]; the operations
         # of decay * values + (1 - decay) / loss * kp * conv_p, in three buffers
-        conv_p, conv_m = convolve_pair(wplus, wminus, values, backend)
+        conv_p, conv_m = convolve_pair(wplus, wminus, values, cfg.conv_backend)
         loss = np.multiply(params.kappa_minus, conv_m)
         loss += params.mortality
         decay = np.negative(loss)
@@ -353,8 +413,8 @@ def _window(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
     occupied = values != 0.0
     window = []
     for axis in range(lead, values.ndim):
-        cells = np.flatnonzero(occupied.any(axis=tuple(a for a in range(values.ndim)
-                                                       if a != axis)))
+        others = tuple(a for a in range(values.ndim) if a != axis)
+        cells = (occupied.any(axis=others) if others else occupied).nonzero()[0]
         if cells.size == 0:
             return None
         lo, hi = cells[0] - grow, cells[-1] + grow + 1
@@ -366,24 +426,30 @@ def _window(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
 
 
 def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-             values: np.ndarray, cfg: StepConfig, helper: _Helper | None = None) -> np.ndarray:
+             values: np.ndarray, cfg: StepConfig,
+             workspace: _Workspace | None = None) -> np.ndarray:
     """One step of ``values``; leading axes beyond the grid are independent states.
 
     When ``_window`` finds one, the step runs on that window zero-extended to
     a fast transform length, where each kernel's weights within its ``reach``
     wrap; every other cell stays 0.  Otherwise the whole grid is stepped.
-    Either way ``helper`` goes to ``_circular_step``.
+    Either way the step runs on ``workspace`` (a one-off one when not given),
+    whose plan at the window's shape holds its segment; the new state is a
+    fresh array.
     """
     window = _window(wplus, wminus, values, cfg)
     if window is None:
-        return _circular_step(params, wplus, wminus, values, cfg, helper)
+        return _circular_step(params, wplus, wminus, values, cfg, workspace)
+    if workspace is None:
+        workspace = _Workspace(params, wplus, wminus, cfg.conv_backend, values.shape)
     batch = (slice(None),) * (values.ndim - len(window))
-    segment = np.zeros(values.shape[:len(batch)]
-                       + tuple(_next_fast_len(w.stop - w.start) for w in window))
+    segment = workspace.plan(values.shape[:len(batch)] + tuple(
+        _next_fast_len(w.stop - w.start) for w in window)).segment
     inner = batch + tuple(slice(0, w.stop - w.start) for w in window)
+    segment.fill(0.0)
     segment[inner] = values[batch + window]
-    out = np.zeros_like(values)
-    out[batch + window] = _circular_step(params, wplus, wminus, segment, cfg, helper)[inner]
+    out = np.zeros(values.shape)
+    out[batch + window] = _circular_step(params, wplus, wminus, segment, cfg, workspace)[inner]
     return out
 
 
@@ -391,12 +457,18 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
            cfg: StepConfig, horizon: float, observe=None, t0: float = 0.0) -> np.ndarray:
     """The one fixed-step loop: ``values`` after ``horizon / cfg.dt`` steps of ``advance``.
 
-    ``advance(params, wplus, wminus, values, cfg, helper)`` is one step:
+    ``advance(params, wplus, wminus, values, cfg, workspace)`` is one step:
     ``_advance`` for the periodic equation, ``waves._line_advance`` for the
-    line; ``helper`` is the loop's ``_start_helper``, joined when the loop
-    returns or raises.  The loop owns the checks every run needs: the
-    stability guard, a horizon that is a whole number of steps, and a finite
-    state after each step k, which ``observe(k, values, last)`` then sees.
+    line.  ``workspace`` is the loop's ``_Workspace``, with the loop's
+    ``_start_helper``; the helper is joined and the workspace dropped when the
+    loop returns or raises.  Each step's state is a fresh array, so the states
+    that ``observe`` sees and the one returned keep their values.  The loop
+    owns the checks every run needs: the stability guard, a horizon that is a
+    whole number of steps, and a finite state after each step k, which
+    ``observe(k, values, last)`` then sees.  A non-finite state names
+    ``[time] floor`` as the remedy when the floor is 0 or below the roundoff
+    level eps * max|u| of the last finite state: such a floor lets roundoff
+    noise in the far field grow at rate kappa_plus - m.
     """
     cfg.validate(params)
     n_steps = int(round(horizon / cfg.dt))
@@ -404,19 +476,30 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
     helper = _start_helper(wplus, wminus, values, cfg)
     try:
+        workspace = _Workspace(params, wplus, wminus, cfg.conv_backend, values.shape, helper)
         for k in range(1, n_steps + 1):
+            finite = values
             with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
-                values = advance(params, wplus, wminus, values, cfg, helper)
-            if not np.all(np.isfinite(values)):
-                remedy = "" if cfg.floor > 0.0 else "; set [time] floor, e.g. 1e-14"
-                raise ConvergenceFailure(
-                    f"non-finite state after step {k} (t = {t0 + k * cfg.dt:.6g}){remedy}")
+                values = advance(params, wplus, wminus, values, cfg, workspace)
+            if not np.isfinite(values).all():
+                raise ConvergenceFailure(f"non-finite state after step {k} "
+                                         f"(t = {t0 + k * cfg.dt:.6g}){_remedy(cfg, finite)}")
             if observe is not None:
                 observe(k, values, k == n_steps)
     finally:
         if helper is not None:
             helper.close()
     return values
+
+
+def _remedy(cfg: StepConfig, finite: np.ndarray) -> str:
+    """``_march``'s remedy for a state that left ``finite`` and became non-finite."""
+    level = np.finfo(float).eps * float(np.max(np.abs(finite)))
+    if cfg.floor > 0.0 and not cfg.floor < level:
+        return ""
+    below = (f"[time] floor = {cfg.floor:g} is below the roundoff level {level:.2g} of the "
+             "state: " if cfg.floor > 0.0 else "")
+    return f"; {below}set [time] floor, e.g. 1e-14"
 
 
 def simulate(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights, u0: Field,

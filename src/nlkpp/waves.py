@@ -86,11 +86,11 @@ def _line_pair(wp: LineKernel, wm: LineKernel, psi: np.ndarray,
 
 
 def _line_advance(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.ndarray,
-                  cfg: StepConfig, helper=None) -> np.ndarray:
+                  cfg: StepConfig, workspace=None) -> np.ndarray:
     """One RK4 step of the line equation with the theta/0 far-field extension.
 
-    ``helper`` is ``_march``'s and is not used: a line's right-hand sides do not
-    split, and its marches allow one thread.
+    ``workspace`` is ``_march``'s and is not used: a line's right-hand sides
+    make fresh arrays, and its marches allow one thread.
     """
     pad = _constant_pad(params.theta, 0.0)
     return _rk4(lambda v: _reaction(params, v, *_line_pair(wp, wm, v, pad)), psi, cfg.dt)

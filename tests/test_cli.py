@@ -998,13 +998,29 @@ class TestOverridesAndExitStatus:
         assert "argument --threads: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_suite_argument_overrides_the_config(self, tmp_path):
-        text = BASE + "\n[verify]\nsuite = bogus\npairs = 2\n"
+    def test_suite_argument_overrides_the_config(self, tmp_path, capsys):
+        text = BASE + "\n[verify]\nsuite = comparison\npairs = 2\n"
         rc, entries, _ = self._run(tmp_path, ["verify", "comparison"], text, "given")
         assert rc == 0 and entries["verify.suite"] == "comparison"
-        rc, entries, _ = self._run(tmp_path, ["verify", "mystery"], BASE, "unknown")
-        assert rc == 1
-        assert entries["error"] == "unknown verification suite 'mystery'"
+        with pytest.raises(SystemExit) as info:
+            self._run(tmp_path, ["verify", "mystery"], text, "unknown")
+        assert info.value.code == 2
+        assert "argument suite: invalid choice: 'mystery'" in capsys.readouterr().err
+        assert not (tmp_path / "unknown").exists()
+
+    @pytest.mark.parametrize("argv", [["verify"], ["verify", "comparison"]])
+    def test_unknown_suite_in_the_config_exits_2_with_its_line(self, tmp_path, capsys, argv):
+        text = BASE + "\n[verify]\nsuite = mystery\npairs = 2\n"
+        lineno = text.splitlines().index("suite = mystery") + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: bad value for 'suite': "
+                                              "'mystery' \\(unknown suite; expected one of "):
+            parse_config(text)
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(text)
+        assert main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_necessity_without_overshoot_exits_1(self, tmp_path):
         # one step of 1e-3 overshoots theta by 8.4e-5, short of the 1e-4 it must show

@@ -339,6 +339,78 @@ class TestSplitRhs:
         assert set(threading.enumerate()) == before
 
 
+@pytest.mark.filterwarnings("ignore:kernel scale")
+class TestWorkspace:
+    """A march's workspace plans give every step the reference bits, whatever the shapes
+    it meets, the kernels and the thread count, and hand out states that stay put."""
+
+    @staticmethod
+    def march(params, wp, wm, values, cfg, steps):
+        """(states handed to ``observe`` with copies taken then, the returned state)."""
+        seen = []
+        last = evolution._march(_advance, params, wp, wm, values, cfg, steps * cfg.dt,
+                                lambda k, state, final: seen.append((state, state.copy())))
+        return seen, last
+
+    @staticmethod
+    def reference(monkeypatch, params, wp, wm, values, cfg, steps):
+        """The states of ``steps`` ``_advance`` steps made by ``reference_circular_step``."""
+        states = []
+        with monkeypatch.context() as patched:
+            patched.setattr(evolution, "_circular_step", reference_circular_step)
+            for _ in range(steps):
+                values = _advance(params, wp, wm, values, cfg)
+                states.append(values)
+        return states
+
+    def check(self, monkeypatch, params, wp, wm, values, cfg, steps):
+        """Checks a march of ``steps`` steps; returns the shapes its workspace planned."""
+        shapes = []
+        plan = evolution._Workspace.plan
+        with monkeypatch.context() as patched:
+            patched.setattr(evolution._Workspace, "plan",
+                            lambda workspace, shape: shapes.append(shape) or plan(workspace, shape))
+            seen, last = self.march(params, wp, wm, values, cfg, steps)
+        expected = self.reference(monkeypatch, params, wp, wm, values, cfg, steps)
+        assert len(seen) == steps
+        for (state, _), want in zip(seen, expected):
+            assert np.array_equal(state, want)
+        # nothing the march handed out was written after it was handed out
+        assert all(np.array_equal(state, copy) for state, copy in seen)
+        assert last is seen[-1][0]
+        return set(shapes)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_floored_line_over_changing_windows(self, monkeypatch, shared):
+        grid = Grid(dimension=1, half_length=102.4, points_per_axis=2048)
+        wp = discretize(Kernel("gaussian", 1, sigma=1.0), grid)
+        wm = wp if shared else discretize(Kernel("gaussian", 1, sigma=0.7), grid)
+        values = bump_field(grid, 0.0, 2.0, 0.5).values
+        cfg = StepConfig(dt=0.05, floor=1e-14)
+        shapes = self.check(monkeypatch, ODD_RATES, wp, wm, values, cfg, 40)
+        assert len(shapes) >= 3, shapes
+        assert all(shape[0] < grid.points_per_axis for shape in shapes)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_plane_with_two_kernels(self, monkeypatch, threads):
+        wp, wm, values = TestSplitRhs.case((128, 128))
+        cfg = StepConfig(dt=0.05, threads=threads)
+        assert evolution._window(wp, wm, values, cfg) is None
+        self.check(monkeypatch, ODD_RATES, wp, wm, values, cfg, 3)
+
+    def test_marches_in_sequence_on_one_shape(self, monkeypatch):
+        """A second march with other kernels takes none of the first one's spectra,
+        buffers or helper."""
+        wp, wm, values = TestSplitRhs.case((128, 128))
+        grid = Grid(dimension=2, half_length=16.0, points_per_axis=128)
+        other = discretize(Kernel("laplace", 2, mu=1.2), grid)
+        cfg = StepConfig(dt=0.05, threads=2)
+        before = set(threading.enumerate())
+        for plus, minus in ((wp, wm), (other, wp), (wm, other)):
+            self.check(monkeypatch, ODD_RATES, plus, minus, values, cfg, 2)
+            assert set(threading.enumerate()) == before
+
+
 class TestNoAliasing:
     """Results are fresh arrays, and no argument is written."""
 
@@ -466,8 +538,10 @@ class TestStep:
         b = np.roll(simulate(canon, gauss_weights, gauss_weights, u, cfg, cfg.dt).final.values, 9)
         assert np.abs(a - b).max() <= 1e-12
 
-    @pytest.mark.parametrize("floor, remedy", [(0.0, True), (1e-14, False)])
+    @pytest.mark.parametrize("floor, remedy", [(0.0, True), (1e-30, True), (1e-14, False)])
     def test_non_finite_state_names_the_floor_without_one(self, canon, floor, remedy):
+        """The remedy is named for a floor of 0 or one below the state's roundoff level,
+        here eps * max|u| = 2.2e-16."""
         def overflow(params, wplus, wminus, values, cfg, helper):
             return np.exp(1e3 * values)
 
@@ -478,6 +552,8 @@ class TestStep:
                 evolution._march(overflow, canon, None, None, np.ones(4),
                                  StepConfig(dt=0.01, floor=floor), 0.01)
         assert ("set [time] floor, e.g. 1e-14" in str(err.value)) == remedy
+        assert ("[time] floor = 1e-30 is below the roundoff level 2.2e-16 of the state"
+                in str(err.value)) == (floor == 1e-30)
 
     def test_stability_guard(self, canon):
         with pytest.raises(ValueError, match="stability guard"):
@@ -577,15 +653,16 @@ def whole_grid_step(params, wplus, wminus, values, cfg):
 
 @pytest.fixture
 def transform_shapes(monkeypatch):
-    """Shapes of the states ``convolve_pair`` transforms from here on."""
+    """Shapes of the states that steps and convolutions transform from here on: one
+    forward transform (``evolution._rfft``) per right-hand side or convolution pair."""
     shapes = []
-    pair = evolution.convolve_pair
+    rfft = evolution._rfft
 
-    def recording(wplus, wminus, values, backend="fft"):
+    def recording(values, shape, out=None):
         shapes.append(values.shape)
-        return pair(wplus, wminus, values, backend)
+        return rfft(values, shape, out=out)
 
-    monkeypatch.setattr(evolution, "convolve_pair", recording)
+    monkeypatch.setattr(evolution, "_rfft", recording)
     return shapes
 
 

@@ -155,7 +155,7 @@ def _keyed_runs() -> list[tuple[str, list[str], dict]]:
         ("keys-seed-option", ["verify", "--seed", "3"],
          _evolution(1, 128, 20.0, 0.5, verify={"pairs": 2})),
         ("keys-verify-suite-argument", ["verify", "comparison"],
-         _evolution(1, 128, 20.0, 0.5, verify={"suite": "none-such", "pairs": 2})),
+         _evolution(1, 128, 20.0, 0.5, verify={"suite": "comparison", "pairs": 2})),
         ("refused-front-level-0", ["front"], _evolution(1, 128, 20.0, 0.5, front={"level": 0})),
         ("refused-exppoly-not-integrable", ["dispersion"],
          dict(line, kernel_plus={"family": "exppoly", "dimension": 1, "p": 0.5, "q": 0.0,

@@ -14,13 +14,19 @@ in this process, on the canonical rates kappa_plus = 2, kappa_minus = 1, m = 1:
   ``compact_uniform`` and a- the sigma = 1 gaussian, on a state that is nonzero
   everywhere;
 * ``2d-128`` and ``2d-64``: the same kernels and spacing (0.25) on 128 x 128
-  and 64 x 64 planes.
+  and 64 x 64 planes;
+* ``1d-invasion-march``: ``evolution._march`` of 500 ``_advance`` steps of the
+  invasion grid, kernel, dt and floor from a bump of width 2 and height 0.5 at
+  the centre, over which the window's transform length takes nine values from
+  1440 to 2160 points; its figures are per step.
 
-The 2-D cases run once more at two threads: ``rhs_values`` and ``_advance``
-are given a helper thread (``evolution._Helper``), and every right-hand side
-splits, also below ``evolution._SPLIT_POINTS`` (2^14 points), so that the
-figures show where the split starts to pay.  ``convolve_pair`` has no
-two-thread form.
+``_advance`` runs as in a march: a checkout with ``evolution._Workspace`` gives
+every call of a case one workspace, so its buffers and right-hand side are
+built once.  The 2-D cases run once more at two threads: ``rhs_values`` and
+``_advance`` are given a helper thread (``evolution._Helper``), and every
+right-hand side splits, also below ``evolution._SPLIT_POINTS`` (2^14 points),
+so that the figures show where the split starts to pay.  ``convolve_pair`` has
+no two-thread form.
 
 Each figure is the minimum, and the median, over ``--repeats`` blocks of the
 per-call mean of a block's calls, with the minor page faults per call
@@ -52,6 +58,7 @@ import numpy as np
 CASES = ("1d-8192-whole", "1d-3072-window", "2d-64", "2d-128", "2d-256")
 # calls per timed block: short blocks, so that the minimum finds a quiet one
 CALLS = {"1d-8192-whole": 40, "1d-3072-window": 80, "2d-64": 60, "2d-128": 16, "2d-256": 4}
+MARCH_STEPS = 500
 
 
 def _cases(nlkpp):
@@ -91,6 +98,19 @@ def _cases(nlkpp):
     return out
 
 
+def _march(nlkpp):
+    """One ``_march`` of ``MARCH_STEPS`` invasion steps from a bump, as a callable."""
+    from nlkpp import evolution
+
+    params = nlkpp.ModelParams(kappa_plus=2.0, kappa_minus=1.0, mortality=1.0)
+    line = nlkpp.Grid(dimension=1, half_length=200.0, points_per_axis=8192)
+    w = nlkpp.discretize(nlkpp.Kernel("gaussian", 1, sigma=1.0), line)
+    bump = nlkpp.bump_field(line, 0.0, 2.0, 0.5).values
+    cfg = evolution.StepConfig(dt=2e-3, floor=1e-14)
+    return lambda: evolution._march(evolution._advance, params, w, w, bump, cfg,
+                                    MARCH_STEPS * cfg.dt)
+
+
 def _measure(fn, calls: int, repeats: int) -> tuple[float, float, float]:
     """(minimum and median per-call seconds over ``repeats`` blocks, minor faults per call)."""
     fn()
@@ -111,6 +131,12 @@ def _measure(fn, calls: int, repeats: int) -> tuple[float, float, float]:
     return min(blocks), statistics.median(blocks), faults / calls
 
 
+def _row(name: str, layer: str, threads: int, best: float, median: float,
+         faults: float) -> None:
+    print(f"{name:<18} {layer:<14} {threads:>7} {1e6 * best:>10.1f} {1e6 * median:>10.1f} "
+          f"{faults:>12.1f}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
@@ -125,33 +151,44 @@ def main(argv: list[str] | None = None) -> int:
         cases = _cases(nlkpp)
     print(f"# numpy {np.__version__}, python {sys.version.split()[0]}, "
           f"min of {args.repeats} blocks")
-    print(f"{'case':<16} {'layer':<14} {'threads':>7} {'min us':>10} {'median us':>10} "
+    print(f"{'case':<18} {'layer':<14} {'threads':>7} {'min us':>10} {'median us':>10} "
           f"{'minflt/call':>12}")
     evolution._SPLIT_POINTS = 1  # with a helper, every size splits
     for name in CASES:
         params, wp, wm, segment, state, cfg = cases[name]
+
+        def workspace(helper=None):
+            """A march's workspace for ``state``, or ``helper`` at a parent checkout."""
+            if not hasattr(evolution, "_Workspace"):
+                return helper
+            return evolution._Workspace(params, wp, wm, "fft", state.shape, helper)
+
+        one = workspace()
         layers = [
             ("convolve_pair", 1, lambda: evolution.convolve_pair(wp, wm, segment)),
             ("rhs_values", 1, lambda: evolution.rhs_values(params, wp, wm, segment)),
-            ("_advance", 1, lambda: evolution._advance(params, wp, wm, state, cfg)),
+            ("_advance", 1, lambda: evolution._advance(params, wp, wm, state, cfg, one)),
         ]
         # a parent checkout without the helper times one thread only
         split = name.startswith("2d") and hasattr(evolution, "_Helper")
         helper = evolution._Helper() if split else None
         if helper is not None:
+            two = workspace(helper)
             layers += [
                 ("rhs_values", 2,
                  lambda: evolution.rhs_values(params, wp, wm, segment, helper=helper)),
-                ("_advance", 2, lambda: evolution._advance(params, wp, wm, state, cfg, helper)),
+                ("_advance", 2, lambda: evolution._advance(params, wp, wm, state, cfg, two)),
             ]
         try:
             for layer, threads, fn in layers:
                 best, median, faults = _measure(fn, CALLS[name], args.repeats)
-                print(f"{name:<16} {layer:<14} {threads:>7} {1e6 * best:>10.1f} "
-                      f"{1e6 * median:>10.1f} {faults:>12.1f}")
+                _row(name, layer, threads, best, median, faults)
         finally:
             if helper is not None:
                 helper.close()
+    best, median, faults = _measure(_march(nlkpp), 1, args.repeats)
+    _row("1d-invasion-march", "_march/step", 1, best / MARCH_STEPS, median / MARCH_STEPS,
+         faults / MARCH_STEPS)
     return 0
 
 
