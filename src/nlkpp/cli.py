@@ -3,17 +3,12 @@
 Subcommands: ``simulate``, ``dispersion``, ``wave``, ``front``,
 ``verify <suite>``.  All artifacts are plain CSV plus a ``summary.txt`` of
 ``key = value`` lines; identical configuration and seed produce byte-identical
-output.  ``--threads N`` (over ``[scenario] threads``; by default the CPUs the
-process may run on) caps the package's own threads: with two or more, a
-periodic rk4 run with a+ not a- on at least 2^14 points computes the a- half
-of each right-hand side on one helper thread, with the same bits.  The step's
-buffers belong to the run's march (``evolution._Workspace``): one set per
-transform shape, made when the march starts and dropped when it ends, and the
-helper writes its half into them.  Computation has a fixed summation order.
-The cap does not reach numpy's BLAS threads, on which the LAPACK solves of
-``wave``'s Newton steps run: a wave's artifacts can differ in the last bits
-between BLAS thread counts, so runs to be compared byte for byte pin one,
-e.g. ``OPENBLAS_NUM_THREADS=1``.
+output.  ``--threads N`` caps the package's own threads, with the same bits
+at every cap; README ("Command line") states when a run uses a second one.
+Computation has a fixed summation order.  The cap does not reach numpy's BLAS
+threads, on which the LAPACK solves of ``wave``'s Newton steps run: a wave's
+artifacts can differ in the last bits between BLAS thread counts, so runs to
+be compared byte for byte pin one, e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 

@@ -13,13 +13,13 @@ the state or grid, as in ``rhs_values(params, wplus, wminus, values)``,
 ``picard_solve(params, wplus, wminus, u0, horizon)``.  An entry that pairs the
 weights with a state or grid refuses a grid of another shape (``_on_grid``).
 
-A fixed-step run is one ``_march``, which owns its step buffers: its
-``_Workspace`` holds, for each transform shape the run meets (the grid, or an
-occupied window's fast length), views of a fixed set of flat arrays and one rk4
-right-hand side bound to them, the kernel spectra and the rates.  A helper
-thread that makes the a- halves writes them into those buffers too.  Each step
-returns its state as a fresh array, and nothing holds the buffers once the
-march returns.
+A fixed-step run is one ``_march``, which owns its step: its ``_Workspace``
+holds, for each transform shape the run meets (the grid, or an occupied
+window's fast length), views of a fixed set of flat arrays and one rk4
+right-hand side bound to them, the kernel spectra and the rates, and the one
+helper thread that makes the a- halves of right-hand sides that split.  Each
+step returns its state as a fresh array, and nothing holds the buffers or the
+thread once the march returns.
 """
 from __future__ import annotations
 
@@ -106,11 +106,8 @@ class StepConfig:
     """Fixed-step integrator configuration with a stability guard.
 
     ``threads`` caps the threads a run may use; None means the CPUs this
-    process may run on.  With two or more, a run whose right-hand sides split
-    (see ``_start_helper``) computes their a- halves on one helper thread,
-    which writes them into the march's step buffers (``_Workspace``): those
-    are made when the march starts and dropped when it returns.  The bits
-    never depend on it.
+    process may run on.  ``_Workspace`` states when a run's right-hand sides
+    split over two of them; the bits never depend on it.
 
     ``floor`` > 0 zeroes values with |u| below it after every step.  The
     vacuum state is linearly unstable at rate kappa_plus - m, so long
@@ -203,34 +200,6 @@ def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray, conv_m: np
 _SPLIT_POINTS = 2**14
 
 
-class _Helper:
-    """One worker thread that makes the a- halves of right-hand sides, for one ``_march``.
-
-    A half writes into its workspace plan's buffers (``_Workspace``) and calls no
-    public function of the package.  It runs under the numpy error state of the
-    submitting thread, which ``np.errstate`` does not carry to a worker.  ``close``
-    joins the thread.
-    """
-
-    def __init__(self) -> None:
-        from concurrent.futures import ThreadPoolExecutor  # loaded only by runs that split
-
-        self._pool = ThreadPoolExecutor(max_workers=1)
-
-    def loss(self, half, u: np.ndarray):
-        """A future of ``half(u)``; ``u`` and what ``half`` reads must not be written
-        before it is done."""
-        return self._pool.submit(self._run, np.geterr(), half, u)
-
-    @staticmethod
-    def _run(errors: dict, half, u: np.ndarray) -> np.ndarray:
-        with np.errstate(**errors):
-            return half(u)
-
-    def close(self) -> None:
-        self._pool.shutdown()
-
-
 def _thread_cap(cfg: StepConfig) -> int:
     """``cfg.threads``, or the number of CPUs this process may run on."""
     if cfg.threads is not None:
@@ -238,19 +207,6 @@ def _thread_cap(cfg: StepConfig) -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _start_helper(wplus: _Samples, wminus: _Samples, values: np.ndarray,
-                  cfg: StepConfig) -> _Helper | None:
-    """A helper for a march whose right-hand sides split, else None.
-
-    They split for rk4 on the fft backend when a+ is not a-, the state has at
-    least ``_SPLIT_POINTS`` values and ``cfg`` allows two or more threads.
-    """
-    if (cfg.method == "rk4" and cfg.conv_backend == "fft" and wminus is not wplus
-            and values.size >= _SPLIT_POINTS and _thread_cap(cfg) >= 2):
-        return _Helper()
-    return None
 
 
 class _Plan(NamedTuple):
@@ -262,23 +218,30 @@ class _Plan(NamedTuple):
 
 
 class _Workspace:
-    """The step buffers and rk4 right-hand sides of one march, one ``_Plan`` per shape.
+    """The step of one march: its buffers, rk4 right-hand sides and helper thread.
 
-    Every buffer is a view of one of a fixed set of flat arrays sized for the
-    march's state ``shape``, which bounds every shape a step transforms.  A
-    shape's plan is built when a step first meets it and reused after.  Its
-    right-hand side binds the rates, the kernel spectra and ``helper``, which
-    makes the a- half when the kernels differ and the shape holds at least
-    ``_SPLIT_POINTS`` values; it makes ``_reaction``'s operations in its order
-    and returns a buffer that its next call overwrites.
+    It holds one ``_Plan`` per transform shape, built when a step first meets
+    the shape and reused after.  Every buffer is a view of one of a fixed set
+    of flat arrays sized for the march's state ``shape``, which bounds every
+    shape a step transforms; they are allocated by the first plan.  A plan's
+    right-hand side binds the rates and the kernel spectra; it makes
+    ``_reaction``'s operations in its order and returns a buffer that its next
+    call overwrites.  It splits, making the a- half on a helper thread, when
+    the kernels differ, the backend is fft, the shape holds at least
+    ``_SPLIT_POINTS`` values and ``_thread_cap`` allows two threads.  The
+    helper is one worker, started at the first hand-off and joined by
+    ``close``; a half writes into its plan's buffers, calls no public function
+    of the package and runs under the numpy error state of the thread that
+    handed it off, which ``np.errstate`` does not carry to a worker.
     """
 
-    def __init__(self, params: ModelParams, wplus: _Samples, wminus: _Samples, backend: str,
-                 shape: tuple[int, ...], helper: _Helper | None = None) -> None:
-        self._model = (params, wplus, wminus, backend, helper)
-        self._real = [np.empty(math.prod(shape)) for _ in range(7)]
-        self._complex = [np.empty(math.prod(_spectral(shape)), complex) for _ in range(3)]
+    def __init__(self, params: ModelParams, wplus: _Samples, wminus: _Samples,
+                 cfg: StepConfig, shape: tuple[int, ...]) -> None:
+        self._model = (params, wplus, wminus, cfg, shape)
+        self._real: list[np.ndarray] = []
+        self._complex: list[np.ndarray] = []
         self._plans: dict[tuple[int, ...], _Plan] = {}
+        self._pool = None
 
     def plan(self, shape: tuple[int, ...]) -> _Plan:
         """The plan for states of ``shape``, built on the first call at that shape."""
@@ -287,20 +250,23 @@ class _Workspace:
         return self._plans[shape]
 
     def _build(self, shape: tuple[int, ...]) -> _Plan:
-        params, wplus, wminus, backend, helper = self._model
+        params, wplus, wminus, cfg, bound = self._model
+        if not self._real:
+            self._real = [np.empty(math.prod(bound)) for _ in range(7)]
+            self._complex = [np.empty(math.prod(_spectral(bound)), complex) for _ in range(3)]
         n, m = math.prod(shape), math.prod(_spectral(shape))
         segment, stage, conv_p, conv_m, gain, scratch, loss = (
             flat[:n].reshape(shape) for flat in self._real)
         spectrum, product_p, product_m = (
             flat[:m].reshape(_spectral(shape)) for flat in self._complex)
-        if backend != "fft":
-            return _Plan(lambda u: _reaction(params, u, *convolve_pair(wplus, wminus, u, backend)),
+        if cfg.conv_backend != "fft":
+            return _Plan(lambda u: rhs_values(params, wplus, wminus, u, cfg.conv_backend),
                          stage, segment)
 
         grid = shape[len(shape) - wplus.weights.ndim:]
         spectrum_p, spectrum_m = wplus.spectrum(grid), wminus.spectrum(grid)
         shared = wminus is wplus
-        split = helper is not None and not shared and n >= _SPLIT_POINTS
+        split = not shared and n >= _SPLIT_POINTS and _thread_cap(cfg) >= 2
 
         def convolved(kernel_spectrum: np.ndarray, product: np.ndarray,
                       result: np.ndarray) -> np.ndarray:
@@ -314,13 +280,32 @@ class _Workspace:
 
         def rhs(u: np.ndarray) -> np.ndarray:
             _rfft(u, grid, out=spectrum)
-            half = helper.loss(minus_half, u) if split else None
+            half = self._hand_off(minus_half, u) if split else None
             plus_half = _gain(params, u, convolved(spectrum_p, product_p, conv_p),
                               out=gain, scratch=scratch)
             return np.subtract(plus_half, minus_half(u) if half is None else half.result(),
                                out=gain)
 
         return _Plan(rhs, stage, segment)
+
+    def _hand_off(self, half, u: np.ndarray):
+        """A future of ``half(u)`` on the helper thread; ``u`` and what ``half`` reads
+        must not be written before it is done."""
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only by runs that split
+
+            self._pool = ThreadPoolExecutor(max_workers=1)
+        return self._pool.submit(np.errstate(**np.geterr())(half), u)
+
+    def close(self) -> None:
+        """Join the helper thread, if a hand-off started it, and drop the plans.
+
+        A plan's right-hand side refers back to the workspace, so without this the
+        buffers would wait for the cyclic garbage collector after the march.
+        """
+        if self._pool is not None:
+            self._pool.shutdown()
+        self._plans.clear()
 
 
 def _rk4(f, values: np.ndarray, dt: float, stage: np.ndarray | None = None) -> np.ndarray:
@@ -351,29 +336,23 @@ def _rk4(f, values: np.ndarray, dt: float, stage: np.ndarray | None = None) -> n
 
 
 def rhs_values(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-               values: np.ndarray, backend: str = "fft",
-               helper: _Helper | None = None) -> np.ndarray:
+               values: np.ndarray, backend: str = "fft") -> np.ndarray:
     """kappa_plus*(a+ * u) - m*u - kappa_minus*u*(a- * u) at ``values``, a fresh array.
 
-    A march step's right-hand side, made on a one-off ``_Workspace``: given a
-    ``helper``, distinct kernels, the fft backend and at least ``_SPLIT_POINTS``
-    values, the helper makes the a- half.  The bits are ``_reaction``'s.
+    The reference expression of a march step's right-hand side (``_Workspace``),
+    which has its bits.
     """
-    return _Workspace(params, wplus, wminus, backend, values.shape,
-                      helper).plan(values.shape).rhs(values)
+    return _reaction(params, values, *convolve_pair(wplus, wminus, values, backend))
 
 
 def _circular_step(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-                   values: np.ndarray, cfg: StepConfig,
-                   workspace: _Workspace | None = None) -> np.ndarray:
+                   values: np.ndarray, cfg: StepConfig, workspace: _Workspace) -> np.ndarray:
     """One step of ``values`` with convolutions circular at its shape, into a fresh array.
 
-    rk4 steps on ``workspace``'s plan for that shape, or a one-off workspace's.
+    rk4 steps on ``workspace``'s plan for that shape.
     """
     dt = cfg.dt
     if cfg.method == "rk4":
-        if workspace is None:
-            workspace = _Workspace(params, wplus, wminus, cfg.conv_backend, values.shape)
         plan = workspace.plan(values.shape)
         out = _rk4(plan.rhs, values, dt, plan.stage)
     else:
@@ -426,22 +405,18 @@ def _window(wplus: SampledWeights, wminus: SampledWeights, values: np.ndarray,
 
 
 def _advance(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
-             values: np.ndarray, cfg: StepConfig,
-             workspace: _Workspace | None = None) -> np.ndarray:
+             values: np.ndarray, cfg: StepConfig, workspace: _Workspace) -> np.ndarray:
     """One step of ``values``; leading axes beyond the grid are independent states.
 
     When ``_window`` finds one, the step runs on that window zero-extended to
     a fast transform length, where each kernel's weights within its ``reach``
     wrap; every other cell stays 0.  Otherwise the whole grid is stepped.
-    Either way the step runs on ``workspace`` (a one-off one when not given),
-    whose plan at the window's shape holds its segment; the new state is a
-    fresh array.
+    Either way the step runs on the march's ``workspace``, whose plan at the
+    window's shape holds its segment; the new state is a fresh array.
     """
     window = _window(wplus, wminus, values, cfg)
     if window is None:
         return _circular_step(params, wplus, wminus, values, cfg, workspace)
-    if workspace is None:
-        workspace = _Workspace(params, wplus, wminus, cfg.conv_backend, values.shape)
     batch = (slice(None),) * (values.ndim - len(window))
     segment = workspace.plan(values.shape[:len(batch)] + tuple(
         _next_fast_len(w.stop - w.start) for w in window)).segment
@@ -459,9 +434,8 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
 
     ``advance(params, wplus, wminus, values, cfg, workspace)`` is one step:
     ``_advance`` for the periodic equation, ``waves._line_advance`` for the
-    line.  ``workspace`` is the loop's ``_Workspace``, with the loop's
-    ``_start_helper``; the helper is joined and the workspace dropped when the
-    loop returns or raises.  Each step's state is a fresh array, so the states
+    line.  ``workspace`` is the loop's ``_Workspace``, closed and dropped when
+    the loop returns or raises.  Each step's state is a fresh array, so the states
     that ``observe`` sees and the one returned keep their values.  The loop
     owns the checks every run needs: the stability guard, a horizon that is a
     whole number of steps, and a finite state after each step k, which
@@ -474,9 +448,8 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
     n_steps = int(round(horizon / cfg.dt))
     if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
-    helper = _start_helper(wplus, wminus, values, cfg)
+    workspace = _Workspace(params, wplus, wminus, cfg, values.shape)
     try:
-        workspace = _Workspace(params, wplus, wminus, cfg.conv_backend, values.shape, helper)
         for k in range(1, n_steps + 1):
             finite = values
             with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
@@ -487,8 +460,7 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
             if observe is not None:
                 observe(k, values, k == n_steps)
     finally:
-        if helper is not None:
-            helper.close()
+        workspace.close()
     return values
 
 

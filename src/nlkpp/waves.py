@@ -90,7 +90,7 @@ def _line_advance(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.n
     """One RK4 step of the line equation with the theta/0 far-field extension.
 
     ``workspace`` is ``_march``'s and is not used: a line's right-hand sides
-    make fresh arrays, and its marches allow one thread.
+    make fresh arrays, so its march plans no buffers and starts no thread.
     """
     pad = _constant_pad(params.theta, 0.0)
     return _rk4(lambda v: _reaction(params, v, *_line_pair(wp, wm, v, pad)), psi, cfg.dt)
@@ -489,8 +489,7 @@ def measure_profile_speed(profile: WaveProfile, params: ModelParams,
     """
     duration = 2.0
     wp, wm = _per_kernel(sample_line_kernel, k_plus, k_minus, profile.spacing)
-    evolved = _march(_line_advance, params, wp, wm, profile.psi, StepConfig(0.02, threads=1),
-                     duration)
+    evolved = _march(_line_advance, params, wp, wm, profile.psi, StepConfig(0.02), duration)
     level = 0.5 * profile.theta
     displacement = (half_level_crossing(profile.s, evolved, level)
                     - half_level_crossing(profile.s, profile.psi, level))

@@ -364,9 +364,10 @@ class TestScenarios:
                  .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 4\nheight = 0.5"))
         cfg_file.write_text(plane)
         hand_offs = []
-        loss = evolution._Helper.loss
-        monkeypatch.setattr(evolution._Helper, "loss",
-                            lambda helper, *args: hand_offs.append(1) or loss(helper, *args))
+        hand_off = evolution._Workspace._hand_off
+        monkeypatch.setattr(evolution._Workspace, "_hand_off",
+                            lambda workspace, *args: hand_offs.append(1)
+                            or hand_off(workspace, *args))
         for threads, splits in (("1", 0), ("2", 40)):
             assert main(["simulate", "--config", str(cfg_file),
                          "--out", str(tmp_path / f"plane{threads}"), "--threads", threads]) == 0

@@ -1,7 +1,9 @@
+import gc
 import math
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 from nlkpp import (CertificationFailed, ConvergenceFailure, Field, Grid, GridError, Kernel,
                    ModelParams, StepConfig, constant_field, bump_field, discretize,
                    find_subsolution_params, gaussian_subsolution, logistic_exact, minimize_G,
-                   picard_solve, rhs_values, simulate, solve_profile, truncated_weights,
-                   uniform_bound)
+                   picard_solve, reduce_to_direction, rhs_values, simulate, solve_profile,
+                   truncated_weights, uniform_bound)
 from nlkpp import evolution, fronts, kernels, waves
 from nlkpp.evolution import METHODS, _advance, _picard_interval, _reaction, _rk4, convolve_pair
 from nlkpp.kernels import SampledWeights
@@ -134,9 +136,14 @@ def reference_rk4(f, values, dt):
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_circular_step(params, wplus, wminus, values, cfg, helper=None):
+def march(params, wplus, wminus, values, cfg, steps=1):
+    """The state after ``steps`` ``_advance`` steps, made by one ``_march``."""
+    return evolution._march(_advance, params, wplus, wminus, values, cfg, steps * cfg.dt)
+
+
+def reference_circular_step(params, wplus, wminus, values, cfg, workspace=None):
     """``evolution._circular_step`` (fft backend) built from the references above;
-    ``helper`` is not used."""
+    ``workspace`` is not used."""
     if cfg.method == "rk4":
         out = reference_rk4(
             lambda v: reference_reaction(params, v, *reference_pair(wplus, wminus, v)),
@@ -182,17 +189,10 @@ class TestInPlaceStep:
         cfg = StepConfig(dt=0.05, method=method, floor=floor)
         assert (evolution._window(wp, wm, values, cfg) is None) == (name != "1d-window")
         before = values.copy()
-
-        def three_steps():
-            out = values
-            for _ in range(3):
-                out = _advance(ODD_RATES, wp, wm, out, cfg)
-            return out
-
-        got = three_steps()
+        got = march(ODD_RATES, wp, wm, values, cfg, 3)
         assert np.array_equal(values, before)
         monkeypatch.setattr(evolution, "_circular_step", reference_circular_step)
-        assert np.array_equal(got, three_steps())
+        assert np.array_equal(got, march(ODD_RATES, wp, wm, values, cfg, 3))
 
     def test_wave_operator_drift_path(self, gauss_line):
         params = ODD_RATES
@@ -230,16 +230,23 @@ class TestSplitRhs:
 
     @pytest.fixture
     def hand_offs(self, monkeypatch):
-        """The number of ``_Helper.loss`` calls made from here on."""
+        """The shapes of the states handed to a workspace's helper from here on."""
         calls = []
-        loss = evolution._Helper.loss
+        hand_off = evolution._Workspace._hand_off
 
-        def counted(helper, *args):
-            calls.append(args[1].shape)
-            return loss(helper, *args)
+        def counted(workspace, half, u):
+            calls.append(u.shape)
+            return hand_off(workspace, half, u)
 
-        monkeypatch.setattr(evolution._Helper, "loss", counted)
+        monkeypatch.setattr(evolution._Workspace, "_hand_off", counted)
         return calls
+
+    @staticmethod
+    def split_rhs(wp, wm, shape):
+        """A two-thread workspace for states of ``shape`` and its plan's right-hand side."""
+        workspace = evolution._Workspace(ODD_RATES, wp, wm, StepConfig(dt=0.05, threads=2),
+                                         shape)
+        return workspace, workspace.plan(shape).rhs
 
     @pytest.mark.parametrize("shape", [(128, 128), (256, 256), (2, 128, 128)],
                              ids=["128", "256", "batched-pair"])
@@ -248,32 +255,31 @@ class TestSplitRhs:
         before = values.copy()
         expected = reference_reaction(ODD_RATES, values, *reference_pair(wp, wm, values))
         assert np.array_equal(rhs_values(ODD_RATES, wp, wm, values), expected)
-        helper = evolution._Helper()
+        assert hand_offs == []
+        workspace, rhs = self.split_rhs(wp, wm, shape)
         try:
-            for _ in range(2):  # the second call reuses the helper's buffers
-                assert np.array_equal(rhs_values(ODD_RATES, wp, wm, values, helper=helper),
-                                      expected)
+            for _ in range(2):  # the second call reuses the plan's buffers
+                assert np.array_equal(rhs(values), expected)
         finally:
-            helper.close()
+            workspace.close()
         assert hand_offs == [shape] * 2
         assert np.array_equal(values, before)
 
     def test_hand_offs_under_a_short_switch_interval(self):
-        """The helper's buffers are reused call after call; with the interpreter switching
+        """A plan's buffers are reused call after call; with the interpreter switching
         threads every 10 us, no result reads a buffer that the next call writes."""
         wp, wm, values = self.case((128, 128))
         states = [values, 0.5 * values, values[::-1].copy()]
         expected = [reference_reaction(ODD_RATES, v, *reference_pair(wp, wm, v))
                     for v in states]
-        helper = evolution._Helper()
+        workspace, rhs = self.split_rhs(wp, wm, values.shape)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            results = [rhs_values(ODD_RATES, wp, wm, v, helper=helper)
-                       for _ in range(20) for v in states]
+            results = [rhs(v).copy() for _ in range(20) for v in states]
         finally:
             sys.setswitchinterval(interval)
-            helper.close()
+            workspace.close()
         assert all(np.array_equal(got, want)
                    for got, want in zip(results, expected * 20))
 
@@ -289,23 +295,26 @@ class TestSplitRhs:
         assert len(hand_offs) == (4 if splits else 0)
 
     @pytest.mark.parametrize("case", ["shared", "small", "exp_euler", "direct"])
-    def test_no_helper_when_a_condition_fails(self, case):
+    def test_no_helper_when_a_condition_fails(self, case, hand_offs):
         wp, wm, values = self.case((64, 64) if case == "small" else (128, 128))
         wm = wp if case == "shared" else wm
+        if case == "direct":  # a compact a- keeps the direct sums short
+            grid = Grid(dimension=2, half_length=16.0, points_per_axis=128)
+            wm = discretize(Kernel("compact_uniform", 2, radius=1.0), grid)
         cfg = StepConfig(dt=0.05, threads=2,
                          method="exp_euler" if case == "exp_euler" else "rk4",
                          conv_backend="direct" if case == "direct" else "fft")
-        assert evolution._start_helper(wp, wm, values, cfg) is None
+        march(ODD_RATES, wp, wm, values, cfg)
+        assert hand_offs == []
 
-    def test_default_cap_is_the_affinity(self, monkeypatch):
+    def test_default_cap_is_the_affinity(self, monkeypatch, hand_offs):
         wp, wm, values = self.case((128, 128))
-        for cpus, splits in (({0}, False), ({0, 3}, True)):
+        for cpus, splits in (({0}, 0), ({0, 3}, 4)):
             monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: cpus,
                                 raising=False)
-            helper = evolution._start_helper(wp, wm, values, StepConfig(dt=0.05))
-            assert (helper is not None) == splits
-            if helper is not None:
-                helper.close()
+            hand_offs.clear()
+            march(ODD_RATES, wp, wm, values, StepConfig(dt=0.05))
+            assert len(hand_offs) == splits
 
     def test_non_finite_state_names_the_floor_without_warnings(self, hand_offs):
         wp, wm, values = self.case((128, 128))
@@ -358,9 +367,8 @@ class TestWorkspace:
         states = []
         with monkeypatch.context() as patched:
             patched.setattr(evolution, "_circular_step", reference_circular_step)
-            for _ in range(steps):
-                values = _advance(params, wp, wm, values, cfg)
-                states.append(values)
+            evolution._march(_advance, params, wp, wm, values, cfg, steps * cfg.dt,
+                             lambda k, state, final: states.append(state))
         return states
 
     def check(self, monkeypatch, params, wp, wm, values, cfg, steps):
@@ -409,6 +417,50 @@ class TestWorkspace:
         for plus, minus in ((wp, wm), (other, wp), (wm, other)):
             self.check(monkeypatch, ODD_RATES, plus, minus, values, cfg, 2)
             assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_march_frees_its_workspace_on_return(self, monkeypatch, threads):
+        """Plans refer back to their workspace; the march breaks that cycle, so its
+        buffers are freed when it returns, not at the next garbage collection."""
+        wp, wm, values = TestSplitRhs.case((128, 128))
+        workspaces = []
+        init = evolution._Workspace.__init__
+        monkeypatch.setattr(evolution._Workspace, "__init__",
+                            lambda workspace, *args: workspaces.append(weakref.ref(workspace))
+                            or init(workspace, *args))
+        gc.disable()
+        try:
+            march(ODD_RATES, wp, wm, values, StepConfig(dt=0.05, threads=threads), 2)
+            assert [ref() for ref in workspaces] == [None]
+        finally:
+            gc.enable()
+
+    def test_line_march_plans_nothing_and_starts_no_thread(self, monkeypatch, gauss_line):
+        """A line's right-hand sides make fresh arrays: its march, on 2^14 points with
+        a+ not a- at two threads, builds no plan, so it allocates no buffer and hands
+        nothing off."""
+        wp = waves.sample_line_kernel(gauss_line, 0.1)
+        wm = waves.sample_line_kernel(reduce_to_direction(Kernel("laplace", 1, mu=1.0), [1.0]),
+                                      0.1)
+        s = 0.1 * (np.arange(2**14) - 2**13)
+        psi = 0.5 * ODD_RATES.theta * (1.0 - np.tanh(s))
+        cfg = StepConfig(dt=0.02, threads=2)
+        workspaces, built = [], []
+        init, build = evolution._Workspace.__init__, evolution._Workspace._build
+        monkeypatch.setattr(evolution._Workspace, "__init__",
+                            lambda workspace, *args: workspaces.append(workspace)
+                            or init(workspace, *args))
+        monkeypatch.setattr(evolution._Workspace, "_build",
+                            lambda workspace, shape: built.append(shape) or build(workspace, shape))
+        before = set(threading.enumerate())
+        seen = []
+        evolution._march(waves._line_advance, ODD_RATES, wp, wm, psi, cfg, 2 * cfg.dt,
+                         lambda k, state, last: seen.append(set(threading.enumerate())))
+        assert built == []
+        (workspace,) = workspaces
+        assert workspace._real == [] and workspace._complex == []
+        assert seen == [before] * 2
+        assert set(threading.enumerate()) == before
 
 
 class TestNoAliasing:
@@ -465,21 +517,26 @@ class TestSharedKernel:
         return lambda: transforms["irfft"] + transforms["direct"]
 
     @pytest.mark.parametrize("backend", ["fft", "direct"])
-    def test_rhs_values(self, canon, gauss_weights, twin, calls, backend):
+    def test_rhs_values(self, canon, gauss_weights, twin, calls, backend, monkeypatch):
+        built = []
+        init = evolution._Workspace.__init__
+        monkeypatch.setattr(evolution._Workspace, "__init__",
+                            lambda workspace, *args: built.append(args) or init(workspace, *args))
         u = np.random.default_rng(3).random(gauss_weights.shape)
         shared = rhs_values(canon, gauss_weights, gauss_weights, u, backend)
         assert calls() == 1
         separate = rhs_values(canon, gauss_weights, twin, u, backend)
         assert calls() == 3
         assert np.array_equal(shared, separate)
+        assert built == []  # the reference expression needs no march's workspace
 
     @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("exp_euler", 1)])
     def test_advance(self, canon, gauss_weights, twin, calls, method, per_step):
         u = np.random.default_rng(4).random(gauss_weights.shape)
         cfg = StepConfig(dt=0.01, method=method)
-        shared = _advance(canon, gauss_weights, gauss_weights, u, cfg)
+        shared = march(canon, gauss_weights, gauss_weights, u, cfg)
         assert calls() == per_step
-        separate = _advance(canon, gauss_weights, twin, u, cfg)
+        separate = march(canon, gauss_weights, twin, u, cfg)
         assert calls() == 3 * per_step
         assert np.array_equal(shared, separate)
 
@@ -542,7 +599,7 @@ class TestStep:
     def test_non_finite_state_names_the_floor_without_one(self, canon, floor, remedy):
         """The remedy is named for a floor of 0 or one below the state's roundoff level,
         here eps * max|u| = 2.2e-16."""
-        def overflow(params, wplus, wminus, values, cfg, helper):
+        def overflow(params, wplus, wminus, values, cfg, workspace):
             return np.exp(1e3 * values)
 
         with warnings.catch_warnings():
@@ -686,8 +743,8 @@ class TestWindow:
         cfg = StepConfig(dt=0.01, floor=1e-14)
         u = bump_field(grid, 0.3 if dimension == 1 else (0.3, -1.1), 2.0, 0.4).values
         ref = u.copy()
+        u = march(canon, w, w, u, cfg, steps)
         for _ in range(steps):
-            u = _advance(canon, w, w, u, cfg)
             ref = whole_grid_step(canon, w, w, ref, cfg)
         windowed = [shape for shape in transform_shapes if shape != grid.shape]
         assert len(windowed) == 4 * steps
@@ -701,9 +758,7 @@ class TestWindow:
         # without a floor the span grows by four reaches a step: 41, 713, 1385, 2057 cells
         for floor, windowed_steps in ((1e-14, 3), (0.0, 2)):
             transform_shapes.clear()
-            v = u
-            for _ in range(3):
-                v = _advance(canon, w, w, v, StepConfig(dt=0.01, floor=floor))
+            march(canon, w, w, u, StepConfig(dt=0.01, floor=floor), 3)
             assert sum(shape != grid.shape for shape in transform_shapes) == 4 * windowed_steps
 
     @pytest.mark.parametrize("case", ["wrap", "power_tail", "constant"])
@@ -720,11 +775,11 @@ class TestWindow:
         else:
             u = constant_field(grid, 0.5).values
         cfg = StepConfig(dt=0.01, method=method, floor=1e-14)
-        expected = evolution._circular_step(canon, w, w, u, cfg)
+        expected = evolution._march(evolution._circular_step, canon, w, w, u, cfg, cfg.dt)
         if method == "rk4":
             assert np.array_equal(expected, whole_grid_step(canon, w, w, u, cfg))
         transform_shapes.clear()
-        assert np.array_equal(_advance(canon, w, w, u, cfg), expected)
+        assert np.array_equal(march(canon, w, w, u, cfg), expected)
         assert set(transform_shapes) == {grid.shape}
 
     def test_batch_takes_one_window_over_the_grid_axis(self, canon, transform_shapes):
@@ -734,7 +789,7 @@ class TestWindow:
         # disjoint supports: the window must cover both slices' spans
         pair = np.stack([bump_field(grid, -12.0, 2.0, 0.4).values,
                          bump_field(grid, 9.0, 1.5, 0.6).values])
-        out = _advance(canon, w, w, pair, cfg)
+        out = march(canon, w, w, pair, cfg)
         (shape,) = set(transform_shapes)
         assert shape[0] == 2 and shape[1] < grid.points_per_axis
         for got, start in zip(out, pair):

@@ -1,8 +1,9 @@
 """Per-call timings of the periodic step's layers at fixed sizes, at one and two threads.
 
-Times ``evolution.convolve_pair``, ``evolution.rhs_values`` and one
-``evolution._advance`` (RK4; dt 0.002 and floor 1e-14 in 1-D, dt 0.05 in 2-D)
-in this process, on the canonical rates kappa_plus = 2, kappa_minus = 1, m = 1:
+Times ``evolution.convolve_pair``, ``evolution.rhs_values`` and
+``evolution._advance`` steps (RK4; dt 0.002 and floor 1e-14 in 1-D, dt 0.05 in
+2-D) in this process, on the canonical rates kappa_plus = 2, kappa_minus = 1,
+m = 1:
 
 * ``1d-8192-whole``: the invasion grid (N 8192, half-length 200) with one
   sigma = 1 gaussian for a+ and a-, on a state that is nonzero everywhere, so
@@ -20,13 +21,13 @@ in this process, on the canonical rates kappa_plus = 2, kappa_minus = 1, m = 1:
   the centre, over which the window's transform length takes nine values from
   1440 to 2160 points; its figures are per step.
 
-``_advance`` runs as in a march: a checkout with ``evolution._Workspace`` gives
-every call of a case one workspace, so its buffers and right-hand side are
-built once.  The 2-D cases run once more at two threads: ``rhs_values`` and
-``_advance`` are given a helper thread (``evolution._Helper``), and every
-right-hand side splits, also below ``evolution._SPLIT_POINTS`` (2^14 points),
-so that the figures show where the split starts to pay.  ``convolve_pair`` has
-no two-thread form.
+``_advance`` runs as a run does, in an ``evolution._march``: each block is one
+march of the block's steps from the case's state, so its figures are per step
+and include the march's set-up.  The 2-D cases march once more at two
+threads, where every right-hand side splits, also below
+``evolution._SPLIT_POINTS`` (2^14 points), so that the figures show where the
+split starts to pay.  ``convolve_pair`` and ``rhs_values`` have no two-thread
+form.
 
 Each figure is the minimum, and the median, over ``--repeats`` blocks of the
 per-call mean of a block's calls, with the minor page faults per call
@@ -45,6 +46,7 @@ alternation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import resource
 import statistics
@@ -153,39 +155,19 @@ def main(argv: list[str] | None = None) -> int:
           f"min of {args.repeats} blocks")
     print(f"{'case':<18} {'layer':<14} {'threads':>7} {'min us':>10} {'median us':>10} "
           f"{'minflt/call':>12}")
-    evolution._SPLIT_POINTS = 1  # with a helper, every size splits
+    evolution._SPLIT_POINTS = 1  # at two threads, every size splits
     for name in CASES:
         params, wp, wm, segment, state, cfg = cases[name]
-
-        def workspace(helper=None):
-            """A march's workspace for ``state``, or ``helper`` at a parent checkout."""
-            if not hasattr(evolution, "_Workspace"):
-                return helper
-            return evolution._Workspace(params, wp, wm, "fft", state.shape, helper)
-
-        one = workspace()
-        layers = [
-            ("convolve_pair", 1, lambda: evolution.convolve_pair(wp, wm, segment)),
-            ("rhs_values", 1, lambda: evolution.rhs_values(params, wp, wm, segment)),
-            ("_advance", 1, lambda: evolution._advance(params, wp, wm, state, cfg, one)),
-        ]
-        # a parent checkout without the helper times one thread only
-        split = name.startswith("2d") and hasattr(evolution, "_Helper")
-        helper = evolution._Helper() if split else None
-        if helper is not None:
-            two = workspace(helper)
-            layers += [
-                ("rhs_values", 2,
-                 lambda: evolution.rhs_values(params, wp, wm, segment, helper=helper)),
-                ("_advance", 2, lambda: evolution._advance(params, wp, wm, state, cfg, two)),
-            ]
-        try:
-            for layer, threads, fn in layers:
-                best, median, faults = _measure(fn, CALLS[name], args.repeats)
-                _row(name, layer, threads, best, median, faults)
-        finally:
-            if helper is not None:
-                helper.close()
+        calls = CALLS[name]
+        for layer, fn in (("convolve_pair", lambda: evolution.convolve_pair(wp, wm, segment)),
+                          ("rhs_values", lambda: evolution.rhs_values(params, wp, wm, segment))):
+            _row(name, layer, 1, *_measure(fn, calls, args.repeats))
+        for threads in (1, 2) if name.startswith("2d") else (1,):
+            steps = dataclasses.replace(cfg, threads=threads)
+            best, median, faults = _measure(
+                lambda: evolution._march(evolution._advance, params, wp, wm, state, steps,
+                                         calls * steps.dt), 1, args.repeats)
+            _row(name, "_advance", threads, best / calls, median / calls, faults / calls)
     best, median, faults = _measure(_march(nlkpp), 1, args.repeats)
     _row("1d-invasion-march", "_march/step", 1, best / MARCH_STEPS, median / MARCH_STEPS,
          faults / MARCH_STEPS)
