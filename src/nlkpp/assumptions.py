@@ -121,14 +121,11 @@ def check_assumptions(
     a2 = bool(margin[worst] >= -1e-14)
     worst_point = tuple(float(c) for c in pts[worst])
 
-    # A3 / radial moment: finiteness is an analytic property of the family.
+    # A3 and the radial moment share one witness: finiteness is an analytic property
+    # of the family, and both hold exactly when a+ has a positive abscissa
+    a3 = None
     if a_plus.abscissa > 0:
-        witness = 1.0 if math.isinf(a_plus.abscissa) else a_plus.abscissa / 2.0
-        a3: float | None = witness
-        mu_d: float | None = witness
-    else:
-        a3 = None
-        mu_d = None
+        a3 = 1.0 if math.isinf(a_plus.abscissa) else a_plus.abscissa / 2.0
 
     a4 = None
     if a1 and a2:
@@ -145,6 +142,6 @@ def check_assumptions(
         A2_kernel_domination=a2,
         A3_mollison=a3,
         A4_gap_positive_near_origin=a4,
-        radial_exp_moment=mu_d,
+        radial_exp_moment=a3,
         A2_worst_point=worst_point,
     )

@@ -113,12 +113,12 @@ def _grid(cfg: ScenarioConfig) -> Grid:
 _SNAPSHOT_ROW = "%s%.17g"  # the row format of a (prefix, u) from _snapshot_rows
 
 
-def _snapshot_rows(traj, grid: Grid):
-    """(prefix, u) for every grid point of every snapshot; the "t,x1,...,xd," prefix
-    is formatted once per file and snapshot time, not once per row."""
+def _snapshot_rows(fields: list[Field], grid: Grid):
+    """(prefix, u) for every grid point of every field; the "t,x1,...,xd," prefix
+    is formatted once per file and field time, not once per row."""
     axis = ["%.17g," % x for x in grid.axis_coords().tolist()]
     points = ["".join(x) for x in itertools.product(axis, repeat=grid.dimension)]
-    for f in traj.snapshots:
+    for f in fields:
         t = "%.17g," % f.time
         yield from zip([t + x for x in points], f.values.ravel().tolist())
 
@@ -129,14 +129,10 @@ def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
                     cfg.time.horizon, snapshot_stride=cfg.time.snapshot_stride)
     grid = cfg.grid
     header = ["t", *(f"x{i}" for i in range(1, grid.dimension + 1)), "u"]
-    if cfg.output.split_snapshots:
-        for idx, f in enumerate(traj.snapshots):
-            sub = type(traj)()
-            sub.append(f)
-            _write_csv(out / f"snapshot_{idx:04d}.csv", header, _snapshot_rows(sub, grid),
-                       _SNAPSHOT_ROW)
-    else:
-        _write_csv(out / "snapshots.csv", header, _snapshot_rows(traj, grid), _SNAPSHOT_ROW)
+    files = ([(f"snapshot_{idx:04d}.csv", [f]) for idx, f in enumerate(traj.snapshots)]
+             if cfg.output.split_snapshots else [("snapshots.csv", traj.snapshots)])
+    for name, fields in files:
+        _write_csv(out / name, header, _snapshot_rows(fields, grid), _SNAPSHOT_ROW)
     theta = max(cfg.params.theta, 0.0)
     return {
         "scenario.command": "simulate",

@@ -104,8 +104,7 @@ _KERNEL_KEYS = {
 # the list of accepted ones.  A converter's error is refused with the key's line.
 _KEYS = {
     # threads: StepConfig's cap on the threads of a run; None: the CPUs it may run on
-    "scenario": {"command": (_one_of(COMMANDS, "command"), "simulate"), "seed": (int, 0),
-                 "threads": (_int_at_least(1), None)},
+    "scenario": {"seed": (int, 0), "threads": (_int_at_least(1), None)},
     "model": {"kappa_plus": (_positive, _REQUIRED), "kappa_minus": (_positive, _REQUIRED),
               "mortality": (_positive, _REQUIRED)},
     "kernel_plus": _KERNEL_KEYS,
@@ -197,7 +196,7 @@ class ScenarioConfig:
     """The domain objects of a scenario, and its other sections as namespaces.
 
     ``time`` holds the ``[time]`` keys that ``step`` does not, ``horizon``
-    and ``snapshot_stride``; ``scenario.command`` is the effective command
+    and ``snapshot_stride``; ``scenario.command`` is the command to run
     and ``initial`` is None without an ``[initial]`` section.
     """
 
@@ -268,12 +267,11 @@ def _ordered(sections, section: str, keys: dict, low: str, high: str) -> None:
         raise ConfigError(f"need {low} < {high}, got {keys[low]} and {keys[high]}", line)
 
 
-def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
-    """Parse a scenario configuration; unknown keys are hard errors.
+def parse_config(text: str, command: str = "simulate") -> ScenarioConfig:
+    """Parse a scenario configuration for ``command``; unknown keys are hard errors.
 
     A missing ``[grid]`` or ``[initial]`` section means none; any other
-    missing section takes the table's defaults.  ``command`` overrides
-    ``[scenario] command``.
+    missing section takes the table's defaults.
     """
     sections = _parse_lines(text)
     params = ModelParams(**_section(sections, "model"))
@@ -298,7 +296,7 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
     speed_lines = [_line(sections, "wave", key) for key in ("speed", "speed_factor")]
     if None not in speed_lines:  # cite the later line, as _ordered does
         raise ConfigError("give [wave] speed or speed_factor, not both", max(speed_lines))
-    spaces["scenario"]["command"] = command or spaces["scenario"]["command"]
+    spaces["scenario"]["command"] = command
     time = spaces["time"]  # StepConfig takes three keys; cfg.time keeps the other two
     step = StepConfig(dt=time.pop("dt"), method=time.pop("method"), floor=time.pop("floor"),
                       threads=spaces["scenario"].pop("threads"))
@@ -307,7 +305,7 @@ def parse_config(text: str, command: str | None = None) -> ScenarioConfig:
         initial=initial, **{name: SimpleNamespace(**keys) for name, keys in spaces.items()})
 
 
-def load_config(path: str | Path, command: str | None = None) -> ScenarioConfig:
+def load_config(path: str | Path, command: str = "simulate") -> ScenarioConfig:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:

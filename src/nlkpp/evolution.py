@@ -14,12 +14,12 @@ the state or grid, as in ``rhs_values(params, wplus, wminus, values)``,
 weights with a state or grid refuses a grid of another shape (``_on_grid``).
 
 A fixed-step run is one ``_march``, which owns its step: its ``_Workspace``
-holds, for each transform shape the run meets (the grid, or an occupied
-window's fast length), views of a fixed set of flat arrays and one rk4
-right-hand side bound to them, the kernel spectra and the rates, and the one
-helper thread that makes the a- halves of right-hand sides that split.  Each
-step returns its state as a fresh array, and nothing holds the buffers or the
-thread once the march returns.
+holds one plan, for the transform shape of the last step (the grid, or an
+occupied window's fast length): buffers made at that shape and one rk4
+right-hand side bound to them, the kernel spectra and the rates.  It also
+holds the one helper thread that makes the a- halves of right-hand sides that
+split.  Each step returns its state as a fresh array, and nothing holds the
+buffers or the thread once the march returns.
 """
 from __future__ import annotations
 
@@ -210,63 +210,54 @@ def _thread_cap(cfg: StepConfig) -> int:
 
 
 class _Plan(NamedTuple):
-    """A workspace's step at one shape: the rk4 right-hand side and two buffers."""
+    """A workspace's step at one shape: the shape, the rk4 right-hand side and two buffers."""
 
+    shape: tuple[int, ...]
     rhs: Callable[[np.ndarray], np.ndarray]
     stage: np.ndarray  # the rk4 stage states
     segment: np.ndarray  # a window of the state, zero-extended to the shape
 
 
 class _Workspace:
-    """The step of one march: its buffers, rk4 right-hand sides and helper thread.
+    """The step of one march: its plan, rk4 right-hand side and helper thread.
 
-    It holds one ``_Plan`` per transform shape, built when a step first meets
-    the shape and reused after.  Every buffer is a view of one of a fixed set
-    of flat arrays sized for the march's state ``shape``, which bounds every
-    shape a step transforms; they are allocated by the first plan.  A plan's
-    right-hand side binds the rates and the kernel spectra; it makes
-    ``_reaction``'s operations in its order and returns a buffer that its next
-    call overwrites.  It splits, making the a- half on a helper thread, when
-    the kernels differ, the backend is fft, the shape holds at least
-    ``_SPLIT_POINTS`` values and ``_thread_cap`` allows two threads.  The
-    helper is one worker, started at the first hand-off and joined by
+    It holds one ``_Plan``, for the shape its last step met, with buffers made
+    at that shape; a step at another shape replaces it (the kernel spectra stay
+    cached on the weights).  A plan's right-hand side binds the rates and the
+    kernel spectra; it makes ``_reaction``'s operations in its order and
+    returns a buffer that its next call overwrites.  It splits, making the a- half on a
+    helper thread, when the kernels differ, the backend is fft, the shape holds
+    at least ``_SPLIT_POINTS`` values and ``_thread_cap`` allows two threads.
+    The helper is one worker, started at the first hand-off and joined by
     ``close``; a half writes into its plan's buffers, calls no public function
     of the package and runs under the numpy error state of the thread that
     handed it off, which ``np.errstate`` does not carry to a worker.
     """
 
     def __init__(self, params: ModelParams, wplus: _Samples, wminus: _Samples,
-                 cfg: StepConfig, shape: tuple[int, ...]) -> None:
-        self._model = (params, wplus, wminus, cfg, shape)
-        self._real: list[np.ndarray] = []
-        self._complex: list[np.ndarray] = []
-        self._plans: dict[tuple[int, ...], _Plan] = {}
+                 cfg: StepConfig) -> None:
+        self._model = (params, wplus, wminus, cfg)
+        self._plan: _Plan | None = None
         self._pool = None
 
     def plan(self, shape: tuple[int, ...]) -> _Plan:
-        """The plan for states of ``shape``, built on the first call at that shape."""
-        if shape not in self._plans:
-            self._plans[shape] = self._build(shape)
-        return self._plans[shape]
+        """The plan for states of ``shape``, built when the last step met another shape."""
+        if self._plan is None or self._plan.shape != shape:
+            self._plan = self._build(shape)
+        return self._plan
 
     def _build(self, shape: tuple[int, ...]) -> _Plan:
-        params, wplus, wminus, cfg, bound = self._model
-        if not self._real:
-            self._real = [np.empty(math.prod(bound)) for _ in range(7)]
-            self._complex = [np.empty(math.prod(_spectral(bound)), complex) for _ in range(3)]
-        n, m = math.prod(shape), math.prod(_spectral(shape))
-        segment, stage, conv_p, conv_m, gain, scratch, loss = (
-            flat[:n].reshape(shape) for flat in self._real)
-        spectrum, product_p, product_m = (
-            flat[:m].reshape(_spectral(shape)) for flat in self._complex)
+        params, wplus, wminus, cfg = self._model
+        segment, stage, conv_p, conv_m, gain, scratch, loss = (np.empty(shape) for _ in range(7))
+        spectrum, product_p, product_m = (np.empty(_spectral(shape), complex) for _ in range(3))
         if cfg.conv_backend != "fft":
-            return _Plan(lambda u: rhs_values(params, wplus, wminus, u, cfg.conv_backend),
+            return _Plan(shape, lambda u: rhs_values(params, wplus, wminus, u, cfg.conv_backend),
                          stage, segment)
 
         grid = shape[len(shape) - wplus.weights.ndim:]
         spectrum_p, spectrum_m = wplus.spectrum(grid), wminus.spectrum(grid)
         shared = wminus is wplus
-        split = not shared and n >= _SPLIT_POINTS and _thread_cap(cfg) >= 2
+        split = not shared and math.prod(shape) >= _SPLIT_POINTS and _thread_cap(cfg) >= 2
 
         def convolved(kernel_spectrum: np.ndarray, product: np.ndarray,
                       result: np.ndarray) -> np.ndarray:
@@ -286,7 +277,7 @@ class _Workspace:
             return np.subtract(plus_half, minus_half(u) if half is None else half.result(),
                                out=gain)
 
-        return _Plan(rhs, stage, segment)
+        return _Plan(shape, rhs, stage, segment)
 
     def _hand_off(self, half, u: np.ndarray):
         """A future of ``half(u)`` on the helper thread; ``u`` and what ``half`` reads
@@ -298,14 +289,14 @@ class _Workspace:
         return self._pool.submit(np.errstate(**np.geterr())(half), u)
 
     def close(self) -> None:
-        """Join the helper thread, if a hand-off started it, and drop the plans.
+        """Join the helper thread, if a hand-off started it, and drop the plan.
 
         A plan's right-hand side refers back to the workspace, so without this the
         buffers would wait for the cyclic garbage collector after the march.
         """
         if self._pool is not None:
             self._pool.shutdown()
-        self._plans.clear()
+        self._plan = None
 
 
 def _rk4(f, values: np.ndarray, dt: float, stage: np.ndarray | None = None) -> np.ndarray:
@@ -434,21 +425,22 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
 
     ``advance(params, wplus, wminus, values, cfg, workspace)`` is one step:
     ``_advance`` for the periodic equation, ``waves._line_advance`` for the
-    line.  ``workspace`` is the loop's ``_Workspace``, closed and dropped when
-    the loop returns or raises.  Each step's state is a fresh array, so the states
-    that ``observe`` sees and the one returned keep their values.  The loop
-    owns the checks every run needs: the stability guard, a horizon that is a
-    whole number of steps, and a finite state after each step k, which
-    ``observe(k, values, last)`` then sees.  A non-finite state names
-    ``[time] floor`` as the remedy when the floor is 0 or below the roundoff
-    level eps * max|u| of the last finite state: such a floor lets roundoff
-    noise in the far field grow at rate kappa_plus - m.
+    line.  ``workspace`` is the loop's ``_Workspace``, which keeps the plan of
+    the last step's shape; it is closed and dropped when the loop returns or
+    raises.  Each step's state is a fresh array, so the states that ``observe``
+    sees and the one returned keep their values.  The loop owns the checks
+    every run needs: the stability guard, a horizon that is a whole number of
+    steps, and a finite state after each step k, which ``observe(k, values,
+    last)`` then sees.  A non-finite state names ``[time] floor`` as the
+    remedy when the floor is 0 or below the roundoff level eps * max|u| of the
+    last finite state: such a floor lets roundoff noise in the far field grow
+    at rate kappa_plus - m.
     """
     cfg.validate(params)
     n_steps = int(round(horizon / cfg.dt))
     if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
-    workspace = _Workspace(params, wplus, wminus, cfg, values.shape)
+    workspace = _Workspace(params, wplus, wminus, cfg)
     try:
         for k in range(1, n_steps + 1):
             finite = values
@@ -483,7 +475,7 @@ def simulate(params: ModelParams, wplus: SampledWeights, wminus: SampledWeights,
 
     def snapshot(k: int, values: np.ndarray, last: bool) -> None:
         if k % snapshot_stride == 0 or last:
-            traj.append(Field(u0.grid, values.copy(), u0.time + k * cfg.dt))
+            traj.append(Field(u0.grid, values, u0.time + k * cfg.dt))
 
     _march(_advance, params, wplus, wminus, u0.values, cfg, horizon, snapshot, u0.time)
     return traj

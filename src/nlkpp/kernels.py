@@ -242,12 +242,17 @@ class Kernel1D:
 
         Every line density is symmetric about its center, so the integral
         converges for |lam| < lambda0 and diverges beyond; at the abscissa the
-        tail power decides.
+        tail power decides.  A scale past the float range, where ``_integral``
+        overflows or divides by zero, is refused with a ``KernelError``.
         """
         if abs(lam) > self.lambda0 or (abs(lam) == self.lambda0
                                        and self.tail_power <= power + 1):
             return math.inf
-        return self._integral(lam, power)
+        try:
+            return self._integral(lam, power)
+        except ArithmeticError as exc:
+            raise KernelError(f"{self.kernel.family} line moment of power {power} at lambda "
+                              f"= {lam:g} leaves the float range ({type(exc).__name__})") from exc
 
     def _integral(self, lam: float, power: int) -> float:
         """int s^power a(s) e^{lam s} ds for lam inside the abscissa."""

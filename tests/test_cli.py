@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -211,6 +212,8 @@ class TestParsing:
          "family = laplace"),
         ("sigma = 1.0", "sigma = -1.0", "family = gaussian"),
         ("seed = 11", "seed = 11\ncommand = bogus", "command = bogus"),
+        # the command is the CLI's subcommand alone: the config may not name one
+        ("seed = 11", "seed = 11\ncommand = simulate", "command = simulate"),
     ])
     def test_whole_config_errors_cite_the_line_of_their_key(self, old, new, cited):
         text = BASE.replace(old, new, 1)
@@ -448,8 +451,9 @@ class TestScenarios:
     @pytest.mark.parametrize("mu, kind, overflow", [("1e200", "OverflowError", False),
                                                     ("1e-200", "ZeroDivisionError", True)])
     def test_line_moment_arithmetic_error_writes_error(self, tmp_path, mu, kind, overflow):
-        # the 1-D laplace line's closed-form moments overflow (mu^2) or divide by zero;
-        # at mu = 1e-200 the assumption check then samples points out to 8e200, whose
+        # the 1-D laplace line's closed-form moments overflow (mu^2) or divide by zero, which
+        # _moment refuses as a KernelError naming the family, the power and lambda; at
+        # mu = 1e-200 the assumption check then samples points out to 8e200, whose
         # squares overflow with a RuntimeWarning
         cfg_file = tmp_path / "d.cfg"
         cfg_file.write_text(BASE.replace("family = gaussian\nsigma = 1.0",
@@ -458,8 +462,9 @@ class TestScenarios:
             rc = main(["dispersion", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 1
         entries = summary_dict(tmp_path / "out")
-        assert entries["error"]
-        assert entries["error.type"] == kind
+        assert re.fullmatch(r"laplace line moment of power 0 at lambda = \S+ leaves the "
+                            rf"float range \({kind}\)", entries["error"])
+        assert entries["error.type"] == "KernelError"
 
     @pytest.mark.parametrize("text, message, kind", [
         (BASE + "\n[wave]\nspacing = 0.1\ndomain_left = -5\ndomain_right = 5\n",

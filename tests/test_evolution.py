@@ -243,9 +243,8 @@ class TestSplitRhs:
 
     @staticmethod
     def split_rhs(wp, wm, shape):
-        """A two-thread workspace for states of ``shape`` and its plan's right-hand side."""
-        workspace = evolution._Workspace(ODD_RATES, wp, wm, StepConfig(dt=0.05, threads=2),
-                                         shape)
+        """A two-thread workspace and its plan's right-hand side for states of ``shape``."""
+        workspace = evolution._Workspace(ODD_RATES, wp, wm, StepConfig(dt=0.05, threads=2))
         return workspace, workspace.plan(shape).rhs
 
     @pytest.mark.parametrize("shape", [(128, 128), (256, 256), (2, 128, 128)],
@@ -372,13 +371,17 @@ class TestWorkspace:
         return states
 
     def check(self, monkeypatch, params, wp, wm, values, cfg, steps):
-        """Checks a march of ``steps`` steps; returns the shapes its workspace planned."""
-        shapes = []
-        plan = evolution._Workspace.plan
+        """Checks a march of ``steps`` steps, whose shapes never come back, so that it
+        builds each once; returns the shapes its workspace planned."""
+        shapes, built = [], []
+        plan, build = evolution._Workspace.plan, evolution._Workspace._build
         with monkeypatch.context() as patched:
             patched.setattr(evolution._Workspace, "plan",
                             lambda workspace, shape: shapes.append(shape) or plan(workspace, shape))
+            patched.setattr(evolution._Workspace, "_build",
+                            lambda workspace, shape: built.append(shape) or build(workspace, shape))
             seen, last = self.march(params, wp, wm, values, cfg, steps)
+        assert built == list(dict.fromkeys(shapes))  # one build per shape, in the order met
         expected = self.reference(monkeypatch, params, wp, wm, values, cfg, steps)
         assert len(seen) == steps
         for (state, _), want in zip(seen, expected):
@@ -390,6 +393,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_floored_line_over_changing_windows(self, monkeypatch, shared):
+        """A spreading bump's window only grows: one plan per window shape, none the grid's."""
         grid = Grid(dimension=1, half_length=102.4, points_per_axis=2048)
         wp = discretize(Kernel("gaussian", 1, sigma=1.0), grid)
         wm = wp if shared else discretize(Kernel("gaussian", 1, sigma=0.7), grid)
@@ -398,6 +402,28 @@ class TestWorkspace:
         shapes = self.check(monkeypatch, ODD_RATES, wp, wm, values, cfg, 40)
         assert len(shapes) >= 3, shapes
         assert all(shape[0] < grid.points_per_axis for shape in shapes)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_shape_that_comes_back_is_rebuilt(self, monkeypatch, threads):
+        """One workspace steps states of shapes A, B, A: the plan rebuilt for A, and the
+        helper that outlived the plan it was started for, give the reference bits."""
+        wp, wm, plane = TestSplitRhs.case((128, 128))
+        pair = np.stack([plane, 0.5 * plane[::-1]])
+        cfg = StepConfig(dt=0.05, threads=threads)
+        built = []
+        build = evolution._Workspace._build
+        monkeypatch.setattr(evolution._Workspace, "_build",
+                            lambda workspace, shape: built.append(shape) or build(workspace, shape))
+        workspace = evolution._Workspace(ODD_RATES, wp, wm, cfg)
+        try:
+            for values in (plane, pair, plane):
+                assert evolution._window(wp, wm, values, cfg) is None
+                got = _advance(ODD_RATES, wp, wm, values, cfg, workspace)
+                assert np.array_equal(
+                    got, reference_circular_step(ODD_RATES, wp, wm, values, cfg))
+        finally:
+            workspace.close()
+        assert built == [plane.shape, pair.shape, plane.shape]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_plane_with_two_kernels(self, monkeypatch, threads):
@@ -455,11 +481,11 @@ class TestWorkspace:
         before = set(threading.enumerate())
         seen = []
         evolution._march(waves._line_advance, ODD_RATES, wp, wm, psi, cfg, 2 * cfg.dt,
-                         lambda k, state, last: seen.append(set(threading.enumerate())))
+                         lambda k, state, last: seen.append((set(threading.enumerate()),
+                                                             workspaces[0]._plan)))
         assert built == []
-        (workspace,) = workspaces
-        assert workspace._real == [] and workspace._complex == []
-        assert seen == [before] * 2
+        assert len(workspaces) == 1
+        assert seen == [(before, None)] * 2
         assert set(threading.enumerate()) == before
 
 

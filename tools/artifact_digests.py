@@ -23,7 +23,8 @@ which that family does not read, and of a gaussian ``sigma = 1e-200``, whose
 normalizer leaves the float range; the runner's (exit 1 with an ``error``
 summary) of a front with ``level = 0``, of a profile file whose ``s`` column
 decreases, of a wave domain of one cell and of a 1-D laplace ``mu = 1e200``
-dispersion, whose line moments overflow.  One more, a 1-D
+dispersion, whose line moments overflow (a ``KernelError`` that names the
+family, the moment's power and lambda).  One more, a 1-D
 invasion on 4096 points to horizon 60 without ``floor``, blows up and exits 1
 with an ``error`` that names ``[time] floor``.  Last come two 2-D ``front``
 runs on 256 x 256 points with a+ (compact_uniform, radius 2) not a- (the
