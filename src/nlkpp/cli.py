@@ -1,10 +1,11 @@
 """Command line runner: scenario orchestration and artifact emission.
 
 Subcommands: ``simulate``, ``dispersion``, ``wave``, ``front``,
-``verify <suite>``.  All artifacts are plain CSV plus a ``summary.txt`` of
-``key = value`` lines; identical configuration and seed produce byte-identical
-output.  ``--threads N`` caps the package's own threads, with the same bits
-at every cap; README ("Command line") states when a run uses a second one.
+``verify <suite>``: ``run_<command>`` runs a command, ``_verify_<suite>`` a
+suite.  All artifacts are plain CSV plus a ``summary.txt`` of ``key = value``
+lines; identical configuration and seed produce byte-identical output.
+``--threads N`` caps the package's own threads, with the same bits at every
+cap; README ("Command line") states when a run uses a second one.
 Computation has a fixed summation order.  The cap does not reach numpy's BLAS
 threads, on which the LAPACK solves of ``wave``'s Newton steps run: a wave's
 artifacts can differ in the last bits between BLAS thread counts, so runs to
@@ -135,7 +136,6 @@ def run_simulate(cfg: ScenarioConfig, out: Path) -> dict:
         _write_csv(out / name, header, _snapshot_rows(fields, grid), _SNAPSHOT_ROW)
     theta = max(cfg.params.theta, 0.0)
     return {
-        "scenario.command": "simulate",
         "simulate.final_time": traj.times[-1],
         "simulate.final_min": traj.mins[-1],
         "simulate.final_max": traj.maxs[-1],
@@ -159,7 +159,6 @@ def run_dispersion(cfg: ScenarioConfig, out: Path) -> dict:
     _write_csv(out / "dispersion.csv", ["lambda", "G"], rows)
     j = char_multiplicity(cfg.params, line, report.c_star, report=report)
     return {
-        "scenario.command": "dispersion",
         "dispersion.lambda_star": report.lambda_star,
         "dispersion.c_star": report.c_star,
         "dispersion.class": report.kernel_class,
@@ -192,7 +191,6 @@ def run_wave(cfg: ScenarioConfig, out: Path) -> dict:
         "residual_sup": profile.residual,
     })
     return {
-        "scenario.command": "wave",
         "wave.speed": c,
         "wave.c_star": report.c_star,
         "wave.lambda_fit": profile.fitted_lambda,
@@ -213,7 +211,7 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     trace = fronts.track_level(traj, level, np.eye(cfg.grid.dimension)[0])
     _write_csv(out / "front_trace.csv", ["t", "position"],
                zip(trace.times.tolist(), trace.positions.tolist()))
-    entries = {"scenario.command": "front", "front.level": level}
+    entries = {"front.level": level}
     try:
         fset = front_set(cfg.params, cfg.kernel_plus, n_directions=cfg.front.n_directions)
         times, deficits = fronts.interior_convergence(traj, fset, cfg.front.shrink, theta)
@@ -235,19 +233,9 @@ def run_front(cfg: ScenarioConfig, out: Path) -> dict:
     return entries
 
 
-def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
-    """The ``comparison`` suite, the one in ``SUITES``."""
+def _verify_comparison(cfg: ScenarioConfig) -> dict:
+    """Random ordered pairs in the strip keep their order, the strip and the lower envelope."""
     theta = cfg.params.require_carrying_capacity()
-    if cfg.verify.necessity:
-        # counterexample mode: domination deliberately violated near the origin
-        worst_overshoot = _necessity_counterexample(cfg)
-        return {
-            "scenario.command": "verify",
-            "verify.suite": "comparison-necessity",
-            "verify.max_overshoot_above_theta": worst_overshoot,
-            "verify.violations": 0 if worst_overshoot > 1e-4 else 1,
-        }
-
     wp, wm = _per_kernel(discretize, cfg.kernel_plus, cfg.kernel_minus, _grid(cfg))
     rng = np.random.default_rng(cfg.scenario.seed)
     grid = cfg.grid
@@ -266,8 +254,6 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
         envelopes_ok = envelopes_ok and result.lower_envelope_ok
     violations = int(worst > 1e-9) + int(worst_strip > 1e-9) + int(not envelopes_ok)
     return {
-        "scenario.command": "verify",
-        "verify.suite": "comparison",
         "verify.pairs": cfg.verify.pairs,
         "verify.max_order_violation": worst,
         "verify.max_strip_violation": worst_strip,
@@ -276,7 +262,7 @@ def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _necessity_counterexample(cfg: ScenarioConfig) -> float:
+def _verify_necessity(cfg: ScenarioConfig) -> dict:
     """Local domination failure: a competition spike a- makes u overshoot theta; only a+ is read."""
     params = cfg.params
     theta = params.require_carrying_capacity()
@@ -294,7 +280,18 @@ def _necessity_counterexample(cfg: ScenarioConfig) -> float:
         peak = max(peak, float(values.max()))
 
     _march(_advance, params, wp, wm, u0.values, cfg.step, cfg.time.horizon, running_max)
-    return peak - theta
+    overshoot = peak - theta
+    return {"verify.max_overshoot_above_theta": overshoot,
+            "verify.violations": 0 if overshoot > 1e-4 else 1}
+
+
+# the runner of each suite is the function _verify_<suite> above
+_SUITES = {name: globals()[f"_verify_{name}"] for name in SUITES}
+
+
+def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
+    """The suite that ``cfg.verify.suite`` names, one of ``SUITES``, under its name."""
+    return {"verify.suite": cfg.verify.suite, **_SUITES[cfg.verify.suite](cfg)}
 
 
 # the runner of each command is the function run_<command> above
@@ -311,7 +308,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
               file=sys.stderr)
         return 2
     # thread count is deliberately not echoed: results must not depend on it
-    entries = {"seed": cfg.scenario.seed}
+    entries = {"seed": cfg.scenario.seed, "scenario.command": cfg.scenario.command}
     status = 0
     for step in (lambda: _RUNNERS[cfg.scenario.command](cfg, out),
                  lambda: _assumption_entries(cfg)):

@@ -34,7 +34,7 @@ from .params import ModelParams
 
 COMMANDS = ("simulate", "dispersion", "wave", "front", "verify")
 # the suites ``verify`` runs, from ``[verify] suite`` or ``verify <suite>``
-SUITES = ("comparison",)
+SUITES = ("comparison", "necessity")
 # initial kind -> (the keys it requires, the other keys it reads); any other is refused
 _INITIAL_KINDS = {"constant": (("value",), ()), "bump": (("width", "height"), ("center",)),
                   "step": ((), ("direction",)), "profile-file": (("path",), ()),
@@ -129,8 +129,7 @@ _KEYS = {
     "front": {"level": (_finite, None),  # None: theta / 2
               "shrink": (_open_unit, 0.5), "n_directions": (_int_at_least(3), 32)},
     "verify": {"suite": (_one_of(SUITES, "suite"), "comparison"),
-               "pairs": (_int_at_least(1), 50),
-               "necessity": (_as_bool, False)},
+               "pairs": (_int_at_least(1), 50)},  # pairs: the comparison suite's
 }
 
 
@@ -268,11 +267,13 @@ def _ordered(sections, section: str, keys: dict, low: str, high: str) -> None:
 
 
 def parse_config(text: str, command: str = "simulate") -> ScenarioConfig:
-    """Parse a scenario configuration for ``command``; unknown keys are hard errors.
+    """Parse a scenario for ``command``, one of ``COMMANDS``; unknown keys are hard errors.
 
     A missing ``[grid]`` or ``[initial]`` section means none; any other
     missing section takes the table's defaults.
     """
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     sections = _parse_lines(text)
     params = ModelParams(**_section(sections, "model"))
     grid = None

@@ -395,9 +395,10 @@ def solve_profile(params: ModelParams, k_plus: Kernel1D, k_minus: Kernel1D, c: f
                   report: DispersionReport | None = None) -> WaveProfile:
     """Monotone profile with speed c >= c*, pinned at psi(0) = theta/2.
 
-    Newton's method (``_newton``) on the grid of spacing h over
-    [s_left, s_right), shifted so that its centre point is s = 0, until the
-    sup norm of the equations is at most ``residual_target``.  The initial
+    Newton's method (``_newton``) on n = round((s_right - s_left) / h) points
+    of spacing h from -h (n//2), so that s = 0 at index n//2: only the length
+    is read, and lowering ``s_left`` by L adds L/2 at each end.  It stops when
+    the sup norm of the equations is at most ``residual_target``.  The initial
     guess is the seed ramp: the certified ``"supersolution"``, the
     ``"critical"`` (1 + lambda s) e^{-lambda s} or a logistic ``"step"``;
     ``"auto"`` takes the critical ramp at a double root.  A solution that

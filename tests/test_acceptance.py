@@ -360,7 +360,7 @@ def test_11_acceleration(gauss_line, gauss_report):
            f"power-tail {heavy_verdict}, gaussian {gauss_verdict}")
 
 
-def test_12_equivariance_and_determinism(tmp_path):
+def test_12_equivariance_and_determinism(tmp_path, monkeypatch):
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
     kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
@@ -371,7 +371,9 @@ def test_12_equivariance_and_determinism(tmp_path):
     shifted_after = np.roll(simulate(CANON, w, w, u, cfg, cfg.dt).final.values, 13)
     bitwise = bool(np.array_equal(shifted_first, shifted_after))
 
+    from nlkpp import evolution
     from nlkpp.cli import main
+    # a 2-D 128^2 plane (2^14 values) with a+ not a-: at two threads its right-hand sides split
     config = """
 [scenario]
 seed = 3
@@ -383,12 +385,12 @@ mortality = 1.0
 family = gaussian
 sigma = 1.0
 [kernel_minus]
-family = gaussian
-sigma = 1.0
+family = laplace
+mu = 1.0
 [grid]
-dimension = 1
-half_length = 20.0
-points = 64
+dimension = 2
+half_length = 16.0
+points = 128
 [time]
 dt = 2e-3
 horizon = 0.2
@@ -400,15 +402,23 @@ height = 0.5
 """
     cfg_file = tmp_path / "det.cfg"
     cfg_file.write_text(config)
-    main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "t1"),
-          "--threads", "1"])
-    main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "t8"),
-          "--threads", "8"])
+    hand_offs = []
+    hand_off = evolution._Workspace._hand_off
+    monkeypatch.setattr(evolution._Workspace, "_hand_off",
+                        lambda workspace, *args: hand_offs.append(1) or hand_off(workspace, *args))
+    counts = []
+    for threads in ("1", "2"):
+        hand_offs.clear()
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+        counts.append(len(hand_offs))
+    split = counts[0] == 0 and counts[1] > 0
     identical = all(
-        (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+        (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
         for name in ("snapshots.csv", "summary.txt"))
-    report(12, "equivariance-and-determinism", bitwise and identical,
-           f"bitwise shift equivariance {bitwise}, threads byte-identical {identical}")
+    report(12, "equivariance-and-determinism", bitwise and split and identical,
+           f"bitwise shift equivariance {bitwise}, hand-offs at 1 and 2 threads {counts}, "
+           f"threads byte-identical {identical}")
 
 
 def test_13_truncated_domination():

@@ -15,7 +15,7 @@ from nlkpp import (ConfigError, ConvergenceFailure, StepConfig, cli, evolution, 
                    simulate, waves)
 from nlkpp.cli import build_initial, main
 from nlkpp.kernels import _per_kernel
-from nlkpp.config import COMMANDS, parse_config
+from nlkpp.config import COMMANDS, load_config, parse_config
 
 BASE = """
 [scenario]
@@ -222,6 +222,15 @@ class TestParsing:
             parse_config(text)
         assert info.value.line == lineno
 
+    def test_command_outside_commands_is_refused(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(BASE)
+        message = re.escape(f"unknown command 'bogus'; expected one of {COMMANDS}")
+        for parse, source in ((parse_config, BASE), (load_config, cfg_file)):
+            with pytest.raises(ConfigError, match=f"^{message}$") as info:
+                parse(source, command="bogus")
+            assert info.value.line is None
+
     @pytest.mark.parametrize("dimension, center", [(1, "5 -3"), (2, "5")])
     def test_center_must_match_grid_dimension(self, tmp_path, capsys, dimension, center):
         text = BASE.replace("dimension = 1", f"dimension = {dimension}").replace(
@@ -324,6 +333,13 @@ class TestParsing:
         lineno = text.splitlines().index(lines[-1]) + 1
         self._refused_at(tmp_path, capsys, "simulate", text, lineno,
                          f"initial kind '{kind}' does not read '{key}'")
+
+    def test_verify_necessity_is_an_unknown_key(self, tmp_path, capsys):
+        # the counterexample is the suite `necessity`, not a switch of `comparison`
+        text = BASE + "\n[verify]\nnecessity = true\n"
+        lineno = text.splitlines().index("necessity = true") + 1
+        self._refused_at(tmp_path, capsys, "verify", text, lineno,
+                         "unknown key 'necessity' in section \\[verify\\]")
 
     def test_front_inflate_is_an_unknown_key(self, tmp_path, capsys):
         text = BASE + "\n[front]\ninflate = 1.2\n"
@@ -596,6 +612,22 @@ class TestScenarios:
         assert entries["error.type"] == "ValueError"
         assert "front.c_hat" not in entries
         assert not (tmp_path / "out" / "front_trace.csv").exists()
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("simulate", "[grid]\ndimension = 1\nhalf_length = 20.0\npoints = 128\n", ""),
+        ("dispersion", "family = gaussian\nsigma = 1.0", "family = laplace\nmu = 1e200"),
+        ("wave", "value = 0.5", "value = 0.5\n\n[wave]\nspeed = 1.0"),
+        ("front", "value = 0.5", "value = 0.5\n\n[front]\nlevel = 0"),
+        ("verify", "kappa_plus = 2.0", "kappa_plus = 0.5"),
+    ])
+    def test_a_failed_runner_names_its_command(self, tmp_path, command, old, new):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(BASE.replace(old, new, 1))
+        rc = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        entries = summary_dict(tmp_path / "out")
+        assert rc == 1 and entries["error"] and entries["error.type"]
+        assert list(entries)[:2] == ["seed", "scenario.command"]
+        assert entries["scenario.command"] == command
 
     def test_equal_kernels_share_one_weights_object(self):
         for text, shared in ((BASE, True), (BASE.replace("sigma = 1.0", "sigma = 1.5", 1), False)):
@@ -872,30 +904,44 @@ class TestMoreScenarios:
         cfg_file.write_text(BASE.replace("points = 128", "points = 1024")
                             .replace("half_length = 20.0", "half_length = 10.0")
                             .replace("dt = 2e-3", "dt = 1e-3")
-                            + "\n[verify]\nsuite = comparison\nnecessity = true\n")
+                            + "\n[verify]\nsuite = necessity\n")
         rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 0
         entries = summary_dict(tmp_path / "out")
         assert float(entries["verify.max_overshoot_above_theta"]) > 1e-4
 
+    def test_suite_argument_runs_necessity_without_the_key(self, tmp_path):
+        # no [verify] section: the argument alone picks the counterexample
+        cfg_file = tmp_path / "n.cfg"
+        cfg_file.write_text(BASE.replace("points = 128", "points = 1024")
+                            .replace("half_length = 20.0", "half_length = 10.0")
+                            .replace("dt = 2e-3", "dt = 1e-3"))
+        rc = main(["verify", "necessity", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")])
+        entries = summary_dict(tmp_path / "out")
+        assert rc == 0, entries.get("error")
+        assert entries["verify.suite"] == "necessity"
+        assert float(entries["verify.max_overshoot_above_theta"]) > 1e-4
+        assert "verify.pairs" not in entries
+
     def test_verify_necessity_samples_only_kernel_plus(self, tmp_path):
         # a- is the run's own spike: a [kernel_minus] the grid cannot resolve is never sampled
         text = (BASE.replace("points = 128", "points = 256")
                 .replace("sigma = 1.0\n\n[grid]", "sigma = 0.05\n\n[grid]")
-                + "\n[verify]\nnecessity = true\n")
+                + "\n[verify]\nsuite = necessity\n")
         assert "sigma = 0.05" in text
         cfg_file = tmp_path / "n.cfg"
         cfg_file.write_text(text)
         rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         entries = summary_dict(tmp_path / "out")
         assert rc == 0, entries.get("error")
-        assert entries["verify.suite"] == "comparison-necessity"
+        assert entries["verify.suite"] == "necessity"
         assert "error" not in entries
 
     def test_verify_necessity_requires_a_grid(self, tmp_path):
         grid = "[grid]\ndimension = 1\nhalf_length = 20.0\npoints = 128\n"
         cfg_file = tmp_path / "n.cfg"
-        cfg_file.write_text(BASE.replace(grid, "") + "\n[verify]\nnecessity = true\n")
+        cfg_file.write_text(BASE.replace(grid, "") + "\n[verify]\nsuite = necessity\n")
         rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 1
         entries = summary_dict(tmp_path / "out")
@@ -1033,7 +1079,7 @@ class TestOverridesAndExitStatus:
         text = (BASE.replace("points = 128", "points = 1024")
                 .replace("half_length = 20.0", "half_length = 10.0")
                 .replace("dt = 2e-3\nhorizon = 0.5", "dt = 1e-3\nhorizon = 1e-3")
-                + "\n[verify]\nnecessity = true\n")
+                + "\n[verify]\nsuite = necessity\n")
         rc, entries, _ = self._run(tmp_path, ["verify"], text)
         assert rc == 1
         assert entries["verify.violations"] == "1"

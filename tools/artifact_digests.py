@@ -10,17 +10,20 @@ kernel family in one and two dimensions (the offset gaussian and exppoly
 with p = 0.5, 1 and 2 among them), waves at 1.0 and 1.3 c* on 1-D and 2-D
 kernels, ``simulate`` (split snapshots too; the offset gaussian in both
 dimensions, a 2-D step start and a 2-D exppoly), 1-D and 2-D ``front`` runs
-and both ``verify`` modes (necessity in 2-D too).  Short 1-D runs give every
+and both ``verify`` suites (necessity in 2-D too).  Short 1-D runs give every
 key that a runner reads a value other than its default somewhere, every
 ``[initial]`` kind and none, and exercise ``--seed``, the ``verify`` suite
-argument and an ``[output] directory`` without ``--out``.  Twelve more show
-refusals: the parser's (exit 2) of a step start with ``direction = 0``, of an
-``exppoly`` kernel whose density is not integrable, of a wave given both
-``speed`` and ``speed_factor``, of a profile ``path`` that names a directory,
-of a front with ``n_directions = 2``, of a ``profile-file`` start given
-``shift``, which that kind does not read, of a gaussian kernel given ``mu``,
-which that family does not read, and of a gaussian ``sigma = 1e-200``, whose
-normalizer leaves the float range; the runner's (exit 1 with an ``error``
+argument and an ``[output] directory`` without ``--out`` (the 1-D necessity
+run names its suite by ``[verify] suite``, the 2-D one by the argument,
+``verify necessity``).  Thirteen more show refusals: the parser's (exit 2) of
+a step start with ``direction = 0``, of an ``exppoly`` kernel whose density
+is not integrable, of a wave given both ``speed`` and ``speed_factor``, of a
+profile ``path`` that names a directory, of a front with ``n_directions = 2``,
+of a ``profile-file`` start given ``shift``, which that kind does not read, of
+a gaussian kernel given ``mu``, which that family does not read, of a gaussian
+``sigma = 1e-200``, whose normalizer leaves the float range, and of a
+``[verify] necessity`` key, which no section reads (``necessity`` is a
+suite); the runner's (exit 1 with an ``error``
 summary) of a front with ``level = 0``, of a profile file whose ``s`` column
 decreases, of a wave domain of one cell and of a 1-D laplace ``mu = 1e200``
 dispersion, whose line moments overflow (a ``KernelError`` that names the
@@ -120,7 +123,7 @@ def _evolution(dimension: int, points: int, half_length: float, horizon: float,
 
 def _keyed_runs() -> list[tuple[str, list[str], dict]]:
     """Short 1-D runs that set the keys and options the rest of the matrix leaves at
-    their defaults, twelve that are refused and one that blows up."""
+    their defaults, thirteen that are refused and one that blows up."""
     gaussian = _kernel(GAUSSIAN, 1)
     line = {"model": MODEL, "kernel_plus": gaussian, "kernel_minus": gaussian}
     time = {"dt": 0.01, "horizon": 1.0, "snapshot_stride": 25}
@@ -178,6 +181,8 @@ def _keyed_runs() -> list[tuple[str, list[str], dict]]:
          dict(line, kernel_plus=dict(gaussian, sigma=1e-200))),
         ("refused-laplace-mu-1e200", ["dispersion"],
          dict(line, kernel_plus={"family": "laplace", "dimension": 1, "mu": 1e200})),
+        ("refused-verify-necessity-key", ["verify"],
+         _evolution(1, 128, 20.0, 0.5, verify={"necessity": "true"})),
         ("blow-up-without-floor", ["simulate"],
          dict(_evolution(1, 4096, 200.0, 60.0,
                          initial={"kind": "bump", "width": 2.0, "height": 0.5}),
@@ -231,11 +236,10 @@ def matrix() -> list[tuple[str, list[str], dict]]:
                      front={"n_directions": 8})),
         ("verify-comparison", "verify", _evolution(1, 128, 20.0, 0.5, verify={"pairs": 2})),
         ("verify-necessity", "verify",
-         _evolution(1, 1024, 10.0, 0.5, verify={"necessity": "true"})),
-        ("verify-necessity-2d", "verify",
-         _evolution(2, 128, 5.0, 0.5, verify={"necessity": "true"})),
+         _evolution(1, 1024, 10.0, 0.5, verify={"suite": "necessity"})),
+        ("verify-necessity-2d", "verify necessity", _evolution(2, 128, 5.0, 0.5)),
     ]
-    runs = [(name, [command], sections) for name, command, sections in runs]
+    runs = [(name, command.split(), sections) for name, command, sections in runs]
     plane = _evolution(2, 256, 32.0, 2.0, kernel_plus=dict(KERNELS["compact_uniform"], radius=2.0),
                        front={"n_directions": 8})
     return runs + _keyed_runs() + [("front-2d-256", ["front"], plane),
