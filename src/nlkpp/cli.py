@@ -4,17 +4,14 @@ Subcommands: ``simulate``, ``dispersion``, ``wave``, ``front``,
 ``verify <suite>``: ``run_<command>`` runs a command, ``_verify_<suite>`` a
 suite.  All artifacts are plain CSV plus a ``summary.txt`` of ``key = value``
 lines; identical configuration and seed produce byte-identical output.
-``--threads N`` caps the package's own threads, with the same bits at every
-cap; README ("Command line") states when a run uses a second one.
-Computation has a fixed summation order.  The cap does not reach numpy's BLAS
-threads, on which the LAPACK solves of ``wave``'s Newton steps run: a wave's
-artifacts can differ in the last bits between BLAS thread counts, so runs to
-be compared byte for byte pin one, e.g. ``OPENBLAS_NUM_THREADS=1``.
+A run computes on the thread that calls it, with a fixed summation order.
+The LAPACK solves of ``wave``'s Newton steps run on numpy's BLAS threads: a
+wave's artifacts can differ in the last bits between BLAS thread counts, so
+runs to be compared byte for byte pin one, e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import math
 import sys
@@ -290,8 +287,9 @@ _SUITES = {name: globals()[f"_verify_{name}"] for name in SUITES}
 
 
 def run_verify(cfg: ScenarioConfig, out: Path) -> dict:
-    """The suite that ``cfg.verify.suite`` names, one of ``SUITES``, under its name."""
-    return {"verify.suite": cfg.verify.suite, **_SUITES[cfg.verify.suite](cfg)}
+    """The suite that ``cfg.verify.suite`` names, one of ``SUITES``; ``run_scenario``
+    writes ``verify.suite`` before it runs."""
+    return _SUITES[cfg.verify.suite](cfg)
 
 
 # the runner of each command is the function run_<command> above
@@ -307,8 +305,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print(f"error: cannot create output directory {str(out)!r}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
-    # thread count is deliberately not echoed: results must not depend on it
     entries = {"seed": cfg.scenario.seed, "scenario.command": cfg.scenario.command}
+    if cfg.scenario.command == "verify":  # named before it runs, so a failing suite is too
+        entries["verify.suite"] = cfg.verify.suite
     status = 0
     for step in (lambda: _RUNNERS[cfg.scenario.command](cfg, out),
                  lambda: _assumption_entries(cfg)):
@@ -342,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, command=args.command)
+        cfg = load_config(args.config, command=args.command, suite=getattr(args, "suite", None))
     except NlkppError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -350,10 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg.output.directory = args.out
     if args.seed is not None:
         cfg.scenario.seed = args.seed
-    if args.threads is not None:
-        cfg.step = dataclasses.replace(cfg.step, threads=args.threads)
-    if getattr(args, "suite", None):
-        cfg.verify.suite = args.suite
     return run_scenario(cfg)
 
 
@@ -361,18 +356,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=_at_least_one, default=None)
-
-
-def _at_least_one(text: str) -> int:
-    """``--threads``'s type: an integer of at least 1, else argparse exits 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 if __name__ == "__main__":

@@ -8,16 +8,18 @@ error message carries the offending line number.
 ``_KEYS`` states each key once: its converter, which range-checks it, and
 its default.  ``[model]``, ``[kernel_plus]``, ``[kernel_minus]`` and
 ``[grid]`` build domain objects, and ``[time]``'s ``dt``, ``method`` and
-``floor`` with ``[scenario] threads`` a ``StepConfig``.  Each kernel section
-builds its ``Kernel`` here, normalizer included, so a kernel that ``Kernel``
-refuses (a parameter out of range or unread by its family, a normalizer
-that is not a positive finite number) is refused with its section's
-``family`` line; two sections that describe the same kernel give one
-object, ``cfg.kernel_minus is cfg.kernel_plus``, and that identity is the
-only test of a+ = a- downstream.  The other ``[time]`` keys and every other
+``floor`` a ``StepConfig``.  Each kernel section builds its ``Kernel`` here,
+normalizer included, so a kernel that ``Kernel`` refuses (a parameter out of
+range or unread by its family, a normalizer that is not a positive finite
+number) is refused with its section's ``family`` line; two sections that
+describe the same kernel give one object, ``cfg.kernel_minus is
+cfg.kernel_plus``, and that identity is the only test of a+ = a- downstream.  The other ``[time]`` keys and every other
 section reach the runners as a namespace of their converted keys under the
 table's own names, such as ``cfg.wave.speed_factor`` or ``cfg.output.directory``.
-A new key is one ``_KEYS`` entry plus the code that reads it.
+A new key is one ``_KEYS`` entry plus the code that reads it.  An
+``[initial]`` key that its kind does not read (``_INITIAL_KINDS``), and a
+``[verify]`` key that its suite does not read (``_SUITE_KEYS``), is refused
+at its line.
 """
 from __future__ import annotations
 
@@ -33,8 +35,10 @@ from .kernels import Kernel
 from .params import ModelParams
 
 COMMANDS = ("simulate", "dispersion", "wave", "front", "verify")
-# the suites ``verify`` runs, from ``[verify] suite`` or ``verify <suite>``
-SUITES = ("comparison", "necessity")
+# the suites ``verify`` runs, from ``[verify] suite`` or ``verify <suite>``, each with
+# the other ``[verify]`` keys it reads; any other is refused
+_SUITE_KEYS = {"comparison": ("pairs",), "necessity": ()}
+SUITES = tuple(_SUITE_KEYS)
 # initial kind -> (the keys it requires, the other keys it reads); any other is refused
 _INITIAL_KINDS = {"constant": (("value",), ()), "bump": (("width", "height"), ("center",)),
                   "step": ((), ("direction",)), "profile-file": (("path",), ()),
@@ -103,8 +107,7 @@ _KERNEL_KEYS = {
 # section -> key -> (converter, default): the only statement of each key, and
 # the list of accepted ones.  A converter's error is refused with the key's line.
 _KEYS = {
-    # threads: StepConfig's cap on the threads of a run; None: the CPUs it may run on
-    "scenario": {"seed": (int, 0), "threads": (_int_at_least(1), None)},
+    "scenario": {"seed": (int, 0)},
     "model": {"kappa_plus": (_positive, _REQUIRED), "kappa_minus": (_positive, _REQUIRED),
               "mortality": (_positive, _REQUIRED)},
     "kernel_plus": _KERNEL_KEYS,
@@ -129,7 +132,7 @@ _KEYS = {
     "front": {"level": (_finite, None),  # None: theta / 2
               "shrink": (_open_unit, 0.5), "n_directions": (_int_at_least(3), 32)},
     "verify": {"suite": (_one_of(SUITES, "suite"), "comparison"),
-               "pairs": (_int_at_least(1), 50)},  # pairs: the comparison suite's
+               "pairs": (_int_at_least(1), 50)},
 }
 
 
@@ -259,6 +262,18 @@ def _initial(sections, grid_dimension: int) -> SimpleNamespace:
     return initial
 
 
+def _verify(sections, suite: str | None) -> dict:
+    """The ``[verify]`` keys, ``suite`` (from ``verify <suite>``) replacing ``[verify]
+    suite`` when given; a key that the suite does not read is refused at its line."""
+    keys = _section(sections, "verify")
+    if suite is not None:
+        keys["suite"] = suite
+    for key, (_, lineno) in sections.get("verify", {}).items():
+        if key not in ("suite", *_SUITE_KEYS[keys["suite"]]):
+            raise ConfigError(f"verify suite {keys['suite']!r} does not read {key!r}", lineno)
+    return keys
+
+
 def _ordered(sections, section: str, keys: dict, low: str, high: str) -> None:
     """Refuse ``keys[low] >= keys[high]``, citing the later of the two keys' lines."""
     if not keys[low] < keys[high]:
@@ -266,14 +281,18 @@ def _ordered(sections, section: str, keys: dict, low: str, high: str) -> None:
         raise ConfigError(f"need {low} < {high}, got {keys[low]} and {keys[high]}", line)
 
 
-def parse_config(text: str, command: str = "simulate") -> ScenarioConfig:
+def parse_config(text: str, command: str = "simulate",
+                 suite: str | None = None) -> ScenarioConfig:
     """Parse a scenario for ``command``, one of ``COMMANDS``; unknown keys are hard errors.
 
-    A missing ``[grid]`` or ``[initial]`` section means none; any other
-    missing section takes the table's defaults.
+    ``suite``, one of ``SUITES``, replaces ``[verify] suite`` when given.  A
+    missing ``[grid]`` or ``[initial]`` section means none; any other missing
+    section takes the table's defaults.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    if suite not in (None, *SUITES):
+        raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
     sections = _parse_lines(text)
     params = ModelParams(**_section(sections, "model"))
     grid = None
@@ -290,7 +309,8 @@ def parse_config(text: str, command: str = "simulate") -> ScenarioConfig:
     initial = _initial(sections, grid_dimension) if "initial" in sections else None
 
     spaces = {name: _section(sections, name)
-              for name in ("scenario", "time", "output", "wave", "front", "verify")}
+              for name in ("scenario", "time", "output", "wave", "front")}
+    spaces["verify"] = _verify(sections, suite)
     spaces["dispersion"] = _section(sections, "dispersion", direction=kplus.dimension)
     _ordered(sections, "dispersion", spaces["dispersion"], "lambda_min", "lambda_max")
     _ordered(sections, "wave", spaces["wave"], "domain_left", "domain_right")
@@ -299,17 +319,17 @@ def parse_config(text: str, command: str = "simulate") -> ScenarioConfig:
         raise ConfigError("give [wave] speed or speed_factor, not both", max(speed_lines))
     spaces["scenario"]["command"] = command
     time = spaces["time"]  # StepConfig takes three keys; cfg.time keeps the other two
-    step = StepConfig(dt=time.pop("dt"), method=time.pop("method"), floor=time.pop("floor"),
-                      threads=spaces["scenario"].pop("threads"))
+    step = StepConfig(dt=time.pop("dt"), method=time.pop("method"), floor=time.pop("floor"))
     return ScenarioConfig(
         params=params, kernel_plus=kplus, kernel_minus=kminus, grid=grid, step=step,
         initial=initial, **{name: SimpleNamespace(**keys) for name, keys in spaces.items()})
 
 
-def load_config(path: str | Path, command: str = "simulate") -> ScenarioConfig:
+def load_config(path: str | Path, command: str = "simulate",
+                suite: str | None = None) -> ScenarioConfig:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
-    return parse_config(text, command=command)
+    return parse_config(text, command=command, suite=suite)

@@ -16,15 +16,13 @@ weights with a state or grid refuses a grid of another shape (``_on_grid``).
 A fixed-step run is one ``_march``, which owns its step: its ``_Workspace``
 holds one plan, for the transform shape of the last step (the grid, or an
 occupied window's fast length): buffers made at that shape and one rk4
-right-hand side bound to them, the kernel spectra and the rates.  It also
-holds the one helper thread that makes the a- halves of right-hand sides that
-split.  Each step returns its state as a fresh array, and nothing holds the
-buffers or the thread once the march returns.
+right-hand side bound to them, the kernel spectra and the rates.  Each step
+returns its state as a fresh array, and nothing holds the buffers once the
+march returns.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -105,10 +103,6 @@ METHODS = ("rk4", "exp_euler")
 class StepConfig:
     """Fixed-step integrator configuration with a stability guard.
 
-    ``threads`` caps the threads a run may use; None means the CPUs this
-    process may run on.  ``_Workspace`` states when a run's right-hand sides
-    split over two of them; the bits never depend on it.
-
     ``floor`` > 0 zeroes values with |u| below it after every step.  The
     vacuum state is linearly unstable at rate kappa_plus - m, so long
     invasion runs must deny roundoff noise a seed in the far field; the
@@ -126,13 +120,10 @@ class StepConfig:
     method: str = "rk4"
     conv_backend: str = "fft"
     floor: float = 0.0
-    threads: int | None = None
 
     def validate(self, params: ModelParams) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads = {self.threads} must be at least 1")
         theta = max(params.theta, 0.0)
         rate = params.kappa_plus + params.mortality + params.kappa_minus * theta
         if not self.dt * rate < 0.5:
@@ -191,22 +182,9 @@ def _reaction(params: ModelParams, u: np.ndarray, conv_p: np.ndarray, conv_m: np
     operations and their order, ``(drift + kp*conv_p) - m*u - (km*u)*conv_m``,
     fix the bits of every solver; it returns a fresh array and writes no argument.
     A march's right-hand side (``_Workspace``) subtracts its halves ``_gain`` and
-    ``_loss`` in step buffers, the a- half on a helper thread when it splits.
+    ``_loss`` in step buffers.
     """
     return _gain(params, u, conv_p, drift) - _loss(params, u, conv_m)
-
-
-# the fewest values whose a- half pays for the hand-off to a helper thread
-_SPLIT_POINTS = 2**14
-
-
-def _thread_cap(cfg: StepConfig) -> int:
-    """``cfg.threads``, or the number of CPUs this process may run on."""
-    if cfg.threads is not None:
-        return cfg.threads
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class _Plan(NamedTuple):
@@ -219,26 +197,19 @@ class _Plan(NamedTuple):
 
 
 class _Workspace:
-    """The step of one march: its plan, rk4 right-hand side and helper thread.
+    """The step of one march: its plan and rk4 right-hand side.
 
     It holds one ``_Plan``, for the shape its last step met, with buffers made
     at that shape; a step at another shape replaces it (the kernel spectra stay
     cached on the weights).  A plan's right-hand side binds the rates and the
     kernel spectra; it makes ``_reaction``'s operations in its order and
-    returns a buffer that its next call overwrites.  It splits, making the a- half on a
-    helper thread, when the kernels differ, the backend is fft, the shape holds
-    at least ``_SPLIT_POINTS`` values and ``_thread_cap`` allows two threads.
-    The helper is one worker, started at the first hand-off and joined by
-    ``close``; a half writes into its plan's buffers, calls no public function
-    of the package and runs under the numpy error state of the thread that
-    handed it off, which ``np.errstate`` does not carry to a worker.
+    returns a buffer that its next call overwrites.
     """
 
     def __init__(self, params: ModelParams, wplus: _Samples, wminus: _Samples,
                  cfg: StepConfig) -> None:
         self._model = (params, wplus, wminus, cfg)
         self._plan: _Plan | None = None
-        self._pool = None
 
     def plan(self, shape: tuple[int, ...]) -> _Plan:
         """The plan for states of ``shape``, built when the last step met another shape."""
@@ -257,7 +228,6 @@ class _Workspace:
         grid = shape[len(shape) - wplus.weights.ndim:]
         spectrum_p, spectrum_m = wplus.spectrum(grid), wminus.spectrum(grid)
         shared = wminus is wplus
-        split = not shared and math.prod(shape) >= _SPLIT_POINTS and _thread_cap(cfg) >= 2
 
         def convolved(kernel_spectrum: np.ndarray, product: np.ndarray,
                       result: np.ndarray) -> np.ndarray:
@@ -265,38 +235,14 @@ class _Workspace:
             return _irfft(np.multiply(spectrum, kernel_spectrum, out=product), grid,
                           out=product, result=result)
 
-        def minus_half(u: np.ndarray) -> np.ndarray:
-            conv = conv_p if shared else convolved(spectrum_m, product_m, conv_m)
-            return _loss(params, u, conv, out=loss)
-
         def rhs(u: np.ndarray) -> np.ndarray:
             _rfft(u, grid, out=spectrum)
-            half = self._hand_off(minus_half, u) if split else None
             plus_half = _gain(params, u, convolved(spectrum_p, product_p, conv_p),
                               out=gain, scratch=scratch)
-            return np.subtract(plus_half, minus_half(u) if half is None else half.result(),
-                               out=gain)
+            conv = conv_p if shared else convolved(spectrum_m, product_m, conv_m)
+            return np.subtract(plus_half, _loss(params, u, conv, out=loss), out=gain)
 
         return _Plan(shape, rhs, stage, segment)
-
-    def _hand_off(self, half, u: np.ndarray):
-        """A future of ``half(u)`` on the helper thread; ``u`` and what ``half`` reads
-        must not be written before it is done."""
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # loaded only by runs that split
-
-            self._pool = ThreadPoolExecutor(max_workers=1)
-        return self._pool.submit(np.errstate(**np.geterr())(half), u)
-
-    def close(self) -> None:
-        """Join the helper thread, if a hand-off started it, and drop the plan.
-
-        A plan's right-hand side refers back to the workspace, so without this the
-        buffers would wait for the cyclic garbage collector after the march.
-        """
-        if self._pool is not None:
-            self._pool.shutdown()
-        self._plan = None
 
 
 def _rk4(f, values: np.ndarray, dt: float, stage: np.ndarray | None = None) -> np.ndarray:
@@ -426,12 +372,12 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
     ``advance(params, wplus, wminus, values, cfg, workspace)`` is one step:
     ``_advance`` for the periodic equation, ``waves._line_advance`` for the
     line.  ``workspace`` is the loop's ``_Workspace``, which keeps the plan of
-    the last step's shape; it is closed and dropped when the loop returns or
-    raises.  Each step's state is a fresh array, so the states that ``observe``
-    sees and the one returned keep their values.  The loop owns the checks
-    every run needs: the stability guard, a horizon that is a whole number of
-    steps, and a finite state after each step k, which ``observe(k, values,
-    last)`` then sees.  A non-finite state names ``[time] floor`` as the
+    the last step's shape and goes with the loop's frame.  Each step's state
+    is a fresh array, so the states that ``observe`` sees and the one
+    returned keep their values.  The loop owns the checks every run needs:
+    the stability guard, a horizon that is a whole number of steps, and a
+    finite state after each step k, which ``observe(k, values, last)`` then
+    sees.  A non-finite state names ``[time] floor`` as the
     remedy when the floor is 0 or below the roundoff level eps * max|u| of the
     last finite state: such a floor lets roundoff noise in the far field grow
     at rate kappa_plus - m.
@@ -441,18 +387,15 @@ def _march(advance, params: ModelParams, wplus: _Samples, wminus: _Samples, valu
     if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt = {cfg.dt}")
     workspace = _Workspace(params, wplus, wminus, cfg)
-    try:
-        for k in range(1, n_steps + 1):
-            finite = values
-            with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
-                values = advance(params, wplus, wminus, values, cfg, workspace)
-            if not np.isfinite(values).all():
-                raise ConvergenceFailure(f"non-finite state after step {k} "
-                                         f"(t = {t0 + k * cfg.dt:.6g}){_remedy(cfg, finite)}")
-            if observe is not None:
-                observe(k, values, k == n_steps)
-    finally:
-        workspace.close()
+    for k in range(1, n_steps + 1):
+        finite = values
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+            values = advance(params, wplus, wminus, values, cfg, workspace)
+        if not np.isfinite(values).all():
+            raise ConvergenceFailure(f"non-finite state after step {k} "
+                                     f"(t = {t0 + k * cfg.dt:.6g}){_remedy(cfg, finite)}")
+        if observe is not None:
+            observe(k, values, k == n_steps)
     return values
 
 

@@ -90,7 +90,7 @@ def _line_advance(params: ModelParams, wp: LineKernel, wm: LineKernel, psi: np.n
     """One RK4 step of the line equation with the theta/0 far-field extension.
 
     ``workspace`` is ``_march``'s and is not used: a line's right-hand sides
-    make fresh arrays, so its march plans no buffers and starts no thread.
+    make fresh arrays, so its march plans no buffers.
     """
     pad = _constant_pad(params.theta, 0.0)
     return _rk4(lambda v: _reaction(params, v, *_line_pair(wp, wm, v, pad)), psi, cfg.dt)

@@ -5,7 +5,11 @@ otherwise independent quadrature / grid-scan / brute-force computations coded
 here, never the code path under test.
 """
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,7 +364,7 @@ def test_11_acceleration(gauss_line, gauss_report):
            f"power-tail {heavy_verdict}, gaussian {gauss_verdict}")
 
 
-def test_12_equivariance_and_determinism(tmp_path, monkeypatch):
+def test_12_equivariance_and_determinism(tmp_path):
     grid = Grid(dimension=1, half_length=20.0, points_per_axis=256)
     kernel = Kernel("gaussian", 1, sigma=1.0)
     w = discretize(kernel, grid)
@@ -371,9 +375,7 @@ def test_12_equivariance_and_determinism(tmp_path, monkeypatch):
     shifted_after = np.roll(simulate(CANON, w, w, u, cfg, cfg.dt).final.values, 13)
     bitwise = bool(np.array_equal(shifted_first, shifted_after))
 
-    from nlkpp import evolution
-    from nlkpp.cli import main
-    # a 2-D 128^2 plane (2^14 values) with a+ not a-: at two threads its right-hand sides split
+    # a 2-D 128^2 plane with a+ not a-, in two processes at one and two BLAS threads
     config = """
 [scenario]
 seed = 3
@@ -402,23 +404,18 @@ height = 0.5
 """
     cfg_file = tmp_path / "det.cfg"
     cfg_file.write_text(config)
-    hand_offs = []
-    hand_off = evolution._Workspace._hand_off
-    monkeypatch.setattr(evolution._Workspace, "_hand_off",
-                        lambda workspace, *args: hand_offs.append(1) or hand_off(workspace, *args))
-    counts = []
+    src = str(Path(nlkpp.__file__).resolve().parents[1])
     for threads in ("1", "2"):
-        hand_offs.clear()
-        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / threads),
-                     "--threads", threads]) == 0
-        counts.append(len(hand_offs))
-    split = counts[0] == 0 and counts[1] > 0
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        subprocess.run([sys.executable, "-m", "nlkpp.cli", "simulate", "--config", str(cfg_file),
+                        "--out", str(tmp_path / threads)], env=env, check=True)
     identical = all(
         (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
         for name in ("snapshots.csv", "summary.txt"))
-    report(12, "equivariance-and-determinism", bitwise and split and identical,
-           f"bitwise shift equivariance {bitwise}, hand-offs at 1 and 2 threads {counts}, "
-           f"threads byte-identical {identical}")
+    report(12, "equivariance-and-determinism", bitwise and identical,
+           f"bitwise shift equivariance {bitwise}, "
+           f"byte-identical at 1 and 2 BLAS threads {identical}")
 
 
 def test_13_truncated_domination():

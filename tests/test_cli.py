@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlkpp
-from nlkpp import (ConfigError, ConvergenceFailure, StepConfig, cli, evolution, fronts,
+from nlkpp import (ConfigError, ConvergenceFailure, StepConfig, cli, fronts,
                    simulate, waves)
 from nlkpp.cli import build_initial, main
 from nlkpp.kernels import _per_kernel
-from nlkpp.config import COMMANDS, load_config, parse_config
+from nlkpp.config import COMMANDS, SUITES, load_config, parse_config
 
 BASE = """
 [scenario]
@@ -122,9 +122,6 @@ class TestParsing:
         ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 0"),
         ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 1"),
         ("value = 0.5", "value = 0.5\n\n[front]\nn_directions = 2"),
-        ("seed = 11", "seed = 11\nthreads = two"),
-        ("seed = 11", "seed = 11\nthreads = 0"),
-        ("seed = 11", "seed = 11\nthreads = -1"),
         ("dt = 2e-3", "dt = 2e-3\nmethod = leapfrog"),
         ("value = 0.5", "value = 0.5\n\n[wave]\nspeed = nan"),
         ("value = 0.5", "value = 0.5\n\n[wave]\nspeed_factor = inf"),
@@ -363,18 +360,16 @@ class TestScenarios:
         assert entries["assumption.A2_kernel_domination"] == "true"
         assert (tmp_path / "out" / "snapshots.csv").exists()
 
-    def test_determinism_across_threads_and_reruns(self, tmp_path, monkeypatch):
+    def test_determinism_across_threads_and_reruns(self, tmp_path):
         cfg_file = tmp_path / "sim.cfg"
         cfg_file.write_text(BASE)
-        main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "a"),
-              "--threads", "1"])
-        main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "b"),
-              "--threads", "8"])
+        for out in ("a", "b"):
+            assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / out)]) == 0
         for name in ("snapshots.csv", "summary.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
 
-        # a 2-D 128^2 run with a+ not a-: at two threads its right-hand sides split
+        # a 2-D 128^2 run with a+ not a-, in two processes at one and two BLAS threads
         plane = (BASE.replace("dimension = 1", "dimension = 2")
                  .replace("half_length = 20.0", "half_length = 10.0")
                  .replace("[kernel_minus]\nfamily = gaussian\nsigma = 1.0",
@@ -382,15 +377,10 @@ class TestScenarios:
                  .replace("dt = 2e-3\nhorizon = 0.5", "dt = 0.02\nhorizon = 0.2")
                  .replace("kind = constant\nvalue = 0.5", "kind = bump\nwidth = 4\nheight = 0.5"))
         cfg_file.write_text(plane)
-        hand_offs = []
-        hand_off = evolution._Workspace._hand_off
-        monkeypatch.setattr(evolution._Workspace, "_hand_off",
-                            lambda workspace, *args: hand_offs.append(1)
-                            or hand_off(workspace, *args))
-        for threads, splits in (("1", 0), ("2", 40)):
-            assert main(["simulate", "--config", str(cfg_file),
-                         "--out", str(tmp_path / f"plane{threads}"), "--threads", threads]) == 0
-            assert len(hand_offs) == splits  # four right-hand sides in each of ten steps
+        for threads in ("1", "2"):
+            _interpreter(["-m", "nlkpp.cli", "simulate", "--config", str(cfg_file),
+                          "--out", str(tmp_path / f"plane{threads}")],
+                         OPENBLAS_NUM_THREADS=threads)
         for name in ("snapshots.csv", "summary.txt"):
             assert (tmp_path / "plane1" / name).read_bytes() == (
                 tmp_path / "plane2" / name).read_bytes()
@@ -824,14 +814,19 @@ def test_dispersion_and_front_configs_end_in_a_summary(tmp_path_factory, command
     _run(command, cfg_file, out / "run")
 
 
+def _interpreter(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing this ``nlkpp``, its environment
+    updated with ``env``; it must exit 0."""
+    src = str(Path(nlkpp.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True)
+
+
 def _run_python(code: str) -> str:
     """Last line that ``code`` prints in a fresh interpreter importing this ``nlkpp``."""
-    src = str(Path(nlkpp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip().splitlines()[-1]
+    return _interpreter(["-c", code]).stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy():
@@ -939,14 +934,20 @@ class TestMoreScenarios:
         assert "error" not in entries
 
     def test_verify_necessity_requires_a_grid(self, tmp_path):
+        """The suite fails, by the key or by ``verify necessity``, and its summary names it."""
         grid = "[grid]\ndimension = 1\nhalf_length = 20.0\npoints = 128\n"
         cfg_file = tmp_path / "n.cfg"
-        cfg_file.write_text(BASE.replace(grid, "") + "\n[verify]\nsuite = necessity\n")
-        rc = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
-        assert rc == 1
-        entries = summary_dict(tmp_path / "out")
-        assert entries["error"] == "this scenario requires a [grid] section"
-        assert entries["error.type"] == "NlkppError"
+        for argv, verify in ((["verify"], "\n[verify]\nsuite = necessity\n"),
+                             (["verify", "necessity"], "")):
+            cfg_file.write_text(BASE.replace(grid, "") + verify)
+            rc = main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+            assert rc == 1
+            entries = summary_dict(tmp_path / "out")
+            assert list(entries)[:5] == ["seed", "scenario.command", "verify.suite", "error",
+                                         "error.type"]
+            assert entries["verify.suite"] == "necessity"
+            assert entries["error"] == "this scenario requires a [grid] section"
+            assert entries["error.type"] == "NlkppError"
 
     def test_split_snapshots_hold_the_rows_of_snapshots_csv(self, tmp_path):
         cfg_file = tmp_path / "s.cfg"
@@ -1031,24 +1032,23 @@ class TestOverridesAndExitStatus:
         assert ((by_option / "summary.txt").read_bytes()
                 == (by_config / "summary.txt").read_bytes())
 
-    def test_threads_option_overrides_the_config(self, monkeypatch, tmp_path):
-        cfg_file = tmp_path / "t.cfg"
-        cfg_file.write_text(BASE.replace("seed = 11", "seed = 11\nthreads = 3"))
-        seen = []
-        monkeypatch.setattr(cli, "run_scenario", lambda cfg: seen.append(cfg.step.threads) or 0)
-        for argv in ([], ["--threads", "1"], ["--threads", "5"]):
-            assert main(["simulate", "--config", str(cfg_file), *argv]) == 0
-        assert seen == [3, 1, 5]
-
-    @pytest.mark.parametrize("value", ["0", "-1", "two"])
-    def test_threads_option_below_one_exits_2(self, tmp_path, capsys, value):
+    def test_threads_are_no_option_and_no_key(self, tmp_path, capsys):
+        """A run has no thread count to set: ``--threads`` and ``[scenario] threads``
+        exit 2, the key at its line."""
         cfg_file = tmp_path / "t.cfg"
         cfg_file.write_text(BASE)
         with pytest.raises(SystemExit) as info:
-            main(["simulate", "--config", str(cfg_file), "--threads", value])
+            main(["simulate", "--config", str(cfg_file), "--threads", "2",
+                  "--out", str(tmp_path / "option")])
         assert info.value.code == 2
-        assert "argument --threads: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        text = BASE.replace("seed = 11", "seed = 11\nthreads = 2")
+        lineno = text.splitlines().index("threads = 2") + 1
+        cfg_file.write_text(text)
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "key")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: unknown key 'threads' in section [scenario]\n")
+        assert not (tmp_path / "option").exists() and not (tmp_path / "key").exists()
 
     def test_suite_argument_overrides_the_config(self, tmp_path, capsys):
         text = BASE + "\n[verify]\nsuite = comparison\npairs = 2\n"
@@ -1073,6 +1073,32 @@ class TestOverridesAndExitStatus:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, verify", [
+        (["verify"], "suite = necessity\npairs = 7"),
+        (["verify", "necessity"], "pairs = 7"),
+        (["verify", "necessity"], "suite = comparison\npairs = 7"),
+    ], ids=["key", "argument", "argument-over-key"])
+    def test_a_key_the_suite_does_not_read_exits_2_with_its_line(self, tmp_path, capsys,
+                                                                 argv, verify):
+        text = BASE + f"\n[verify]\n{verify}\n"
+        lineno = text.splitlines().index("pairs = 7") + 1
+        message = f"line {lineno}: verify suite 'necessity' does not read 'pairs'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text, "verify", suite=argv[1] if argv[1:] else None)
+        cfg_file = tmp_path / "v.cfg"
+        cfg_file.write_text(text)
+        assert main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_suite_argument_replaces_the_key(self):
+        text = BASE + "\n[verify]\nsuite = necessity\npairs = 7\n"
+        cfg = parse_config(text, "verify", suite="comparison")
+        assert (cfg.verify.suite, cfg.verify.pairs) == ("comparison", 7)
+        message = re.escape(f"unknown suite 'bogus'; expected one of {SUITES}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text, "verify", suite="bogus")
 
     def test_necessity_without_overshoot_exits_1(self, tmp_path):
         # one step of 1e-3 overshoots theta by 8.4e-5, short of the 1e-4 it must show

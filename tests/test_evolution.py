@@ -1,7 +1,5 @@
 import gc
 import math
-import sys
-import threading
 import warnings
 import weakref
 
@@ -215,8 +213,8 @@ class TestInPlaceStep:
 
 
 @pytest.mark.filterwarnings("ignore:kernel scale")
-class TestSplitRhs:
-    """A right-hand side split over a helper thread has the bits of the reference."""
+class TestPlanRhs:
+    """A plan's right-hand side with a+ not a- has the bits of the reference."""
 
     @staticmethod
     def case(shape):
@@ -228,129 +226,32 @@ class TestSplitRhs:
         bump = bump_field(grid, (0.3, -0.2), 4.0, 0.5).values
         return wp, wm, bump + 0.01 * rng.random(shape)
 
-    @pytest.fixture
-    def hand_offs(self, monkeypatch):
-        """The shapes of the states handed to a workspace's helper from here on."""
-        calls = []
-        hand_off = evolution._Workspace._hand_off
-
-        def counted(workspace, half, u):
-            calls.append(u.shape)
-            return hand_off(workspace, half, u)
-
-        monkeypatch.setattr(evolution._Workspace, "_hand_off", counted)
-        return calls
-
-    @staticmethod
-    def split_rhs(wp, wm, shape):
-        """A two-thread workspace and its plan's right-hand side for states of ``shape``."""
-        workspace = evolution._Workspace(ODD_RATES, wp, wm, StepConfig(dt=0.05, threads=2))
-        return workspace, workspace.plan(shape).rhs
-
     @pytest.mark.parametrize("shape", [(128, 128), (256, 256), (2, 128, 128)],
                              ids=["128", "256", "batched-pair"])
-    def test_rhs_values(self, shape, hand_offs):
+    def test_rhs_values(self, shape):
         wp, wm, values = self.case(shape)
         before = values.copy()
         expected = reference_reaction(ODD_RATES, values, *reference_pair(wp, wm, values))
         assert np.array_equal(rhs_values(ODD_RATES, wp, wm, values), expected)
-        assert hand_offs == []
-        workspace, rhs = self.split_rhs(wp, wm, shape)
-        try:
-            for _ in range(2):  # the second call reuses the plan's buffers
-                assert np.array_equal(rhs(values), expected)
-        finally:
-            workspace.close()
-        assert hand_offs == [shape] * 2
+        rhs = evolution._Workspace(ODD_RATES, wp, wm, StepConfig(dt=0.05)).plan(shape).rhs
+        for _ in range(2):  # the second call reuses the plan's buffers
+            assert np.array_equal(rhs(values), expected)
         assert np.array_equal(values, before)
 
-    def test_hand_offs_under_a_short_switch_interval(self):
-        """A plan's buffers are reused call after call; with the interpreter switching
-        threads every 10 us, no result reads a buffer that the next call writes."""
-        wp, wm, values = self.case((128, 128))
-        states = [values, 0.5 * values, values[::-1].copy()]
-        expected = [reference_reaction(ODD_RATES, v, *reference_pair(wp, wm, v))
-                    for v in states]
-        workspace, rhs = self.split_rhs(wp, wm, values.shape)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            results = [rhs(v).copy() for _ in range(20) for v in states]
-        finally:
-            sys.setswitchinterval(interval)
-            workspace.close()
-        assert all(np.array_equal(got, want)
-                   for got, want in zip(results, expected * 20))
-
-    @pytest.mark.parametrize("threads, splits", [(1, False), (2, True)])
     @pytest.mark.parametrize("shape", [(128, 128), (256, 256), (2, 128, 128)],
                              ids=["128", "256", "batched-pair"])
-    def test_march_step(self, shape, threads, splits, hand_offs):
+    def test_march_step(self, shape):
         wp, wm, values = self.case(shape)
-        cfg = StepConfig(dt=0.05, threads=threads)
+        cfg = StepConfig(dt=0.05)
         assert evolution._window(wp, wm, values, cfg) is None
         got = evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, cfg.dt)
         assert np.array_equal(got, reference_circular_step(ODD_RATES, wp, wm, values, cfg))
-        assert len(hand_offs) == (4 if splits else 0)
-
-    @pytest.mark.parametrize("case", ["shared", "small", "exp_euler", "direct"])
-    def test_no_helper_when_a_condition_fails(self, case, hand_offs):
-        wp, wm, values = self.case((64, 64) if case == "small" else (128, 128))
-        wm = wp if case == "shared" else wm
-        if case == "direct":  # a compact a- keeps the direct sums short
-            grid = Grid(dimension=2, half_length=16.0, points_per_axis=128)
-            wm = discretize(Kernel("compact_uniform", 2, radius=1.0), grid)
-        cfg = StepConfig(dt=0.05, threads=2,
-                         method="exp_euler" if case == "exp_euler" else "rk4",
-                         conv_backend="direct" if case == "direct" else "fft")
-        march(ODD_RATES, wp, wm, values, cfg)
-        assert hand_offs == []
-
-    def test_default_cap_is_the_affinity(self, monkeypatch, hand_offs):
-        wp, wm, values = self.case((128, 128))
-        for cpus, splits in (({0}, 0), ({0, 3}, 4)):
-            monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: cpus,
-                                raising=False)
-            hand_offs.clear()
-            march(ODD_RATES, wp, wm, values, StepConfig(dt=0.05))
-            assert len(hand_offs) == splits
-
-    def test_non_finite_state_names_the_floor_without_warnings(self, hand_offs):
-        wp, wm, values = self.case((128, 128))
-        cfg = StepConfig(dt=0.05, threads=2)
-        before = set(threading.enumerate())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an overflow on either thread would raise here
-            with pytest.raises(ConvergenceFailure, match=r"set \[time\] floor"):
-                evolution._march(_advance, ODD_RATES, wp, wm, 1e300 * values, cfg, 2 * cfg.dt)
-        assert hand_offs
-        assert set(threading.enumerate()) == before
-
-    def test_no_thread_outlives_the_march(self):
-        wp, wm, values = self.case((128, 128))
-        cfg = StepConfig(dt=0.05, threads=2)
-        before = set(threading.enumerate())
-        seen = []
-
-        def observe(k, state, last):
-            seen.append(len(threading.enumerate()))
-
-        evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, 2 * cfg.dt, observe)
-        assert seen == [len(before) + 1] * 2
-        assert set(threading.enumerate()) == before
-
-        def interrupt(k, state, last):
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, cfg.dt, interrupt)
-        assert set(threading.enumerate()) == before
 
 
 @pytest.mark.filterwarnings("ignore:kernel scale")
 class TestWorkspace:
     """A march's workspace plans give every step the reference bits, whatever the shapes
-    it meets, the kernels and the thread count, and hand out states that stay put."""
+    it meets and the kernels, and hand out states that stay put."""
 
     @staticmethod
     def march(params, wp, wm, values, cfg, steps):
@@ -403,52 +304,43 @@ class TestWorkspace:
         assert len(shapes) >= 3, shapes
         assert all(shape[0] < grid.points_per_axis for shape in shapes)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_shape_that_comes_back_is_rebuilt(self, monkeypatch, threads):
-        """One workspace steps states of shapes A, B, A: the plan rebuilt for A, and the
-        helper that outlived the plan it was started for, give the reference bits."""
-        wp, wm, plane = TestSplitRhs.case((128, 128))
+    def test_a_shape_that_comes_back_is_rebuilt(self, monkeypatch):
+        """One workspace steps states of shapes A, B, A: the plan rebuilt for A gives
+        the reference bits."""
+        wp, wm, plane = TestPlanRhs.case((128, 128))
         pair = np.stack([plane, 0.5 * plane[::-1]])
-        cfg = StepConfig(dt=0.05, threads=threads)
+        cfg = StepConfig(dt=0.05)
         built = []
         build = evolution._Workspace._build
         monkeypatch.setattr(evolution._Workspace, "_build",
                             lambda workspace, shape: built.append(shape) or build(workspace, shape))
         workspace = evolution._Workspace(ODD_RATES, wp, wm, cfg)
-        try:
-            for values in (plane, pair, plane):
-                assert evolution._window(wp, wm, values, cfg) is None
-                got = _advance(ODD_RATES, wp, wm, values, cfg, workspace)
-                assert np.array_equal(
-                    got, reference_circular_step(ODD_RATES, wp, wm, values, cfg))
-        finally:
-            workspace.close()
+        for values in (plane, pair, plane):
+            assert evolution._window(wp, wm, values, cfg) is None
+            got = _advance(ODD_RATES, wp, wm, values, cfg, workspace)
+            assert np.array_equal(got, reference_circular_step(ODD_RATES, wp, wm, values, cfg))
         assert built == [plane.shape, pair.shape, plane.shape]
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_plane_with_two_kernels(self, monkeypatch, threads):
-        wp, wm, values = TestSplitRhs.case((128, 128))
-        cfg = StepConfig(dt=0.05, threads=threads)
+    def test_plane_with_two_kernels(self, monkeypatch):
+        wp, wm, values = TestPlanRhs.case((128, 128))
+        cfg = StepConfig(dt=0.05)
         assert evolution._window(wp, wm, values, cfg) is None
         self.check(monkeypatch, ODD_RATES, wp, wm, values, cfg, 3)
 
     def test_marches_in_sequence_on_one_shape(self, monkeypatch):
-        """A second march with other kernels takes none of the first one's spectra,
-        buffers or helper."""
-        wp, wm, values = TestSplitRhs.case((128, 128))
+        """A second march with other kernels takes none of the first one's spectra or
+        buffers."""
+        wp, wm, values = TestPlanRhs.case((128, 128))
         grid = Grid(dimension=2, half_length=16.0, points_per_axis=128)
         other = discretize(Kernel("laplace", 2, mu=1.2), grid)
-        cfg = StepConfig(dt=0.05, threads=2)
-        before = set(threading.enumerate())
+        cfg = StepConfig(dt=0.05)
         for plus, minus in ((wp, wm), (other, wp), (wm, other)):
             self.check(monkeypatch, ODD_RATES, plus, minus, values, cfg, 2)
-            assert set(threading.enumerate()) == before
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_march_frees_its_workspace_on_return(self, monkeypatch, threads):
-        """Plans refer back to their workspace; the march breaks that cycle, so its
-        buffers are freed when it returns, not at the next garbage collection."""
-        wp, wm, values = TestSplitRhs.case((128, 128))
+    def test_march_frees_its_workspace_on_return(self, monkeypatch):
+        """No plan refers back to its workspace, so a march's buffers are freed when it
+        returns, not at the next garbage collection."""
+        wp, wm, values = TestPlanRhs.case((128, 128))
         workspaces = []
         init = evolution._Workspace.__init__
         monkeypatch.setattr(evolution._Workspace, "__init__",
@@ -456,21 +348,20 @@ class TestWorkspace:
                             or init(workspace, *args))
         gc.disable()
         try:
-            march(ODD_RATES, wp, wm, values, StepConfig(dt=0.05, threads=threads), 2)
+            march(ODD_RATES, wp, wm, values, StepConfig(dt=0.05), 2)
             assert [ref() for ref in workspaces] == [None]
         finally:
             gc.enable()
 
-    def test_line_march_plans_nothing_and_starts_no_thread(self, monkeypatch, gauss_line):
+    def test_line_march_plans_nothing(self, monkeypatch, gauss_line):
         """A line's right-hand sides make fresh arrays: its march, on 2^14 points with
-        a+ not a- at two threads, builds no plan, so it allocates no buffer and hands
-        nothing off."""
+        a+ not a-, builds no plan, so it allocates no buffer."""
         wp = waves.sample_line_kernel(gauss_line, 0.1)
         wm = waves.sample_line_kernel(reduce_to_direction(Kernel("laplace", 1, mu=1.0), [1.0]),
                                       0.1)
         s = 0.1 * (np.arange(2**14) - 2**13)
         psi = 0.5 * ODD_RATES.theta * (1.0 - np.tanh(s))
-        cfg = StepConfig(dt=0.02, threads=2)
+        cfg = StepConfig(dt=0.02)
         workspaces, built = [], []
         init, build = evolution._Workspace.__init__, evolution._Workspace._build
         monkeypatch.setattr(evolution._Workspace, "__init__",
@@ -478,15 +369,12 @@ class TestWorkspace:
                             or init(workspace, *args))
         monkeypatch.setattr(evolution._Workspace, "_build",
                             lambda workspace, shape: built.append(shape) or build(workspace, shape))
-        before = set(threading.enumerate())
         seen = []
         evolution._march(waves._line_advance, ODD_RATES, wp, wm, psi, cfg, 2 * cfg.dt,
-                         lambda k, state, last: seen.append((set(threading.enumerate()),
-                                                             workspaces[0]._plan)))
+                         lambda k, state, last: seen.append(workspaces[0]._plan))
         assert built == []
         assert len(workspaces) == 1
-        assert seen == [(before, None)] * 2
-        assert set(threading.enumerate()) == before
+        assert seen == [None] * 2
 
 
 class TestNoAliasing:

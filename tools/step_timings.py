@@ -1,4 +1,4 @@
-"""Per-call timings of the periodic step's layers at fixed sizes, at one and two threads.
+"""Per-call timings of the periodic step's layers at fixed sizes.
 
 Times ``evolution.convolve_pair``, ``evolution.rhs_values`` and
 ``evolution._advance`` steps (RK4; dt 0.002 and floor 1e-14 in 1-D, dt 0.05 in
@@ -23,11 +23,7 @@ m = 1:
 
 ``_advance`` runs as a run does, in an ``evolution._march``: each block is one
 march of the block's steps from the case's state, so its figures are per step
-and include the march's set-up.  The 2-D cases march once more at two
-threads, where every right-hand side splits, also below
-``evolution._SPLIT_POINTS`` (2^14 points), so that the figures show where the
-split starts to pay.  ``convolve_pair`` and ``rhs_values`` have no two-thread
-form.
+and include the march's set-up.
 
 Each figure is the minimum, and the median, over ``--repeats`` blocks of the
 per-call mean of a block's calls, with the minor page faults per call
@@ -46,7 +42,6 @@ alternation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import resource
 import statistics
@@ -133,10 +128,8 @@ def _measure(fn, calls: int, repeats: int) -> tuple[float, float, float]:
     return min(blocks), statistics.median(blocks), faults / calls
 
 
-def _row(name: str, layer: str, threads: int, best: float, median: float,
-         faults: float) -> None:
-    print(f"{name:<18} {layer:<14} {threads:>7} {1e6 * best:>10.1f} {1e6 * median:>10.1f} "
-          f"{faults:>12.1f}")
+def _row(name: str, layer: str, best: float, median: float, faults: float) -> None:
+    print(f"{name:<18} {layer:<14} {1e6 * best:>10.1f} {1e6 * median:>10.1f} {faults:>12.1f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,23 +146,19 @@ def main(argv: list[str] | None = None) -> int:
         cases = _cases(nlkpp)
     print(f"# numpy {np.__version__}, python {sys.version.split()[0]}, "
           f"min of {args.repeats} blocks")
-    print(f"{'case':<18} {'layer':<14} {'threads':>7} {'min us':>10} {'median us':>10} "
-          f"{'minflt/call':>12}")
-    evolution._SPLIT_POINTS = 1  # at two threads, every size splits
+    print(f"{'case':<18} {'layer':<14} {'min us':>10} {'median us':>10} {'minflt/call':>12}")
     for name in CASES:
         params, wp, wm, segment, state, cfg = cases[name]
         calls = CALLS[name]
         for layer, fn in (("convolve_pair", lambda: evolution.convolve_pair(wp, wm, segment)),
                           ("rhs_values", lambda: evolution.rhs_values(params, wp, wm, segment))):
-            _row(name, layer, 1, *_measure(fn, calls, args.repeats))
-        for threads in (1, 2) if name.startswith("2d") else (1,):
-            steps = dataclasses.replace(cfg, threads=threads)
-            best, median, faults = _measure(
-                lambda: evolution._march(evolution._advance, params, wp, wm, state, steps,
-                                         calls * steps.dt), 1, args.repeats)
-            _row(name, "_advance", threads, best / calls, median / calls, faults / calls)
+            _row(name, layer, *_measure(fn, calls, args.repeats))
+        best, median, faults = _measure(
+            lambda: evolution._march(evolution._advance, params, wp, wm, state, cfg,
+                                     calls * cfg.dt), 1, args.repeats)
+        _row(name, "_advance", best / calls, median / calls, faults / calls)
     best, median, faults = _measure(_march(nlkpp), 1, args.repeats)
-    _row("1d-invasion-march", "_march/step", 1, best / MARCH_STEPS, median / MARCH_STEPS,
+    _row("1d-invasion-march", "_march/step", best / MARCH_STEPS, median / MARCH_STEPS,
          faults / MARCH_STEPS)
     return 0
 
