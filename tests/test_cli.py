@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlkpp
-from nlkpp import (ConfigError, ConvergenceFailure, StepConfig, cli, fronts,
+from nlkpp import (ConfigError, ConvergenceFailure, StepConfig, cli, config, fronts,
                    simulate, waves)
 from nlkpp.cli import build_initial, main
 from nlkpp.kernels import _per_kernel
@@ -1032,23 +1032,31 @@ class TestOverridesAndExitStatus:
         assert ((by_option / "summary.txt").read_bytes()
                 == (by_config / "summary.txt").read_bytes())
 
-    def test_threads_are_no_option_and_no_key(self, tmp_path, capsys):
-        """A run has no thread count to set: ``--threads`` and ``[scenario] threads``
-        exit 2, the key at its line."""
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_threads_option_exits_2(self, tmp_path, capsys, command):
+        """A run has no thread count to set: no command takes ``--threads`` (given as
+        one word, so that ``verify`` does not read its value as a suite)."""
         cfg_file = tmp_path / "t.cfg"
         cfg_file.write_text(BASE)
         with pytest.raises(SystemExit) as info:
-            main(["simulate", "--config", str(cfg_file), "--threads", "2",
-                  "--out", str(tmp_path / "option")])
+            main([command, "--config", str(cfg_file), "--threads=2",
+                  "--out", str(tmp_path / "out")])
         assert info.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-        text = BASE.replace("seed = 11", "seed = 11\nthreads = 2")
-        lineno = text.splitlines().index("threads = 2") + 1
+        assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1", "2", "0", "-1", "two"])
+    def test_threads_key_exits_2_with_its_line(self, tmp_path, capsys, value):
+        """``[scenario] threads`` is an unknown key whatever its value, the counts that
+        were once taken included."""
+        text = BASE.replace("seed = 11", f"seed = 11\nthreads = {value}")
+        lineno = text.splitlines().index(f"threads = {value}") + 1
+        cfg_file = tmp_path / "t.cfg"
         cfg_file.write_text(text)
-        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "key")]) == 2
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             f"error: line {lineno}: unknown key 'threads' in section [scenario]\n")
-        assert not (tmp_path / "option").exists() and not (tmp_path / "key").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_suite_argument_overrides_the_config(self, tmp_path, capsys):
         text = BASE + "\n[verify]\nsuite = comparison\npairs = 2\n"
@@ -1091,6 +1099,22 @@ class TestOverridesAndExitStatus:
         assert main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_each_suite_reads_its_keys(self, suite):
+        """Under each suite a ``[verify]`` key is taken if the suite reads it and refused
+        at its line if not."""
+        for key in config._KEYS["verify"]:
+            if key == "suite":
+                continue
+            text = BASE + f"\n[verify]\nsuite = {suite}\n{key} = 3\n"
+            if key in config._SUITE_KEYS[suite]:
+                assert getattr(parse_config(text, "verify").verify, key) == 3
+            else:
+                lineno = text.splitlines().index(f"{key} = 3") + 1
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"line {lineno}: verify suite {suite!r} does not read {key!r}")):
+                    parse_config(text, "verify")
 
     def test_suite_argument_replaces_the_key(self):
         text = BASE + "\n[verify]\nsuite = necessity\npairs = 7\n"

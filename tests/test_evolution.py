@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import warnings
 import weakref
 
@@ -214,7 +215,7 @@ class TestInPlaceStep:
 
 @pytest.mark.filterwarnings("ignore:kernel scale")
 class TestPlanRhs:
-    """A plan's right-hand side with a+ not a- has the bits of the reference."""
+    """A plan's right-hand side has the bits of the reference, made on the calling thread."""
 
     @staticmethod
     def case(shape):
@@ -246,6 +247,57 @@ class TestPlanRhs:
         assert evolution._window(wp, wm, values, cfg) is None
         got = evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, cfg.dt)
         assert np.array_equal(got, reference_circular_step(ODD_RATES, wp, wm, values, cfg))
+
+    @pytest.mark.parametrize("shape", [(128, 128), (256, 256), (2, 128, 128)],
+                             ids=["128", "256", "batched-pair"])
+    def test_shared_kernel_rhs_values(self, shape):
+        """With a+ = a- the plan convolves once and uses that convolution twice."""
+        wp, _, values = self.case(shape)
+        conv, _ = reference_pair(wp, wp, values)
+        expected = reference_reaction(ODD_RATES, values, conv, conv)
+        rhs = evolution._Workspace(ODD_RATES, wp, wp, StepConfig(dt=0.05)).plan(shape).rhs
+        for _ in range(2):  # the second call reuses the plan's buffers
+            assert np.array_equal(rhs(values), expected)
+
+    def test_buffers_are_reused_call_after_call(self):
+        """A plan's buffers are reused call after call: each result, taken before the
+        next call overwrites it, has the reference bits of its own state."""
+        wp, wm, values = self.case((128, 128))
+        states = [values, 0.5 * values, values[::-1].copy()]
+        expected = [reference_reaction(ODD_RATES, v, *reference_pair(wp, wm, v))
+                    for v in states]
+        rhs = evolution._Workspace(ODD_RATES, wp, wm, StepConfig(dt=0.05)).plan(
+            values.shape).rhs
+        results = [rhs(v).copy() for _ in range(5) for v in states]
+        assert all(np.array_equal(got, want) for got, want in zip(results, expected * 5))
+
+    def test_non_finite_state_names_the_floor_without_warnings(self):
+        """An overflow in the plan's transforms and products warns nothing: the march's
+        check reports it and names the floor."""
+        wp, wm, values = self.case((128, 128))
+        cfg = StepConfig(dt=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceFailure, match=r"set \[time\] floor"):
+                evolution._march(_advance, ODD_RATES, wp, wm, 1e300 * values, cfg, 2 * cfg.dt)
+
+    def test_march_starts_no_thread(self):
+        """A march makes its right-hand sides on the calling thread, also when it is
+        interrupted."""
+        wp, wm, values = self.case((128, 128))
+        cfg = StepConfig(dt=0.05)
+        before = set(threading.enumerate())
+        seen = []
+        evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, 2 * cfg.dt,
+                         lambda k, state, last: seen.append(set(threading.enumerate())))
+        assert seen == [before] * 2
+
+        def interrupt(k, state, last):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            evolution._march(_advance, ODD_RATES, wp, wm, values, cfg, cfg.dt, interrupt)
+        assert set(threading.enumerate()) == before
 
 
 @pytest.mark.filterwarnings("ignore:kernel scale")
@@ -304,10 +356,12 @@ class TestWorkspace:
         assert len(shapes) >= 3, shapes
         assert all(shape[0] < grid.points_per_axis for shape in shapes)
 
-    def test_a_shape_that_comes_back_is_rebuilt(self, monkeypatch):
+    @pytest.mark.parametrize("shared", [False, True], ids=["odd", "shared"])
+    def test_a_shape_that_comes_back_is_rebuilt(self, monkeypatch, shared):
         """One workspace steps states of shapes A, B, A: the plan rebuilt for A gives
-        the reference bits."""
+        the reference bits, with a+ not a- and with a+ = a-."""
         wp, wm, plane = TestPlanRhs.case((128, 128))
+        wm = wp if shared else wm
         pair = np.stack([plane, 0.5 * plane[::-1]])
         cfg = StepConfig(dt=0.05)
         built = []
@@ -337,10 +391,14 @@ class TestWorkspace:
         for plus, minus in ((wp, wm), (other, wp), (wm, other)):
             self.check(monkeypatch, ODD_RATES, plus, minus, values, cfg, 2)
 
-    def test_march_frees_its_workspace_on_return(self, monkeypatch):
-        """No plan refers back to its workspace, so a march's buffers are freed when it
-        returns, not at the next garbage collection."""
+    @pytest.mark.parametrize("backend", ["fft", "direct"])
+    def test_march_frees_its_workspace_on_return(self, monkeypatch, backend):
+        """No plan of either backend refers back to its workspace, so a march's buffers
+        are freed when it returns, not at the next garbage collection."""
         wp, wm, values = TestPlanRhs.case((128, 128))
+        if backend == "direct":  # a compact a- keeps the direct sums short
+            grid = Grid(dimension=2, half_length=16.0, points_per_axis=128)
+            wm = discretize(Kernel("compact_uniform", 2, radius=1.0), grid)
         workspaces = []
         init = evolution._Workspace.__init__
         monkeypatch.setattr(evolution._Workspace, "__init__",
@@ -348,7 +406,7 @@ class TestWorkspace:
                             or init(workspace, *args))
         gc.disable()
         try:
-            march(ODD_RATES, wp, wm, values, StepConfig(dt=0.05), 2)
+            march(ODD_RATES, wp, wm, values, StepConfig(dt=0.05, conv_backend=backend), 2)
             assert [ref() for ref in workspaces] == [None]
         finally:
             gc.enable()
